@@ -617,9 +617,9 @@ def screened_solvability_grid_experiment(
     (weaker systems — larger ``j`` — get proportionally longer prefixes), and
     the degree-``k`` detector's convergence screen runs over *all* cells in a
     single :func:`~repro.search.properties.screen_generation` call.  The
-    length-heterogeneous batch is exactly the shape the multi-schedule column
-    lane exists for: under the default ``auto`` backend the whole grid
-    screens in one vector call when numpy is present, and falls back loudly
+    length-heterogeneous batch is exactly the shape the sim-free anti-Ω
+    screen kernel exists for: under the default ``auto`` backend the whole
+    grid screens in one vector call when numpy is present, and falls back loudly
     to the per-candidate reference screen otherwise — the verdicts are
     backend-independent either way (callers can inspect which lane ran via
     :func:`~repro.search.properties.last_screen_plan`).

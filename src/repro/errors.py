@@ -12,12 +12,13 @@ class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` library."""
 
 
-class ConfigurationError(ReproError):
+class ConfigurationError(ReproError, ValueError):
     """A component was constructed with inconsistent or invalid parameters.
 
     Examples: a system ``S^i_{j,n}`` with ``i > j``, an agreement problem with
     ``t >= n``, or a schedule generator asked to produce steps for an empty
-    process set.
+    process set.  It is also a :class:`ValueError`, so callers that catch the
+    built-in for a bad parameter keep working.
     """
 
 

@@ -6,7 +6,7 @@ schedule, with identical observable effects to running each replica alone)
 from *how* the steps are driven.  The "how" is a :class:`Backend`:
 
 * :class:`ReferenceBackend` (``"python"``) — the pure-Python kernel loops
-  (:func:`~repro.runtime.kernel._execute_bare_counted` and friends), one
+  (:func:`~repro.runtime.kernel._execute_bare` and friends), one
   replica at a time.  This is the semantic reference and the tier-1 default;
   every other backend is tested byte-identical against it.
 * ``"vector"`` (:mod:`repro.runtime.vector_backend`) — a numpy column
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import logging
 from array import array
-from dataclasses import dataclass
 from importlib import import_module
 from itertools import islice
 from typing import (
@@ -69,23 +68,6 @@ CrashMask = Optional[Mapping[ProcessId, int]]
 
 #: One checkpoint snapshot: ``pid -> {key: published value}``.
 Snapshot = Dict[ProcessId, Dict[str, Any]]
-
-
-@dataclass(frozen=True)
-class MultiBatchResult:
-    """What a multi-schedule batch run returns.
-
-    ``results`` carries one :class:`~repro.runtime.simulator.RunResult` per
-    replica, in replica order.  ``snapshots`` is ``None`` unless checkpointed
-    extraction was requested, in which case it holds one list of
-    ``checkpoints`` output snapshots per replica — snapshot ``i`` samples the
-    requested published keys after the replica has executed
-    ``(L * (i + 1)) // checkpoints`` of its ``L`` effective steps, exactly the
-    segment bounds :func:`repro.search.properties.checkpoint_snapshots` uses.
-    """
-
-    results: List["RunResult"]
-    snapshots: Optional[List[List[Snapshot]]] = None
 
 
 class Backend:
@@ -135,93 +117,6 @@ class Backend:
         """
         raise NotImplementedError
 
-    def run_multi_batch(
-        self,
-        simulators: Sequence["Simulator"],
-        compileds: Sequence["CompiledSchedule"],
-        policy: "ExecutionPolicy",
-        crash_masks: Optional[Sequence[CrashMask]] = None,
-        checkpoints: Optional[int] = None,
-        snapshot_keys: Sequence[str] = (),
-    ) -> MultiBatchResult:
-        """Execute one *per-replica* compiled schedule on each replica.
-
-        This is the multi-schedule generalization of :meth:`run_batch`:
-        replica ``i`` runs ``compileds[i]`` (whole buffer, already budgeted by
-        the caller) under ``policy``, with ``crash_masks`` applied per replica
-        exactly as in :meth:`run_batch`.  When ``checkpoints`` is given, each
-        replica's *effective* (post-mask) buffer is split into ``checkpoints``
-        contiguous segments and the published outputs under ``snapshot_keys``
-        are sampled after each segment — the checkpointed-extraction contract
-        the search screens consume.  Trace-collecting policies are rejected
-        upstream by :func:`~repro.runtime.kernel.execute_multi_batch`.
-
-        The base implementation is the semantic reference: replicas run
-        sequentially through the per-replica kernel loops, segment by
-        segment.  Backends that can do better (the vector column lane)
-        override it; the conformance contract is the same as for
-        :meth:`run_batch`, extended with snapshot equality.
-        """
-        from .kernel import (
-            _execute_bare,
-            _execute_general,
-            check_observer_capabilities,
-        )
-        from .simulator import RunResult
-        from ..core.schedule import Schedule
-
-        results: List["RunResult"] = []
-        all_snapshots: Optional[List[List[Snapshot]]] = (
-            [] if checkpoints is not None else None
-        )
-        for index, sim in enumerate(simulators):
-            compiled = compileds[index]
-            mask = crash_masks[index] if crash_masks is not None else None
-            entries = sim.observer_entries()
-            check_observer_capabilities(policy, entries)
-            bare = not entries
-            steps = compiled.steps
-            buffer = _filtered_buffer(steps, len(steps), mask) if mask else steps
-            total = len(buffer)
-            segments = checkpoints if checkpoints is not None else 1
-            bounds = [(total * i) // segments for i in range(segments + 1)]
-            executed = 0
-            snapshots: List[Snapshot] = []
-            for start, end in zip(bounds, bounds[1:]):
-                if end > start:
-                    segment = buffer[start:end]
-                    if bare:
-                        part = _execute_bare(sim, segment)
-                    else:
-                        part = _execute_general(
-                            sim, iter(segment), end - start, None, policy, entries
-                        )
-                    executed += part.steps_executed
-                if checkpoints is not None:
-                    snapshots.append(
-                        {
-                            pid: {
-                                key: sim.output_of(pid, key) for key in snapshot_keys
-                            }
-                            for pid in range(1, sim.n + 1)
-                        }
-                    )
-            results.append(
-                RunResult(
-                    executed_schedule=Schedule(steps=(), n=sim.n),
-                    steps_executed=executed,
-                    stopped_early=False,
-                    halted_processes=sim.halted_processes(),
-                    outputs={
-                        pid: dict(state.automaton.outputs)
-                        for pid, state in sim._states.items()
-                    },
-                )
-            )
-            if all_snapshots is not None:
-                all_snapshots.append(snapshots)
-        return MultiBatchResult(results=results, snapshots=all_snapshots)
-
 
 def _filtered_buffer(
     steps: Sequence[ProcessId], budget: int, mask: Mapping[ProcessId, int]
@@ -256,12 +151,7 @@ class ReferenceBackend(Backend):
         crash_masks: Optional[Sequence[CrashMask]] = None,
     ) -> List["RunResult"]:
         """Run every replica through the existing per-replica kernel loops."""
-        from .kernel import (
-            _execute_bare,
-            _execute_bare_counted,
-            _execute_general,
-            check_observer_capabilities,
-        )
+        from .kernel import _execute_bare, _execute_general, check_observer_capabilities
 
         steps = compiled.steps
         whole_buffer = budget == len(steps)
@@ -284,7 +174,7 @@ class ReferenceBackend(Backend):
                     )
             elif bare:
                 if whole_buffer:
-                    results.append(_execute_bare_counted(sim, steps, counts))
+                    results.append(_execute_bare(sim, steps, counts))
                 else:
                     results.append(_execute_bare(sim, islice(iter(steps), budget)))
             else:
@@ -309,35 +199,33 @@ def _warn_fallback(reason: str) -> None:
 
 
 def plan_backend_for_classes(
-    automaton_classes: Iterable[Type], policy: Optional["ExecutionPolicy"] = None
+    automaton_classes: Iterable[Type], policy: "ExecutionPolicy"
 ) -> Tuple[str, Optional[str]]:
     """The auto planner's decision rule, as a pure function.
 
     Returns ``(backend_name, fallback_reason)``: ``("vector", None)`` when a
     batch built from the given automaton classes can take the column lane —
-    numpy installed, observer sampling publication-gated (``policy`` may be
-    ``None`` for sim-free callers, who never attach observers), and a vector
-    lowering registered for *every* class — else ``("python", reason)``.
-    Exposed so batch-free callers (the whole-generation screen path) can
-    consult the same rule the :class:`AutoBackend` applies to simulator
-    batches.
+    numpy installed, the policy's observer sampling publication-gated, and a
+    vector lowering registered for *every* class — else
+    ``("python", reason)``.  :class:`AutoBackend` applies it to every
+    simulator batch; exposing it lets the rule be inspected without building
+    one.
     """
+    from .kernel import EVERY_STEP
+    from .vector_backend import lowering_for
+
     if not get_backend("vector").available():
         return (
             "python",
             "numpy is not installed (the [vector] optional extra); batches run "
             "on the pure-Python reference kernel",
         )
-    if policy is not None:
-        from .kernel import EVERY_STEP
-
-        if policy.sampling == EVERY_STEP:
-            return (
-                "python",
-                f"policy {policy.name!r} samples observers on every step; the "
-                "vector lane supports publication-gated sampling only",
-            )
-    from .vector_backend import lowering_for
+    if policy.sampling == EVERY_STEP:
+        return (
+            "python",
+            f"policy {policy.name!r} samples observers on every step; the "
+            "vector lane supports publication-gated sampling only",
+        )
 
     for klass in automaton_classes:
         if lowering_for(klass) is None:
@@ -374,30 +262,6 @@ class AutoBackend(Backend):
         """Always available — planning to the reference kernel needs nothing."""
         return True
 
-    # ------------------------------------------------------------------
-    def _batch_classes(self, simulators: Sequence["Simulator"]) -> Set[Type]:
-        return {
-            type(state.automaton)
-            for sim in simulators
-            for state in sim._states.values()
-        }
-
-    def _plan(
-        self, simulators: Sequence["Simulator"], policy: "ExecutionPolicy"
-    ) -> Backend:
-        chosen, reason = plan_backend_for_classes(
-            self._batch_classes(simulators), policy
-        )
-        self.last_plan = {
-            "backend": chosen,
-            "reason": reason,
-            "batch": len(simulators),
-        }
-        if reason is not None:
-            _warn_fallback(reason)
-        return get_backend(chosen)
-
-    # ------------------------------------------------------------------
     def run_batch(
         self,
         simulators: Sequence["Simulator"],
@@ -408,23 +272,15 @@ class AutoBackend(Backend):
     ) -> List["RunResult"]:
         """Plan, then delegate the shared-schedule batch to the chosen backend."""
         sims = list(simulators)
-        return self._plan(sims, policy).run_batch(
+        classes = {
+            type(state.automaton) for sim in sims for state in sim._states.values()
+        }
+        chosen, reason = plan_backend_for_classes(classes, policy)
+        self.last_plan = {"backend": chosen, "reason": reason, "batch": len(sims)}
+        if reason is not None:
+            _warn_fallback(reason)
+        return get_backend(chosen).run_batch(
             sims, compiled, budget, policy, crash_masks
-        )
-
-    def run_multi_batch(
-        self,
-        simulators: Sequence["Simulator"],
-        compileds: Sequence["CompiledSchedule"],
-        policy: "ExecutionPolicy",
-        crash_masks: Optional[Sequence[CrashMask]] = None,
-        checkpoints: Optional[int] = None,
-        snapshot_keys: Sequence[str] = (),
-    ) -> MultiBatchResult:
-        """Plan, then delegate the multi-schedule batch to the chosen backend."""
-        sims = list(simulators)
-        return self._plan(sims, policy).run_multi_batch(
-            sims, compileds, policy, crash_masks, checkpoints, snapshot_keys
         )
 
 

@@ -265,7 +265,7 @@ def execute(
         if isinstance(schedule, CompiledSchedule) and budget == len(schedule.steps):
             # The whole buffer is the budget: iterate the array itself and
             # credit per-process step counts in bulk from the shared tally.
-            return _execute_bare_counted(simulator, schedule.steps, schedule.step_counts())
+            return _execute_bare(simulator, schedule.steps, schedule.step_counts())
         return _execute_bare(simulator, islice(step_iter, budget))
     return _execute_general(simulator, step_iter, budget, stop_condition, policy, entries)
 
@@ -406,57 +406,51 @@ def _execute_general(
     )
 
 
-def _execute_bare(simulator: "Simulator", source: Iterable[ProcessId]) -> "RunResult":
-    """Adapter: run an arbitrary budgeted step source through the bare loop.
-
-    The source is materialized into a flat buffer and tallied once (one
-    C-speed pass over at most the budget), then executed by
-    :func:`_execute_bare_counted` — there is exactly one bare loop body to
-    keep equivalent with the general loop.
-
-    Raw iterables — unlike compiled buffers and :class:`Schedule` objects —
-    are not validated at construction, and the bare loop's pid-indexed tables
-    must never be indexed with an out-of-range pid (a negative id would alias
-    a real process).  The tally pass doubles as that validation: when the
-    buffer mentions an unknown pid, the valid prefix executes normally and
-    the run fails at the offending step with the same error and exact
-    accounting the general loop produces.
-    """
-    buffer = source if isinstance(source, array) else array("i", source)
-    counter = Counter(buffer)
-    n = simulator.n
-    if any(not 1 <= pid <= n for pid in counter):
-        bad_index, bad_pid = next(
-            (index, pid) for index, pid in enumerate(buffer) if not 1 <= pid <= n
-        )
-        prefix = buffer[:bad_index]
-        _execute_bare_counted(simulator, prefix, dict(Counter(prefix)))
-        raise SimulationError(f"unknown process id {bad_pid}")
-    counts = {pid: counter.get(pid, 0) for pid in simulator._states}
-    return _execute_bare_counted(simulator, buffer, counts)
-
-
-
-def _execute_bare_counted(
-    simulator: "Simulator", buffer: Sequence[ProcessId], counts: Dict[ProcessId, int]
+def _execute_bare(
+    simulator: "Simulator",
+    buffer: Iterable[ProcessId],
+    counts: Optional[Dict[ProcessId, int]] = None,
 ) -> "RunResult":
-    """The bare loop: the single no-instrumentation body behind both entries.
+    """The bare loop: the single no-instrumentation step body.
 
-    ``buffer`` holds exactly the budgeted steps — a whole
-    :class:`CompiledSchedule` array with its cached
-    :meth:`~CompiledSchedule.step_counts` tally, or any other source
-    materialized, tallied and pid-validated by the :func:`_execute_bare`
-    adapter; every buffered pid is known to lie in ``1..n``, which is what
-    lets the loop keep its per-process ``sends``/``pending`` tables as flat
-    pid-indexed lists instead of dicts.  Because a completed run executes
-    every buffered step, ``steps_taken`` can be credited in bulk after the
-    loop instead of being counted per step — the loop only keeps a plain
-    running total so that an exception (a single-writer violation, an
-    algorithm bug) still leaves exact accounting: on the error path the
-    partial per-process tally is recounted from the consumed buffer prefix.
+    ``buffer`` holds exactly the budgeted steps.  With ``counts`` given it is
+    a whole :class:`CompiledSchedule` array with its cached
+    :meth:`~CompiledSchedule.step_counts` tally, already known to hold only
+    pids in ``1..n``.  With ``counts=None`` the buffer is any step source:
+    it is materialized into a flat ``array('i')`` and tallied once (one
+    C-speed pass over at most the budget), and the tally pass doubles as
+    pid validation.  Raw iterables — unlike compiled buffers and
+    :class:`Schedule` objects — are not validated at construction, and the
+    loop's pid-indexed tables must never be indexed with an out-of-range pid
+    (a negative id would alias a real process); when the buffer mentions an
+    unknown pid, the valid prefix executes normally and the run fails at the
+    offending step with the same error and exact accounting the general loop
+    produces.
+
+    Every buffered pid lying in ``1..n`` is what lets the loop keep its
+    per-process ``sends``/``pending`` tables as flat pid-indexed lists
+    instead of dicts.  Because a completed run executes every buffered step,
+    ``steps_taken`` is credited in bulk after the loop instead of being
+    counted per step — the loop only keeps a plain running total so that an
+    exception (a single-writer violation, an algorithm bug) still leaves
+    exact accounting: on the error path the partial per-process tally is
+    recounted from the consumed buffer prefix.
     """
     from .simulator import RunResult  # local import: simulator imports this module
 
+    n = simulator.n
+    if counts is None:
+        if not isinstance(buffer, array):
+            buffer = array("i", buffer)
+        counter = Counter(buffer)
+        if any(not 1 <= pid <= n for pid in counter):
+            bad_index, bad_pid = next(
+                (index, pid) for index, pid in enumerate(buffer) if not 1 <= pid <= n
+            )
+            prefix = buffer[:bad_index]
+            _execute_bare(simulator, prefix, dict(Counter(prefix)))
+            raise SimulationError(f"unknown process id {bad_pid}")
+        counts = {pid: counter.get(pid, 0) for pid in simulator._states}
     registers = simulator.registers
     arena = registers.arena_view()
     slot_get = arena.slots.get
@@ -468,13 +462,12 @@ def _execute_bare_counted(
     registers_read = registers.read
     registers_write = registers.write
     strict = simulator.strict
-    n = simulator.n
     states = simulator._states
     halt = simulator._halt
     read_op, write_op = ReadOp, WriteOp
     bound_read_op, bound_write_op = BoundReadOp, BoundWriteOp
     # pid-indexed tables (slot 0 unused): a list index beats a dict probe on
-    # every step, and the adapter/compiled-buffer validation guarantees every
+    # every step, and the tally/compiled-buffer validation guarantees every
     # buffered pid is a real index.
     sends: List[Optional[Callable[[Any], Any]]] = [None] * (n + 1)
     pending: List[Any] = [None] * (n + 1)
@@ -722,80 +715,3 @@ def execute_batch(
     steps = compiled.steps
     budget = len(steps) if max_steps is None else min(max_steps, len(steps))
     return get_backend(backend).run_batch(sims, compiled, budget, policy, masks)
-
-
-def execute_multi_batch(
-    simulators: Sequence["Simulator"],
-    schedules: Sequence["ScheduleSource"],
-    max_steps: Optional[int] = None,
-    policy: ExecutionPolicy = FAST,
-    backend: Any = None,
-    crash_steps: Optional[Sequence[Optional[Dict[ProcessId, int]]]] = None,
-    checkpoints: Optional[int] = None,
-    snapshot_keys: Sequence[str] = (),
-) -> "MultiBatchResult":
-    """Drive a batch of replicas, each over its **own** schedule source.
-
-    The multi-schedule sibling of :func:`execute_batch`: replica ``i``
-    executes ``schedules[i]`` (budgeted to ``max_steps`` when given) under
-    ``policy``, so one call screens a whole heterogeneous generation —
-    elites, mutants and fresh candidates with different lengths — instead of
-    one call per candidate.  All replicas must live over the same ``Πn``;
-    schedules may differ arbitrarily in steps, length and crash metadata.
-
-    ``backend`` resolves exactly as in :func:`execute_batch` (``"auto"``
-    plans vector-vs-reference per batch); every backend returns results
-    identical to running each replica alone over its own schedule.
-    ``crash_steps`` carries one per-replica mask with :func:`execute_batch`
-    semantics, applied to that replica's own buffer.
-
-    When ``checkpoints`` is given, each replica's effective buffer is split
-    into ``checkpoints`` contiguous segments and the published outputs under
-    ``snapshot_keys`` are snapshotted after each segment (column-side on the
-    vector lane — no per-segment re-entry); the snapshots come back on
-    :attr:`~repro.runtime.backends.MultiBatchResult.snapshots`.  Policies
-    that collect traces are not supported — multi-schedule runs have no
-    single shared executed schedule to record.
-    """
-    from .backends import MultiBatchResult, get_backend  # local import, see above
-
-    sims = list(simulators)
-    sources = list(schedules)
-    if len(sims) != len(sources):
-        raise SimulationError(
-            f"execute_multi_batch got {len(sims)} replica(s) and "
-            f"{len(sources)} schedule(s); pass exactly one schedule per replica"
-        )
-    if policy.collect_trace:
-        raise SimulationError(
-            "execute_multi_batch does not support trace-collecting policies; "
-            "replicas run heterogeneous buffers with no shared schedule to record"
-        )
-    if checkpoints is not None and checkpoints < 1:
-        raise SimulationError(f"checkpoints must be >= 1, got {checkpoints}")
-    if not sims:
-        return MultiBatchResult(
-            results=[], snapshots=[] if checkpoints is not None else None
-        )
-    n = sims[0].n
-    for sim in sims[1:]:
-        if sim.n != n:
-            raise SimulationError(
-                f"execute_multi_batch needs replicas over one Πn, got n={n} and n={sim.n}"
-            )
-    masks = _normalize_crash_masks(crash_steps, len(sims), n)
-    align_replica_arenas(sims)
-    compileds: List[CompiledSchedule] = []
-    for source in sources:
-        compiled = _materialize_for_batch(n, source, max_steps)
-        if max_steps is not None and len(compiled) > max_steps:
-            compiled = CompiledSchedule(
-                n=n,
-                steps=compiled.steps[:max_steps],
-                crash_steps=compiled.crash_steps,
-                description=compiled.description,
-            )
-        compileds.append(compiled)
-    return get_backend(backend).run_multi_batch(
-        sims, compileds, policy, masks, checkpoints, snapshot_keys
-    )

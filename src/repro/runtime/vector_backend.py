@@ -89,10 +89,8 @@ from .automaton import IdleAutomaton, ProcessAutomaton
 from .backends import (
     Backend,
     CrashMask,
-    MultiBatchResult,
     ReferenceBackend,
     Snapshot,
-    _filtered_buffer,
     register_backend,
 )
 from .kernel import EVERY_STEP, align_replica_arenas, check_observer_capabilities
@@ -866,8 +864,7 @@ class _ChunkRun:
         if align_replica_arenas(sims) is None:
             raise UnsupportedLowering("replica arenas do not slot-align")
         compiler = ColumnCompiler(sims)
-        scheduled = self._scheduled_pids()
-        for pid in scheduled:
+        for pid in sorted(set(self.compiled.steps[: self.budget])):
             automata = [sim._states[pid].automaton for sim in sims]
             classes = {type(automaton) for automaton in automata}
             if len(classes) > 1:
@@ -904,10 +901,6 @@ class _ChunkRun:
                         "the int64 column representation"
                     )
         # Unknown automaton state is ruled out above; nothing mutates until run().
-
-    def _scheduled_pids(self) -> List[ProcessId]:
-        """The process ids the run loop will schedule (the lowering worklist)."""
-        return sorted(set(self.compiled.steps[: self.budget]))
 
     # -- run-time notifications ----------------------------------------------
     def note_halt(self, pid: ProcessId, rows: Any, values: Optional[Sequence[Any]]) -> None:
@@ -1147,131 +1140,6 @@ class _ChunkRun:
         return results
 
 
-class _MultiChunkRun(_ChunkRun):
-    """One chunk of the multi-schedule lane: a ``(T × batch)`` step matrix.
-
-    Each replica row runs its *own* compiled schedule.  Crash masks are
-    applied by deleting dead steps up front (exactly like the reference
-    backend's :func:`~repro.runtime.backends._filtered_buffer`), shorter rows
-    pad with inert zeros and simply stop stepping, and one lockstep pass over
-    the time axis groups each column's live rows by process id.
-
-    Checkpointed observable extraction happens *column-side*: the run loop
-    precomputes, per row, the effective-step boundaries
-    ``(L * i) // checkpoints`` and reads the requested published keys straight
-    off the (eagerly published) automaton outputs the moment a row crosses a
-    boundary — no per-segment re-entry, no observers.
-    """
-
-    def __init__(
-        self,
-        simulators: Sequence[Any],
-        compileds: Sequence[Any],
-        policy: Any,
-        crash_masks: Optional[Sequence[CrashMask]],
-        checkpoints: Optional[int],
-        snapshot_keys: Sequence[str],
-    ) -> None:
-        super().__init__(simulators, None, 0, policy, crash_masks)
-        self.compileds = list(compileds)
-        self.checkpoints = checkpoints
-        self.snapshot_keys = tuple(snapshot_keys)
-
-    def _scheduled_pids(self) -> List[ProcessId]:
-        """Union of every row's scheduled process ids (crash masks only delete)."""
-        scheduled: set = set()
-        for compiled in self.compileds:
-            steps = compiled.steps
-            if len(steps):
-                scheduled.update(
-                    np.unique(np.frombuffer(steps, dtype=np.int32)).tolist()
-                )
-        return sorted(scheduled)
-
-    def compile(self) -> None:
-        """Lower the union worklist; the multi lane is observer-free."""
-        for sim in self.simulators:
-            if sim.observer_entries():
-                raise UnsupportedLowering(
-                    "the multi-schedule vector lane runs observer-free replicas "
-                    "only (column-side snapshots replace observers)"
-                )
-        super().compile()
-
-    def _snapshot_row(self, row: int) -> Snapshot:
-        """The requested published keys of one replica, read off its automata."""
-        sim = self.simulators[row]
-        keys = self.snapshot_keys
-        return {
-            pid: {key: sim.output_of(pid, key) for key in keys}
-            for pid in range(1, sim.n + 1)
-        }
-
-    def run(self) -> Tuple[List[Any], Optional[List[List[Snapshot]]]]:
-        """Drive every row's own buffer in lockstep; results plus snapshots."""
-        sims = self.simulators
-        batch = self.batch_size
-        n = sims[0].n
-        buffers = []
-        for row, compiled in enumerate(self.compileds):
-            mask = self.crash_masks[row] if self.crash_masks is not None else None
-            steps = compiled.steps
-            buffers.append(
-                _filtered_buffer(steps, len(steps), mask) if mask else steps
-            )
-        lengths = np.array([len(buf) for buf in buffers], dtype=np.int64)
-        horizon = int(lengths.max()) if batch else 0
-        matrix = np.zeros((horizon, batch), dtype=np.int64)
-        for row, buf in enumerate(buffers):
-            if len(buf):
-                matrix[: len(buf), row] = np.frombuffer(buf, dtype=np.int32)
-        self.strict_rows = (
-            np.array([sim.strict for sim in sims], dtype=bool)
-            if any(sim.strict for sim in sims)
-            else None
-        )
-        checkpoints = self.checkpoints
-        snapshots: Optional[List[List[Optional[Snapshot]]]] = None
-        events: Optional[Dict[int, List[Tuple[int, int]]]] = None
-        if checkpoints is not None:
-            snapshots = [[None] * checkpoints for _ in range(batch)]
-            events = {}
-            for row in range(batch):
-                total = int(lengths[row])
-                for index in range(1, checkpoints + 1):
-                    boundary = (total * index) // checkpoints
-                    events.setdefault(boundary, []).append((row, index - 1))
-            for row, slot in events.pop(0, ()):
-                snapshots[row][slot] = self._snapshot_row(row)
-        start_indices = [sim._step_index for sim in sims]
-        executed_column = np.zeros(batch, dtype=np.int64)
-        taken_matrix = np.zeros((batch, n + 1), dtype=np.int64)
-        runners = self.runners
-        all_rows = self.all_rows
-        try:
-            for index in range(horizon):
-                live = lengths > index
-                column = matrix[index]
-                live_rows = all_rows if live.all() else all_rows[live]
-                live_column = column[live_rows]
-                for pid in np.unique(live_column).tolist():
-                    rows = live_rows[live_column == pid]
-                    runners[pid].step(rows, rows.size == batch)
-                    executed_column[rows] += 1
-                    taken_matrix[rows, pid] += 1
-                if events is not None:
-                    hit = events.pop(index + 1, None)
-                    if hit is not None:
-                        for row, slot in hit:
-                            snapshots[row][slot] = self._snapshot_row(row)
-        finally:
-            self._teardown(None, True, 0, executed_column, taken_matrix, start_indices)
-        return (
-            self._results(None, True, 0, executed_column, start_indices, None),
-            snapshots,
-        )
-
-
 # ----------------------------------------------------------------------
 # The backend
 # ----------------------------------------------------------------------
@@ -1365,85 +1233,6 @@ class VectorBackend(Backend):
         for chunk in chunks:
             results.extend(chunk.run())
         return results
-
-    def run_multi_batch(
-        self,
-        simulators: Sequence[Any],
-        compileds: Sequence[Any],
-        policy: Any,
-        crash_masks: Optional[Sequence[CrashMask]] = None,
-        checkpoints: Optional[int] = None,
-        snapshot_keys: Sequence[str] = (),
-    ) -> MultiBatchResult:
-        """Run per-replica schedules on the multi-schedule column lane.
-
-        Batches the lane cannot take (an every-step sampling policy, a
-        trace-collecting policy, observers, or any :meth:`run_batch`
-        lowering obstacle) fall back to
-        :meth:`Backend.run_multi_batch` on the reference backend — or raise
-        under ``require_lowering=True`` — and :attr:`last_run` records why.
-        """
-        require_numpy()
-        sims = list(simulators)
-        compiled_list = list(compileds)
-        for sim in sims:
-            check_observer_capabilities(policy, sim.observer_entries())
-        chunks: List[_MultiChunkRun] = []
-        obstacle: Optional[str] = None
-        if policy.sampling == EVERY_STEP:
-            obstacle = (
-                f"policy {policy.name!r} samples observers on every step; the "
-                "vector lane supports publication-gated sampling only"
-            )
-        elif policy.collect_trace:
-            obstacle = (
-                f"policy {policy.name!r} collects a trace; multi-schedule runs "
-                "share no executed schedule to record"
-            )
-        else:
-            try:
-                for offset in range(0, len(sims), self.chunk):
-                    chunk = _MultiChunkRun(
-                        sims[offset : offset + self.chunk],
-                        compiled_list[offset : offset + self.chunk],
-                        policy,
-                        (
-                            list(crash_masks[offset : offset + self.chunk])
-                            if crash_masks is not None
-                            else None
-                        ),
-                        checkpoints,
-                        snapshot_keys,
-                    )
-                    chunk.compile()
-                    chunks.append(chunk)
-            except UnsupportedLowering as unsupported:
-                obstacle = str(unsupported)
-        if obstacle is not None:
-            if self.require_lowering:
-                raise SimulationError(
-                    f"vector backend could not lower the multi-batch: {obstacle}"
-                )
-            self.last_run = {"vectorized": False, "reason": obstacle}
-            return ReferenceBackend().run_multi_batch(
-                sims, compiled_list, policy, crash_masks, checkpoints, snapshot_keys
-            )
-        self.last_run = {
-            "vectorized": True,
-            "reason": None,
-            "chunks": len(chunks),
-            "batch": len(sims),
-        }
-        results: List[Any] = []
-        snapshots: Optional[List[List[Snapshot]]] = (
-            [] if checkpoints is not None else None
-        )
-        for chunk in chunks:
-            chunk_results, chunk_snapshots = chunk.run()
-            results.extend(chunk_results)
-            if snapshots is not None:
-                snapshots.extend(chunk_snapshots)
-        return MultiBatchResult(results=results, snapshots=snapshots)
 
 
 register_backend(VectorBackend())

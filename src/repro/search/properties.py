@@ -24,12 +24,12 @@ Screen judging is split from screen execution: every property judges from
 checkpoint snapshots via ``judge_screen``, so a *whole generation* of
 candidates — each with its own schedule — can gather its snapshots in one
 vector call (:func:`screen_generation`, via ``batch_screen_snapshots``) and
-still produce verdicts identical to the one-at-a-time ``screen`` path.  The
-anti-Ω properties route the batch through a sim-free column kernel
-(:func:`repro.runtime.vector_backend.anti_omega_screen_snapshots`); everything
-else goes through :func:`repro.runtime.kernel.execute_multi_batch`'s
-column-side snapshot extraction when its automata lower, with a loud
-reference fallback otherwise.
+still produce verdicts identical to the one-at-a-time ``screen`` path.  There
+are two screen lanes: the anti-Ω properties route the batch through a
+sim-free column kernel
+(:func:`repro.runtime.vector_backend.anti_omega_screen_snapshots`); every
+other property has no column lane and falls back, loudly, to the
+per-candidate reference ``screen``.
 
 Both modes read the ground-truth correct set from the candidate's compiled
 crash metadata, exactly like every other harness in the library.  Fitness is
@@ -56,7 +56,7 @@ from ..failure_detectors.anti_omega import (
 from ..failure_detectors.base import FD_OUTPUT, WINNER_SET, make_detector_trackers
 from ..failure_detectors.properties import check_k_anti_omega, check_leader_set_convergence
 from ..memory.registers import RegisterFile
-from ..runtime.kernel import execute_batch, execute_multi_batch
+from ..runtime.kernel import execute_batch
 from ..runtime.simulator import Simulator
 from ..types import AgreementInstance, ProcessId, ProcessSet, universe
 
@@ -142,37 +142,18 @@ class ScheduleProperty(ABC):
     def batch_screen_snapshots(
         self, compileds: Sequence[CompiledSchedule], checkpoints: int
     ) -> List[List[Snapshot]]:
-        """Checkpoint snapshots for a whole generation, via the column lanes.
+        """Checkpoint snapshots for a whole generation, via a column lane.
 
-        The default builds one replica per candidate and runs the batch
-        through :func:`~repro.runtime.kernel.execute_multi_batch` on the
-        vector backend, which extracts the snapshots column-side.  Raises
-        :class:`~repro.runtime.vector_backend.UnsupportedLowering` when the
-        batch cannot take a column lane (numpy missing, or an automaton in
-        the replica stack has no registered lowering) so callers fall back to
-        the per-candidate reference screen.  Subclasses may override with a
-        cheaper lane (the anti-Ω properties screen sim-free).
+        The base property has no column lane: it raises
+        :class:`~repro.runtime.vector_backend.UnsupportedLowering` before
+        building anything, so :func:`screen_generation` falls back to the
+        per-candidate reference :meth:`screen`.  Subclasses with a cheaper
+        whole-generation lane override it (the anti-Ω properties screen
+        sim-free).
         """
-        from ..runtime.backends import plan_backend_for_classes
         from ..runtime.vector_backend import UnsupportedLowering
 
-        simulators = [self._build_simulator() for _ in compileds]
-        classes = {
-            type(state.automaton)
-            for simulator in simulators
-            for state in simulator._states.values()
-        }
-        chosen, reason = plan_backend_for_classes(classes)
-        if chosen != "vector":
-            raise UnsupportedLowering(reason)
-        result = execute_multi_batch(
-            simulators,
-            compileds,
-            backend="vector",
-            checkpoints=checkpoints,
-            snapshot_keys=self.screen_keys,
-        )
-        return result.snapshots
+        raise UnsupportedLowering(f"{type(self).__name__} has no column screen lane")
 
     @abstractmethod
     def confirm(self, compiled: CompiledSchedule) -> PropertyVerdict:

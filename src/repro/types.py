@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Tuple
 
+from .errors import ConfigurationError
+
 #: A process identifier.  The paper numbers processes ``1..n``.
 ProcessId = int
 
@@ -33,20 +35,21 @@ def process_set(processes: Iterable[ProcessId]) -> ProcessSet:
 def validate_process_ids(processes: Iterable[ProcessId], n: int) -> ProcessSet:
     """Validate that every id in ``processes`` lies in ``Πn = {1..n}``.
 
-    Returns the validated set.  Raises :class:`ValueError` on any id outside
-    the range, which keeps misuse errors close to their source.
+    Returns the validated set.  Raises
+    :class:`~repro.errors.ConfigurationError` (a :class:`ValueError`) on any
+    id outside the range, which keeps misuse errors close to their source.
     """
     result = process_set(processes)
     for p in result:
         if not 1 <= p <= n:
-            raise ValueError(f"process id {p} is outside Πn = {{1..{n}}}")
+            raise ConfigurationError(f"process id {p} is outside Πn = {{1..{n}}}")
     return result
 
 
 def universe(n: int) -> ProcessSet:
     """Return ``Πn``, the set of all ``n`` process ids ``{1, ..., n}``."""
     if n < 1:
-        raise ValueError(f"a system needs at least one process, got n={n}")
+        raise ConfigurationError(f"a system needs at least one process, got n={n}")
     return frozenset(range(1, n + 1))
 
 
@@ -64,11 +67,11 @@ class AgreementInstance:
 
     def __post_init__(self) -> None:
         if not 1 <= self.t <= self.n - 1:
-            raise ValueError(
+            raise ConfigurationError(
                 f"resilience t must satisfy 1 <= t <= n-1, got t={self.t}, n={self.n}"
             )
         if not 1 <= self.k <= self.n:
-            raise ValueError(
+            raise ConfigurationError(
                 f"agreement degree k must satisfy 1 <= k <= n, got k={self.k}, n={self.n}"
             )
 
@@ -114,7 +117,7 @@ class SystemCoordinates:
 
     def __post_init__(self) -> None:
         if not 1 <= self.i <= self.j <= self.n:
-            raise ValueError(
+            raise ConfigurationError(
                 "system coordinates must satisfy 1 <= i <= j <= n, "
                 f"got i={self.i}, j={self.j}, n={self.n}"
             )

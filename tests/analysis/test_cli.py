@@ -1,5 +1,10 @@
 """Tests for the command-line interface (`python -m repro`)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import __version__
@@ -289,6 +294,36 @@ class TestSearchCommand:
 
         with pytest.raises(ConfigurationError):
             run(["search", "--horizon", "1", "--generations", "2"])
+
+
+class TestBadInstanceParameters:
+    @staticmethod
+    def _repro(*argv):
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (src, env.get("PYTHONPATH")) if part
+        )
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+
+    @pytest.mark.parametrize("command", ["map", "solve"])
+    def test_bad_t_prints_one_line_like_search(self, command):
+        # An out-of-range t is a ConfigurationError raised by the instance
+        # itself, so the console entry point reports it as one line, exactly
+        # like `repro search --t 5`, instead of a traceback.
+        reference = self._repro("search", "--t", "5")
+        result = self._repro(command, "--t", "5", "--k", "2", "--n", "4")
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("repro: "), result.stderr
+        assert "resilience t" in lines[0]
+        assert result.stdout == ""
+        assert result.returncode == reference.returncode != 0
 
 
 class TestBenchCommand:

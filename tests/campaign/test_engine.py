@@ -295,11 +295,11 @@ def _suicide_once(params):
     import time as time_module
     from pathlib import Path
 
-    # Determinism helper: only die after the named runs have finished, so
-    # which chunks were harvested before the crash is not a race.
+    # Determinism helper: only die once the named files exist, so which
+    # chunks were harvested before the crash is not a race.
     deadline = time_module.time() + 30.0
-    for done_marker in params.get("await_markers", ()):
-        while not Path(done_marker).exists() and time_module.time() < deadline:
+    for marker_path in params.get("await_markers", ()):
+        while not Path(marker_path).exists() and time_module.time() < deadline:
             time_module.sleep(0.005)
     if params.get("always_lethal"):
         os.kill(os.getpid(), signal.SIGKILL)
@@ -308,8 +308,6 @@ def _suicide_once(params):
         if not marker.exists():
             marker.write_text("dead", encoding="utf-8")
             os.kill(os.getpid(), signal.SIGKILL)
-    if params.get("done_marker"):
-        Path(params["done_marker"]).write_text("done", encoding="utf-8")
     return {"x": params["x"] * 10}
 
 
@@ -360,31 +358,43 @@ class TestPoolSalvage:
     def test_completed_chunks_are_persisted_before_the_crash(
         self, suicide_kind, tmp_path
     ):
-        # Runs 0 and 1 complete first (the killer waits for their done
-        # markers), so their payloads must reach the cache even though run 2
-        # then kills its worker and the zero re-dispatch budget aborts the
-        # campaign.
+        # Runs 0 and 1 complete first, so their payloads must reach the
+        # cache even though run 2 then kills its worker and the zero
+        # re-dispatch budget aborts the campaign.  The killer waits for the
+        # parent's cache entries of runs 0 and 1, not for markers the workers
+        # write: a worker-side marker lands before the result is sent, and a
+        # kill in that window breaks the pool before the parent has received
+        # the result.  If the parent only persisted after the campaign, the
+        # killer would time out, die anyway, and the assertions below fail.
         cache = ResultCache(tmp_path / "cache")
         engine = CampaignEngine(
             workers=2, chunk_size=1, cache=cache, dispatch_retries=0
         )
-        done = [str(tmp_path / f"done-{index}") for index in range(2)]
+        harvested = [{"x": 0}, {"x": 1}]
+        harvested_keys = [
+            run.key()
+            for run in CampaignSpec(
+                name="salvage", kind="suicide-once", runs=harvested
+            ).expand()
+        ]
         spec = CampaignSpec(
             name="salvage",
             kind="suicide-once",
-            runs=[
-                {"x": 0, "done_marker": done[0]},
-                {"x": 1, "done_marker": done[1]},
+            runs=harvested
+            + [
                 {
                     "x": 2,
                     "lethal": True,
                     "marker": str(tmp_path / "marker"),
-                    "await_markers": done,
+                    "await_markers": [
+                        str(cache._path_for(key)) for key in harvested_keys
+                    ],
                 },
                 {"x": 3},
             ],
         )
         expanded = spec.expand()
+        assert [run.key() for run in expanded[:2]] == harvested_keys
         with pytest.raises(CampaignError):
             engine.run(spec)
         assert cache.contains(expanded[0].key())

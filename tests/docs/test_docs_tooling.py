@@ -43,10 +43,13 @@ def test_search_subsystem_docstring_coverage():
 
 
 def test_execution_backend_docstring_coverage():
-    # Same gate CI runs: the backend registry and the vector column backend
-    # are public API surface and must stay fully documented.
+    # Same gate CI runs: the kernel, the simulator, the backend registry and
+    # the vector column backend are public API surface and must stay fully
+    # documented.
     _assert_fully_documented(
         [
+            REPO_ROOT / "src" / "repro" / "runtime" / "kernel.py",
+            REPO_ROOT / "src" / "repro" / "runtime" / "simulator.py",
             REPO_ROOT / "src" / "repro" / "runtime" / "backends.py",
             REPO_ROOT / "src" / "repro" / "runtime" / "vector_backend.py",
         ]

@@ -20,11 +20,14 @@ Two sweeps pin the contract:
   k-set agreement, decision polls, idle churn) with ``require_lowering=True``
   so a silent fallback cannot mask a lowering bug.
 
-Edge cases (batch of 1, empty schedule, crash at step 0, chunk-straddling
-batches, mid-batch single-writer violations, strict mode) are asserted
-identical across backends as well.
+Edge cases (batch of 1, empty batch, empty schedule, crash at step 0, a
+``max_steps`` cap, chunk-straddling batches, mid-batch single-writer
+violations, strict mode) are asserted
+identical across backends as well.  The ``auto`` planner's two decisions and
+its loud, recorded fallback are pinned through ``execute_batch``.
 """
 
+import logging
 import random
 
 import pytest
@@ -50,12 +53,14 @@ from repro.failure_detectors.base import FD_OUTPUT
 from repro.memory.registers import RegisterFile
 from repro.runtime import vector_backend
 from repro.runtime.automaton import IdleAutomaton
+from repro.runtime import backends as backends_module
 from repro.runtime.backends import (
     Backend,
     ReferenceBackend,
     available_backends,
     backend_names,
     get_backend,
+    plan_backend_for_classes,
     register_backend,
     _BACKENDS,
 )
@@ -332,6 +337,27 @@ class TestBackendEdgeCases:
         assert new_results[1].steps_executed == 0
         self._assert_identical(ref, new, ref_results, new_results)
 
+    def test_empty_batch(self, backend_name):
+        compiled = CompiledSchedule(n=4, steps=[1, 2, 3, 4])
+        assert execute_batch([], compiled, backend=backend_name) == []
+
+    def test_max_steps_caps_every_replica(self, backend_name):
+        compiled = CompiledSchedule(n=4, steps=[1, 2, 3, 4] * 50)
+        masks = [None, {2: 5}]
+        ref, new = self._pair(replicas=2)
+        ref_results = execute_batch(
+            [s for s, _ in ref], compiled, crash_steps=masks, max_steps=20
+        )
+        new_results = execute_batch(
+            [s for s, _ in new],
+            compiled,
+            crash_steps=masks,
+            max_steps=20,
+            backend=backend_name,
+        )
+        assert new_results[0].steps_executed == 20
+        self._assert_identical(ref, new, ref_results, new_results)
+
     def test_batch_not_a_multiple_of_the_column_chunk(self, backend_name):
         # Seven replicas over chunk-3 columns: 3 + 3 + 1.  For the reference
         # backend the chunk setting is irrelevant but the batch still runs.
@@ -469,6 +495,50 @@ class TestVectorDiagnostics:
             "chunks": 3,
             "batch": 5,
         }
+
+
+class TestAutoPlanner:
+    def test_lowered_batch_plans_vector(self):
+        if not get_backend("vector").available():
+            pytest.skip("numpy unavailable")
+        chosen, reason = plan_backend_for_classes({KAntiOmegaAutomaton}, FAST)
+        assert chosen == "vector" and reason is None
+        auto = get_backend("auto")
+        sims = [
+            _anti_omega_replica(
+                4, 2, 2, paper_accusation_statistic, paper_timeout_policy, False
+            )[0]
+            for _ in range(3)
+        ]
+        compiled = CompiledSchedule(n=4, steps=[1, 2, 3, 4] * 5)
+        execute_batch(sims, compiled, backend="auto")
+        assert auto.last_plan == {"backend": "vector", "reason": None, "batch": 3}
+
+    def test_unlowerable_batch_plans_python_with_reason(self):
+        class Opaque:
+            pass
+
+        chosen, reason = plan_backend_for_classes({Opaque}, FAST)
+        assert chosen == "python"
+        assert reason
+
+    def test_auto_falls_back_loudly_and_records_plan(self, caplog):
+        """An unlowerable batch runs on the reference kernel, logged once."""
+        backends_module._WARNED_FALLBACKS.clear()
+        auto = get_backend("auto")
+        compiled = build_generator({"schedule": "round-robin", "n": 3}).compile(30)
+        solo = test_batch._fresh(3, test_batch.ALGORITHMS["halting"])[0]
+        execute_batch([solo], compiled)
+        sim = test_batch._fresh(3, test_batch.ALGORITHMS["halting"])[0]
+        with caplog.at_level(logging.WARNING, logger=backends_module._LOGGER.name):
+            execute_batch([sim], compiled, backend="auto")
+        assert observable(sim) == observable(solo)
+        assert auto.last_plan["backend"] == "python"
+        assert auto.last_plan["reason"] and auto.last_plan["batch"] == 1
+        if get_backend("vector").available():
+            assert any(
+                "falling back" in record.message for record in caplog.records
+            )
 
 
 # ----------------------------------------------------------------------

@@ -6,9 +6,9 @@ compare *equal* — same ``violated``, ``fitness``, ``mode`` and ``details``
 dicts — to the per-candidate :meth:`ScheduleProperty.screen` reference path,
 for every registered property, across seeded generations that mix schedule
 lengths, crash a process at step 0, and shrink to a generation of one.
-Batches the column lane cannot take (agreement-safety composes an automaton
-with no vector lowering) must fall back loudly under ``auto`` and raise
-under a forced ``vector`` backend.  The search engine's screen-verdict cache
+Batches the column lane cannot take (agreement-safety has no column lane)
+must fall back loudly under ``auto`` — building one simulator per candidate
+— and raise under a forced ``vector`` backend.  The search engine's screen-verdict cache
 rides the same lane; its hit accounting is pinned here too.
 """
 
@@ -124,10 +124,25 @@ class TestAutoFallback:
         assert plan["lane"] == "reference" and plan["batch"] == 3
         assert plan["reason"]
         if get_backend("vector").available():
-            assert "ComposedAutomaton" in plan["reason"]
+            assert "has no column screen lane" in plan["reason"]
             assert any(
                 "falling back" in record.message for record in caplog.records
             )
+
+    def test_fallback_builds_one_simulator_per_candidate(self, monkeypatch):
+        """The reference fallback is the only lane that builds simulators."""
+        prop = make_property("agreement-safety", PARAMS)
+        build = type(prop)._build_simulator
+        builds = []
+
+        def counting_build(self):
+            builds.append(self)
+            return build(self)
+
+        monkeypatch.setattr(type(prop), "_build_simulator", counting_build)
+        compileds = _generation(4, lengths=(0, 5, 12, 30, 31, 64, 90, 120))
+        screen_generation(prop, compileds, 6, backend="auto")
+        assert len(builds) == len(compileds)
 
     def test_forced_vector_raises_on_unlowerable_property(self):
         _needs_numpy()
