@@ -45,6 +45,7 @@ from _bench_utils import once
 CONFIG = SearchConfig.smoke_config("k-anti-omega-convergence", seed=0)
 SCREEN_PARAMS = {"n": 4, "t": 2, "k": 2}
 SCREEN_BATCH = 1024
+SCREEN_BATCH_SMOKE = 256
 SCREEN_HORIZON = 600
 SCREEN_CHECKPOINTS = 8
 
@@ -154,7 +155,7 @@ def test_search_generation_and_cached_replay(benchmark):
     replay = measure_cached_replay()
     screening = None
     if get_backend("vector").available():
-        screening = measure_screening(batch=256)
+        screening = measure_screening(batch=SCREEN_BATCH_SMOKE)
         assert screening["identical"], (
             "column screening verdicts diverged from the reference path"
         )

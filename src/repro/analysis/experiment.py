@@ -616,13 +616,13 @@ def screened_solvability_grid_experiment(
     ``S^i_{j,n}`` schedule prefix is generated with a cell-dependent horizon
     (weaker systems — larger ``j`` — get proportionally longer prefixes), and
     the degree-``k`` detector's convergence screen runs over *all* cells in a
-    single :func:`~repro.search.properties.screen_generation` call.  The
-    length-heterogeneous batch is exactly the shape the sim-free anti-Ω
-    screen kernel exists for: under the default ``auto`` backend the whole
-    grid screens in one vector call when numpy is present, and falls back loudly
-    to the per-candidate reference screen otherwise — the verdicts are
-    backend-independent either way (callers can inspect which lane ran via
-    :func:`~repro.search.properties.last_screen_plan`).
+    single :func:`~repro.search.properties.screen_generation` call.  A grid
+    has only a handful of cells (10 for ``t=2, k=2, n=4``), below the
+    column-screen crossover, so under the default ``auto`` backend the
+    planner screens them on the per-candidate reference lane; a forced
+    ``backend="vector"`` runs the sim-free column kernel instead.  The
+    verdicts are backend-independent either way (callers can inspect which
+    lane ran via :func:`~repro.search.properties.last_screen_plan`).
 
     The table pairs each cell's analytic Theorem 27 verdict with the screened
     evidence: whether every process published an output, the checkpoint from

@@ -294,8 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default=None,
         help="screening backend: auto (default — the planner picks the vector "
-        "column lane when every automaton lowers, loud reference fallback "
-        "otherwise), vector (strict), or python",
+        "column lane when every automaton lowers and the chunk reaches the "
+        "column-screen crossover, the reference screen below it, loud "
+        "reference fallback otherwise), vector (strict), or python",
     )
     search.add_argument(
         "--smoke",

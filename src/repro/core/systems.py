@@ -28,12 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 from ..errors import ConfigurationError
 from ..types import ProcessSet, SystemCoordinates, process_set, universe
 from .schedule import Schedule
-from .timeliness import TimelinessWitness, analyze_timeliness
+from .timeliness import TimelinessWitness, analyze_timeliness, best_timeliness_pair
 
 
 @dataclass(frozen=True)
@@ -184,14 +184,10 @@ class SetTimelinessSystem(System):
     def best_witness(self, schedule: Schedule) -> SystemWitness:
         """The ``(P, Q)`` pair of the right sizes with the smallest observed bound."""
         self._check_universe(schedule)
-        best: Optional[SystemWitness] = None
-        for p_set, q_set in self.candidate_pairs():
-            witness = analyze_timeliness(schedule, p_set, q_set)
-            candidate = SystemWitness(p_set=p_set, q_set=q_set, witness=witness)
-            if best is None or candidate.bound < best.bound:
-                best = candidate
-        assert best is not None  # candidate_pairs is never empty for valid (i, j, n)
-        return best
+        pairs = list(self.candidate_pairs())
+        index, witness = best_timeliness_pair(schedule, pairs)
+        p_set, q_set = pairs[index]
+        return SystemWitness(p_set=p_set, q_set=q_set, witness=witness)
 
     def witnesses_with_bound(self, schedule: Schedule, bound: int) -> List[SystemWitness]:
         """All witnesses achieving the given bound on the schedule."""

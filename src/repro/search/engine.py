@@ -12,9 +12,10 @@ property (:mod:`repro.search.properties`):
    worker processes, identical candidates deduplicate by content address, and
    a :class:`~repro.campaign.cache.ResultCache` makes re-running a search
    resume from cached generations.  Inside a run the whole chunk screens in
-   one call (:func:`~repro.search.properties.screen_generation` — column
-   lanes under the ``"auto"`` backend planner, per-candidate bare-kernel
-   checkpointing otherwise), with elite re-screens served from a
+   one call (:func:`~repro.search.properties.screen_generation` — the
+   column lane when the ``"auto"`` backend planner finds the chunk large
+   enough, per-candidate bare-kernel checkpointing otherwise), with elite
+   re-screens served from a
    screen-verdict cache; only flagged candidates pay for the exact
    tracker-based ``confirm`` pass and certification.
 2. **Shrink.**  Surviving findings (confirmed violations, else the best
@@ -110,8 +111,9 @@ class SearchConfig:
     top: int = 3
     shrink_max_evaluations: int = 120
     eval_chunk: int = 4
-    #: Screening backend: ``"auto"`` (plan per batch: column lanes when the
-    #: whole generation lowers, loud reference fallback otherwise),
+    #: Screening backend: ``"auto"`` (plan per batch: the column lane when
+    #: the batch lowers and reaches the column-screen crossover, the
+    #: reference screen below it, loud reference fallback when unlowerable),
     #: ``"vector"`` (forced, errors when unlowerable) or ``"python"``.
     backend: str = "auto"
     smoke: bool = False

@@ -25,11 +25,12 @@ checkpoint snapshots via ``judge_screen``, so a *whole generation* of
 candidates — each with its own schedule — can gather its snapshots in one
 vector call (:func:`screen_generation`, via ``batch_screen_snapshots``) and
 still produce verdicts identical to the one-at-a-time ``screen`` path.  There
-are two screen lanes: the anti-Ω properties route the batch through a
-sim-free column kernel
-(:func:`repro.runtime.vector_backend.anti_omega_screen_snapshots`); every
-other property has no column lane and falls back, loudly, to the
-per-candidate reference ``screen``.
+are two screen lanes: the anti-Ω properties route generations of at least
+the column-screen crossover through a sim-free column kernel
+(:func:`repro.runtime.vector_backend.anti_omega_screen_snapshots`) and
+smaller ones, by plan, through the per-candidate reference ``screen``; every
+other property has no column lane and falls back, loudly, to the reference
+``screen``.
 
 Both modes read the ground-truth correct set from the candidate's compiled
 crash metadata, exactly like every other harness in the library.  Fitness is
@@ -586,14 +587,23 @@ class AgreementSafetyProperty(ScheduleProperty):
 #: Diagnostics for the most recent :func:`screen_generation` call.
 _LAST_SCREEN_PLAN: Dict[str, Any] = {}
 
+#: Smallest generation the ``auto`` planner sends to a column lane.  The
+#: sim-free kernel steps every column once per time row, so its cost is
+#: ~horizon x a fixed numpy overhead almost regardless of the batch, while
+#: the reference screen pays per candidate-step; below this batch the
+#: reference screen is faster (measured table in ARCHITECTURE.md, "Screen
+#: lanes and the auto planner").
+_COLUMN_SCREEN_CROSSOVER = 96
+
 
 def last_screen_plan() -> Dict[str, Any]:
     """Which lane the last :func:`screen_generation` took, and why.
 
-    Keys: ``lane`` (``"column"`` or ``"reference"``), ``reason`` (the fallback
-    reason, ``None`` on the column lane), ``batch``.  Empty before the first
-    call.  The campaign and the tests use this to assert the auto planner's
-    decisions without scraping logs.
+    Keys: ``lane`` (``"column"`` or ``"reference"``), ``reason`` (why the
+    reference lane ran — a fallback, a forced backend or a batch below the
+    column-screen crossover; ``None`` on the column lane), ``batch``.  Empty
+    before the first call.  The campaign and the tests use this to assert the
+    auto planner's decisions without scraping logs.
     """
     return dict(_LAST_SCREEN_PLAN)
 
@@ -606,16 +616,20 @@ def screen_generation(
 ) -> List[PropertyVerdict]:
     """Screen a whole generation of candidates in one call.
 
-    With ``backend="auto"`` (the planner default) the batch gathers its
-    checkpoint snapshots through the property's column lane
+    With ``backend="auto"`` (the planner default) a batch of at least
+    ``_COLUMN_SCREEN_CROSSOVER`` candidates gathers its checkpoint snapshots
+    through the property's column lane
     (:meth:`ScheduleProperty.batch_screen_snapshots`) and judges each
     candidate with the same :meth:`ScheduleProperty.judge_screen` the
     one-at-a-time path uses — so the verdicts are identical, only cheaper.
-    Batches the column lane cannot take fall back *loudly* (one log warning
-    per distinct reason; :func:`last_screen_plan` records the decision) to
-    per-candidate :meth:`ScheduleProperty.screen` calls.
+    A smaller batch of a property with a column lane takes the per-candidate
+    reference :meth:`ScheduleProperty.screen` by plan, without a warning,
+    because there the reference screen is the faster lane.  Batches the
+    column lane cannot take fall back *loudly* (one log warning per distinct
+    reason) to the reference path.  :func:`last_screen_plan` records every
+    decision.
 
-    ``backend="vector"`` forces the column lane and raises
+    ``backend="vector"`` forces the column lane at any batch size and raises
     :class:`~repro.errors.SimulationError` when it cannot take the batch;
     ``backend="python"`` forces the per-candidate reference path.
     """
@@ -651,6 +665,17 @@ def screen_generation(
                 )
             note("reference", reason)
             _warn_fallback(reason)
+        elif (
+            backend == "auto"
+            and len(compiled_list) < _COLUMN_SCREEN_CROSSOVER
+            and type(prop).batch_screen_snapshots
+            is not ScheduleProperty.batch_screen_snapshots
+        ):
+            note(
+                "reference",
+                f"batch of {len(compiled_list)} below the column-screen "
+                f"crossover ({_COLUMN_SCREEN_CROSSOVER})",
+            )
         else:
             try:
                 snapshot_lists = prop.batch_screen_snapshots(

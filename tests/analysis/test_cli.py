@@ -46,6 +46,16 @@ class TestCommands:
         assert "S^2_{3,4}" in output          # matching system
         assert "frontier" in output
 
+    def test_map_screen_plans_the_reference_lane(self):
+        """The grid's 10 cells are below the column-screen crossover."""
+        lines = run(["map", "--screen", "--t", "2", "--k", "2", "--n", "4"])
+        output = "\n".join(lines)
+        assert "screened grid (one batched screen)" in output
+        assert (
+            "screen lane: reference (10 cells batched) — batch of 10 below "
+            "the column-screen crossover" in output
+        )
+
     def test_separations(self):
         lines = run(["separations"])
         assert "oracle consistent" in lines[0]

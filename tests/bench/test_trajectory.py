@@ -6,6 +6,7 @@ the ratio-based regression check, markdown rendering, and the committed
 baseline files at the repository root — without re-measuring anything slow.
 """
 
+import importlib
 import json
 from pathlib import Path
 
@@ -77,6 +78,29 @@ class TestCommittedBaseline:
         # headline clears the absolute floor.
         headline = kernel_doc["headline"]["vector_screen_vs_reference_screen"]
         assert headline >= SCREEN_HEADLINE_FLOOR >= 5.0
+
+    def test_screen_bench_shapes_reach_the_column_crossover(self, monkeypatch):
+        """Every gated column-screen shape stays on the column lane under auto.
+
+        A batch below the crossover screens on the reference lane, which
+        would turn ``search_eval_auto_vs_python`` into python vs. python and
+        break ``bench_search``'s column-lane assertion.
+        """
+        from repro.bench.trajectory import (
+            SEARCH_EVAL_POPULATION,
+            SEARCH_EVAL_POPULATION_SMOKE,
+        )
+        from repro.search.properties import _COLUMN_SCREEN_CROSSOVER
+
+        monkeypatch.syspath_prepend(str(REPO_ROOT / "benchmarks"))
+        bench_search = importlib.import_module("bench_search")
+        for batch in (
+            SEARCH_EVAL_POPULATION,
+            SEARCH_EVAL_POPULATION_SMOKE,
+            bench_search.SCREEN_BATCH,
+            bench_search.SCREEN_BATCH_SMOKE,
+        ):
+            assert batch >= _COLUMN_SCREEN_CROSSOVER
 
 
 class TestRegressionCheck:

@@ -5,6 +5,7 @@ import pytest
 from repro.core.schedule import Schedule
 from repro.core.timeliness import (
     analyze_timeliness,
+    best_timeliness_pair,
     find_violating_window,
     is_timely,
     minimal_timeliness_bound,
@@ -124,3 +125,45 @@ class TestWitnessSemantics:
         bound_full = analyze_timeliness(s, {1}, {2, 3}).minimal_bound
         bound_sub = analyze_timeliness(s, {1}, {2}).minimal_bound
         assert bound_sub <= bound_full
+
+
+class TestBestPair:
+    def test_locates_the_worst_segment_of_the_best_pair(self):
+        # P={1} leaves the segment 2 2 3 3 3 (three Q-steps of {3}); P={2}
+        # leaves 3 3 3 1 (three); P={3} leaves 1 2 2 (two Q-steps of {2}).
+        s = schedule(1, 2, 2, 3, 3, 3, 1, 2, n=3)
+        pairs = [({1}, {3}), ({2}, {3}), ({3}, {2})]
+        index, witness = best_timeliness_pair(s, pairs)
+        assert index == 2
+        assert witness == analyze_timeliness(s, {3}, {2})
+        assert (witness.worst_segment.start, witness.worst_segment.end) == (0, 3)
+
+    def test_ties_keep_the_first_pair(self):
+        s = schedule(1, 2, 1, 2, n=2)
+        index, witness = best_timeliness_pair(s, [({1}, {2}), ({2}, {1})])
+        assert index == 0
+        assert witness.p_set == frozenset({1})
+
+    def test_q_inside_p_and_ids_outside_the_universe(self):
+        s = schedule(2, 2, 3, 2, n=3)
+        pairs = [({1, 7}, {2, 9}), ({2}, {2})]
+        assert best_timeliness_pair(s, pairs) == (1, analyze_timeliness(s, {2}, {2}))
+        assert best_timeliness_pair(s, pairs[:1])[1] == analyze_timeliness(s, {1, 7}, {2, 9})
+
+    def test_empty_schedule(self):
+        index, witness = best_timeliness_pair(schedule(n=3), [({1}, {2})])
+        assert (index, witness.minimal_bound, witness.worst_segment) == (0, 1, None)
+
+    def test_large_universe_matches_per_pair_analysis(self):
+        s = Schedule(steps=(300, 1, 300, 300, 2, 300), n=300)
+        pairs = [({1}, {300}), ({2}, {300}), ({1, 2}, {300})]
+        assert best_timeliness_pair(s, pairs) == (2, analyze_timeliness(s, {1, 2}, {300}))
+
+    def test_empty_inputs_rejected(self):
+        s = schedule(1, 2, n=2)
+        with pytest.raises(VerificationError):
+            best_timeliness_pair(s, [])
+        with pytest.raises(VerificationError):
+            best_timeliness_pair(s, [({1}, {2}), (set(), {2})])
+        with pytest.raises(VerificationError):
+            best_timeliness_pair(s, [({1}, set())])

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.schedule import Schedule
-from repro.core.timeliness import analyze_timeliness, is_timely
+from repro.core.timeliness import analyze_timeliness, best_timeliness_pair, is_timely
 from repro.core.observations import observation_2, observation_3
 
 
@@ -23,6 +23,14 @@ N = 4
 def schedules(min_size=0, max_size=60):
     return st.lists(st.integers(1, N), min_size=min_size, max_size=max_size).map(
         lambda steps: Schedule(steps=tuple(steps), n=N)
+    )
+
+
+def bursty_schedules(max_runs=20):
+    """Schedules made of runs of one process, long P-free stretches included."""
+    runs = st.lists(st.tuples(st.integers(1, N), st.integers(1, 12)), max_size=max_runs)
+    return runs.map(
+        lambda runs: Schedule(steps=tuple(p for p, size in runs for _ in range(size)), n=N)
     )
 
 
@@ -94,3 +102,19 @@ def test_concatenation_bound_bounded_by_parts(left, right, p_set, q_set):
     bound_right = analyze_timeliness(right, p_set, q_set).minimal_bound
     bound_combined = analyze_timeliness(combined, p_set, q_set).minimal_bound
     assert bound_combined <= bound_left + bound_right
+
+
+def first_best_by_analysis(schedule, pairs):
+    """The first pair with the smallest bound, by one analysis per pair."""
+    witnesses = [analyze_timeliness(schedule, p_set, q_set) for p_set, q_set in pairs]
+    bounds = [witness.minimal_bound for witness in witnesses]
+    best = bounds.index(min(bounds))
+    return best, witnesses[best]
+
+
+@given(
+    st.one_of(schedules(), bursty_schedules()),
+    st.lists(st.tuples(nonempty_subsets(), nonempty_subsets()), min_size=1, max_size=8),
+)
+def test_best_pair_matches_per_pair_analysis(schedule, pairs):
+    assert best_timeliness_pair(schedule, pairs) == first_best_by_analysis(schedule, pairs)

@@ -20,7 +20,7 @@ from repro.failure_detectors.omega import OmegaAutomaton, make_omega_algorithm
 from repro.failure_detectors.properties import check_k_anti_omega, check_leader_set_convergence
 from repro.memory.registers import RegisterFile
 from repro.runtime.crash import CrashPattern
-from repro.runtime.observers import OutputTracker
+from repro.runtime.observers import OutputChange, OutputTracker
 from repro.runtime.simulator import Simulator
 from repro.schedules.round_robin import RoundRobinGenerator
 from repro.schedules.set_timely import SetTimelyGenerator
@@ -156,6 +156,29 @@ class TestConvergence:
         finals = leader_tracker.final_values()
         assert len(set(finals.values())) == 1
         assert list(finals.values())[0] in {1, 2, 3}
+
+
+class TestStabilizationStep:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known checker bug: a suspicion is taken to end at its last "
+        "publication, not when the process publishes a set without the "
+        "candidate; fixing it changes stabilization_step in detector "
+        "campaign payloads, so it ships with re-recorded benchmark references",
+    )
+    def test_suspicion_lasts_until_replaced(self):
+        """p1 suspects 2 from step 10 until it publishes {1,3} at step 50."""
+        tracker = OutputTracker(key=FD_OUTPUT)
+        tracker.changes.extend(
+            [
+                OutputChange(step=5, pid=2, value=frozenset({1, 3})),
+                OutputChange(step=10, pid=1, value=frozenset({2, 4})),
+                OutputChange(step=50, pid=1, value=frozenset({1, 3})),
+            ]
+        )
+        verdict = check_k_anti_omega(tracker, None, {1, 2}, n=4, k=2, horizon=100)
+        assert verdict.witness == 2
+        assert verdict.stabilization_step == 50
 
 
 class TestRegisterDeclaration:

@@ -1,11 +1,14 @@
 """Whole-generation screening: the column lane is verdict-identical.
 
-ISSUE 8's differential suite.  ``screen_generation`` with the auto planner
+The differential suite.  ``screen_generation`` with the auto planner
 (or a forced ``vector`` backend) must return :class:`PropertyVerdict`s that
 compare *equal* — same ``violated``, ``fitness``, ``mode`` and ``details``
 dicts — to the per-candidate :meth:`ScheduleProperty.screen` reference path,
 for every registered property, across seeded generations that mix schedule
 lengths, crash a process at step 0, and shrink to a generation of one.
+Under ``auto`` the batch size picks the anti-Ω lane: generations below the
+column-screen crossover take the reference screen by plan (no warning), so
+the ``auto`` differential cases pad to the crossover to reach the kernel.
 Batches the column lane cannot take (agreement-safety has no column lane)
 must fall back loudly under ``auto`` — building one simulator per candidate
 — and raise under a forced ``vector`` backend.  The search engine's screen-verdict cache
@@ -21,6 +24,7 @@ import pytest
 from repro.core.schedule import CompiledSchedule
 from repro.errors import ConfigurationError, SimulationError
 from repro.runtime import backends as backends_module
+from repro.runtime import vector_backend
 from repro.runtime.backends import get_backend
 from repro.search.engine import (
     _screened_verdicts,
@@ -28,6 +32,7 @@ from repro.search.engine import (
     screen_cache_stats,
 )
 from repro.search.properties import (
+    _COLUMN_SCREEN_CROSSOVER,
     ScheduleProperty,
     available_properties,
     last_screen_plan,
@@ -59,6 +64,13 @@ def _reference(prop, compileds, checkpoints):
     return [prop.screen(compiled, checkpoints) for compiled in compileds]
 
 
+def _padded_to_crossover(compileds, seed):
+    """``compileds`` followed by short seeded rows up to the crossover batch."""
+    missing = _COLUMN_SCREEN_CROSSOVER - len(compileds)
+    lengths = [7 + index % 40 for index in range(missing)]
+    return list(compileds) + _generation(seed, lengths=lengths, crash_first=False)
+
+
 class TestDifferentialSweep:
     @pytest.mark.parametrize("name", sorted(available_properties()))
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -67,6 +79,22 @@ class TestDifferentialSweep:
         compileds = _generation(seed)
         expected = _reference(prop, compileds, 8)
         actual = screen_generation(prop, compileds, 8, backend="auto")
+        assert actual == expected
+
+    @pytest.mark.parametrize("name", COLUMN_PROPERTIES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_auto_column_lane_matches_reference(self, name, seed):
+        """A crossover-sized batch takes the kernel under ``auto``."""
+        _needs_numpy()
+        prop = make_property(name, PARAMS)
+        compileds = _padded_to_crossover(_generation(seed), seed + 100)
+        expected = _reference(prop, compileds, 8)
+        actual = screen_generation(prop, compileds, 8, backend="auto")
+        assert last_screen_plan() == {
+            "lane": "column",
+            "reason": None,
+            "batch": _COLUMN_SCREEN_CROSSOVER,
+        }
         assert actual == expected
 
     @pytest.mark.parametrize("name", COLUMN_PROPERTIES)
@@ -107,6 +135,30 @@ class TestDifferentialSweep:
         prop = make_property("k-anti-omega-convergence", PARAMS)
         with pytest.raises(ConfigurationError, match="unknown backend"):
             screen_generation(prop, _generation(0), 8, backend="cuda")
+
+
+class TestSizePlanner:
+    def test_batch_below_crossover_takes_reference_lane(self, monkeypatch, caplog):
+        def kernel_must_not_run(*args, **kwargs):
+            raise AssertionError("the column kernel ran below the crossover")
+
+        monkeypatch.setattr(
+            vector_backend, "anti_omega_screen_snapshots", kernel_must_not_run
+        )
+        backends_module._WARNED_FALLBACKS.clear()
+        prop = make_property("k-anti-omega-convergence", PARAMS)
+        batch = _COLUMN_SCREEN_CROSSOVER - 1
+        compileds = _padded_to_crossover(_generation(3), 31)[:batch]
+        with caplog.at_level(logging.WARNING, logger=backends_module._LOGGER.name):
+            actual = screen_generation(prop, compileds, 8, backend="auto")
+        assert last_screen_plan() == {
+            "lane": "reference",
+            "reason": f"batch of {batch} below the column-screen crossover "
+            f"({_COLUMN_SCREEN_CROSSOVER})",
+            "batch": batch,
+        }
+        assert not caplog.records
+        assert actual == _reference(prop, compileds, 8)
 
 
 class TestAutoFallback:
