@@ -167,7 +167,10 @@ _EXPERIMENT_KEYS = frozenset(
     }
 )
 
-#: Worker-local compiled-schedule memo (LRU, content-addressed).
+#: Worker-local compiled-schedule memo (LRU, content-addressed).  Detector
+#: runs share it across replicas, and :func:`repro.search.mutations.realize`
+#: shares it across every recipe of one base, so a search compiles each base
+#: once per process.  Entries are read-only: mutated recipes copy the steps.
 _COMPILED_MEMO: "OrderedDict[Tuple[str, int], CompiledSchedule]" = OrderedDict()
 _COMPILED_MEMO_LIMIT = 16
 _COMPILE_ENABLED = True
@@ -280,11 +283,17 @@ def _detector_payload(report) -> Dict[str, Any]:
 
 
 def run_detector_kind(params: Dict[str, Any]) -> Dict[str, Any]:
+    """Kind ``detector``: run k-anti-Ω on the scenario and report stabilization."""
     _, _, report = _detector_report(params)
     return _detector_payload(report)
 
 
 def run_separation_probe_kind(params: Dict[str, Any]) -> Dict[str, Any]:
+    """Kind ``separation-probe``: a ``detector`` payload plus ``timely_count``.
+
+    ``timely_count`` is the number of ``count_size`` sets timely with bound
+    ``count_bound`` on the first ``prefix_length`` steps.
+    """
     from ..analysis.timeliness_matrix import timely_sets_of_size
 
     generator, compiled, report = _detector_report(params)
@@ -301,6 +310,7 @@ def run_separation_probe_kind(params: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def run_agreement_kind(params: Dict[str, Any]) -> Dict[str, Any]:
+    """Kind ``agreement``: solve one (t, k, n)-agreement instance within ``horizon`` steps."""
     from ..agreement.problem import distinct_inputs
     from ..agreement.runner import solve_agreement
     from ..core.solvability import matching_system
@@ -328,6 +338,7 @@ def run_agreement_kind(params: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def run_figure1_kind(params: Dict[str, Any]) -> Dict[str, Any]:
+    """Kind ``figure1``: observed bounds of ``{1}``, ``{2}`` and ``{1,2}`` w.r.t. ``{3}``."""
     from ..core.timeliness import analyze_timeliness
     from ..schedules.figure1 import Figure1Generator
 

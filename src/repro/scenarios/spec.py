@@ -65,6 +65,14 @@ def build_scenario(spec: ScenarioSpec) -> ScheduleGenerator:
         raise ConfigurationError(
             f"scenario family {spec.family!r} requires parameter {missing.args[0]!r}"
         ) from missing
+    except ConfigurationError:
+        raise
+    except (ValueError, TypeError) as error:
+        # A malformed value (``p_set=x``) fails inside the builder's
+        # conversions; report it as a configuration mistake, not a crash.
+        raise ConfigurationError(
+            f"scenario family {spec.family!r} got a bad parameter value: {error}"
+        ) from error
     for directive in spec.perturbations:
         generator = perturb(
             generator,

@@ -22,6 +22,17 @@ scheduled.  Consequences, by construction:
   a process that keeps stepping;
 * every non-crashed process outside ``P`` takes infinitely many steps (the
   filler rotation cycles through all of them).
+
+After each carrier step the generator makes up to ``4 * |fillers| + 8``
+attempts to place a filler (a process outside ``P``); each attempt consumes
+the RNG and lands on a crashed process or emits.  Once every filler has
+crashed — from the latest filler crash step on — the attempts are skipped.
+This is exact, not an approximation: crashes are permanent, so no later
+attempt could emit, and the RNG and the rotation cursor are only ever
+observed through emitted fillers.  Every prefix is byte-identical to the
+one the full attempt loop produces, for static and dynamic crash patterns
+alike.  (E2's ``crashes={4,5}`` runs, with ``P={1,2,3}``, are the case this
+serves: both fillers are dead from step 0.)
 """
 
 from __future__ import annotations
@@ -150,6 +161,7 @@ class SetTimelyGenerator(ScheduleGenerator):
 
     @property
     def description(self) -> str:
+        """Provenance line: ``P``, ``Q``, bound, seed and crash pattern."""
         p = sorted(self.p_set)
         q = sorted(self.q_set)
         return (
@@ -158,6 +170,7 @@ class SetTimelyGenerator(ScheduleGenerator):
         )
 
     def guarantee(self) -> SynchronyGuarantee:
+        """``P`` timely w.r.t. ``Q`` with the configured bound (holds by construction)."""
         return SynchronyGuarantee(p_set=self.p_set, q_set=self.q_set, bound=self.bound)
 
     # ------------------------------------------------------------------
@@ -185,6 +198,16 @@ class SetTimelyGenerator(ScheduleGenerator):
         filler_bits = n_fillers.bit_length()
         filler_budget = self.bound - 1
         guard_limit = 4 * n_fillers + 8
+        # From this step on every filler has crashed (``None``: some filler
+        # is correct), so no filler attempt can emit any more.  The RNG and
+        # the rotation cursor are only ever observed through emitted
+        # fillers, so skipping the attempts leaves the stream unchanged.
+        crash_steps = crash_pattern.crash_steps
+        fillers_gone_at = (
+            max((crash_steps[pid] for pid in fillers), default=0)
+            if all(pid in crash_steps for pid in fillers)
+            else None
+        )
         filler_cursor = 0
         step_index = 0
         phase = 0
@@ -209,6 +232,8 @@ class SetTimelyGenerator(ScheduleGenerator):
                 yield carrier
                 step_index += 1
                 remaining -= 1
+                if fillers_gone_at is not None and step_index >= fillers_gone_at:
+                    continue
                 # ... followed by at most (bound - 1) filler steps.
                 emitted = 0
                 guard = 0

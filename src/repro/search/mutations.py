@@ -44,6 +44,7 @@ import random
 from array import array
 from typing import Any, Dict, List, Mapping, Optional
 
+from ..campaign import runner
 from ..campaign.spec import canonical_json
 from ..core.schedule import CompiledSchedule
 from ..errors import ConfigurationError
@@ -197,15 +198,23 @@ def _enforce_crashes(steps: List[int], crash_steps: Dict[int, int], n: int) -> N
 def realize(recipe: Mapping[str, Any]) -> CompiledSchedule:
     """Materialize a recipe into a compiled, mutation-applied schedule buffer.
 
-    Deterministic: the base family's generator chain is compiled once (seeded
-    by the recipe's own parameters), then the directives are applied in order
-    and crash consistency is re-enforced.  Two equal recipes always produce
-    byte-identical buffers, which is what lets generations be cached as
-    content-addressed campaign runs.
+    Deterministic: the base family's generator chain is compiled once per
+    process (seeded by the recipe's own parameters) and shared through the
+    campaign layer's compiled-schedule memo
+    (:func:`~repro.campaign.runner.compiled_schedule_for`, which keeps the
+    16 most recently used scenarios), then the
+    directives are applied to a copy of its steps in order and crash
+    consistency is re-enforced.  An unmutated recipe returns the shared base
+    buffer itself, so callers must treat the result as read-only.  Two equal
+    recipes always produce byte-identical buffers, which is what lets
+    generations be cached as content-addressed campaign runs.
     """
     base_params = dict(recipe["base"])
     horizon = int(recipe["horizon"])
-    compiled = build_generator(base_params).compile(horizon)
+    # Looked up through the module so a patched or traced memo is honoured.
+    compiled = runner.compiled_schedule_for(base_params, horizon)
+    if compiled is None:  # the memo is switched off: compile directly
+        compiled = build_generator(base_params).compile(horizon)
     mutations = list(recipe.get("mutations", ()))
     if not mutations:
         return compiled

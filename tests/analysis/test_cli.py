@@ -335,6 +335,26 @@ class TestBadInstanceParameters:
         assert result.stdout == ""
         assert result.returncode == reference.returncode != 0
 
+    @pytest.mark.parametrize(
+        "assignments, bad_value",
+        [(["p_set=x", "q_set=1"], "'x'"), (["p_set=[4,5]"], "'[4'")],
+    )
+    def test_bad_scenario_value_prints_one_line(self, assignments, bad_value):
+        # A value the family builder cannot convert fails inside the builder
+        # as a ValueError; build_scenario reports it as a ConfigurationError
+        # naming the family and the value, so the CLI prints one line.
+        argv = ["scenarios", "set-timely"]
+        for assignment in assignments:
+            argv += ["--set", assignment]
+        result = self._repro(*argv)
+        lines = result.stderr.strip().splitlines()
+        assert "Traceback" not in result.stderr
+        assert len(lines) == 1, result.stderr
+        assert lines[0].startswith("repro: scenario family 'set-timely' "), lines[0]
+        assert bad_value in lines[0]
+        assert result.stdout == ""
+        assert result.returncode == 1
+
 
 class TestBenchCommand:
     def test_unknown_workload_exits_cleanly_listing_choices(self):

@@ -301,3 +301,16 @@ class TestScenarioSpec:
         description = noisy.build().description
         assert description.index("stutter") < description.index("noise")
         assert base.build().generate(50).steps != noisy.build().generate(50).steps
+
+    def test_malformed_value_becomes_configuration_error(self):
+        spec = ScenarioSpec(family="set-timely", params={"n": 4, "p_set": ["x"], "q_set": [1]})
+        with pytest.raises(ConfigurationError, match="scenario family 'set-timely'.*'x'"):
+            spec.build()
+        with pytest.raises(ConfigurationError, match="'set-timely'"):
+            ScenarioSpec(family="set-timely", params={"n": None, "p_set": [1], "q_set": [1]}).build()
+
+    def test_builder_configuration_error_passes_through(self):
+        spec = ScenarioSpec(family="set-timely", params={"n": 4, "p_set": [9], "q_set": [1]})
+        with pytest.raises(ConfigurationError) as excinfo:
+            spec.build()
+        assert str(excinfo.value) == "process 9 outside Πn = {1..4}"

@@ -2,9 +2,11 @@
 
 import random
 from array import array
+from collections import OrderedDict
 
 import pytest
 
+from repro.campaign import runner
 from repro.errors import ConfigurationError
 from repro.scenarios.spec import build_generator
 from repro.search import (
@@ -120,6 +122,62 @@ class TestRealize:
         description = describe_recipe(recipe)
         assert "set-timely" in description
         assert "rotate" in description
+
+
+#: Directives that rewrite the steps in every way ``apply_mutation`` can,
+#: crash metadata included.
+MEMO_DIRECTIVES = [
+    [{"op": "burst", "pid": 4, "start": 30, "length": 50}],
+    [{"op": "silence", "pids": [1, 2], "start": 0, "length": 200}],
+    [{"op": "swap", "first": 5, "second": 150, "length": 60}],
+    [{"op": "rotate", "offset": 123}],
+    [{"op": "stutter", "start": 40, "length": 90, "times": 3}],
+    [{"op": "crash", "pid": 3, "at": 100}, {"op": "burst", "pid": 3, "start": 150, "length": 20}],
+]
+
+
+class TestRealizeMemo:
+    """``realize`` compiles each base once per process through the campaign memo."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self, monkeypatch):
+        monkeypatch.setattr(runner, "_COMPILED_MEMO", OrderedDict())
+
+    def test_mutated_recipes_leave_the_memoized_base_intact(self):
+        shared = realize(make_recipe(BASE, 400))
+        for mutations in MEMO_DIRECTIVES:
+            realize(make_recipe(BASE, 400, mutations))
+        fresh = build_generator(BASE).compile(400)
+        assert realize(make_recipe(BASE, 400)) is shared
+        assert shared.steps.tobytes() == fresh.steps.tobytes()
+        assert shared.crash_steps == fresh.crash_steps
+        assert shared.description == fresh.description
+
+    def test_one_base_is_built_once(self, monkeypatch):
+        calls = []
+
+        def counting_build_generator(params):
+            calls.append(dict(params))
+            return build_generator(params)
+
+        monkeypatch.setattr(runner, "build_generator", counting_build_generator)
+        for index in range(10):
+            mutations = MEMO_DIRECTIVES[index % len(MEMO_DIRECTIVES)] if index % 2 else []
+            realize(make_recipe(BASE, 400, mutations))
+        assert len(calls) == 1
+
+    def test_disabled_memo_realizes_identical_buffers(self):
+        recipes = [make_recipe(BASE, 400)] + [
+            make_recipe(BASE, 400, mutations) for mutations in MEMO_DIRECTIVES
+        ]
+        shared = [realize(recipe) for recipe in recipes]
+        with runner.compiled_schedules_disabled():
+            direct = [realize(recipe) for recipe in recipes]
+        assert len(runner._COMPILED_MEMO) == 1
+        for memoized, compiled in zip(shared, direct):
+            assert memoized.steps.tobytes() == compiled.steps.tobytes()
+            assert memoized.crash_steps == compiled.crash_steps
+            assert memoized.description == compiled.description
 
 
 class TestSampling:
