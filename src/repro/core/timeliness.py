@@ -16,6 +16,14 @@ the **minimal** valid bound, which this module computes exactly:
   cannot fit inside a ``P``-free segment, and a ``P``-free window with exactly
   ``g`` ``Q``-steps exists whenever ``g >= 1``.
 
+One implementation computes ``g`` everywhere: :func:`best_timeliness_pair`
+packs the steps into bytes and finds the longest run of ``Q``-steps between
+``P``-steps with C-level ``translate`` and substring scans;
+:func:`analyze_timeliness` is that scan on a single pair.  The per-step
+segment scan (:func:`p_free_segments`) remains only for schedules over more
+than 255 processes, which do not fit in bytes, and for
+:func:`find_violating_window`, which walks the segments themselves.
+
 The module also provides witnesses (the violating window for ``bound - 1``),
 checks of Observations 2 and 3, and helpers for judging whether a finite prefix
 gives *evidence* of timeliness in the underlying infinite schedule (the bound
@@ -46,6 +54,7 @@ class PFreeSegment:
 
     @property
     def length(self) -> int:
+        """Number of steps in the segment (``end - start``)."""
         return self.end - self.start
 
 
@@ -132,20 +141,20 @@ def analyze_timeliness(
     """Analyse set timeliness of ``P`` with respect to ``Q`` on a finite schedule.
 
     Returns a :class:`TimelinessWitness` carrying the minimal bound and the
-    worst ``P``-free segment.  Raises :class:`VerificationError` when either
-    set is empty — the paper's definition quantifies over non-empty sets and an
-    empty ``P`` can never take a step.
+    first worst ``P``-free segment — :func:`best_timeliness_pair` on the one
+    pair.  Raises :class:`VerificationError` when either set is empty — the
+    paper's definition quantifies over non-empty sets and an empty ``P`` can
+    never take a step.
     """
-    p_frozen = process_set(p_set)
-    q_frozen = process_set(q_set)
-    if not p_frozen:
-        raise VerificationError("timeliness analysis needs a non-empty set P")
-    if not q_frozen:
-        raise VerificationError("timeliness analysis needs a non-empty set Q")
-    segments = p_free_segments(schedule, p_frozen, q_frozen)
-    total_q = schedule.count_set(q_frozen)
+    return best_timeliness_pair(schedule, [(p_set, q_set)])[1]
+
+
+def _segment_scan(
+    schedule: Schedule, p_frozen: ProcessSet, q_frozen: ProcessSet
+) -> TimelinessWitness:
+    """The per-step segment scan, for schedules too wide to pack into bytes."""
     worst: Optional[PFreeSegment] = None
-    for segment in segments:
+    for segment in p_free_segments(schedule, p_frozen, q_frozen):
         if worst is None or segment.q_steps > worst.q_steps:
             worst = segment
     worst_q = worst.q_steps if worst is not None else 0
@@ -153,8 +162,8 @@ def analyze_timeliness(
         p_set=p_frozen,
         q_set=q_frozen,
         minimal_bound=worst_q + 1,
-        total_q_steps=total_q,
-        worst_segment=worst if (worst is not None and worst.q_steps > 0) else None,
+        total_q_steps=schedule.count_set(q_frozen),
+        worst_segment=worst if worst_q > 0 else None,
         schedule_length=len(schedule),
     )
 
@@ -182,15 +191,17 @@ def best_timeliness_pair(
 ) -> Tuple[int, TimelinessWitness]:
     """The first of ``pairs`` with the smallest minimal bound, and its witness.
 
-    The same answer as :func:`analyze_timeliness` on every pair, keeping the
-    first pair with the smallest bound, but the per-step work runs in C: the
-    steps are packed into bytes once, and for each pair one ``translate``
-    turns ``P``-steps into separators, the other ``Q``-steps into ``\\x01``
-    and drops the rest, so the largest number of ``Q``-steps in a ``P``-free
-    segment is the longest ``\\x01`` run.  A pair that cannot beat the best
-    so far costs one substring scan, and only the winning pair's worst
-    segment is located.  Raises :class:`VerificationError` on an empty pair
-    list or an empty set, like :func:`analyze_timeliness`.
+    This is the module's one timeliness scan.  It gives the answer of
+    scanning each pair's :func:`p_free_segments` and keeping the first worst
+    segment, but the per-step work runs in C: the steps are packed into
+    bytes once, and for each pair one ``translate`` turns ``P``-steps into
+    separators, the other ``Q``-steps into ``\\x01`` and drops the rest, so
+    the largest number of ``Q``-steps in a ``P``-free segment is the longest
+    ``\\x01`` run.  A pair that cannot beat the best so far costs one
+    substring scan, and only the winning pair's worst segment is located.
+    Schedules over more than 255 processes do not fit in bytes and fall back
+    to the segment scan.  Raises :class:`VerificationError` on an empty pair
+    list or an empty set.
     """
     frozen = [(process_set(p_set), process_set(q_set)) for p_set, q_set in pairs]
     if not frozen:
@@ -201,7 +212,7 @@ def best_timeliness_pair(
         if not q_frozen:
             raise VerificationError("timeliness analysis needs a non-empty set Q")
     if schedule.n > 255:
-        witnesses = [analyze_timeliness(schedule, p_set, q_set) for p_set, q_set in frozen]
+        witnesses = [_segment_scan(schedule, p_set, q_set) for p_set, q_set in frozen]
         bounds = [witness.minimal_bound for witness in witnesses]
         best = bounds.index(min(bounds))
         return best, witnesses[best]

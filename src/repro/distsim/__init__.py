@@ -5,11 +5,11 @@ motivation, however, is partially-synchronous *distributed* systems where the
 timeliness of a set of processes emerges from message delays.  This package
 closes that gap:
 
-* :mod:`repro.distsim.events` — a deterministic discrete-event queue
-  (integer simulated time, FIFO tie-breaking by insertion sequence);
 * :mod:`repro.distsim.latency` — pluggable message latency models
   (constant, uniform, exponential, heavy-tailed Pareto, diurnal modulation);
-* :mod:`repro.distsim.engine` — the timeline engine: processes exchange
+* :mod:`repro.distsim.engine` — the timeline engine, one event loop over a
+  heap of ``(time, seq, event)`` entries (integer simulated time, FIFO
+  tie-breaking by scheduling sequence): processes exchange
   messages through channels with latency distributions, partitions, loss
   windows, recoverable outages, and permanent crashes; every *activation*
   (a tick or a delivery at an alive process) is one schedule step;
@@ -30,7 +30,6 @@ same buffer the scenario-family generator path produces.
 """
 
 from .engine import DistConfig, StepRecord, TimelineEngine
-from .events import EventQueue
 from .latency import LatencyModel, available_latency_models, latency_from_params
 from .reduction import (
     DistTimelinessReport,
@@ -48,7 +47,6 @@ __all__ = [
     "DistConfig",
     "DistSimGenerator",
     "DistTimelinessReport",
-    "EventQueue",
     "LatencyModel",
     "MessageStats",
     "StepRecord",

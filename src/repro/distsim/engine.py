@@ -23,24 +23,25 @@ units so unbounded timelines stay faultable forever):
   the given rate (per-channel seeded RNG streams);
 * **permanent crashes** — from ``crash_times[pid]`` on, the process never
   activates again; its tick source is retired, so a fully-crashed system
-  drains its queue and the timeline ends.
+  drains its event heap and the timeline ends.
 
 Determinism: all randomness comes from per-purpose streams seeded as
 ``f"{seed}|{purpose}|{channel}"`` and consumed in event order, and the event
-queue breaks time ties by insertion order — so a fixed :class:`DistConfig`
-replays the identical timeline every run.
+heap breaks time ties by scheduling order (a sequence number in every
+``(time, seq, event)`` entry) — so a fixed :class:`DistConfig` replays the
+identical timeline every run.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..runtime.crash import CrashPattern
 from ..types import ProcessId
-from .events import EventQueue
 from .latency import LatencyModel
 
 #: Events-without-a-step budget: a guard against configurations that can
@@ -124,13 +125,9 @@ class FailoverPolicy(MessagePolicy):
     def _primary(self, tick_index: int) -> ProcessId:
         if not self.sticky:
             return self.replicas[tick_index % len(self.replicas)]
-        remaining = tick_index
-        span = self.epoch
-        era = 0
-        while remaining >= span:
-            remaining -= span
-            span *= 2
-            era += 1
+        # Eras 0..e-1 span epoch * (2**e - 1) requests, so the request lies
+        # in era e exactly when 2**e <= tick_index // epoch + 1 < 2**(e + 1).
+        era = (tick_index // self.epoch + 1).bit_length() - 1
         return self.replicas[era % len(self.replicas)]
 
     def targets(self, pid: ProcessId, tick_index: int) -> Tuple[ProcessId, ...]:
@@ -341,8 +338,7 @@ class DistConfig:
 # Engine
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One activation of the timeline — one step of the reduced schedule.
 
     ``cause`` is ``"tick"`` or ``"deliver"``; for deliveries ``src`` is the
@@ -362,19 +358,43 @@ _DELIVER = 1
 _CRASH = 2
 
 
+class _ChannelStreams(dict):
+    """Per-channel RNG streams for one purpose, created on first use."""
+
+    def __init__(self, seed: int, purpose: str) -> None:
+        super().__init__()
+        self._prefix = f"{seed}|{purpose}|"
+
+    def __missing__(self, channel: Tuple[ProcessId, ProcessId]) -> random.Random:
+        src, dst = channel
+        rng = self[channel] = random.Random(f"{self._prefix}{src}>{dst}")
+        return rng
+
+
+def _covered(windows: Tuple[Recurrence, ...], now: int) -> bool:
+    """Whether any of ``windows`` is active at ``now``."""
+    for window in windows:
+        if window.covers(now):
+            return True
+    return False
+
+
 class TimelineEngine:
     """Drives one :class:`DistConfig` through simulated time.
 
     The engine is single-use: :meth:`run` yields :class:`StepRecord` objects
     in activation order, while the mutable counters (``sent``, ``delivered``,
     ``dropped_*``, ``crash_index``, latency aggregates) fill in as the run
-    progresses.  The generator ends (``StopIteration``) when the event queue
+    progresses.  The generator ends (``StopIteration``) when the event heap
     drains — which happens exactly when no process can ever activate again.
+
+    Pending events live in one heap of ``(time, seq, event)`` tuples; ``seq``
+    counts scheduled events, so two events at the same instant pop in the
+    order they were scheduled (FIFO) whatever their payloads.
     """
 
     def __init__(self, config: DistConfig) -> None:
         self.config = config
-        self.queue: EventQueue = EventQueue()
         self.sent = 0
         self.delivered = 0
         self.dropped_loss = 0
@@ -383,83 +403,63 @@ class TimelineEngine:
         self.max_latency = 0
         self.total_latency = 0
         self.crash_index: Dict[ProcessId, int] = {}
-        self._steps_emitted = 0
-        self._crashed: Dict[ProcessId, bool] = {}
-        self._tick_counts: Dict[ProcessId, int] = {}
         seed = config.seed
         self._tick_rng = {
             pid: random.Random(f"{seed}|tick|{pid}") for pid in config.ticks
         }
-        self._latency_rng: Dict[Tuple[ProcessId, ProcessId], random.Random] = {}
-        self._loss_rng: Dict[Tuple[ProcessId, ProcessId], random.Random] = {}
-        for pid, spec in sorted(config.ticks.items()):
-            self.queue.push(spec.next_gap(self._tick_rng[pid], 0), (_TICK, pid))
-        for pid, time in sorted(config.crash_times.items()):
-            self.queue.push(time, (_CRASH, pid))
-
-    # ------------------------------------------------------------------
-    def _is_down(self, pid: ProcessId, now: int) -> bool:
-        for outage in self.config.outages:
-            if outage.pid == pid and outage.covers(now):
-                return True
-        return False
-
-    def _alive(self, pid: ProcessId, now: int) -> bool:
-        return not self._crashed.get(pid) and not self._is_down(pid, now)
-
-    def _channel_rng(
-        self,
-        cache: Dict[Tuple[ProcessId, ProcessId], random.Random],
-        purpose: str,
-        src: ProcessId,
-        dst: ProcessId,
-    ) -> random.Random:
-        key = (src, dst)
-        rng = cache.get(key)
-        if rng is None:
-            rng = random.Random(f"{self.config.seed}|{purpose}|{src}>{dst}")
-            cache[key] = rng
-        return rng
-
-    def _send(self, src: ProcessId, dst: ProcessId, now: int) -> None:
-        self.sent += 1
-        for partition in self.config.partitions:
-            if partition.blocks(src, dst, now):
-                self.dropped_partition += 1
-                return
-        for window in self.config.loss:
-            if window.covers(now) and window.rate > 0:
-                rng = self._channel_rng(self._loss_rng, "loss", src, dst)
-                if rng.random() < window.rate:
-                    self.dropped_loss += 1
-                    return
-        latency_model = self.config.latency
-        if latency_model is None:
-            delay = 1
-        else:
-            rng = self._channel_rng(self._latency_rng, "lat", src, dst)
-            delay = latency_model.sample(rng, now)
-        self.queue.push(now + delay, (_DELIVER, dst, src, now))
+        initial = [
+            (spec.next_gap(self._tick_rng[pid], 0), (_TICK, pid))
+            for pid, spec in sorted(config.ticks.items())
+        ]
+        initial += [
+            (int(time), (_CRASH, pid)) for pid, time in sorted(config.crash_times.items())
+        ]
+        self._heap: List[Tuple[int, int, tuple]] = [
+            (time, seq, event) for seq, (time, event) in enumerate(initial)
+        ]
+        heapq.heapify(self._heap)
 
     # ------------------------------------------------------------------
     def run(self) -> Iterator[StepRecord]:
         """Yield the timeline's activations in deterministic order."""
         config = self.config
+        n = config.n
+        heap = self._heap
+        seq = len(heap)  # the initial events took 0 .. len(heap) - 1
+        push = heapq.heappush
+        pop = heapq.heappop
+        clocks = {
+            pid: (spec.next_gap, self._tick_rng[pid]) for pid, spec in config.ticks.items()
+        }
+        targets = config.policy.targets
+        partitions = config.partitions
+        loss = config.loss
+        latency = config.latency
+        sampler = latency.sampler if latency is not None else None
+        diurnal = latency is not None and latency.period > 0 and latency.amplitude > 0
+        latency_rngs = _ChannelStreams(config.seed, "lat")
+        loss_rngs = _ChannelStreams(config.seed, "loss")
+        outages: List[Tuple[Outage, ...]] = [
+            tuple(outage for outage in config.outages if outage.pid == pid)
+            for pid in range(n + 1)
+        ]
+        crashed = [False] * (n + 1)
+        tick_counts = [0] * (n + 1)
+        steps = 0
         stall = 0
-        while self.queue:
-            now, _, event = self.queue.pop()
+        while heap:
+            now, _, event = pop(heap)
             kind = event[0]
             if kind == _TICK:
                 pid = event[1]
-                if self._crashed.get(pid):
-                    continue  # retired clock: no re-arm, queue can drain
-                tick_index = self._tick_counts.get(pid, 0)
-                self._tick_counts[pid] = tick_index + 1
-                spec = config.ticks[pid]
-                self.queue.push(
-                    now + spec.next_gap(self._tick_rng[pid], now), (_TICK, pid)
-                )
-                if self._is_down(pid, now):
+                if crashed[pid]:
+                    continue  # retired clock: no re-arm, the heap can drain
+                tick_index = tick_counts[pid]
+                tick_counts[pid] = tick_index + 1
+                next_gap, rng = clocks[pid]
+                push(heap, (now + next_gap(rng, now), seq, event))
+                seq += 1
+                if outages[pid] and _covered(outages[pid], now):
                     stall += 1
                     if stall > _STALL_BUDGET:
                         raise ConfigurationError(
@@ -469,38 +469,51 @@ class TimelineEngine:
                         )
                     continue
                 stall = 0
-                record = StepRecord(
-                    index=self._steps_emitted, time=now, pid=pid, cause="tick"
-                )
-                self._steps_emitted += 1
-                for dst in config.policy.targets(pid, tick_index):
-                    self._send(pid, dst, now)
+                record = StepRecord(steps, now, pid, "tick")
+                steps += 1
+                for dst in targets(pid, tick_index):
+                    self.sent += 1
+                    if partitions and any(
+                        partition.blocks(pid, dst, now) for partition in partitions
+                    ):
+                        self.dropped_partition += 1
+                        continue
+                    if loss and any(
+                        window.covers(now)
+                        and window.rate > 0
+                        and loss_rngs[pid, dst].random() < window.rate
+                        for window in loss
+                    ):
+                        self.dropped_loss += 1
+                        continue
+                    if sampler is None:
+                        delay = 1
+                    else:
+                        raw = sampler(latency_rngs[pid, dst], now)
+                        if diurnal:
+                            raw *= latency.diurnal_factor(now)
+                        delay = max(1, int(round(raw)))
+                    push(heap, (now + delay, seq, (_DELIVER, dst, pid, now)))
+                    seq += 1
                 yield record
             elif kind == _DELIVER:
                 _, dst, src, send_time = event
-                if not self._alive(dst, now):
+                if crashed[dst] or (outages[dst] and _covered(outages[dst], now)):
                     self.dropped_down += 1
                     continue
                 stall = 0
-                latency = now - send_time
+                delay = now - send_time
                 self.delivered += 1
-                self.total_latency += latency
-                if latency > self.max_latency:
-                    self.max_latency = latency
-                record = StepRecord(
-                    index=self._steps_emitted,
-                    time=now,
-                    pid=dst,
-                    cause="deliver",
-                    src=src,
-                    send_time=send_time,
-                )
-                self._steps_emitted += 1
+                self.total_latency += delay
+                if delay > self.max_latency:
+                    self.max_latency = delay
+                record = StepRecord(steps, now, dst, "deliver", src, send_time)
+                steps += 1
                 yield record
             else:  # _CRASH
                 pid = event[1]
-                self._crashed[pid] = True
-                self.crash_index.setdefault(pid, self._steps_emitted)
+                crashed[pid] = True
+                self.crash_index.setdefault(pid, steps)
 
 
 def calibrated_crash_pattern(config: DistConfig) -> CrashPattern:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
 from ..core.schedule import CompiledSchedule
@@ -111,16 +112,12 @@ def run_timeline(generator: DistSimGenerator, length: int) -> Timeline:
     if length < 0:
         raise ConfigurationError(f"timeline length must be non-negative, got {length}")
     engine = TimelineEngine(generator.config)
-    records: List[StepRecord] = []
-    stepper = engine.run()
-    while len(records) < length:
-        try:
-            records.append(next(stepper))
-        except StopIteration:
-            raise ConfigurationError(
-                f"{generator.label} timeline ended after {len(records)} of "
-                f"{length} requested steps: no alive process left to schedule"
-            ) from None
+    records = list(islice(engine.run(), length))
+    if len(records) < length:
+        raise ConfigurationError(
+            f"{generator.label} timeline ended after {len(records)} of "
+            f"{length} requested steps: no alive process left to schedule"
+        )
     mean = engine.total_latency / engine.delivered if engine.delivered else 0.0
     stats = MessageStats(
         sent=engine.sent,
@@ -306,11 +303,22 @@ def timeliness_report(
     q_set: Iterable[ProcessId],
     threshold: int = 8,
 ) -> DistTimelinessReport:
-    """Derive Definition 1 quantities for ``(P, Q)`` from a recorded timeline."""
+    """Derive Definition 1 quantities for ``(P, Q)`` from a recorded timeline.
+
+    Raises :class:`~repro.errors.ConfigurationError` when ``threshold`` is
+    below 1 or when ``P`` or ``Q`` names a process outside ``Πn``.
+    """
     if threshold < 1:
         raise ConfigurationError(f"timeliness threshold must be >= 1, got {threshold}")
     p_frozen = process_set(p_set)
     q_frozen = process_set(q_set)
+    for name, members in (("P", p_frozen), ("Q", q_frozen)):
+        outside = sorted(pid for pid in members if not 1 <= pid <= timeline.n)
+        if outside:
+            raise ConfigurationError(
+                f"timeliness report: {name} names processes {outside} outside "
+                f"Πn = {{1..{timeline.n}}}"
+            )
     reduced = compile_timeline(timeline).prefix()
     witness = analyze_timeliness(reduced, p_frozen, q_frozen)
     member_bounds = {

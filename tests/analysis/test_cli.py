@@ -1,8 +1,5 @@
 """Tests for the command-line interface (`python -m repro`)."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -307,28 +304,13 @@ class TestSearchCommand:
 
 
 class TestBadInstanceParameters:
-    @staticmethod
-    def _repro(*argv):
-        src = str(Path(__file__).resolve().parents[2] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            part for part in (src, env.get("PYTHONPATH")) if part
-        )
-        return subprocess.run(
-            [sys.executable, "-m", "repro", *argv],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-
     @pytest.mark.parametrize("command", ["map", "solve"])
-    def test_bad_t_prints_one_line_like_search(self, command):
+    def test_bad_t_prints_one_line_like_search(self, repro_cli, command):
         # An out-of-range t is a ConfigurationError raised by the instance
         # itself, so the console entry point reports it as one line, exactly
         # like `repro search --t 5`, instead of a traceback.
-        reference = self._repro("search", "--t", "5")
-        result = self._repro(command, "--t", "5", "--k", "2", "--n", "4")
+        reference = repro_cli("search", "--t", "5")
+        result = repro_cli(command, "--t", "5", "--k", "2", "--n", "4")
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("repro: "), result.stderr
         assert "resilience t" in lines[0]
@@ -339,14 +321,14 @@ class TestBadInstanceParameters:
         "assignments, bad_value",
         [(["p_set=x", "q_set=1"], "'x'"), (["p_set=[4,5]"], "'[4'")],
     )
-    def test_bad_scenario_value_prints_one_line(self, assignments, bad_value):
+    def test_bad_scenario_value_prints_one_line(self, repro_cli, assignments, bad_value):
         # A value the family builder cannot convert fails inside the builder
         # as a ValueError; build_scenario reports it as a ConfigurationError
         # naming the family and the value, so the CLI prints one line.
         argv = ["scenarios", "set-timely"]
         for assignment in assignments:
             argv += ["--set", assignment]
-        result = self._repro(*argv)
+        result = repro_cli(*argv)
         lines = result.stderr.strip().splitlines()
         assert "Traceback" not in result.stderr
         assert len(lines) == 1, result.stderr

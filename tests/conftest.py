@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
-from typing import List
+import subprocess
+import sys
+from pathlib import Path
+from typing import Callable, List
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -37,3 +41,24 @@ def random_schedule(n: int, length: int, seed: int) -> Schedule:
     """Helper used by several test modules to build seeded random schedules."""
     generator = random.Random(seed)
     return Schedule(steps=tuple(generator.randint(1, n) for _ in range(length)), n=n)
+
+
+@pytest.fixture
+def repro_cli() -> Callable[..., subprocess.CompletedProcess]:
+    """Run ``python -m repro <argv...>`` in a subprocess against this checkout's ``src``."""
+
+    def run(*argv: str) -> subprocess.CompletedProcess:
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (src, env.get("PYTHONPATH")) if part
+        )
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+
+    return run

@@ -9,11 +9,17 @@ from __future__ import annotations
 
 from typing import FrozenSet, List, Tuple
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.schedule import Schedule
-from repro.core.timeliness import analyze_timeliness, best_timeliness_pair, is_timely
+from repro.core.timeliness import (
+    PFreeSegment,
+    TimelinessWitness,
+    analyze_timeliness,
+    best_timeliness_pair,
+    is_timely,
+)
 from repro.core.observations import observation_2, observation_3
 
 
@@ -104,17 +110,78 @@ def test_concatenation_bound_bounded_by_parts(left, right, p_set, q_set):
     assert bound_combined <= bound_left + bound_right
 
 
-def first_best_by_analysis(schedule, pairs):
-    """The first pair with the smallest bound, by one analysis per pair."""
-    witnesses = [analyze_timeliness(schedule, p_set, q_set) for p_set, q_set in pairs]
+def segment_scan_oracle(schedule, p_set, q_set) -> TimelinessWitness:
+    """An independent per-step analysis: split into maximal P-free segments.
+
+    Kept here, apart from the library's bytes scan, as the reference both
+    public analyses must reproduce exactly — bound, totals and the first
+    worst segment.
+    """
+    p_frozen, q_frozen = frozenset(p_set), frozenset(q_set)
+    segments = []
+    start, q_count = None, 0
+    for index, step in enumerate(schedule.steps):
+        if step in p_frozen:
+            if start is not None:
+                segments.append(PFreeSegment(start=start, end=index, q_steps=q_count))
+                start, q_count = None, 0
+        else:
+            if start is None:
+                start = index
+            if step in q_frozen:
+                q_count += 1
+    if start is not None:
+        segments.append(PFreeSegment(start=start, end=len(schedule.steps), q_steps=q_count))
+    worst = None
+    for segment in segments:
+        if worst is None or segment.q_steps > worst.q_steps:
+            worst = segment
+    worst_q = worst.q_steps if worst is not None else 0
+    return TimelinessWitness(
+        p_set=p_frozen,
+        q_set=q_frozen,
+        minimal_bound=worst_q + 1,
+        total_q_steps=sum(1 for step in schedule.steps if step in q_frozen),
+        worst_segment=worst if worst_q > 0 else None,
+        schedule_length=len(schedule.steps),
+    )
+
+
+def first_best_by_oracle(schedule, pairs):
+    """The first pair with the smallest bound, by one oracle analysis per pair."""
+    witnesses = [segment_scan_oracle(schedule, p_set, q_set) for p_set, q_set in pairs]
     bounds = [witness.minimal_bound for witness in witnesses]
     best = bounds.index(min(bounds))
     return best, witnesses[best]
+
+
+# Beyond the strategies: a schedule too wide for the bytes scan, sets naming
+# ids outside Πn (they never step), and the empty schedule.
+WIDE = Schedule(steps=(1, 300, 2, 300, 300, 299, 1, 300), n=300)
+OUTSIDE = Schedule(steps=(1, 2, 3, 2, 4, 2), n=N)
+EMPTY = Schedule(steps=(), n=N)
+
+
+@given(
+    st.one_of(schedules(), bursty_schedules()), nonempty_subsets(), nonempty_subsets()
+)
+@example(WIDE, frozenset({1}), frozenset({300}))
+@example(WIDE, frozenset({2, 299}), frozenset({1, 300}))
+@example(OUTSIDE, frozenset({0, 3}), frozenset({2, 9}))
+@example(OUTSIDE, frozenset({7}), frozenset({2}))
+@example(EMPTY, frozenset({1}), frozenset({2}))
+def test_analysis_matches_segment_scan_oracle(schedule, p_set, q_set):
+    assert analyze_timeliness(schedule, p_set, q_set) == segment_scan_oracle(
+        schedule, p_set, q_set
+    )
 
 
 @given(
     st.one_of(schedules(), bursty_schedules()),
     st.lists(st.tuples(nonempty_subsets(), nonempty_subsets()), min_size=1, max_size=8),
 )
+@example(WIDE, [(frozenset({2}), frozenset({300})), (frozenset({300}), frozenset({1}))])
+@example(OUTSIDE, [(frozenset({9}), frozenset({2})), (frozenset({0, 3}), frozenset({2, 5}))])
+@example(EMPTY, [(frozenset({1}), frozenset({2})), (frozenset({3}), frozenset({4}))])
 def test_best_pair_matches_per_pair_analysis(schedule, pairs):
-    assert best_timeliness_pair(schedule, pairs) == first_best_by_analysis(schedule, pairs)
+    assert best_timeliness_pair(schedule, pairs) == first_best_by_oracle(schedule, pairs)

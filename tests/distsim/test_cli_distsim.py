@@ -15,7 +15,7 @@ from repro.analysis.experiment import (
     set_timeliness_emergence_experiment,
 )
 from repro.cli import CAMPAIGNS, EXPERIMENTS, EXPERIMENTS_MD_SECTIONS, run
-from repro.distsim import run_timeline, timeliness_report
+from repro.distsim import run_dist_timeliness_kind, run_timeline, timeliness_report
 from repro.errors import ConfigurationError
 from repro.scenarios.spec import build_generator
 
@@ -167,3 +167,33 @@ class TestCli:
         assert "6 new job(s)" in text
         status = "\n".join(run(["queue", "status", "--db", db]))
         assert "pending=6" in status
+
+
+class TestProcessIdsOutsidePi:
+    """P and Q must name processes of Πn; an absent id would never step."""
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--q-set", "9"], "Q names processes [9]"),
+         (["--p-set", "0", "1"], "P names processes [0]")],
+    )
+    def test_cli_prints_one_line_and_exits_1(self, repro_cli, flags, named):
+        result = repro_cli(
+            "distsim", "dist-sticky-failover", "--horizon", "200", *flags
+        )
+        assert "Traceback" not in result.stderr
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1, result.stderr
+        assert lines[0].startswith("repro: timeliness report: "), lines[0]
+        assert named in lines[0] and "Πn = {1..3}" in lines[0]
+        assert result.stdout == ""
+        assert result.returncode == 1
+
+    def test_report_and_campaign_kind_reject_them(self):
+        params = {"schedule": "dist-sticky-failover", "n": 3, "seed": 0}
+        timeline = run_timeline(build_generator(params), 100)
+        with pytest.raises(ConfigurationError, match=r"Q names processes \[4\]"):
+            timeliness_report(timeline, [1, 2], [3, 4])
+        kind_params = {**params, "horizon": 100, "p_set": [1, 5], "q_set": [3]}
+        with pytest.raises(ConfigurationError, match=r"P names processes \[5\]"):
+            run_dist_timeliness_kind(kind_params)

@@ -5,14 +5,17 @@ the record level — the differential suite (``test_reduction.py``) then pins
 the *reduction* of those records to compiled schedules.
 """
 
+import itertools
+
 import pytest
 
-from repro.distsim import EventQueue, latency_from_params, run_timeline
+from repro.distsim import latency_from_params, run_timeline
 from repro.distsim.engine import (
     BroadcastPolicy,
     DistConfig,
     FailoverPolicy,
     LossWindow,
+    MessagePolicy,
     Outage,
     PartitionWindow,
     Recurrence,
@@ -37,31 +40,36 @@ def sticky_config(n=3, seed=0, **overrides):
     return DistConfig(**base)
 
 
-class TestEventQueue:
-    def test_orders_by_time_then_fifo(self):
-        queue = EventQueue()
-        queue.push(5, "late")
-        queue.push(1, "first-at-1")
-        queue.push(1, "second-at-1")
-        queue.push(3, "mid")
-        popped = [queue.pop() for _ in range(len(queue))]
-        assert [event for _, _, event in popped] == [
-            "first-at-1", "second-at-1", "mid", "late",
+class ReversedFanout(MessagePolicy):
+    """Process 3 sends to 2 and then to 1 on every tick; nobody else sends."""
+
+    def targets(self, pid, tick_index):
+        return (2, 1) if pid == 3 else ()
+
+    def describe(self):
+        return "reversed-fanout"
+
+
+class TestEventOrder:
+    def test_same_instant_events_activate_in_scheduling_order(self):
+        # The tick at 4 re-arms the clock for 8 and then sends to 2 and 1,
+        # which arrive at 8 too: all three activate at 8 in the order they
+        # were scheduled — not by kind or by process id.
+        config = DistConfig(
+            n=3,
+            ticks={3: TickSpec(interval=4)},
+            policy=ReversedFanout(),
+            latency=latency_from_params({"latency": "constant", "latency_scale": 4}),
+        )
+        records = list(itertools.islice(TimelineEngine(config).run(), 5))
+        assert [(r.time, r.pid, r.cause, r.src) for r in records] == [
+            (4, 3, "tick", 0),
+            (8, 3, "tick", 0),
+            (8, 2, "deliver", 3),
+            (8, 1, "deliver", 3),
+            (12, 3, "tick", 0),
         ]
-        assert [time for time, _, _ in popped] == [1, 1, 3, 5]
-
-    def test_peek_time_and_emptiness(self):
-        queue = EventQueue()
-        assert queue.peek_time() is None and not queue
-        queue.push(9, "x")
-        assert queue.peek_time() == 9 and bool(queue)
-        queue.pop()
-        with pytest.raises(ConfigurationError):
-            queue.pop()
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EventQueue().push(-1, "x")
+        assert [r.index for r in records] == [0, 1, 2, 3, 4]
 
 
 class TestValidation:

@@ -74,6 +74,12 @@ def test_distsim_docstring_coverage():
     _assert_fully_documented([REPO_ROOT / "src" / "repro" / "distsim"])
 
 
+def test_timeliness_docstring_coverage():
+    # Same gate CI runs: the set-timeliness analysis (Definition 1's scanner,
+    # witnesses and the Observation 2/3 checks) must stay fully documented.
+    _assert_fully_documented([REPO_ROOT / "src" / "repro" / "core" / "timeliness.py"])
+
+
 def test_backend_module_doctests_pass():
     # CI's "Backend module doctests" step, mirrored in tier-1: the registry
     # examples must pass with and without numpy (they never import it).
