@@ -36,7 +36,7 @@ from array import array
 
 from repro.campaign import CampaignEngine, ResultCache
 from repro.core.schedule import CompiledSchedule
-from repro.runtime.backends import get_backend
+from repro.runtime import vector_backend
 from repro.search import SearchConfig, generation_recipes, generation_spec
 from repro.search.properties import last_screen_plan, make_property, screen_generation
 
@@ -154,7 +154,7 @@ def test_search_generation_and_cached_replay(benchmark):
     throughput = once(benchmark, measure_generation)
     replay = measure_cached_replay()
     screening = None
-    if get_backend("vector").available():
+    if vector_backend.np is not None:
         screening = measure_screening(batch=SCREEN_BATCH_SMOKE)
         assert screening["identical"], (
             "column screening verdicts diverged from the reference path"
@@ -173,5 +173,5 @@ def test_search_generation_and_cached_replay(benchmark):
 
 
 if __name__ == "__main__":
-    screening = measure_screening() if get_backend("vector").available() else None
+    screening = measure_screening() if vector_backend.np is not None else None
     print(report(measure_generation(), measure_cached_replay(), screening))

@@ -32,21 +32,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Hashable, Optional
 
-from ..runtime.automaton import (
-    Operation,
-    ProcessAutomaton,
-    ProcessContext,
-    Program,
-    ReadOp,
-    WriteOp,
-)
+from ..runtime.automaton import Operation, Program, ReadOp, WriteOp
 from ..types import ProcessId
 from .adopt_commit import AdoptCommit, Grade
-
-#: Published key for a decided value.  This mirrors ``repro.agreement.kset.
-#: DECISION`` — the constant lives there, but :mod:`kset` imports this module,
-#: so re-importing it here would create a cycle.
-DECISION = "decision"
 
 #: A free local query returning the process currently believed to lead this
 #: instance (or ``None`` when no belief is available yet).
@@ -116,50 +104,3 @@ class LeaderGatedConsensus:
         """One-step poll of the decision register (``None`` when undecided)."""
         decision = yield self._decision_read
         return decision
-
-
-class DecisionPollAutomaton(ProcessAutomaton):
-    """A standalone decision poller: the k-set stack's hot loop as an automaton.
-
-    A process gated out of a :class:`LeaderGatedConsensus` instance spends
-    every one of its steps polling the instance's decision register
-    ``(name, "decision")`` — by far the hottest operation shape in the
-    agreement layer's long runs.  This automaton is that poll lifted into a
-    complete program: it reads the register once per step, and on the first
-    non-``None`` value publishes it under ``DECISION`` and halts, returning
-    the value.
-
-    Like the consensus instance it mirrors, the hoisted read op is upgraded
-    to a slot-bound op by :meth:`prebind`, so steady-state polls dispatch
-    allocation-free.  It is also one of the vector backend's lowering targets
-    (:mod:`repro.runtime.vector_backend`): a batch of pollers runs as one
-    masked column gather per step.
-    """
-
-    def __init__(self, pid: ProcessId, n: int, name: Hashable = "consensus", **params: Any) -> None:
-        super().__init__(pid, n, name=name, **params)
-        self.name = name
-        self._decision_register = (name, "decision")
-        self._decision_read: Operation = ReadOp(self._decision_register)
-        self.publish(DECISION, None)
-
-    def prebind(self, registers: Any) -> None:
-        """Bind the hoisted decision poll to its arena slot."""
-        self._decision_read = ReadOp(self._decision_register).bind(registers)
-
-    def unbind(self) -> None:
-        """Restore the name-addressed poll op (inverse of :meth:`prebind`)."""
-        self._decision_read = ReadOp(self._decision_register)
-
-    def decision(self) -> Any:
-        """The observed decision (``None`` until the poll succeeds)."""
-        return self.output(DECISION)
-
-    def program(self, ctx: ProcessContext) -> Program:
-        """Poll the decision register until it holds a value; publish and halt."""
-        poll = self._decision_read
-        while True:
-            value = yield poll
-            if value is not None:
-                self.publish(DECISION, value)
-                return value

@@ -75,7 +75,6 @@ def run_detector_experiment(
     timeout_policy: TimeoutPolicy = paper_timeout_policy,
     fast: bool = False,
     schedule: Optional[Any] = None,
-    backend: Optional[Any] = None,
 ) -> DetectorConvergenceReport:
     """Run the Figure 2 algorithm alone on a generated schedule and measure it.
 
@@ -93,14 +92,6 @@ def run_detector_experiment(
     campaign layer.  The caller owns the equivalence: the source must yield
     the same steps the generator would have emitted.  ``generator`` is still
     consulted for the ground-truth faulty set and the report's provenance.
-
-    ``backend`` optionally routes the run through a registered execution
-    backend (a name from :func:`repro.runtime.backends.backend_names` or a
-    :class:`~repro.runtime.backends.Backend` instance).  ``None`` and
-    ``"python"`` keep the in-process fast path above; anything else hands the
-    simulator to :func:`~repro.runtime.kernel.execute_batch`, whose
-    conformance contract pins the report value-identical — the switch
-    selects an engine, never a semantics.
     """
     n = generator.n
     if horizon < 1:
@@ -114,14 +105,7 @@ def run_detector_experiment(
     fd_tracker, winner_tracker = make_detector_trackers()
     simulator.add_observer(fd_tracker)
     simulator.add_observer(winner_tracker)
-    if backend is not None and backend != "python":
-        from ..runtime.kernel import FAST, execute_batch
-
-        source = schedule if schedule is not None else generator.stream()
-        execute_batch(
-            [simulator], source, max_steps=horizon, policy=FAST, backend=backend
-        )
-    elif schedule is not None:
+    if schedule is not None:
         simulator.run_fast(schedule, max_steps=horizon)
     elif fast:
         simulator.run_fast(generator.stream(), max_steps=horizon)

@@ -59,7 +59,6 @@ from ..runtime.automaton import (
     ReadOp,
     WriteOp,
 )
-from ..runtime.backends import get_backend
 from ..runtime.kernel import execute_batch
 from ..runtime.observers import OutputTracker
 from ..runtime.simulator import Simulator, build_simulator
@@ -92,18 +91,6 @@ CAMPAIGN_CONFIGS: List[Dict[str, Any]] = [
 
 #: Replicas driven per execute_batch call in the batched kernel cases.
 BATCH_REPLICAS = 8
-
-#: Replicas per execute_batch call in the vector-backend mega-batch case.
-#: The column lane amortizes its per-step interpreter overhead across the
-#: whole batch, so its sweet spot is two orders of magnitude wider than the
-#: reference backend's (per-replica cost roughly halves from 256 to 1024
-#: rows, the backend's single-chunk maximum).
-VECTOR_BATCH_REPLICAS = 1024
-
-#: Kernel workloads with a registered vector lowering.  ``fresh-ops`` stays
-#: python-only by design: it allocates fresh operation objects every step,
-#: which is exactly the shape the column lane cannot (and should not) absorb.
-VECTOR_LOWERED_WORKLOADS = ("floor", "bound-ops")
 
 #: Whole-generation screening lane: candidates per generation (full / smoke),
 #: schedule horizon, and checkpoint count.  The shapes sit where a real
@@ -211,15 +198,12 @@ class PreboundPingAutomaton(ProcessAutomaton):
 
 
 class FloorAutomaton(ProcessAutomaton):
-    """:func:`floor_workload` as a named class, so backends can lower it by type.
+    """:func:`floor_workload` as a named class with an eager register layout.
 
     The program delegates to the workload generator verbatim — byte-identical
-    register traffic to the historical ``FunctionAutomaton`` wrapping — but a
-    named class gives the vector backend's lowering registry a dispatch key.
-    The prebind hook interns the process's register eagerly, pinning the
-    arena layout at construction time; lazy interning would order slots by
-    first access, which depends on the schedule (and on crash masks), and the
-    column backend's compile-time interning could not reproduce it.
+    register traffic to the historical ``FunctionAutomaton`` wrapping.  The
+    prebind hook interns the process's register eagerly, pinning the arena
+    layout at construction time instead of ordering slots by first access.
     """
 
     def prebind(self, registers):
@@ -236,60 +220,6 @@ WORKLOADS: Dict[str, Callable] = {
     "fresh-ops": lambda pid, n: FunctionAutomaton(pid, n, fresh_ops_workload),
     "bound-ops": PreboundPingAutomaton,
 }
-
-
-# ----------------------------------------------------------------------
-# Vector lowerings for the bench workloads
-# ----------------------------------------------------------------------
-
-@_vector.register_lowering(FloorAutomaton)
-def _lower_floor(automata, cc):
-    """Lower the floor workload: read step, write-1 step, beat every 512."""
-    np = _vector.np
-    pid = automata[0].pid
-    beat = np.zeros(cc.batch_size, dtype=np.int64)
-
-    def bump_and_publish(rows, ctx):
-        beat[rows] += 1
-        hits = rows[beat[rows] % 512 == 0]
-        if hits.size:
-            for row, count in zip(hits.tolist(), beat[hits].tolist()):
-                ctx.publish(row, "beat", count)
-
-    return _vector.ColumnProgram(
-        [
-            _vector.ColRead(cc.slot(pid)),
-            cc.write(pid, pid, lambda rows: 1),
-            _vector.ColVec(bump_and_publish),
-            _vector.ColJump(0),
-        ]
-    )
-
-
-@_vector.register_lowering(PreboundPingAutomaton)
-def _lower_prebound_ping(automata, cc):
-    """Lower bound-ops: read-increment-write on one owned lane, beat every 512."""
-    np = _vector.np
-    pid = automata[0].pid
-    value = np.zeros(cc.batch_size, dtype=np.int64)
-
-    def fold(rows, values_column, missing):
-        value[rows] = values_column + 1
-
-    def maybe_publish(rows, ctx):
-        hits = rows[value[rows] % 512 == 0]
-        if hits.size:
-            for row, count in zip(hits.tolist(), value[hits].tolist()):
-                ctx.publish(row, "beat", count)
-
-    return _vector.ColumnProgram(
-        [
-            _vector.ColRead(cc.slot(("ping", pid)), fold),
-            cc.write(pid, ("ping", pid), lambda rows: value[rows]),
-            _vector.ColVec(maybe_publish),
-            _vector.ColJump(0),
-        ]
-    )
 
 
 # ----------------------------------------------------------------------
@@ -322,9 +252,9 @@ def bench_screen(smoke: bool = False, repeats: Optional[int] = None) -> Dict[str
     per-candidate :meth:`~repro.search.properties.ScheduleProperty.screen`
     loop (one simulator build plus a bare-kernel checkpoint walk each), the
     vector lane is one :func:`~repro.search.properties.screen_generation`
-    call forced onto the column backend — over the same seeded generation,
+    call forced onto the column lane — over the same seeded generation,
     and the returned verdicts are compared for equality on every run.
-    Requires numpy (callers gate on the vector backend's availability).
+    Requires numpy (callers gate on its availability).
     """
     from ..search.properties import KAntiOmegaConvergenceProperty, screen_generation
 
@@ -421,7 +351,6 @@ def _kernel_simulator(
 def bench_kernel(
     smoke: bool = False,
     workloads: Optional[List[str]] = None,
-    backends: Optional[List[str]] = None,
 ) -> Dict[str, Any]:
     """Run the pinned kernel suite and return the trajectory document.
 
@@ -431,12 +360,8 @@ def bench_kernel(
     their workloads support and are meant for interactive re-measurement,
     not for committing as the baseline.
 
-    ``backends`` selects the execution backends to measure (the ``repro
-    bench --backend`` switch).  ``None`` measures the pure-Python reference
-    kernel plus the vector column backend when its numpy dependency is
-    present; naming a backend explicitly is strict — requesting ``vector``
-    without numpy raises :class:`~repro.errors.ConfigurationError` instead
-    of silently skipping the lane.
+    The whole-generation screening lane (:func:`bench_screen`) is measured
+    when numpy is installed and skipped otherwise.
     """
     horizon = 20_000 if smoke else 60_000
     repeats = 3 if smoke else 5
@@ -451,17 +376,6 @@ def bench_kernel(
                 f"unknown workload(s) {unknown}; available: {sorted(WORKLOADS)}"
             )
         selected = list(dict.fromkeys(workloads))
-    if backends is None:
-        selected_backends = ["python"]
-        if get_backend("vector").available():
-            selected_backends.append("vector")
-    else:
-        selected_backends = list(dict.fromkeys(backends))
-        for backend_name in selected_backends:
-            # Unknown names raise listing the registry; known-but-unavailable
-            # ones raise naming the missing optional dependency.
-            get_backend(backend_name).ensure_available()
-    measure_vector = "vector" in selected_backends
 
     def stream():
         return build_generator(KERNEL_SCENARIO).stream()
@@ -496,15 +410,6 @@ def bench_kernel(
             results = execute_batch(replicas, compiled)
             return sum(result.steps_executed for result in results)
 
-        def run_vector_batch_bare() -> int:
-            replicas = [
-                _kernel_simulator(n, factory, tracked=False)[0]
-                for _ in range(VECTOR_BATCH_REPLICAS)
-            ]
-            backend = _vector.VectorBackend(require_lowering=True)
-            results = execute_batch(replicas, compiled, backend=backend)
-            return sum(result.steps_executed for result in results)
-
         case_runs = [
             ("instrumented", run_instrumented),
             ("fast-stream", run_fast_stream_tracked),
@@ -512,8 +417,6 @@ def bench_kernel(
             ("fast-stream-bare", run_fast_stream_bare),
             ("batch-compiled-bare", run_batch_compiled_bare),
         ]
-        if measure_vector and workload_name in VECTOR_LOWERED_WORKLOADS:
-            case_runs.append(("vector-batch-bare", run_vector_batch_bare))
         cases: Dict[str, Any] = {}
         for case_name, run_once in case_runs:
             ns_per_step, steps = _median_ns_per_step(run_once, repeats)
@@ -530,14 +433,6 @@ def bench_kernel(
                 2,
             )
         }
-        if "vector-batch-bare" in cases:
-            # Per-workload claim: the numpy column lane vs. the same per-run
-            # fast path — the mega-batch amortization headline.
-            cases["headline"]["vector_vs_fast_stream"] = round(
-                cases["fast-stream-bare"]["ns_per_step"]
-                / cases["vector-batch-bare"]["ns_per_step"],
-                2,
-            )
         workload_docs[workload_name] = cases
 
     # Both bracketing workloads are headline numbers: the floor ratio tracks
@@ -552,15 +447,11 @@ def bench_kernel(
         headline["fresh_ops_batched_vs_fast_stream"] = workload_docs["fresh-ops"][
             "headline"
         ]["batched_vs_fast_stream"]
-    if "vector_vs_fast_stream" in workload_docs.get("floor", {}).get("headline", {}):
-        headline["vector_vs_fast_stream"] = workload_docs["floor"]["headline"][
-            "vector_vs_fast_stream"
-        ]
 
-    # The whole-generation screening lane rides the vector backend: measured
-    # whenever the column lane is, skipped (and therefore ungated) otherwise.
+    # The whole-generation screening lane needs numpy: measured when it is
+    # installed, skipped (and therefore ungated) otherwise.
     screen_doc: Optional[Dict[str, Any]] = None
-    if measure_vector:
+    if _vector.np is not None:
         screen_doc = bench_screen(smoke=smoke)
         headline["vector_screen_vs_reference_screen"] = screen_doc["ratio"]
 
@@ -574,10 +465,8 @@ def bench_kernel(
             "horizon": horizon,
             "repeats": repeats,
             "batch_replicas": BATCH_REPLICAS,
-            "vector_batch_replicas": VECTOR_BATCH_REPLICAS,
             "smoke": smoke,
             "workloads": selected,
-            "backends": selected_backends,
         },
         "workloads": workload_docs,
         "screen": screen_doc,
@@ -749,14 +638,12 @@ def bench_campaign(smoke: bool = False) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 
 def write_trajectory(
-    out_dir: Union[str, Path],
-    smoke: bool = False,
-    backends: Optional[List[str]] = None,
+    out_dir: Union[str, Path], smoke: bool = False
 ) -> Tuple[Dict[str, Any], Dict[str, Any], List[Path]]:
     """Run both suites and write the two trajectory files into ``out_dir``."""
     target = Path(out_dir)
     target.mkdir(parents=True, exist_ok=True)
-    kernel_doc = bench_kernel(smoke=smoke, backends=backends)
+    kernel_doc = bench_kernel(smoke=smoke)
     campaign_doc = bench_campaign(smoke=smoke)
     paths: List[Path] = []
     for filename, document in (
@@ -783,15 +670,11 @@ def load_trajectory(directory: Union[str, Path]) -> Tuple[Dict[str, Any], Dict[s
 #: advantage — collapses the ratio far past 25%).
 REGRESSION_TOLERANCE = 0.25
 
-#: Absolute floor for the vector-backend headline: the column lane must beat
-#: the per-run fast path by at least this ratio on the floor workload whenever
-#: it is measured.  Unlike the relative regression check this does not depend
-#: on the committed baseline, so the claim cannot erode across re-baselines.
-VECTOR_HEADLINE_FLOOR = 8.0
-
 #: Absolute floor for the whole-generation screening headline: one column
 #: screen_generation call must beat the per-candidate reference screen loop
-#: by at least this ratio whenever the lane is measured (ISSUE 8's gate).
+#: by at least this ratio whenever the lane is measured.  Unlike the relative
+#: regression check this does not depend on the committed baseline, so the
+#: claim cannot erode across re-baselines.
 SCREEN_HEADLINE_FLOOR = 5.0
 
 #: Headline ratios whose relative gate only applies when fresh and baseline
@@ -801,7 +684,6 @@ SCREEN_HEADLINE_FLOOR = 5.0
 #: they stay gated by their absolute floors and identity checks.
 MODE_SENSITIVE_HEADLINES = frozenset(
     {
-        "vector_vs_fast_stream",
         "vector_screen_vs_reference_screen",
         "search_eval_auto_vs_python",
     }
@@ -838,22 +720,20 @@ def compare_trajectories(
     layer).  A key the baseline does not carry is skipped, so a freshly
     promoted headline starts gating from the first baseline that records it;
     a key the *fresh* document does not carry is also skipped, so a no-numpy
-    environment (which cannot measure the vector lane) still gates what it
-    did measure.  The vector headline's *relative* gate only applies when
-    fresh and baseline were measured in the same mode (both smoke or both
-    full): the column backend's fixed per-run compile/teardown cost
-    amortizes over the horizon, so its ratio moves structurally — not
-    noisily — between smoke and full horizons, and a cross-mode comparison
-    within the tolerance band would fail on every CI smoke run.  Cross-mode,
-    the vector headline is still gated by the absolute
-    :data:`VECTOR_HEADLINE_FLOOR`, which applies whenever it is present.
-    Returns a list of failure messages (empty when the trajectory holds).
+    environment (which cannot measure the screening lane) still gates what it
+    did measure.  The :data:`MODE_SENSITIVE_HEADLINES` relative gates only
+    apply when fresh and baseline were measured in the same mode (both smoke
+    or both full): their fixed per-run costs amortize over the batch, so
+    their ratios move structurally — not noisily — between smoke and full
+    shapes, and a cross-mode comparison within the tolerance band would fail
+    on every CI smoke run.  Cross-mode, the screening headline is still gated
+    by the absolute :data:`SCREEN_HEADLINE_FLOOR`, which applies whenever it
+    is present.  Returns a list of failure messages (empty when the trajectory holds).
     """
     failures: List[str] = []
     for label, fresh_doc, baseline_doc, key in (
         ("kernel", kernel_doc, baseline_kernel, "batched_vs_fast_stream"),
         ("kernel", kernel_doc, baseline_kernel, "fresh_ops_batched_vs_fast_stream"),
-        ("kernel", kernel_doc, baseline_kernel, "vector_vs_fast_stream"),
         ("kernel", kernel_doc, baseline_kernel, "vector_screen_vs_reference_screen"),
         ("campaign", campaign_doc, baseline_campaign, "batched_vs_stream"),
         ("campaign", campaign_doc, baseline_campaign, "search_eval_auto_vs_python"),
@@ -875,12 +755,6 @@ def compare_trajectories(
                 f"{label} headline {key} regressed: {fresh:.2f}x vs. committed "
                 f"baseline {baseline:.2f}x (floor {floor:.2f}x)"
             )
-    fresh_vector = kernel_doc["headline"].get("vector_vs_fast_stream")
-    if fresh_vector is not None and float(fresh_vector) < VECTOR_HEADLINE_FLOOR:
-        failures.append(
-            f"kernel headline vector_vs_fast_stream below the absolute floor: "
-            f"{float(fresh_vector):.2f}x vs. required {VECTOR_HEADLINE_FLOOR:.1f}x"
-        )
     fresh_screen = kernel_doc["headline"].get("vector_screen_vs_reference_screen")
     if fresh_screen is not None and float(fresh_screen) < SCREEN_HEADLINE_FLOOR:
         failures.append(
@@ -933,24 +807,11 @@ def performance_markdown(
         "fast-stream-bare",
         "batch-compiled-bare",
     ]
-    if any(
-        "vector-batch-bare" in workload
-        for workload in kernel_doc["workloads"].values()
-    ):
-        case_names.append("vector-batch-bare")
     for case in case_names:
         row = f"| {case} |"
         for name in workload_names:
-            workload = kernel_doc["workloads"][name]
-            entry = workload.get(case)
-            if entry is None:
-                # The vector lane only lowers some workloads (by design).
-                row += " — | — |"
-            else:
-                row += (
-                    f" {entry['ns_per_step']} | "
-                    f"{entry['speedup_vs_instrumented']}x |"
-                )
+            entry = kernel_doc["workloads"][name][case]
+            row += f" {entry['ns_per_step']} | {entry['speedup_vs_instrumented']}x |"
         lines.append(row)
     lines.append("")
     headline = kernel_doc["headline"]
@@ -966,15 +827,6 @@ def performance_markdown(
             "batched vs. per-run on the fresh-operation workload (op construction "
             "plus tuple-name resolution every step — the slot-addressed pipeline's "
             "target profile)."
-        )
-    if "vector_vs_fast_stream" in headline:
-        lines.append(
-            f"Vector headline: the numpy column backend runs the floor workload "
-            f"**{headline['vector_vs_fast_stream']}x** faster per replica-step "
-            f"than the per-run fast path "
-            f"({kernel_doc['config'].get('vector_batch_replicas', VECTOR_BATCH_REPLICAS)} "
-            "replicas per mega-batch; gated at >= "
-            f"{VECTOR_HEADLINE_FLOOR:.0f}x)."
         )
     screen_doc = kernel_doc.get("screen")
     if screen_doc is not None:

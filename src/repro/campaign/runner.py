@@ -163,7 +163,6 @@ _EXPERIMENT_KEYS = frozenset(
         "prefix_length",
         "count_size",
         "count_bound",
-        "backend",
     }
 )
 
@@ -244,6 +243,10 @@ def _detector_report(params: Dict[str, Any]):
         )
     generator = build_generator(params)
     horizon = int(params["horizon"])
+    if horizon < 1:
+        # Checked before compiling, which would reject a negative horizon in
+        # its own words ("compile length ...").
+        raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
     compiled = compiled_schedule_for(params, horizon)
     report = run_detector_experiment(
         generator,
@@ -254,14 +257,6 @@ def _detector_report(params: Dict[str, Any]):
         timeout_policy=policy,
         fast=True,
         schedule=compiled,
-        # An execution-engine selector, not a schedule parameter: the backend
-        # conformance contract pins the payload byte-identical across values,
-        # so it rides in _EXPERIMENT_KEYS and compiled buffers stay shared.
-        # "auto" asks the planner to pick the vector column lane when every
-        # automaton in the batch has a registered lowering (loud reference
-        # fallback otherwise); "vector" is strict, "python" (the default)
-        # pins the reference kernel.
-        backend=params.get("backend", "python"),
     )
     return generator, compiled, report
 

@@ -293,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument(
         "--backend",
         default=None,
-        help="screening backend: auto (default — the planner picks the vector "
-        "column lane when every automaton lowers and the chunk reaches the "
+        help="screening backend: auto (default — the planner picks the numpy "
+        "column lane when the property has one and the chunk reaches the "
         "column-screen crossover, the reference screen below it, loud "
         "reference fallback otherwise), vector (strict), or python",
     )
@@ -510,15 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
         "fresh-ops, bound-ops). Skips the campaign suite and writes no "
         "trajectory files — an interactive filter, not a baseline refresh",
     )
-    bench.add_argument(
-        "--backend",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="measure this execution backend in the kernel suite (repeatable; "
-        "python, vector). Default: python plus vector when numpy is "
-        "installed; naming vector explicitly without numpy is an error",
-    )
 
     return parser
 
@@ -694,6 +685,8 @@ def _run_distsim(args: argparse.Namespace) -> List[str]:
     for assignment in args.assignments:
         key, value = _parse_assignment(assignment)
         params[key] = value
+    if args.horizon < 1:
+        raise ConfigurationError(f"horizon must be >= 1, got {args.horizon}")
     generator = build_scenario_generator(params)
     timeline = run_timeline(generator, args.horizon)
 
@@ -1041,9 +1034,7 @@ def _run_bench(args: argparse.Namespace) -> List[str]:
                 "--workload measures a partial suite; run a full `repro bench "
                 "--check` for the regression gate"
             )
-        kernel_doc = bench_kernel(
-            smoke=args.smoke, workloads=args.workload, backends=args.backend
-        )
+        kernel_doc = bench_kernel(smoke=args.smoke, workloads=args.workload)
         lines = [
             f"kernel workload re-measurement ({'smoke' if args.smoke else 'full'} mode):"
         ]
@@ -1060,20 +1051,13 @@ def _run_bench(args: argparse.Namespace) -> List[str]:
                 f"    headline (batched vs. per-run fast): "
                 f"{cases['headline']['batched_vs_fast_stream']}x"
             )
-            if "vector_vs_fast_stream" in cases["headline"]:
-                lines.append(
-                    f"    headline (vector vs. per-run fast):  "
-                    f"{cases['headline']['vector_vs_fast_stream']}x"
-                )
         return lines
 
     # Load the baseline before measuring: with --out and --check both
     # pointing at the repo root, writing first would overwrite the committed
     # baseline and turn the regression check into a self-comparison.
     baseline = load_trajectory(args.check) if args.check is not None else None
-    kernel_doc, campaign_doc, paths = write_trajectory(
-        args.out, smoke=args.smoke, backends=args.backend
-    )
+    kernel_doc, campaign_doc, paths = write_trajectory(args.out, smoke=args.smoke)
     lines = [
         f"benchmark trajectory ({'smoke' if args.smoke else 'full'} mode):",
         *(f"  wrote {path}" for path in paths),
@@ -1082,11 +1066,6 @@ def _run_bench(args: argparse.Namespace) -> List[str]:
         f"  kernel headline   (fresh-ops: bare batched vs. per-run fast): "
         f"{kernel_doc['headline']['fresh_ops_batched_vs_fast_stream']}x",
     ]
-    if "vector_vs_fast_stream" in kernel_doc["headline"]:
-        lines.append(
-            f"  kernel headline   (floor: vector column vs. per-run fast):    "
-            f"{kernel_doc['headline']['vector_vs_fast_stream']}x"
-        )
     if "vector_screen_vs_reference_screen" in kernel_doc["headline"]:
         lines.append(
             f"  kernel headline   (generation screen: column vs. reference):  "
@@ -1120,7 +1099,10 @@ def _run_bench(args: argparse.Namespace) -> List[str]:
 
 
 def _run_report(jsonl: str) -> List[str]:
-    records = read_jsonl(jsonl)
+    try:
+        records = read_jsonl(jsonl)
+    except OSError as error:
+        raise ConfigurationError(f"cannot read {jsonl}: {error.strerror}") from error
     if not records:
         return [f"no records in {jsonl}"]
     param_keys, payload_keys = record_columns(records)
@@ -1196,8 +1178,8 @@ def _run_solve(t: int, k: int, n: int, seed: int, max_steps: int) -> List[str]:
 def run(argv: Optional[Sequence[str]] = None) -> List[str]:
     """Execute the CLI and return the lines it would print (also used by tests).
 
-    Configuration mistakes (an unknown workload or backend name, a backend
-    whose optional dependency is missing, ...) propagate as
+    Configuration mistakes (an unknown workload or screening backend name,
+    an unreadable records file, ...) propagate as
     :class:`~repro.errors.ConfigurationError`, so programmatic callers can
     catch them; the console entry point (:func:`main`) converts them into a
     clean one-line exit naming the valid choices.
@@ -1258,9 +1240,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Console entry point.
 
     Library-level :class:`~repro.errors.ConfigurationError` (an unknown
-    workload or backend name, a backend whose optional dependency is
-    missing, ...) becomes a clean one-line ``SystemExit`` listing the valid
-    choices, not an uncaught traceback.
+    workload or screening backend name, an unreadable records file, ...)
+    becomes a clean one-line ``SystemExit`` listing the valid choices, not an
+    uncaught traceback.
     """
     try:
         lines = run(argv)

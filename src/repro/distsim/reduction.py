@@ -363,6 +363,8 @@ def run_dist_timeliness_kind(params: Mapping[str, Any]) -> Dict[str, Any]:
             f"schedule={params.get('schedule')!r}"
         )
     horizon = int(params.get("horizon", 2000))
+    if horizon < 1:
+        raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
     p_raw = params.get("p_set")
     q_raw = params.get("q_set")
     if not p_raw or not q_raw:

@@ -6,7 +6,7 @@ Each family is a builder from JSON-normalized parameters to a
 reduced timeline of a :class:`~repro.distsim.engine.DistConfig`.  Because the
 adapter speaks the generator protocol (``generate``/``compile``/``stream``,
 crash pattern in step indices), every existing consumer — campaigns, the
-batched and vector kernels, the search subsystem, `repro scenarios` — runs
+batched kernel, the search screen lanes, `repro scenarios` — runs
 dist workloads unchanged.
 
 Families (registered in :mod:`repro.scenarios.families` under these names):

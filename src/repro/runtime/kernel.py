@@ -606,10 +606,9 @@ def align_replica_arenas(
     declared defaults), after which slot ``i`` names the same register in
     every replica and ``[sim.registers.arena_view().values for sim in
     simulators]`` is a set of aligned per-replica value columns over one
-    logical slot map: the stepping stone to vectorized multi-replica
-    execution.  Identically built replicas executing the same schedule also
-    *stay* aligned, because they intern lazily created registers in the same
-    order.
+    logical slot map.  Identically built replicas executing the same schedule
+    also *stay* aligned, because they intern lazily created registers in the
+    same order.
 
     Returns the shared ``name → slot`` map when the replicas align.  When
     pre-existing interning orders diverge, alignment is impossible without
@@ -636,43 +635,11 @@ def align_replica_arenas(
     return dict(canonical.slots)
 
 
-def _normalize_crash_masks(
-    crash_steps: Optional[Sequence[Optional[Dict[ProcessId, int]]]],
-    batch_size: int,
-    n: int,
-) -> Optional[List[Optional[Dict[ProcessId, int]]]]:
-    """Validate per-replica crash masks: one mapping (or ``None``) per replica."""
-    if crash_steps is None:
-        return None
-    masks = list(crash_steps)
-    if len(masks) != batch_size:
-        raise SimulationError(
-            f"crash_steps carries {len(masks)} mask(s) for {batch_size} replica(s); "
-            "pass exactly one mapping (or None) per replica"
-        )
-    normalized: List[Optional[Dict[ProcessId, int]]] = []
-    for mask in masks:
-        if mask is None:
-            normalized.append(None)
-            continue
-        for pid, step in mask.items():
-            if not (isinstance(pid, int) and 1 <= pid <= n):
-                raise SimulationError(f"crash mask names unknown process id {pid!r}")
-            if not (isinstance(step, int) and step >= 0):
-                raise SimulationError(
-                    f"crash mask for process {pid} must be a step index >= 0, got {step!r}"
-                )
-        normalized.append(dict(mask))
-    return normalized
-
-
 def execute_batch(
     simulators: Sequence["Simulator"],
     schedule: "ScheduleSource",
     max_steps: Optional[int] = None,
     policy: ExecutionPolicy = FAST,
-    backend: Any = None,
-    crash_steps: Optional[Sequence[Optional[Dict[ProcessId, int]]]] = None,
 ) -> List["RunResult"]:
     """Drive a batch of independent replicas over one shared schedule source.
 
@@ -680,26 +647,12 @@ def execute_batch(
     once (non-re-iterable sources are materialized into a shared
     :class:`~repro.core.schedule.CompiledSchedule` buffer) and the replicas'
     register arenas are slot-aligned (:func:`align_replica_arenas`), then each
-    replica is executed to the same step budget under ``policy``.
-
-    ``backend`` selects *how* the steps are driven — a name registered in
-    :mod:`repro.runtime.backends` (``"python"``, ``"vector"``), a
-    :class:`~repro.runtime.backends.Backend` instance, or ``None`` for the
-    pure-Python reference backend.  Every backend is held to the same
-    contract: results come back in replica order and are identical to
-    ``[execute(sim, schedule, max_steps, None, policy) for sim in simulators]``.
-
-    ``crash_steps``, when given, is one crash mask per replica (a mapping
-    ``pid -> schedule step index``, or ``None``): replica ``i`` skips every
-    step of a masked process at schedule index ``>= crash_steps[i][pid]`` —
-    equivalently it runs the shared buffer with those steps deleted.  This is
-    the same convention as
-    :attr:`~repro.core.schedule.CompiledSchedule.crash_steps`, applied
-    per-replica so one compiled schedule can drive a batch of replicas with
-    diverging failure patterns.
+    replica is executed to the same step budget under ``policy``: the bare
+    counted loop when it has no observers and the policy collects no trace,
+    the general loop otherwise.  Results come back in replica order and are
+    identical to ``[execute(sim, schedule, max_steps, None, policy) for sim in
+    simulators]``.
     """
-    from .backends import get_backend  # local import: backends imports this module
-
     sims = list(simulators)
     if not sims:
         return []
@@ -709,9 +662,20 @@ def execute_batch(
             raise SimulationError(
                 f"execute_batch needs replicas over one Πn, got n={n} and n={sim.n}"
             )
-    masks = _normalize_crash_masks(crash_steps, len(sims), n)
     align_replica_arenas(sims)
     compiled = _materialize_for_batch(n, schedule, max_steps)
     steps = compiled.steps
     budget = len(steps) if max_steps is None else min(max_steps, len(steps))
-    return get_backend(backend).run_batch(sims, compiled, budget, policy, masks)
+    whole_buffer = budget == len(steps)
+    counts = compiled.step_counts() if whole_buffer else None
+    results: List["RunResult"] = []
+    for sim in sims:
+        entries = sim.observer_entries()
+        check_observer_capabilities(policy, entries)
+        if entries or policy.collect_trace:
+            results.append(_execute_general(sim, iter(steps), budget, None, policy, entries))
+        elif whole_buffer:
+            results.append(_execute_bare(sim, steps, counts))
+        else:
+            results.append(_execute_bare(sim, islice(iter(steps), budget)))
+    return results

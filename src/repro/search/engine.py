@@ -50,7 +50,6 @@ from ..campaign.spec import CampaignSpec
 from ..campaign.runner import register_kind
 from ..core.schedule import CompiledSchedule
 from ..errors import ConfigurationError
-from ..runtime.backends import backend_names
 from .certify import (
     CertificationReport,
     best_witness,
@@ -65,6 +64,7 @@ from .mutations import (
     recipe_signature,
 )
 from .properties import (
+    SCREEN_BACKENDS,
     PropertyVerdict,
     ScheduleProperty,
     available_properties,
@@ -112,9 +112,10 @@ class SearchConfig:
     shrink_max_evaluations: int = 120
     eval_chunk: int = 4
     #: Screening backend: ``"auto"`` (plan per batch: the column lane when
-    #: the batch lowers and reaches the column-screen crossover, the
-    #: reference screen below it, loud reference fallback when unlowerable),
-    #: ``"vector"`` (forced, errors when unlowerable) or ``"python"``.
+    #: the property has one and the batch reaches the column-screen
+    #: crossover, the reference screen below it, loud reference fallback
+    #: otherwise), ``"vector"`` (forced, errors when the column lane cannot
+    #: take the batch) or ``"python"``.
     backend: str = "auto"
     smoke: bool = False
 
@@ -123,9 +124,9 @@ class SearchConfig:
             raise ConfigurationError(
                 f"unknown property {self.property!r}; registered: {available_properties()}"
             )
-        if self.backend not in backend_names():
+        if self.backend not in SCREEN_BACKENDS:
             raise ConfigurationError(
-                f"unknown backend {self.backend!r}; registered: {backend_names()}"
+                f"unknown backend {self.backend!r}; registered: {list(SCREEN_BACKENDS)}"
             )
         if self.fitness not in FITNESS_MODES:
             raise ConfigurationError(

@@ -41,9 +41,10 @@ violates anything (the expected outcome inside the model).
 
 from __future__ import annotations
 
+import logging
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..agreement.kset import DECISION
 from ..agreement.problem import check_agreement, distinct_inputs
@@ -587,6 +588,26 @@ class AgreementSafetyProperty(ScheduleProperty):
 #: Diagnostics for the most recent :func:`screen_generation` call.
 _LAST_SCREEN_PLAN: Dict[str, Any] = {}
 
+#: The screen backends :func:`screen_generation` accepts (the ``--backend``
+#: spelling of ``repro search`` and of ``search-eval`` campaign params).
+SCREEN_BACKENDS = ("auto", "python", "vector")
+
+_LOGGER = logging.getLogger(__name__)
+
+#: Fallback reasons already warned about (the "loud" in *falls back loudly*
+#: means one warning per distinct reason, not one per generation).
+_WARNED_FALLBACKS: Set[str] = set()
+
+
+def _warn_fallback(reason: str) -> None:
+    """Log each distinct screen-planner fallback reason once per process."""
+    if reason not in _WARNED_FALLBACKS:
+        _WARNED_FALLBACKS.add(reason)
+        _LOGGER.warning(
+            "auto backend falling back to the reference screen: %s", reason
+        )
+
+
 #: Smallest generation the ``auto`` planner sends to a column lane.  The
 #: sim-free kernel steps every column once per time row, so its cost is
 #: ~horizon x a fixed numpy overhead almost regardless of the batch, while
@@ -633,12 +654,11 @@ def screen_generation(
     :class:`~repro.errors.SimulationError` when it cannot take the batch;
     ``backend="python"`` forces the per-candidate reference path.
     """
-    from ..runtime.backends import _warn_fallback, backend_names
     from ..runtime.vector_backend import UnsupportedLowering
 
-    if backend not in backend_names():
+    if backend not in SCREEN_BACKENDS:
         raise ConfigurationError(
-            f"unknown backend {backend!r}; registered: {backend_names()}"
+            f"unknown backend {backend!r}; registered: {list(SCREEN_BACKENDS)}"
         )
     compiled_list = list(compileds)
     if not compiled_list:

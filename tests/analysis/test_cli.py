@@ -338,6 +338,46 @@ class TestBadInstanceParameters:
         assert result.returncode == 1
 
 
+def _one_error_line(result):
+    """The single ``repro: ...`` stderr line of a failed CLI run."""
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1, result.stderr
+    assert result.stdout == ""
+    assert result.returncode == 1
+    return lines[0]
+
+
+class TestOneLineErrors:
+    def test_unknown_search_backend_lists_choices(self, repro_cli):
+        line = _one_error_line(repro_cli("search", "--backend", "banana"))
+        assert line.startswith("repro: unknown backend 'banana'"), line
+        for name in ("auto", "python", "vector"):
+            assert f"'{name}'" in line
+
+    def test_report_on_a_missing_file(self, repro_cli, tmp_path):
+        missing = tmp_path / "absent.jsonl"
+        line = _one_error_line(repro_cli("report", "--jsonl", str(missing)))
+        assert line == f"repro: cannot read {missing}: No such file or directory"
+
+    @pytest.mark.parametrize("command", ["detector", "campaign e2"])
+    @pytest.mark.parametrize("horizon", ["0", "-5"])
+    def test_detector_horizon_below_one(self, repro_cli, command, horizon):
+        # A negative horizon used to reach the schedule compiler first and
+        # print its "compile length" wording instead of the horizon's.
+        line = _one_error_line(repro_cli(*command.split(), "--horizon", horizon))
+        assert line == f"repro: horizon must be >= 1, got {horizon}"
+
+    def test_detector_kind_checks_the_horizon_before_compiling(self):
+        from repro.campaign.runner import run_detector_kind
+        from repro.errors import ConfigurationError
+
+        params = {"family": "set-timely", "n": 3, "p_set": [1], "q_set": [1, 2],
+                  "bound": 3, "seed": 1, "t": 1, "k": 1, "horizon": -5}
+        with pytest.raises(ConfigurationError, match=r"horizon must be >= 1, got -5"):
+            run_detector_kind(params)
+
+
 class TestBenchCommand:
     def test_unknown_workload_exits_cleanly_listing_choices(self):
         # The console entry point turns the library's ConfigurationError into
@@ -350,15 +390,6 @@ class TestBenchCommand:
         assert "unknown workload" in message
         for name in ("floor", "fresh-ops", "bound-ops"):
             assert name in message
-
-    def test_unknown_backend_exits_cleanly_listing_choices(self):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "--workload", "floor", "--backend", "banana"])
-        message = str(excinfo.value)
-        assert "unknown execution backend" in message
-        assert "python" in message and "vector" in message
 
     def test_run_still_raises_configuration_error_for_library_callers(self):
         from repro.errors import ConfigurationError

@@ -193,6 +193,33 @@ class TestRegressionCheck:
         )
 
 
+class TestWithoutNumpy:
+    """numpy is the optional [vector] extra; only the screening lane needs it."""
+
+    @pytest.fixture(autouse=True)
+    def _hide_numpy(self, monkeypatch):
+        from repro.runtime import vector_backend
+
+        monkeypatch.setattr(vector_backend, "np", None)
+
+    def test_bench_kernel_skips_the_screen_lane(self):
+        from repro.bench import bench_kernel
+
+        doc = bench_kernel(smoke=True, workloads=["bound-ops"])
+        assert doc["screen"] is None
+        assert "vector_screen_vs_reference_screen" not in doc["headline"]
+        assert doc["workloads"]["bound-ops"]["batch-compiled-bare"]["ns_per_step"] > 0
+
+    def test_regression_gate_skips_the_missing_screen_headline(
+        self, committed_trajectory
+    ):
+        kernel_doc, campaign_doc = committed_trajectory
+        fresh = json.loads(json.dumps(kernel_doc))
+        del fresh["headline"]["vector_screen_vs_reference_screen"]
+        fresh["screen"] = None
+        assert check_regression(fresh, campaign_doc, REPO_ROOT) == []
+
+
 class TestReporting:
     def test_markdown_tables_render_from_trajectory(self, committed_trajectory):
         kernel_doc, campaign_doc = committed_trajectory

@@ -197,3 +197,30 @@ class TestProcessIdsOutsidePi:
         kind_params = {**params, "horizon": 100, "p_set": [1, 5], "q_set": [3]}
         with pytest.raises(ConfigurationError, match=r"P names processes \[5\]"):
             run_dist_timeliness_kind(kind_params)
+
+
+class TestHorizonBelowOne:
+    """A timeline of zero steps measures nothing; the horizon must be >= 1."""
+
+    @pytest.mark.parametrize(
+        "argv, horizon",
+        [
+            (["distsim", "dist-heavy-tail"], "0"),
+            (["distsim", "dist-heavy-tail"], "-3"),
+            (["distsim", "--table"], "0"),
+            (["campaign", "e12"], "0"),
+        ],
+    )
+    def test_cli_prints_one_line_and_exits_1(self, repro_cli, argv, horizon):
+        result = repro_cli(*argv, "--horizon", horizon)
+        assert "Traceback" not in result.stderr
+        lines = result.stderr.strip().splitlines()
+        assert lines == [f"repro: horizon must be >= 1, got {horizon}"], result.stderr
+        assert result.stdout == ""
+        assert result.returncode == 1
+
+    def test_campaign_kind_rejects_it(self):
+        params = {"schedule": "dist-sticky-failover", "n": 3, "seed": 0,
+                  "p_set": [1, 2], "q_set": [1, 2, 3], "horizon": 0}
+        with pytest.raises(ConfigurationError, match=r"horizon must be >= 1, got 0"):
+            run_dist_timeliness_kind(params)

@@ -7,7 +7,8 @@ The contract under test: for every distsim workload, compiling through the
 buffers — same steps, same crash metadata, same ``Πn``, same description.
 Prefixes and faulty hints follow the exact conventions of every other
 schedule generator, and the compiled buffers replay identically through
-``execute``, ``execute_batch`` and the vector backend.
+``execute`` and ``execute_batch`` — for idle replicas and for the paper's
+k-anti-Ω automaton, whose outputs depend on every step's interleaving.
 
 The sweep size is environment-switched: the default (tier-1) run keeps a
 representative smoke subset; ``REPRO_DISTSIM_FULL=1`` (the CI ``tests-distsim``
@@ -22,8 +23,12 @@ from repro.core.schedule import CompiledSchedule
 from repro.distsim import compile_timeline, run_timeline, timeliness_report
 from repro.distsim.workloads import DistSimGenerator
 from repro.errors import ConfigurationError
+from repro.failure_detectors.anti_omega import (
+    KAntiOmegaAutomaton,
+    make_anti_omega_algorithm,
+)
+from repro.memory.registers import RegisterFile
 from repro.runtime.automaton import IdleAutomaton
-from repro.runtime.backends import get_backend
 from repro.runtime.kernel import FAST, execute, execute_batch
 from repro.runtime.simulator import Simulator
 from repro.scenarios.spec import build_generator
@@ -131,6 +136,26 @@ def _replica_view(sim):
     )
 
 
+def _anti_omega_replica(n):
+    t = n - 1
+    k = max(1, t - 1)
+    registers = RegisterFile()
+    KAntiOmegaAutomaton.declare_registers(registers, n=n, k=k)
+    automata = make_anti_omega_algorithm(n=n, t=t, k=k)
+    return Simulator(n=n, automata=automata, registers=registers)
+
+
+def _anti_omega_view(sim, result):
+    arena = sim.registers.arena_view()
+    return (
+        _replica_view(sim),
+        result.outputs,
+        result.steps_executed,
+        list(arena.values),
+        list(arena.write_counts),
+    )
+
+
 REPLAY_COMBOS = COMBOS[:: max(1, len(COMBOS) // 6)]
 
 
@@ -156,7 +181,7 @@ class TestReplay:
         length = 250
         compiled = compile_timeline(run_timeline(build_generator(params), length))
         replicas = [_idle_replica(compiled.n) for _ in range(3)]
-        results = execute_batch(replicas, compiled, policy=FAST, backend="python")
+        results = execute_batch(replicas, compiled, policy=FAST)
         solo = _idle_replica(compiled.n)
         execute(solo, compiled, policy=FAST)
         for sim in replicas:
@@ -164,17 +189,15 @@ class TestReplay:
         assert {r.steps_executed for r in results} == {length}
 
     @pytest.mark.parametrize("params", REPLAY_COMBOS, ids=_combo_id)
-    def test_execute_batch_vector_backend(self, params):
-        if not get_backend("vector").available():
-            pytest.skip("vector backend unavailable (numpy not installed)")
+    def test_execute_batch_anti_omega_replicas(self, params):
         length = 250
         compiled = compile_timeline(run_timeline(build_generator(params), length))
-        reference = [_idle_replica(compiled.n) for _ in range(2)]
-        vectored = [_idle_replica(compiled.n) for _ in range(2)]
-        execute_batch(reference, compiled, policy=FAST, backend="python")
-        execute_batch(vectored, compiled, policy=FAST, backend="vector")
-        for ref, vec in zip(reference, vectored):
-            assert _replica_view(ref) == _replica_view(vec)
+        replicas = [_anti_omega_replica(compiled.n) for _ in range(2)]
+        results = execute_batch(replicas, compiled, policy=FAST)
+        solo = _anti_omega_replica(compiled.n)
+        expected = _anti_omega_view(solo, execute(solo, compiled, policy=FAST))
+        for sim, result in zip(replicas, results):
+            assert _anti_omega_view(sim, result) == expected
 
 
 class TestReductionEdges:

@@ -42,15 +42,13 @@ def test_search_subsystem_docstring_coverage():
     _assert_fully_documented([REPO_ROOT / "src" / "repro" / "search"])
 
 
-def test_execution_backend_docstring_coverage():
-    # Same gate CI runs: the kernel, the simulator, the backend registry and
-    # the vector column backend are public API surface and must stay fully
-    # documented.
+def test_execution_layer_docstring_coverage():
+    # Same gate CI runs: the kernel, the simulator and the sim-free screen
+    # kernel are public API surface and must stay fully documented.
     _assert_fully_documented(
         [
             REPO_ROOT / "src" / "repro" / "runtime" / "kernel.py",
             REPO_ROOT / "src" / "repro" / "runtime" / "simulator.py",
-            REPO_ROOT / "src" / "repro" / "runtime" / "backends.py",
             REPO_ROOT / "src" / "repro" / "runtime" / "vector_backend.py",
         ]
     )
@@ -80,16 +78,15 @@ def test_timeliness_docstring_coverage():
     _assert_fully_documented([REPO_ROOT / "src" / "repro" / "core" / "timeliness.py"])
 
 
-def test_backend_module_doctests_pass():
-    # CI's "Backend module doctests" step, mirrored in tier-1: the registry
-    # examples must pass with and without numpy (they never import it).
-    import repro.runtime.backends as backends_module
+def test_screen_kernel_module_doctests_pass():
+    # CI's "Screen kernel module doctests" step, mirrored in tier-1: the
+    # example must pass with and without numpy (the screen falls back to the
+    # reference lane without it).
     import repro.runtime.vector_backend as vector_module
 
-    for module in (backends_module, vector_module):
-        results = doctest.testmod(module, verbose=False)
-        assert results.attempted >= 1, f"{module.__name__} lost its examples"
-        assert results.failed == 0
+    results = doctest.testmod(vector_module, verbose=False)
+    assert results.attempted >= 1, f"{vector_module.__name__} lost its examples"
+    assert results.failed == 0
 
 
 def test_counterexample_atlas_names_regenerating_commands():

@@ -19,12 +19,11 @@ from array import array
 
 import pytest
 
-import test_backends
+import test_batch
 from repro.core.schedule import CompiledSchedule
 from repro.errors import ConfigurationError
 from repro.failure_detectors.base import FD_OUTPUT, WINNER_SET
 from repro.runtime import vector_backend
-from repro.runtime.backends import get_backend
 from repro.runtime.kernel import execute_batch
 from repro.runtime.vector_backend import (
     UnsupportedLowering,
@@ -32,16 +31,16 @@ from repro.runtime.vector_backend import (
 )
 from repro.search.properties import checkpoint_snapshots
 
-STATISTICS = test_backends.STATISTICS
-POLICIES = test_backends.POLICIES
-PAPER_STATISTIC = test_backends.paper_accusation_statistic
-PAPER_POLICY = test_backends.paper_timeout_policy
+STATISTICS = test_batch.STATISTICS
+POLICIES = test_batch.POLICIES
+PAPER_STATISTIC = test_batch.paper_accusation_statistic
+PAPER_POLICY = test_batch.paper_timeout_policy
 KEYS = (FD_OUTPUT, WINNER_SET)
 
 
 @pytest.fixture(autouse=True)
 def _needs_numpy():
-    if not get_backend("vector").available():
+    if vector_backend.np is None:
         pytest.skip("numpy unavailable")
 
 
@@ -76,9 +75,7 @@ def _generation(seed, n, lengths=LENGTHS):
 
 
 def _replica(n, t, k, statistic=PAPER_STATISTIC, policy=PAPER_POLICY):
-    return test_backends._anti_omega_replica(
-        n, t, k, statistic, policy, tracked=False
-    )[0]
+    return test_batch._anti_omega_replica(n, t, k, statistic, policy)[0]
 
 
 def _reference(n, t, k, compileds, checkpoints, keys=KEYS, **algorithm):

@@ -23,9 +23,8 @@ import pytest
 
 from repro.core.schedule import CompiledSchedule
 from repro.errors import ConfigurationError, SimulationError
-from repro.runtime import backends as backends_module
 from repro.runtime import vector_backend
-from repro.runtime.backends import get_backend
+from repro.search import properties as properties_module
 from repro.search.engine import (
     _screened_verdicts,
     reset_screen_cache,
@@ -45,7 +44,7 @@ COLUMN_PROPERTIES = ("k-anti-omega-convergence", "leader-set-convergence")
 
 
 def _needs_numpy():
-    if not get_backend("vector").available():
+    if vector_backend.np is None:
         pytest.skip("numpy unavailable")
 
 
@@ -145,11 +144,11 @@ class TestSizePlanner:
         monkeypatch.setattr(
             vector_backend, "anti_omega_screen_snapshots", kernel_must_not_run
         )
-        backends_module._WARNED_FALLBACKS.clear()
+        properties_module._WARNED_FALLBACKS.clear()
         prop = make_property("k-anti-omega-convergence", PARAMS)
         batch = _COLUMN_SCREEN_CROSSOVER - 1
         compileds = _padded_to_crossover(_generation(3), 31)[:batch]
-        with caplog.at_level(logging.WARNING, logger=backends_module._LOGGER.name):
+        with caplog.at_level(logging.WARNING, logger=properties_module._LOGGER.name):
             actual = screen_generation(prop, compileds, 8, backend="auto")
         assert last_screen_plan() == {
             "lane": "reference",
@@ -164,18 +163,18 @@ class TestSizePlanner:
 class TestAutoFallback:
     def test_unlowerable_property_falls_back_loudly(self, caplog):
         """agreement-safety composes an unlowered automaton: loud reference lane."""
-        backends_module._WARNED_FALLBACKS.clear()
+        properties_module._WARNED_FALLBACKS.clear()
         prop = make_property("agreement-safety", PARAMS)
         compileds = _generation(9, lengths=(0, 12, 90))
         with caplog.at_level(
-            logging.WARNING, logger=backends_module._LOGGER.name
+            logging.WARNING, logger=properties_module._LOGGER.name
         ):
             actual = screen_generation(prop, compileds, 6, backend="auto")
         assert actual == _reference(prop, compileds, 6)
         plan = last_screen_plan()
         assert plan["lane"] == "reference" and plan["batch"] == 3
         assert plan["reason"]
-        if get_backend("vector").available():
+        if vector_backend.np is not None:
             assert "has no column screen lane" in plan["reason"]
             assert any(
                 "falling back" in record.message for record in caplog.records
