@@ -169,6 +169,8 @@ def solve_agreement(
         measure post-decision behaviour.
     """
     n = problem.n
+    if max_steps < 1:
+        raise ConfigurationError(f"max_steps must be >= 1, got {max_steps}")
     missing = [pid for pid in range(1, n + 1) if pid not in inputs]
     if missing:
         raise ConfigurationError(f"missing initial values for processes {missing}")

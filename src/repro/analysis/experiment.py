@@ -632,6 +632,8 @@ def screened_solvability_grid_experiment(
     from ..scenarios.spec import build_generator
     from ..search.properties import KAntiOmegaConvergenceProperty, screen_generation
 
+    if horizon < 1:
+        raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
     problem = AgreementInstance(t=t, k=k, n=n)
     grid = solvability_grid(problem)
     prop = KAntiOmegaConvergenceProperty(n=n, t=t, k=k)

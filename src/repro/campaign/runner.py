@@ -312,13 +312,16 @@ def run_agreement_kind(params: Dict[str, Any]) -> Dict[str, Any]:
     from ..types import AgreementInstance
 
     n, t, k = int(params["n"]), int(params["t"]), int(params["k"])
+    horizon = int(params["horizon"])
+    if horizon < 1:
+        raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
     problem = AgreementInstance(t=t, k=k, n=n)
     generator = build_generator(params)
     report = solve_agreement(
         problem=problem,
         inputs=distinct_inputs(n),
         schedule=generator,
-        max_steps=int(params["horizon"]),
+        max_steps=horizon,
     )
     return {
         "problem": problem.describe(),

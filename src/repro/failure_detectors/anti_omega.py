@@ -33,10 +33,9 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 from ..errors import ConfigurationError
 from ..runtime.automaton import (
     BoundWriteOp,
-    Operation,
+    CollectOp,
     ProcessContext,
     Program,
-    ReadOp,
     WriteOp,
 )
 from ..types import ProcessId
@@ -143,56 +142,51 @@ class KAntiOmegaAutomaton(FailureDetectorAutomaton):
         self.accusation_statistic = accusation_statistic
         self.timeout_policy = timeout_policy
         self.ksets = k_subsets(n, k)
-        # Operations are immutable, so every iteration's read operations (and
-        # the register names of the writes) are built once per automaton — one
-        # allocation up front instead of one per executed step.  prebind()
-        # swaps these name-addressed tables for slot-bound ones; unbind()
-        # rebuilds the name-addressed templates.
-        self._processes = list(range(1, n + 1))
+        processes = list(range(1, n + 1))
+        everyone = frozenset(processes)
+        # Line 5's fdOutput for each possible winner set, built once.
+        self._fd_outputs = [everyone - frozenset(a_set) for a_set in self.ksets]
+        # Line 12's ``q in A``: the k-set positions containing q, indexed q - 1.
+        self._ksets_containing = [
+            [index for index, a_set in enumerate(self.ksets) if q in a_set]
+            for q in processes
+        ]
         self._heartbeat_register = ("Heartbeat", pid)
-        self._counter_registers: Dict[KSet, Tuple[str, KSet, ProcessId]] = {
-            a_set: ("Counter", a_set, pid) for a_set in self.ksets
-        }
-        self._counter_reads: List[Tuple[KSet, List[Tuple[ProcessId, Operation]]]] = []
-        self._heartbeat_reads: List[Tuple[ProcessId, Operation]] = []
+        self._counter_registers = [("Counter", a_set, pid) for a_set in self.ksets]
+        # Operations are immutable, so unbind() builds the two collects once
+        # per automaton; prebind() swaps them for slot-bound ones and adds
+        # reusable bound write cells.
         self._heartbeat_write: Optional[BoundWriteOp] = None
-        self._counter_writes: Optional[Dict[KSet, BoundWriteOp]] = None
+        self._counter_writes: Optional[List[BoundWriteOp]] = None
         self.unbind()
 
     # ------------------------------------------------------------------
     def prebind(self, registers: Any) -> None:
         """Swap the preallocated op tables for slot-bound ones.
 
-        Reads become :class:`~repro.runtime.automaton.BoundReadOp` tables;
-        the heartbeat and per-k-set counter writes become reusable
+        The two collects become :class:`~repro.runtime.automaton.BoundCollectOp`
+        values; the heartbeat and per-k-set counter writes become reusable
         :class:`~repro.runtime.automaton.BoundWriteOp` cells whose ``value``
         the program refreshes before each yield, so steady-state iterations
-        allocate nothing and dispatch with no name hashing.  Tables are
+        allocate no ops and dispatch with no name hashing.  Tables are
         rebuilt from the unbound templates on every call, so rebinding to a
         fresh register file is safe (for generators created afterwards).
         """
-        processes = self._processes
-        self._counter_reads = [
-            (a_set, [(q, ReadOp(("Counter", a_set, q)).bind(registers)) for q in processes])
-            for a_set in self.ksets
-        ]
-        self._heartbeat_reads = [
-            (q, ReadOp(("Heartbeat", q)).bind(registers)) for q in processes
-        ]
+        self.unbind()
+        self._counter_collect = self._counter_collect.bind(registers)
+        self._heartbeat_collect = self._heartbeat_collect.bind(registers)
         self._heartbeat_write = WriteOp(self._heartbeat_register, 0).bind(registers)
-        self._counter_writes = {
-            a_set: WriteOp(name, 0).bind(registers)
-            for a_set, name in self._counter_registers.items()
-        }
+        self._counter_writes = [
+            WriteOp(name, 0).bind(registers) for name in self._counter_registers
+        ]
 
     def unbind(self) -> None:
         """Restore the name-addressed op tables (the inverse of :meth:`prebind`)."""
-        processes = self._processes
-        self._counter_reads = [
-            (a_set, [(q, ReadOp(("Counter", a_set, q))) for q in processes])
-            for a_set in self.ksets
-        ]
-        self._heartbeat_reads = [(q, ReadOp(("Heartbeat", q))) for q in processes]
+        processes = range(1, self.n + 1)
+        self._counter_collect = CollectOp(
+            ("Counter", a_set, q) for a_set in self.ksets for q in processes
+        )
+        self._heartbeat_collect = CollectOp(("Heartbeat", q) for q in processes)
         self._heartbeat_write = None
         self._counter_writes = None
 
@@ -214,87 +208,91 @@ class KAntiOmegaAutomaton(FailureDetectorAutomaton):
 
     # ------------------------------------------------------------------
     def program(self, ctx: ProcessContext) -> Program:
-        n, t, p = self.n, self.t, self.pid
+        """Figure 2 for this process: the main loop, forever.
+
+        Each iteration yields the counter collect (lines 2-5), the heartbeat
+        write (lines 6-7), the heartbeat collect (lines 8-13) and one counter
+        write per expired timer (lines 14-19).  The ops are bound when the
+        automaton is prebound and name-addressed otherwise; the body is the
+        same.  Local state is kept in lists indexed by k-set position (the
+        order of :attr:`ksets`) or by ``q - 1``.
+        """
+        n, t = self.n, self.t
         ksets = self.ksets
-        processes = list(range(1, n + 1))
+        positions = range(len(ksets))
+        # Where each k-set's row Counter[A, *] sits in the counter collect.
+        rows = [slice(index * n, (index + 1) * n) for index in positions]
         accusation_statistic = self.accusation_statistic
         timeout_policy = self.timeout_policy
-        # The preallocated (possibly slot-bound, see prebind) op tables.
-        counter_reads = self._counter_reads
-        heartbeat_reads = self._heartbeat_reads
-        my_heartbeat_register = self._heartbeat_register
-        counter_registers = self._counter_registers
+        publish = self.publish
+        publish_leader = self.k == 1
+        fd_outputs = self._fd_outputs
+        ksets_containing = self._ksets_containing
+        counter_collect = self._counter_collect
+        heartbeat_collect = self._heartbeat_collect
         heartbeat_write = self._heartbeat_write
+        if heartbeat_write is None:
+            heartbeat_write = WriteOp(self._heartbeat_register, 0)
         counter_writes = self._counter_writes
-        # Which timers a fresh heartbeat from q resets (line 12's `q in A`).
-        ksets_containing: Dict[ProcessId, List[KSet]] = {
-            q: [a_set for a_set in ksets if q in a_set] for q in processes
-        }
+        if counter_writes is None:
+            counter_writes = [WriteOp(name, 0) for name in self._counter_registers]
 
         # Local variables (Figure 2, "Local variables" block).  The paper's
         # ``cnt[A, q]`` matrix is kept as one list per k-set, indexed ``q - 1``.
         my_hb = 0
-        my_index = p - 1
-        prev_heartbeat: Dict[ProcessId, int] = {q: 0 for q in processes}
-        timeout: Dict[KSet, int] = {a: 1 for a in ksets}
-        timer: Dict[KSet, int] = {a: timeout[a] for a in ksets}
-        cnt: Dict[KSet, List[int]] = {a: [0] * n for a in ksets}
+        my_index = self.pid - 1
+        prev_heartbeat = [0] * n
+        timeout = [1] * len(ksets)
+        timer = list(timeout)
         iteration = 0
 
         while True:
-            # Lines 2-5: choose FD output.
-            accusation: Dict[KSet, int] = {}
-            for a_set, reads in counter_reads:
-                counter_vector: List[int] = []
-                append_value = counter_vector.append
-                for q, read_op in reads:
-                    value = yield read_op
-                    append_value(int(value) if value is not None else 0)
-                cnt[a_set] = counter_vector
-                accusation[a_set] = accusation_statistic(counter_vector, t)
-            winnerset = min(ksets, key=lambda a_set: (accusation[a_set], a_set))
-            fd_output = frozenset(processes) - frozenset(winnerset)
+            # Lines 2-5: read Counter[A, q] for every A and q, choose FD output.
+            counters = yield counter_collect
+            try:
+                counters = list(map(int, counters))
+            except TypeError:  # an undeclared register reads as None: count it 0
+                counters = [int(value) if value is not None else 0 for value in counters]
+            cnt = [counters[row] for row in rows]
+            accusation = [accusation_statistic(vector, t) for vector in cnt]
+            # Line 4's tie-break: ksets is in lexicographic order, so the
+            # first position holding the minimum is the winner.
+            winner = accusation.index(min(accusation))
             # Line 5's assignment is observable immediately (fdOutput is a local
             # variable the environment may read at any time).
-            self.publish(FD_OUTPUT, fd_output)
-            self.publish(WINNER_SET, winnerset)
-            self.publish("accusations", dict(accusation))
-            if self.k == 1:
-                self.publish(LEADER, winnerset[0])
+            publish(FD_OUTPUT, fd_outputs[winner])
+            publish(WINNER_SET, ksets[winner])
+            publish("accusations", dict(zip(ksets, accusation)))
+            if publish_leader:
+                publish(LEADER, ksets[winner][0])
 
             # Lines 6-7: bump the heartbeat.
             my_hb += 1
-            if heartbeat_write is not None:
-                heartbeat_write.value = my_hb
-                yield heartbeat_write
-            else:
-                yield WriteOp(my_heartbeat_register, my_hb)
+            yield heartbeat_write.with_value(my_hb)
 
             # Lines 8-13: check other processes' heartbeats, reset timers.
-            for q, read_op in heartbeat_reads:
-                hbq = yield read_op
-                hbq = int(hbq) if hbq is not None else 0
-                if hbq > prev_heartbeat[q]:
-                    for a_set in ksets_containing[q]:
-                        timer[a_set] = timeout[a_set]
-                    prev_heartbeat[q] = hbq
+            heartbeats = yield heartbeat_collect
+            try:
+                heartbeats = list(map(int, heartbeats))
+            except TypeError:
+                heartbeats = [int(value) if value is not None else 0 for value in heartbeats]
+            for q_index, hbq in enumerate(heartbeats):
+                if hbq > prev_heartbeat[q_index]:
+                    for index in ksets_containing[q_index]:
+                        timer[index] = timeout[index]
+                    prev_heartbeat[q_index] = hbq
 
             # Lines 14-19: expire timers, accuse.
-            for a_set in ksets:
-                timer[a_set] -= 1
-                if timer[a_set] == 0:
-                    timeout[a_set] = timeout_policy(timeout[a_set])
-                    timer[a_set] = timeout[a_set]
-                    if counter_writes is not None:
-                        counter_write = counter_writes[a_set]
-                        counter_write.value = cnt[a_set][my_index] + 1
-                        yield counter_write
-                    else:
-                        yield WriteOp(counter_registers[a_set], cnt[a_set][my_index] + 1)
+            for index in positions:
+                timer[index] -= 1
+                if timer[index] == 0:
+                    timeout[index] = timeout_policy(timeout[index])
+                    timer[index] = timeout[index]
+                    yield counter_writes[index].with_value(cnt[index][my_index] + 1)
 
             # End-of-iteration bookkeeping (free: local variables only).
             iteration += 1
-            self.publish(ITERATION, iteration)
+            publish(ITERATION, iteration)
 
 
 def make_anti_omega_algorithm(

@@ -12,14 +12,20 @@ shared-memory operations and receives the operation's result back:
             heartbeat = yield ReadOp(("Heartbeat", 2))
             yield WriteOp(("Flag", self.pid), heartbeat + 1)
 
-Exactly one ``yield`` corresponds to one step of the paper's model, so the
-schedule that drives the simulator decides the interleaving at the granularity
-the proofs reason about.  Local computation between yields is free, matching
-the model (only shared-memory accesses are steps).
+Every step of the paper's model executes exactly one shared-memory operation,
+so the schedule that drives the simulator decides the interleaving at the
+granularity the proofs reason about.  A :class:`ReadOp` or :class:`WriteOp`
+yield is one step.  A :class:`CollectOp` yield is one step *per register*: it
+reads its registers in order, one per scheduled step of the yielding process,
+and resumes the generator once, after the last read, with the list of values
+— exactly the steps a ``for`` loop of single reads would take, without waking
+the generator for reads whose values it only stores.  Local computation
+between yields is free, matching the model (only shared-memory accesses are
+steps).
 
 Helper subroutines are ordinary generators used with ``yield from``; their
 ``return`` value is delivered to the caller, which keeps multi-operation
-patterns (collects, snapshots, adopt-commit) readable while preserving the
+patterns (snapshots, adopt-commit) readable while preserving the
 one-op-per-step discipline.
 """
 
@@ -37,6 +43,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Tuple,
 )
 
 from ..errors import SimulationError
@@ -124,6 +131,10 @@ class WriteOp:
     def __hash__(self) -> int:
         return hash((WriteOp, self.register, self.value))
 
+    def with_value(self, value: Any) -> "WriteOp":
+        """This write with ``value`` instead: a fresh op (unbound ops are immutable)."""
+        return WriteOp(self.register, value)
+
 
 class BoundReadOp:
     """A :class:`ReadOp` resolved to its register's arena slot.
@@ -164,6 +175,15 @@ class BoundWriteOp:
         self.slot = slot
         self.value = value
 
+    def with_value(self, value: Any) -> "BoundWriteOp":
+        """Refresh this reusable cell's ``value`` and return it, ready to yield.
+
+        The bound counterpart of :meth:`WriteOp.with_value`, so a program can
+        write through either form with one expression.
+        """
+        self.value = value
+        return self
+
     def __repr__(self) -> str:
         return (
             f"BoundWriteOp(register={self.register!r}, slot={self.slot}, "
@@ -171,8 +191,80 @@ class BoundWriteOp:
         )
 
 
-#: A shared-memory operation (one per step).
-Operation = "ReadOp | WriteOp | BoundReadOp | BoundWriteOp"
+class CollectOp(ReadOp):
+    """Read ``registers`` in order, one per step; the result is their values.
+
+    A collect is a multi-step read: the kernel executes one read per
+    scheduled step of the yielding process and resumes the generator once,
+    after the last read, with the list of values read (in ``registers``
+    order).  Every step is still exactly one shared-memory read, so read
+    counts, step counts and publication steps are those of the equivalent
+    loop of :class:`ReadOp` yields.  Composition
+    (:class:`~repro.runtime.composition.ComposedAutomaton`) expands a
+    component's collect back into single reads so its round-robin rotates
+    between them.
+
+    A collect is a read, so it subclasses :class:`ReadOp`, but it has no
+    single ``register``: executors must test :func:`is_collect_operation`
+    before :func:`is_read_operation`.  Same value-object contract as
+    :class:`ReadOp`.
+    """
+
+    __slots__ = ("registers",)
+
+    def __init__(self, registers: Iterable[RegisterName]) -> None:
+        self.registers = tuple(registers)
+        if not self.registers:
+            raise SimulationError("a collect needs at least one register to read")
+
+    def bind(self, registers: "RegisterFile") -> "BoundCollectOp":
+        """Intern every register in ``registers`` → a slot-carrying collect."""
+        resolve_slot = registers.resolve_slot
+        return BoundCollectOp(
+            self.registers, tuple(resolve_slot(name) for name in self.registers)
+        )
+
+    def reads(self) -> "Tuple[ReadOp, ...]":
+        """The collect as single reads, in order."""
+        return tuple(ReadOp(name) for name in self.registers)
+
+    def __repr__(self) -> str:
+        return f"CollectOp(registers={self.registers!r})"
+
+    def __eq__(self, other: Any) -> bool:
+        return other.__class__ is self.__class__ and other.registers == self.registers
+
+    def __hash__(self) -> int:
+        return hash((CollectOp, self.registers))
+
+
+class BoundCollectOp(BoundReadOp):
+    """A :class:`CollectOp` resolved to its registers' arena slots.
+
+    Produced by :meth:`CollectOp.bind`; ``slots[i]`` is the slot of
+    ``registers[i]``.  The kernel reads ``values[slot]`` per step, with the
+    same binding contract as :class:`BoundReadOp` (whose single ``register``
+    and ``slot`` a collect does not have).
+    """
+
+    __slots__ = ("registers", "slots")
+
+    def __init__(self, registers: Sequence[RegisterName], slots: Sequence[int]) -> None:
+        self.registers = tuple(registers)
+        self.slots = tuple(slots)
+
+    def reads(self) -> "Tuple[BoundReadOp, ...]":
+        """The collect as single bound reads, in order."""
+        return tuple(
+            BoundReadOp(name, slot) for name, slot in zip(self.registers, self.slots)
+        )
+
+    def __repr__(self) -> str:
+        return f"BoundCollectOp(registers={self.registers!r}, slots={self.slots!r})"
+
+
+#: A shared-memory operation: one step, or one step per register for collects.
+Operation = "ReadOp | WriteOp | CollectOp | BoundReadOp | BoundWriteOp | BoundCollectOp"
 
 #: The generator type implementing a process's program: yields operations,
 #: receives results, may ``return`` a final value when it halts.
@@ -270,7 +362,8 @@ class ProcessAutomaton:
     def program(self, ctx: ProcessContext) -> Program:
         """The process's program.  Subclasses must override.
 
-        Must be a generator yielding :class:`ReadOp`/:class:`WriteOp` values.
+        Must be a generator yielding :class:`ReadOp`/:class:`WriteOp`/
+        :class:`CollectOp` values (or their bound forms).
         """
         raise NotImplementedError
         yield  # pragma: no cover - makes the override a generator template
@@ -308,6 +401,7 @@ class FunctionAutomaton(ProcessAutomaton):
         self._function = function
 
     def program(self, ctx: ProcessContext) -> Program:
+        """Call the wrapped function with ``(self, ctx)``; its generator is the program."""
         return self._function(self, ctx)
 
 
@@ -327,12 +421,15 @@ class IdleAutomaton(ProcessAutomaton):
         self._bound_scratch: Optional[BoundWriteOp] = None
 
     def prebind(self, registers: "RegisterFile") -> None:
+        """Bind the scratch write to ``registers`` as one reusable cell."""
         self._bound_scratch = WriteOp(self._scratch_register, 0).bind(registers)
 
     def unbind(self) -> None:
+        """Drop the bound scratch cell; programs write fresh :class:`WriteOp` values."""
         self._bound_scratch = None
 
     def program(self, ctx: ProcessContext) -> Program:
+        """Write an increasing count to the scratch register, forever."""
         count = 0
         scratch = self._bound_scratch
         if scratch is None:
@@ -345,7 +442,7 @@ class IdleAutomaton(ProcessAutomaton):
             yield scratch
 
 
-def validate_operation(op: Any) -> "ReadOp | WriteOp | BoundReadOp | BoundWriteOp":
+def validate_operation(op: Any) -> Operation:
     """Check that a yielded object is a shared-memory operation.
 
     The simulator calls this on every yield so that an algorithm bug (yielding
@@ -354,11 +451,20 @@ def validate_operation(op: Any) -> "ReadOp | WriteOp | BoundReadOp | BoundWriteO
     if isinstance(op, (ReadOp, WriteOp, BoundReadOp, BoundWriteOp)):
         return op
     raise SimulationError(
-        f"automaton yielded {op!r}, which is not a ReadOp/WriteOp (or their "
-        "bound forms); every yield must be exactly one shared-memory operation"
+        f"automaton yielded {op!r}, which is not a ReadOp/WriteOp/CollectOp (or "
+        "their bound forms); every yield must be a shared-memory operation — one "
+        "step, or one step per register for a collect"
     )
 
 
 def is_read_operation(op: Any) -> bool:
-    """Whether a validated operation is a read (bound or not, subclass or not)."""
+    """Whether a validated operation is a read (bound or not, subclass or not).
+
+    Collects are reads too; executors test :func:`is_collect_operation` first.
+    """
     return isinstance(op, (ReadOp, BoundReadOp))
+
+
+def is_collect_operation(op: Any) -> bool:
+    """Whether a validated operation is a collect (bound or not, subclass or not)."""
+    return isinstance(op, (CollectOp, BoundCollectOp))

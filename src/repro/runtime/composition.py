@@ -13,6 +13,11 @@ timeliness bound by at most the number of sub-programs — a constant factor,
 which is exactly the argument Lemma 9 makes about loop iterations having a
 bounded number of steps.
 
+A component that yields a :class:`~repro.runtime.automaton.CollectOp` has
+it expanded into its single reads, each one turn of the rotation, and
+receives the list of values once the last read returns — so the composed
+interleaving is the one a loop of single reads would give.
+
 Sub-programs that halt (their generator returns) simply drop out of the
 rotation; when all halt, the composed automaton halts.
 """
@@ -23,7 +28,24 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
 from ..types import ProcessId
-from .automaton import ProcessAutomaton, ProcessContext, Program
+from .automaton import ProcessAutomaton, ProcessContext, Program, is_collect_operation
+
+
+def _expand_collects(generator: Program) -> Program:
+    """Re-yield ``generator``'s operations with every collect as single reads."""
+    result: Any = None
+    while True:
+        try:
+            op = generator.send(result)
+        except StopIteration as stop:
+            return stop.value
+        if is_collect_operation(op):
+            result = []
+            for read in op.reads():
+                value = yield read
+                result.append(value)
+        else:
+            result = yield op
 
 
 class ComposedAutomaton(ProcessAutomaton):
@@ -99,9 +121,15 @@ class ComposedAutomaton(ProcessAutomaton):
 
     # ------------------------------------------------------------------
     def program(self, ctx: ProcessContext) -> Program:
+        """Advance the components round-robin, one operation per step.
+
+        Each component's collects are expanded into single reads, so every
+        read is one turn of the rotation.
+        """
         active: List[Tuple[str, ProcessAutomaton, Program]] = []
         for name, component in self._components:
-            active.append((name, component, component.program(component.context())))
+            program = _expand_collects(component.program(component.context()))
+            active.append((name, component, program))
 
         pending: Dict[str, Any] = {name: None for name, _, _ in active}
         started: Dict[str, bool] = {name: False for name, _, _ in active}

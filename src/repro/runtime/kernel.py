@@ -15,13 +15,14 @@ privates.  This module replaces both bodies with a single loop,
 Two specializations keep campaign-scale replica sweeps fast without forking
 the semantics:
 
-* :func:`_execute_bare` — when a run attaches no observers, records no trace
-  and has no stop condition (the no-instrumentation campaign configuration),
-  :func:`execute` selects a tighter loop up front instead of paying dead
-  per-step branches.  The bare loop executes exactly the same steps with the
-  same externally observable effects (outputs, halting, register operation
-  counts, per-process step counts); it only skips work whose results nobody
-  asked for.
+* :func:`_execute_bare` — when a run records no trace, has no stop
+  condition and attaches no observers or only ``"on_publish"`` ones under a
+  publication-gated policy (the campaign configurations), :func:`execute`
+  selects a tighter loop up front instead of paying dead per-step branches.
+  The bare loop executes exactly the same steps with the same externally
+  observable effects (outputs, halting, register operation counts,
+  per-process step counts, tracker change lists); it only skips work whose
+  results nobody asked for.
 * :func:`execute_batch` — drives a batch of independent replicas over one
   shared schedule source (ideally a
   :class:`~repro.core.schedule.CompiledSchedule`, whose flat ``array('i')``
@@ -44,6 +45,14 @@ pre-bound op (:class:`~repro.runtime.automaton.BoundReadOp` /
 name to a slot through the arena's interning dict (one C-level probe), so
 both op shapes execute against the same flat storage and are observably
 identical.
+
+A collect (:class:`~repro.runtime.automaton.CollectOp` /
+:class:`~repro.runtime.automaton.BoundCollectOp`) executes one read per
+scheduled step of its process without resuming the generator; the process's
+in-flight collect is an iterator over the slots it has yet to read
+(``ProcessState.collect_reads``), and the step that finds it exhausted
+resumes the generator with the collected values (:func:`begin_collect`,
+:func:`collect_step`).
 
 ``kernel.py`` and ``simulator.py`` are two halves of one component — the
 :class:`~repro.runtime.simulator.Simulator` façade owns the run state, the
@@ -77,17 +86,28 @@ from ..core.schedule import CompiledSchedule, InfiniteSchedule, Schedule
 from ..errors import SimulationError
 from ..types import ProcessId
 from .automaton import (
+    BoundCollectOp,
     BoundReadOp,
     BoundWriteOp,
     ReadOp,
     RegisterName,
     WriteOp,
+    is_collect_operation,
     is_read_operation,
     validate_operation,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .simulator import ProcessState, RunResult, ScheduleSource, Simulator, StopCondition
+    from ..memory.registers import RegisterArena, RegisterFile
+    from .automaton import Operation
+    from .simulator import (
+        Observer,
+        ProcessState,
+        RunResult,
+        ScheduleSource,
+        Simulator,
+        StopCondition,
+    )
 
 #: Observer capability: must be sampled after every executed step.
 EVERY_STEP = "every_step"
@@ -237,6 +257,47 @@ def check_observer_capabilities(policy: ExecutionPolicy, entries) -> None:
         )
 
 
+def bind_collect(operation: "Operation", registers: "RegisterFile") -> BoundCollectOp:
+    """A validated collect in its slot-bound form.
+
+    An unbound :class:`~repro.runtime.automaton.CollectOp` is bound on the
+    fly, so it resolves (and lazily creates) all of its registers at its
+    first step.
+    """
+    if isinstance(operation, BoundCollectOp):
+        return operation
+    return operation.bind(registers)
+
+
+def begin_collect(
+    state: "ProcessState", operation: "Operation", registers: "RegisterFile"
+) -> None:
+    """Execute the first read of a collect the process just yielded.
+
+    The values read so far accumulate in ``state.pending_result`` and the
+    slots still to read in the iterator ``state.collect_reads``; the
+    process's next steps go to :func:`collect_step` before its generator.
+    """
+    reads = iter(bind_collect(operation, registers).slots)
+    state.pending_result = [registers.arena_view().read(next(reads))]
+    state.collect_reads = reads
+
+
+def collect_step(state: "ProcessState", arena: "RegisterArena") -> bool:
+    """Execute the next read of the process's in-flight collect, if one remains.
+
+    Returns ``False``, with the collect cleared, once every read has
+    executed: that step resumes the generator with the collected values
+    instead.
+    """
+    slot = next(state.collect_reads, None)
+    if slot is None:
+        state.collect_reads = None
+        return False
+    state.pending_result.append(arena.read(slot))
+    return True
+
+
 def execute(
     simulator: "Simulator",
     schedule: "ScheduleSource",
@@ -253,21 +314,29 @@ def execute(
     final outputs and step counts; policies only choose what is *recorded*
     along the way (see :class:`ExecutionPolicy`).
 
-    When nothing is recorded at all — no observers attached, no trace
-    collected, no stop condition — the per-step recording branches are dead,
-    and the kernel selects the specialized :func:`_execute_bare` loop up
-    front.
+    When no trace is collected, no stop condition is given and observers
+    (if any) are sampled only on publication, the per-step recording
+    branches are dead, and the kernel selects the specialized
+    :func:`_execute_bare` loop up front.
     """
     step_iter, budget = normalize_source(simulator.n, schedule, max_steps)
     entries = simulator.observer_entries()
     check_observer_capabilities(policy, entries)
-    if not entries and stop_condition is None and not policy.collect_trace:
+    if stop_condition is None and _runs_bare(policy, entries):
+        observers = [entry.observer for entry in entries]
         if isinstance(schedule, CompiledSchedule) and budget == len(schedule.steps):
             # The whole buffer is the budget: iterate the array itself and
             # credit per-process step counts in bulk from the shared tally.
-            return _execute_bare(simulator, schedule.steps, schedule.step_counts())
-        return _execute_bare(simulator, islice(step_iter, budget))
+            return _execute_bare(
+                simulator, schedule.steps, schedule.step_counts(), observers
+            )
+        return _execute_bare(simulator, islice(step_iter, budget), None, observers)
     return _execute_general(simulator, step_iter, budget, stop_condition, policy, entries)
+
+
+def _runs_bare(policy: ExecutionPolicy, entries) -> bool:
+    """Whether a run without a stop condition can take :func:`_execute_bare`."""
+    return not policy.collect_trace and (not entries or policy.sampling == ON_PUBLISH)
 
 
 def _execute_general(
@@ -317,7 +386,8 @@ def _execute_general(
                     raise SimulationError(
                         f"process {pid} was scheduled after its program returned"
                     )
-            else:
+            elif state.collect_reads is None or not collect_step(state, arena):
+                # Not mid-collect (or its last read is done): resume.
                 if state.started:
                     generator = state.generator
                     send_value = state.pending_result
@@ -330,7 +400,9 @@ def _execute_general(
                     simulator._halt(state, stop)
                 else:
                     op_type = type(op)
-                    if op_type is ReadOp:
+                    if op_type is BoundCollectOp:
+                        begin_collect(state, op, registers)
+                    elif op_type is ReadOp:
                         slot = slot_get(op.register)
                         if slot is None:
                             slot = resolve_slot(op.register)
@@ -360,11 +432,13 @@ def _execute_general(
                         state.pending_result = None
                     else:
                         # Exact-type checks above keep the hot path cheap;
-                        # ReadOp/WriteOp *subclasses* (legal per
-                        # validate_operation) take this slower branch, and
-                        # anything else fails validation loudly.
+                        # unbound collects, operation *subclasses* (legal
+                        # per validate_operation) take this slower branch,
+                        # and anything else fails validation loudly.
                         operation = validate_operation(op)
-                        if is_read_operation(operation):
+                        if is_collect_operation(operation):
+                            begin_collect(state, operation, registers)
+                        elif is_read_operation(operation):
                             state.pending_result = registers.read(
                                 operation.register, reader=pid
                             )
@@ -410,6 +484,7 @@ def _execute_bare(
     simulator: "Simulator",
     buffer: Iterable[ProcessId],
     counts: Optional[Dict[ProcessId, int]] = None,
+    observers: Sequence["Observer"] = (),
 ) -> "RunResult":
     """The bare loop: the single no-instrumentation step body.
 
@@ -428,13 +503,31 @@ def _execute_bare(
     produces.
 
     Every buffered pid lying in ``1..n`` is what lets the loop keep its
-    per-process ``sends``/``pending`` tables as flat pid-indexed lists
-    instead of dicts.  Because a completed run executes every buffered step,
-    ``steps_taken`` is credited in bulk after the loop instead of being
-    counted per step — the loop only keeps a plain running total so that an
-    exception (a single-writer violation, an algorithm bug) still leaves
-    exact accounting: on the error path the partial per-process tally is
-    recounted from the consumed buffer prefix.
+    per-process tables as flat pid-indexed lists instead of dicts.  Because a
+    completed run executes every buffered step, ``steps_taken`` is credited
+    in bulk after the loop instead of being counted per step — the loop only
+    keeps a plain running total so that an exception (a single-writer
+    violation, an algorithm bug) still leaves exact accounting: on the error
+    path the partial per-process tally is recounted from the consumed buffer
+    prefix.
+
+    Collects get the same treatment.  A process's in-flight collect is an
+    iterator over the slots it has yet to read, and its values so far sit in
+    ``pending``; a collect step is one ``next`` and one list append, with no
+    generator resume.  The step that finds the iterator exhausted resumes the
+    generator.  While a process collects, its ``sends`` entry is cleared, so
+    the check for a collect sits on the cold side and steps of processes that
+    are not collecting pay nothing for it.  Read counts are settled in bulk too: a collect's reads are
+    tallied per op when it starts, and on exit the tally is credited and
+    the unread rest of every in-flight collect is taken back out.
+
+    ``observers`` are ``"on_publish"`` observers, sampled exactly as the
+    general loop samples them under publication-gated policies: on a
+    process's first step of the run, then whenever its ``outputs_version``
+    moved.  Only steps that resumed a generator can publish, so collect steps
+    skip the check.  Observers see exact outputs and ``step_index``; the
+    ``steps_taken`` and register read counts they could read are settled on
+    exit.
     """
     from .simulator import RunResult  # local import: simulator imports this module
 
@@ -448,7 +541,7 @@ def _execute_bare(
                 (index, pid) for index, pid in enumerate(buffer) if not 1 <= pid <= n
             )
             prefix = buffer[:bad_index]
-            _execute_bare(simulator, prefix, dict(Counter(prefix)))
+            _execute_bare(simulator, prefix, dict(Counter(prefix)), observers)
             raise SimulationError(f"unknown process id {bad_pid}")
         counts = {pid: counter.get(pid, 0) for pid in simulator._states}
     registers = simulator.registers
@@ -465,35 +558,85 @@ def _execute_bare(
     states = simulator._states
     halt = simulator._halt
     read_op, write_op = ReadOp, WriteOp
-    bound_read_op, bound_write_op = BoundReadOp, BoundWriteOp
+    bound_read_op, bound_write_op, bound_collect_op = BoundReadOp, BoundWriteOp, BoundCollectOp
+    next_slot = next
     # pid-indexed tables (slot 0 unused): a list index beats a dict probe on
     # every step, and the tally/compiled-buffer validation guarantees every
     # buffered pid is a real index.
     sends: List[Optional[Callable[[Any], Any]]] = [None] * (n + 1)
     pending: List[Any] = [None] * (n + 1)
+    collect_reads: List[Optional[Iterator[int]]] = [None] * (n + 1)
+    #: Collects started in this run, per bound op: each owes its slots a read.
+    started_collects: Dict[BoundCollectOp, int] = {}
     for pid, state in states.items():
-        if not state.halted and state.started:
+        # A collect carried in from an earlier segment takes the cold path
+        # on its first step here, which arms these tables.
+        if not state.halted and state.started and state.collect_reads is None:
             sends[pid] = state.generator.send
             pending[pid] = state.pending_result
+    observed = bool(observers)
+    automata = [None] + [states[pid].automaton for pid in range(1, n + 1)]
+    last_versions = [-1] * (n + 1)
+    start_index = simulator._step_index
     executed = 0
+
+    def notify(pid: ProcessId, step_index: int) -> None:
+        last_versions[pid] = automata[pid].outputs_version
+        simulator._step_index = step_index
+        for observer in observers:
+            observer(step_index, pid, simulator)
+
     try:
         for pid in buffer:
             send = sends[pid]
-            if send is None:
-                # Cold paths: a process's first step and halted processes.
-                state = states[pid]
-                if state.halted:
-                    if strict:
-                        raise SimulationError(
-                            f"process {pid} was scheduled after its program returned"
-                        )
-                    executed += 1
-                    continue
-                send = simulator._start_program(state).send
-                sends[pid] = send
-                send_value = None
-            else:
+            if send is not None:
                 send_value = pending[pid]
+            else:
+                reads = collect_reads[pid]
+                if reads:
+                    # Mid-collect (the generator's send is parked): one read.
+                    slot = next_slot(reads, None)
+                    if slot is not None:
+                        pending[pid].append(values[slot])
+                        executed += 1
+                        continue
+                    # Every read done: this step resumes with the values.
+                    collect_reads[pid] = None
+                    send = sends[pid] = states[pid].generator.send
+                    send_value = pending[pid]
+                else:
+                    # Cold paths: a process's first step, halted processes
+                    # and a collect carried in from an earlier segment.
+                    state = states[pid]
+                    if state.halted:
+                        if strict:
+                            raise SimulationError(
+                                f"process {pid} was scheduled after its program returned"
+                            )
+                        executed += 1
+                        if observed and last_versions[pid] != automata[pid].outputs_version:
+                            notify(pid, start_index + executed)
+                        continue
+                    if state.started:
+                        # Arm the carried collect, crediting its unread rest
+                        # up front like a collect started here.
+                        rest = list(state.collect_reads)
+                        for slot in rest:
+                            read_counts[slot] += 1
+                        state.collect_reads = None
+                        pending[pid] = state.pending_result
+                        if rest:
+                            collect_reads[pid] = reads = iter(rest)
+                            pending[pid].append(values[next_slot(reads)])
+                            executed += 1
+                            if observed and last_versions[pid] != automata[pid].outputs_version:
+                                notify(pid, start_index + executed)
+                            continue
+                        send = sends[pid] = state.generator.send
+                        send_value = pending[pid]
+                    else:
+                        send = sends[pid] = simulator._start_program(state).send
+                        send_value = None
             try:
                 op = send(send_value)
             except StopIteration as stop:
@@ -532,14 +675,27 @@ def _execute_bare(
                     write_counts[slot] += 1
                     values[slot] = op.value
                     pending[pid] = None
+                elif op_type is bound_collect_op:
+                    started_collects[op] = started_collects.get(op, 0) + 1
+                    collect_reads[pid] = reads = iter(op.slots)
+                    pending[pid] = [values[next_slot(reads)]]
+                    sends[pid] = None
                 else:
                     operation = validate_operation(op)
-                    if is_read_operation(operation):
+                    if is_collect_operation(operation):
+                        bound = bind_collect(operation, registers)
+                        started_collects[bound] = started_collects.get(bound, 0) + 1
+                        collect_reads[pid] = reads = iter(bound.slots)
+                        pending[pid] = [values[next_slot(reads)]]
+                        sends[pid] = None
+                    elif is_read_operation(operation):
                         pending[pid] = registers_read(operation.register, reader=pid)
                     else:
                         registers_write(operation.register, operation.value, writer=pid)
                         pending[pid] = None
             executed += 1
+            if observed and last_versions[pid] != automata[pid].outputs_version:
+                notify(pid, start_index + executed)
     finally:
         if executed == len(buffer):
             for pid, count in counts.items():
@@ -548,10 +704,20 @@ def _execute_bare(
         else:
             for pid in buffer[:executed]:
                 states[pid].steps_taken += 1
+        for bound, count in started_collects.items():
+            for slot in bound.slots:
+                read_counts[slot] += count
         for pid in range(1, n + 1):
-            if sends[pid] is not None:
-                states[pid].pending_result = pending[pid]
-        simulator._step_index += executed
+            reads = collect_reads[pid]
+            if sends[pid] is not None or reads is not None:
+                state = states[pid]
+                state.pending_result = pending[pid]
+                if reads is not None:
+                    rest = list(reads)
+                    for slot in rest:
+                        read_counts[slot] -= 1
+                    state.collect_reads = iter(rest) if rest else None
+        simulator._step_index = start_index + executed
     return RunResult(
         executed_schedule=Schedule(steps=(), n=n),
         steps_executed=executed,
@@ -648,10 +814,10 @@ def execute_batch(
     :class:`~repro.core.schedule.CompiledSchedule` buffer) and the replicas'
     register arenas are slot-aligned (:func:`align_replica_arenas`), then each
     replica is executed to the same step budget under ``policy``: the bare
-    counted loop when it has no observers and the policy collects no trace,
-    the general loop otherwise.  Results come back in replica order and are
-    identical to ``[execute(sim, schedule, max_steps, None, policy) for sim in
-    simulators]``.
+    counted loop when the policy collects no trace and samples its observers
+    (if any) only on publication, the general loop otherwise.  Results come
+    back in replica order and are identical to ``[execute(sim, schedule,
+    max_steps, None, policy) for sim in simulators]``.
     """
     sims = list(simulators)
     if not sims:
@@ -672,10 +838,11 @@ def execute_batch(
     for sim in sims:
         entries = sim.observer_entries()
         check_observer_capabilities(policy, entries)
-        if entries or policy.collect_trace:
+        observers = [entry.observer for entry in entries]
+        if not _runs_bare(policy, entries):
             results.append(_execute_general(sim, iter(steps), budget, None, policy, entries))
         elif whole_buffer:
-            results.append(_execute_bare(sim, steps, counts))
+            results.append(_execute_bare(sim, steps, counts, observers))
         else:
-            results.append(_execute_bare(sim, islice(iter(steps), budget)))
+            results.append(_execute_bare(sim, islice(iter(steps), budget), None, observers))
     return results

@@ -35,6 +35,7 @@ from ..types import ProcessId
 from .automaton import (
     ProcessAutomaton,
     Program,
+    is_collect_operation,
     is_read_operation,
     validate_operation,
 )
@@ -45,6 +46,8 @@ from .kernel import (
     INSTRUMENTED,
     OBSERVER_CAPABILITIES,
     ExecutionPolicy,
+    begin_collect,
+    collect_step,
     execute,
 )
 
@@ -93,6 +96,9 @@ class ProcessState:
     halt_value: Any = None
     steps_taken: int = 0
     pending_result: Any = None
+    #: The slots the process's in-flight collect has yet to read (the values
+    #: read so far are ``pending_result``); ``None`` between operations.
+    collect_reads: Optional[Iterator[int]] = None
 
 
 @dataclass(frozen=True)
@@ -273,8 +279,9 @@ class Simulator:
     def step(self, pid: ProcessId) -> None:
         """Execute one step of process ``pid`` (one shared-memory operation).
 
-        This is the single-step debugging API; whole runs go through the
-        kernel (:meth:`run` / :meth:`run_fast` / :meth:`run_with_policy`).
+        A process in the middle of a collect executes the collect's next
+        read.  This is the single-step debugging API; whole runs go through
+        the kernel (:meth:`run` / :meth:`run_fast` / :meth:`run_with_policy`).
         """
         state = self._state(pid)
         if state.halted:
@@ -282,6 +289,9 @@ class Simulator:
                 raise SimulationError(
                     f"process {pid} was scheduled after its program returned"
                 )
+            self._record_step(pid, state)
+            return
+        if state.collect_reads is not None and collect_step(state, self.registers.arena_view()):
             self._record_step(pid, state)
             return
         if not state.started:
@@ -301,7 +311,9 @@ class Simulator:
                 self._record_step(pid, state)
                 return
         operation = validate_operation(op)
-        if is_read_operation(operation):
+        if is_collect_operation(operation):
+            begin_collect(state, operation, self.registers)
+        elif is_read_operation(operation):
             state.pending_result = self.registers.read(operation.register, reader=pid)
         else:
             self.registers.write(operation.register, operation.value, writer=pid)

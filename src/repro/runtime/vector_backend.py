@@ -110,9 +110,12 @@ def anti_omega_screen_snapshots(
     ``None`` tracking is needed).
 
     Timing is conformant at the observable level: published values and
-    register writes land on exactly the reference step indices; purely local
-    bookkeeping (timer resets and the expiry cascade) runs one step earlier
-    than the generator interleaving, which no read or snapshot can detect.
+    register writes land on exactly the reference step indices.  Purely
+    local bookkeeping runs earlier, which no read or snapshot can detect: the
+    reference automaton resets timers and runs the expiry cascade when it
+    resumes from its heartbeat collect, on the process's step after the last
+    heartbeat read, while this kernel resets each timer at the heartbeat read
+    that triggers it and runs the cascade with the last read.
 
     Candidates run their *own* schedules — rows are sorted by length
     (descending) internally so live lanes stay a contiguous prefix — and the

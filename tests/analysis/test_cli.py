@@ -368,6 +368,30 @@ class TestOneLineErrors:
         line = _one_error_line(repro_cli(*command.split(), "--horizon", horizon))
         assert line == f"repro: horizon must be >= 1, got {horizon}"
 
+    @pytest.mark.parametrize("command", ["agreement", "campaign e3"])
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    def test_agreement_horizon_below_one(self, repro_cli, command, horizon):
+        # These used to reach the kernel's max_steps check and print its
+        # SimulationError traceback.
+        line = _one_error_line(repro_cli(*command.split(), "--horizon", horizon))
+        assert line == f"repro: horizon must be >= 1, got {horizon}"
+
+    def test_solve_max_steps_below_one(self, repro_cli):
+        line = _one_error_line(
+            repro_cli("solve", "--t", "2", "--k", "2", "--n", "4", "--max-steps", "0")
+        )
+        assert line == "repro: max_steps must be >= 1, got 0"
+
+    @pytest.mark.parametrize("horizon", ["0", "-5"])
+    def test_screened_map_horizon_below_one(self, repro_cli, horizon):
+        # This used to clamp every cell's prefix to two steps and silently
+        # render a table.
+        line = _one_error_line(
+            repro_cli("map", "--t", "2", "--k", "2", "--n", "4", "--screen",
+                      "--horizon", horizon)
+        )
+        assert line == f"repro: horizon must be >= 1, got {horizon}"
+
     def test_detector_kind_checks_the_horizon_before_compiling(self):
         from repro.campaign.runner import run_detector_kind
         from repro.errors import ConfigurationError

@@ -26,6 +26,7 @@ from repro.failure_detectors.anti_omega import (
 from repro.failure_detectors.base import make_detector_trackers
 from repro.memory.registers import RegisterFile
 from repro.runtime.automaton import (
+    BoundCollectOp,
     BoundReadOp,
     BoundWriteOp,
     FunctionAutomaton,
@@ -220,7 +221,9 @@ class TestPrebindWiring:
         automaton.prebind(registers)
         generator = automaton.program(automaton.context())
         op = generator.send(None)
-        assert isinstance(op, BoundReadOp)
+        # The counter sweep of lines 2-5 is one bound collect.
+        assert isinstance(op, BoundCollectOp)
+        assert op.slots == tuple(registers.resolve_slot(name) for name in op.registers)
 
     def test_step_api_executes_bound_ops_by_name(self):
         def program(automaton, ctx):
