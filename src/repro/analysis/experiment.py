@@ -521,7 +521,9 @@ def separation_campaign_spec(
 ) -> CampaignSpec:
     """The E4 separation probes as a declarative campaign."""
     if k < 2:
-        raise ValueError("the separation experiment needs k >= 2 so that k-1 >= 1")
+        raise ConfigurationError(
+            f"the separation experiment needs k >= 2 so that k-1 >= 1, got k={k}"
+        )
     n = k + 1
     t = k
     runs: List[Dict[str, Any]] = [

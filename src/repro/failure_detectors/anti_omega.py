@@ -19,8 +19,10 @@ extensions are two pluggable policies used by the ablation experiments
   swaps in doubling or a constant to measure the stabilization-time /
   final-timeout trade-off.
 
-The automaton publishes ``fdOutput``, ``winnerset``, ``accusations`` (the
-local accusation vector) and ``iteration`` after every completed main-loop
+The automaton publishes ``fdOutput``, ``winnerset`` and ``accusations`` (the
+local accusation vector) at line 5 of every iteration whose counter collect
+differs from the previous one — when it does not, the values are unchanged and
+are not re-published — and ``iteration`` after every completed main-loop
 iteration, so observers can measure stabilization without touching shared
 memory.
 """
@@ -46,6 +48,14 @@ KSet = Tuple[ProcessId, ...]
 
 #: Statistic applied to the counter vector ``Counter[A, *]`` (line 3).
 AccusationStatistic = Callable[[Sequence[int], int], int]
+"""Line 3's statistic: ``statistic(vector, t)`` → the accusation of one k-set.
+
+Contract: a statistic must be a pure function of ``(vector, t)`` — no hidden
+state, no side effects, equal arguments give equal results.  The automaton
+relies on it: an iteration whose counter collect equals the previous one
+skips lines 3-5 (see :meth:`KAntiOmegaAutomaton.program`), so a statistic is
+called only on collects that changed.  Every statistic in this module is pure.
+"""
 
 #: Timeout growth policy applied when a timer expires (line 17).
 TimeoutPolicy = Callable[[int], int]
@@ -216,6 +226,14 @@ class KAntiOmegaAutomaton(FailureDetectorAutomaton):
         automaton is prebound and name-addressed otherwise; the body is the
         same.  Local state is kept in lists indexed by k-set position (the
         order of :attr:`ksets`) or by ``q - 1``.
+
+        Iterations are incremental: lines 3-5 depend only on the counter
+        collect, so when a collect equals the previous one (most iterations
+        once counters settle) the body skips the conversion, the statistics,
+        the argmin and the re-publication of ``fdOutput``/``winnerset``/
+        ``accusations``/``leader``, which already hold those values.  Every
+        output is the same at every step; only ``outputs_version`` moves less
+        often.  ``iteration`` is published every iteration.
         """
         n, t = self.n, self.t
         ksets = self.ksets
@@ -246,25 +264,36 @@ class KAntiOmegaAutomaton(FailureDetectorAutomaton):
         timer = list(timeout)
         iteration = 0
 
+        # The last counter collect lines 3-5 were derived from.  Executors
+        # hand the program a fresh list per collect, so keeping the reference
+        # is safe.
+        last_collect = None
+
         while True:
             # Lines 2-5: read Counter[A, q] for every A and q, choose FD output.
-            counters = yield counter_collect
-            try:
-                counters = list(map(int, counters))
-            except TypeError:  # an undeclared register reads as None: count it 0
-                counters = [int(value) if value is not None else 0 for value in counters]
-            cnt = [counters[row] for row in rows]
-            accusation = [accusation_statistic(vector, t) for vector in cnt]
-            # Line 4's tie-break: ksets is in lexicographic order, so the
-            # first position holding the minimum is the winner.
-            winner = accusation.index(min(accusation))
-            # Line 5's assignment is observable immediately (fdOutput is a local
-            # variable the environment may read at any time).
-            publish(FD_OUTPUT, fd_outputs[winner])
-            publish(WINNER_SET, ksets[winner])
-            publish("accusations", dict(zip(ksets, accusation)))
-            if publish_leader:
-                publish(LEADER, ksets[winner][0])
+            collected = yield counter_collect
+            if collected != last_collect:
+                last_collect = collected
+                try:
+                    counters = list(map(int, collected))
+                except TypeError:  # an undeclared register reads as None: count it 0
+                    counters = [int(value) if value is not None else 0 for value in collected]
+                cnt = [counters[row] for row in rows]
+                accusation = [accusation_statistic(vector, t) for vector in cnt]
+                # Line 4's tie-break: ksets is in lexicographic order, so the
+                # first position holding the minimum is the winner.
+                winner = accusation.index(min(accusation))
+                # Line 5's assignment is observable immediately (fdOutput is a
+                # local variable the environment may read at any time).
+                publish(FD_OUTPUT, fd_outputs[winner])
+                publish(WINNER_SET, ksets[winner])
+                publish("accusations", dict(zip(ksets, accusation)))
+                if publish_leader:
+                    publish(LEADER, ksets[winner][0])
+            # Otherwise the collect equals the one lines 3-5 last saw: the
+            # statistic is a pure function of (vector, t), so cnt, the
+            # accusations and the winner are unchanged, and the four outputs
+            # already hold exactly the values re-publishing would write.
 
             # Lines 6-7: bump the heartbeat.
             my_hb += 1

@@ -22,6 +22,11 @@ from ..types import ProcessId
 from .kernel import ON_PUBLISH
 
 
+#: ``_last_seen`` default for a process never sampled: its first sample is
+#: always a change, even when the value is ``None`` (a key never published).
+_UNSEEN = object()
+
+
 @dataclass(frozen=True)
 class OutputChange:
     """One recorded change of a published output.
@@ -55,7 +60,8 @@ class OutputTracker:
 
     def __call__(self, step: int, pid: ProcessId, simulator: "Any") -> None:
         value = simulator.output_of(pid, self.key)
-        if pid in self._last_seen and self._last_seen[pid] == value:
+        last = self._last_seen.get(pid, _UNSEEN)
+        if last is not _UNSEEN and last == value:
             return
         self._last_seen[pid] = value
         self.changes.append(OutputChange(step=step, pid=pid, value=value))

@@ -221,7 +221,11 @@ class Simulator:
 
     def output_of(self, pid: ProcessId, key: str, default: Any = None) -> Any:
         """Published output ``key`` of process ``pid`` (no step cost)."""
-        return self._state(pid).automaton.output(key, default)
+        # Inlined _state and output: every OutputTracker sample lands here.
+        state = self._states.get(pid)
+        if state is None:
+            raise SimulationError(f"unknown process id {pid}")
+        return state.automaton.outputs.get(key, default)
 
     def outputs(self, key: str) -> Dict[ProcessId, Any]:
         """The published output ``key`` of every process."""

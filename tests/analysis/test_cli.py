@@ -392,6 +392,14 @@ class TestOneLineErrors:
         )
         assert line == f"repro: horizon must be >= 1, got {horizon}"
 
+    @pytest.mark.parametrize("k", ["0", "1"])
+    def test_separation_degree_below_two(self, repro_cli, k):
+        # This used to print separation_campaign_spec's ValueError traceback.
+        line = _one_error_line(repro_cli("separation", "--k", k))
+        assert line == (
+            f"repro: the separation experiment needs k >= 2 so that k-1 >= 1, got k={k}"
+        )
+
     def test_detector_kind_checks_the_horizon_before_compiling(self):
         from repro.campaign.runner import run_detector_kind
         from repro.errors import ConfigurationError

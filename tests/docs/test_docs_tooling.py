@@ -78,6 +78,18 @@ def test_timeliness_docstring_coverage():
     _assert_fully_documented([REPO_ROOT / "src" / "repro" / "core" / "timeliness.py"])
 
 
+def test_observers_detector_vocabulary_and_metrics_docstring_coverage():
+    # Same gate CI runs: the run observers, the shared detector vocabulary and
+    # the run metrics must stay fully documented.
+    _assert_fully_documented(
+        [
+            REPO_ROOT / "src" / "repro" / "runtime" / "observers.py",
+            REPO_ROOT / "src" / "repro" / "failure_detectors" / "base.py",
+            REPO_ROOT / "src" / "repro" / "analysis" / "metrics.py",
+        ]
+    )
+
+
 def test_screen_kernel_module_doctests_pass():
     # CI's "Screen kernel module doctests" step, mirrored in tier-1: the
     # example must pass with and without numpy (the screen falls back to the

@@ -138,3 +138,37 @@ class TestOutputTracker:
         simulator.run(Schedule(steps=(1,) * 50, n=1))
         assert len(tracker.changes) == 1
         assert tracker.final_values() == {1: "steady"}
+
+    @pytest.mark.parametrize("run", ["run", "run_fast"])
+    def test_first_sample_of_an_unpublished_key_is_a_change(self, run):
+        # A process never sampled has no last value, so its first sample is a
+        # change even when the value is None (a key it never published).
+        worker = Counter(1, 2, tag="t")
+        idle = Counter(2, 2, tag="u")
+        simulator = Simulator(n=2, automata={1: worker, 2: idle})
+        tracker = OutputTracker(key="never-published")
+        simulator.add_observer(tracker)
+        getattr(simulator, run)(Schedule(steps=(1, 1, 2, 1, 2), n=2))
+        assert [(change.step, change.pid, change.value) for change in tracker.changes] == [
+            (1, 1, None),
+            (3, 2, None),
+        ]
+        assert tracker.final_values() == {1: None, 2: None}
+
+    def test_direct_samples_record_none_once(self):
+        simulator = Simulator(n=1, automata={1: Counter(1, 1, tag="t")})
+        tracker = OutputTracker(key="count")
+        tracker(7, 1, simulator)
+        tracker(8, 1, simulator)
+        assert [(change.step, change.pid, change.value) for change in tracker.changes] == [
+            (7, 1, None)
+        ]
+
+    def test_output_of_an_unknown_process_raises(self):
+        simulator = Simulator(n=2, automata={1: Counter(1, 2, tag="t"), 2: Counter(2, 2, tag="t")})
+        simulator.run(Schedule(steps=(1, 2), n=2))
+        assert simulator.output_of(1, "count") == 1
+        assert simulator.output_of(2, "absent", "fallback") == "fallback"
+        for pid in (0, 3, -1):
+            with pytest.raises(SimulationError, match=rf"^unknown process id {pid}$"):
+                simulator.output_of(pid, "count")
