@@ -33,6 +33,12 @@ mixed-length generation vs. the per-candidate reference screen loop, with
 verdict equality asserted and the ratio gated at the absolute
 :data:`SCREEN_HEADLINE_FLOOR`.
 
+Every gated ratio is measured so that a drift of the host's speed hits both
+of its sides alike instead of deciding it: the two sides alternate in one
+process (ABAB…, call by call for the kernel and campaign headlines, chunk by
+chunk for the screening lane), each side of a round covers at least
+:data:`SAMPLE_SECONDS`, and the headline is the median round.
+
 ``write_trajectory`` persists both suites as ``BENCH_kernel.json`` and
 ``BENCH_campaign.json``; :func:`check_regression` compares the structural
 speedup ratios of a fresh measurement against the committed baselines (the
@@ -42,6 +48,7 @@ absolute ns/step numbers are machine-specific and are *not* compared).
 from __future__ import annotations
 
 import json
+import math
 import platform
 import statistics
 import time
@@ -102,6 +109,11 @@ SCREEN_GENERATION_SIZE = 3072
 SCREEN_GENERATION_SIZE_SMOKE = 1536
 SCREEN_HORIZON = 600
 SCREEN_CHECKPOINTS = 8
+#: Wall time each sample of a gated ratio covers, at least: a headline
+#: kernel run repeated, one chunk of the reference screen loop, or enough
+#: whole-generation column calls.  Shorter samples let host-speed drift
+#: between the two sides decide the ratio.
+SAMPLE_SECONDS = 0.2
 
 #: The screened-generation property (n, t, k) — the hottest real screen.
 SCREEN_PROPERTY = {"n": 4, "t": 2, "k": 2}
@@ -255,6 +267,15 @@ def bench_screen(smoke: bool = False, repeats: Optional[int] = None) -> Dict[str
     call forced onto the column lane — over the same seeded generation,
     and the returned verdicts are compared for equality on every run.
     Requires numpy (callers gate on its availability).
+
+    The lanes are interleaved so host-speed drift hits both alike: each of
+    ``repeats`` rounds walks the reference loop in contiguous chunks of the
+    generation, and times a vector sample before every chunk.  A reference
+    chunk holds enough candidates, and a vector sample enough whole-generation
+    calls, to cover about :data:`SAMPLE_SECONDS` each (sized from a
+    warm-up call of each lane).  A round's ratio is its reference chunks'
+    total time over its mean vector time per call; the headline is the
+    median round.
     """
     from ..search.properties import KAntiOmegaConvergenceProperty, screen_generation
 
@@ -265,26 +286,46 @@ def bench_screen(smoke: bool = False, repeats: Optional[int] = None) -> Dict[str
     candidates = _screen_generation_candidates(
         batch, SCREEN_HORIZON, int(SCREEN_PROPERTY["n"])
     )
-    # Warm the numpy/code paths outside the timed region.
+
+    def vector_lane() -> List[Any]:
+        return screen_generation(prop, candidates, SCREEN_CHECKPOINTS, backend="vector")
+
+    def reference_lane(chunk: List[Any]) -> List[Any]:
+        return [prop.screen(candidate, SCREEN_CHECKPOINTS) for candidate in chunk]
+
+    # Warm both lanes outside the timed region, and size the samples.
     screen_generation(prop, candidates[:64], SCREEN_CHECKPOINTS, backend="vector")
+    started = time.perf_counter()
+    vector_lane()
+    vector_call = time.perf_counter() - started
+    started = time.perf_counter()
+    reference_lane(candidates[:64])
+    reference_estimate = (time.perf_counter() - started) / 64 * batch
+    vector_calls = max(1, math.ceil(SAMPLE_SECONDS / vector_call))
+    chunks = max(1, min(batch, int(reference_estimate // SAMPLE_SECONDS)))
+    bounds = [batch * index // chunks for index in range(chunks + 1)]
 
     vector_samples: List[float] = []
     reference_samples: List[float] = []
+    ratios: List[float] = []
     identical = True
     for _ in range(repeats):
-        started = time.perf_counter()
-        vector_verdicts = screen_generation(
-            prop, candidates, SCREEN_CHECKPOINTS, backend="vector"
-        )
-        vector_samples.append(time.perf_counter() - started)
-        started = time.perf_counter()
-        reference_verdicts = [
-            prop.screen(candidate, SCREEN_CHECKPOINTS) for candidate in candidates
-        ]
-        reference_samples.append(time.perf_counter() - started)
+        round_vector: List[float] = []
+        reference_seconds = 0.0
+        reference_verdicts: List[Any] = []
+        for start, end in zip(bounds, bounds[1:]):
+            started = time.perf_counter()
+            for _ in range(vector_calls):
+                vector_verdicts = vector_lane()
+            round_vector.append((time.perf_counter() - started) / vector_calls)
+            started = time.perf_counter()
+            reference_verdicts.extend(reference_lane(candidates[start:end]))
+            reference_seconds += time.perf_counter() - started
+        vector_seconds = statistics.fmean(round_vector)
+        vector_samples.append(vector_seconds)
+        reference_samples.append(reference_seconds)
+        ratios.append(reference_seconds / vector_seconds)
         identical = identical and vector_verdicts == reference_verdicts
-    vector_seconds = statistics.median(vector_samples)
-    reference_seconds = statistics.median(reference_samples)
 
     def case(seconds: float) -> Dict[str, Any]:
         return {
@@ -298,12 +339,14 @@ def bench_screen(smoke: bool = False, repeats: Optional[int] = None) -> Dict[str
         "checkpoints": SCREEN_CHECKPOINTS,
         "property": dict(SCREEN_PROPERTY),
         "repeats": repeats,
+        "reference_chunks": chunks,
+        "vector_calls_per_sample": vector_calls,
         "cases": {
-            "reference-screen": case(reference_seconds),
-            "vector-screen": case(vector_seconds),
+            "reference-screen": case(statistics.median(reference_samples)),
+            "vector-screen": case(statistics.median(vector_samples)),
         },
         "verdicts_identical": identical,
-        "ratio": round(reference_seconds / vector_seconds, 2),
+        "ratio": round(statistics.median(ratios), 2),
     }
 
 
@@ -331,6 +374,47 @@ def _median_ns_per_step(run_once: Callable[[], int], repeats: int) -> Tuple[floa
         steps = run_once()
         samples.append((time.perf_counter() - started) / max(steps, 1) * 1e9)
     return statistics.median(samples), steps
+
+
+def _interleaved_ratio(
+    numerator: Callable[[], int], denominator: Callable[[], int], rounds: int
+) -> Tuple[float, Tuple[float, int], Tuple[float, int]]:
+    """A headline ratio of two runs' ns/step, measured so host drift cancels.
+
+    Each of ``rounds`` rounds times enough calls of each run to cover about
+    :data:`SAMPLE_SECONDS` per side (sized from one warm-up call of each),
+    with the two runs' calls interleaved evenly through the round (ABAB…),
+    so a drift of the host's speed slows both sides of a round alike.  The
+    ratio is the median over rounds of ``numerator`` ns/step over
+    ``denominator`` ns/step; each side also comes back as ``(median
+    ns/step, steps per call)``.
+    """
+    sides = (numerator, denominator)
+    calls = []
+    steps = []
+    for run_once in sides:
+        started = time.perf_counter()
+        steps.append(max(run_once(), 1))
+        calls.append(max(1, math.ceil(SAMPLE_SECONDS / (time.perf_counter() - started))))
+    # Call i of a side sits at fraction i / calls of the round.
+    order = sorted(
+        (index / calls[side], side) for side in (0, 1) for index in range(calls[side])
+    )
+    samples: Tuple[List[float], List[float]] = ([], [])
+    for _ in range(rounds):
+        elapsed = [0.0, 0.0]
+        for _, side in order:
+            started = time.perf_counter()
+            sides[side]()
+            elapsed[side] += time.perf_counter() - started
+        for side in (0, 1):
+            samples[side].append(elapsed[side] / (calls[side] * steps[side]) * 1e9)
+    ratio = statistics.median(a / b for a, b in zip(*samples))
+    return (
+        ratio,
+        (statistics.median(samples[0]), steps[0]),
+        (statistics.median(samples[1]), steps[1]),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -364,7 +448,9 @@ def bench_kernel(
     when numpy is installed and skipped otherwise.
     """
     horizon = 20_000 if smoke else 60_000
-    repeats = 3 if smoke else 5
+    # Five rounds in both modes: the gated headline pairs take the median
+    # round, and three rounds let one drifted round in two decide it.
+    repeats = 5
     n = int(KERNEL_SCENARIO["n"])
     compiled = build_generator(KERNEL_SCENARIO).compile(horizon)
     if workloads is None:
@@ -414,12 +500,19 @@ def bench_kernel(
             ("instrumented", run_instrumented),
             ("fast-stream", run_fast_stream_tracked),
             ("fast-compiled", run_fast_compiled_tracked),
-            ("fast-stream-bare", run_fast_stream_bare),
-            ("batch-compiled-bare", run_batch_compiled_bare),
         ]
         cases: Dict[str, Any] = {}
         for case_name, run_once in case_runs:
             ns_per_step, steps = _median_ns_per_step(run_once, repeats)
+            cases[case_name] = {"ns_per_step": round(ns_per_step, 1), "steps": steps}
+        # The headline pair is gated, so its two sides are interleaved.
+        ratio, stream_bare, batch_bare = _interleaved_ratio(
+            run_fast_stream_bare, run_batch_compiled_bare, repeats
+        )
+        for case_name, (ns_per_step, steps) in (
+            ("fast-stream-bare", stream_bare),
+            ("batch-compiled-bare", batch_bare),
+        ):
             cases[case_name] = {"ns_per_step": round(ns_per_step, 1), "steps": steps}
         reference = cases["instrumented"]["ns_per_step"]
         for case in cases.values():
@@ -427,11 +520,7 @@ def bench_kernel(
         cases["headline"] = {
             # Per-workload claim: bare batched execution vs. the per-run fast
             # path as it existed before this trajectory (stream-fed, bare).
-            "batched_vs_fast_stream": round(
-                cases["fast-stream-bare"]["ns_per_step"]
-                / cases["batch-compiled-bare"]["ns_per_step"],
-                2,
-            )
+            "batched_vs_fast_stream": round(ratio, 2)
         }
         workload_docs[workload_name] = cases
 
@@ -554,27 +643,24 @@ def bench_campaign(smoke: bool = False) -> Dict[str, Any]:
     spec = detector_campaign_spec(configs=CAMPAIGN_CONFIGS, horizon=horizon, seed=11)
     total_steps = horizon * len(CAMPAIGN_CONFIGS)
 
-    def run_stream() -> Tuple[float, Any]:
+    results: Dict[str, Any] = {}
+
+    def run_stream() -> int:
         with compiled_schedules_disabled():
-            started = time.perf_counter()
-            result = CampaignEngine(workers=1).run(spec)
-            return time.perf_counter() - started, result
+            results["stream"] = CampaignEngine(workers=1).run(spec)
+        return total_steps
 
-    def run_batched() -> Tuple[float, Any]:
-        started = time.perf_counter()
-        result = CampaignEngine(workers=1).run(spec)
-        return time.perf_counter() - started, result
+    def run_batched() -> int:
+        results["batched"] = CampaignEngine(workers=1).run(spec)
+        return total_steps
 
-    def measure(run: Callable[[], Tuple[float, Any]]) -> Tuple[float, Any]:
-        best = float("inf")
-        result = None
-        for _ in range(repeats):
-            elapsed, result = run()
-            best = min(best, elapsed)
-        return best, result
-
-    stream_seconds, stream_result = measure(run_stream)
-    batched_seconds, batched_result = measure(run_batched)
+    # The headline pair is gated, so its two sides are interleaved.
+    batched_ratio, (stream_ns, _), (batched_ns, _) = _interleaved_ratio(
+        run_stream, run_batched, repeats
+    )
+    stream_seconds = stream_ns * total_steps / 1e9
+    batched_seconds = batched_ns * total_steps / 1e9
+    stream_result, batched_result = results["stream"], results["batched"]
 
     # Persistent pool: time the *second* run, when workers and their
     # compiled-schedule memos are warm — the steady state of a campaign
@@ -625,7 +711,7 @@ def bench_campaign(smoke: bool = False) -> Dict[str, Any]:
         "payloads_identical": identical,
         "search_eval_payloads_identical": search_eval_identical,
         "headline": {
-            "batched_vs_stream": round(stream_seconds / batched_seconds, 2),
+            "batched_vs_stream": round(batched_ratio, 2),
             "search_eval_auto_vs_python": round(
                 python_case["seconds"] / auto_case["seconds"], 2
             ),

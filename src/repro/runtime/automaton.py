@@ -317,6 +317,11 @@ class ProcessAutomaton:
         #: fast path samples observers only when this counter moved, so all
         #: mutations of ``outputs`` must go through :meth:`publish`.
         self.outputs_version: int = 0
+        #: Per key, the ``outputs_version`` its last :meth:`publish` set.
+        #: Lets the fast path skip observers that read none of the keys a
+        #: step published (key-scoped sampling, see
+        #: :mod:`repro.runtime.kernel`).
+        self.output_versions: Dict[str, int] = {}
         #: The register file the simulator last pre-bound this automaton to
         #: (set only for automata that override :meth:`prebind`).  Guards
         #: against a stale binding: a simulator refuses to start a program
@@ -372,7 +377,9 @@ class ProcessAutomaton:
     def publish(self, key: str, value: Any) -> None:
         """Publish an observable local variable (no shared-memory step)."""
         self.outputs[key] = value
-        self.outputs_version += 1
+        version = self.outputs_version + 1
+        self.outputs_version = version
+        self.output_versions[key] = version
 
     def output(self, key: str, default: Any = None) -> Any:
         """Read back a published local variable."""

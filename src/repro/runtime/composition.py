@@ -80,6 +80,8 @@ class ComposedAutomaton(ProcessAutomaton):
                 )
         self._components: List[Tuple[str, ProcessAutomaton]] = list(components)
         self._synced_component_versions = -1
+        #: Each component's ``outputs_version`` at the last sync, by position.
+        self._synced_versions: List[int] = [-1] * len(self._components)
 
     # ------------------------------------------------------------------
     def prebind(self, registers: Any) -> None:
@@ -109,15 +111,26 @@ class ComposedAutomaton(ProcessAutomaton):
         # component published since the last sync; skipping the copy keeps the
         # composition out of the hot path and keeps the composed automaton's
         # own outputs_version accurate for version-gated observer sampling.
+        # Both copies of a key count as published when its component
+        # published it since the last sync, for key-scoped sampling (a key
+        # with no recorded version counts as published, to stay safe).
         total = sum(component.outputs_version for _, component in self._components)
         if total == self._synced_component_versions:
             return
         self._synced_component_versions = total
-        for name, component in self._components:
+        version = self.outputs_version + 1
+        published = self.output_versions
+        synced = self._synced_versions
+        for position, (name, component) in enumerate(self._components):
+            since = synced[position]
+            key_versions = component.output_versions
             for key, value in component.outputs.items():
                 self.outputs[f"{name}.{key}"] = value
                 self.outputs[key] = value
-        self.outputs_version += 1
+                if key_versions.get(key, since + 1) > since:
+                    published[f"{name}.{key}"] = published[key] = version
+            synced[position] = component.outputs_version
+        self.outputs_version = version
 
     # ------------------------------------------------------------------
     def program(self, ctx: ProcessContext) -> Program:

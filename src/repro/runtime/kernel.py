@@ -8,8 +8,9 @@ privates.  This module replaces both bodies with a single loop,
 :class:`ExecutionPolicy`:
 
 * how observers are sampled (after every step, or only on steps where the
-  stepped process published an output — detected via
-  :attr:`~repro.runtime.automaton.ProcessAutomaton.outputs_version`);
+  stepped process published an output some observer reads — detected via
+  :attr:`~repro.runtime.automaton.ProcessAutomaton.outputs_version` and the
+  per-key :attr:`~repro.runtime.automaton.ProcessAutomaton.output_versions`);
 * whether the executed trace is recorded, and at which stride.
 
 Two specializations keep campaign-scale replica sweeps fast without forking
@@ -35,7 +36,9 @@ attached raises :class:`~repro.errors.SimulationError` instead of silently
 under-sampling.  Change-recording observers such as
 :class:`~repro.runtime.observers.OutputTracker` declare ``"on_publish"``:
 version-gated sampling hands them byte-identical change sequences, because on
-every skipped step they would have observed an unchanged value.
+every skipped step they would have observed an unchanged value.  Sampling is
+also key-scoped: a tracker names the one key it reads, so a step that
+published only other keys (Figure 2's per-iteration ``iteration``) skips it.
 
 Register dispatch is slot-addressed: the loops hold the register file's
 :class:`~repro.memory.registers.RegisterArena` parallel lists and execute a
@@ -66,7 +69,6 @@ kernel never touches another module's privates.
 from __future__ import annotations
 
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from typing import (
@@ -82,7 +84,13 @@ from typing import (
     Tuple,
 )
 
-from ..core.schedule import CompiledSchedule, InfiniteSchedule, Schedule
+from ..core.schedule import (
+    CompiledSchedule,
+    InfiniteSchedule,
+    Schedule,
+    first_step_outside,
+    tally_steps,
+)
 from ..errors import SimulationError
 from ..types import ProcessId
 from .automaton import (
@@ -101,7 +109,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..memory.registers import RegisterArena, RegisterFile
     from .automaton import Operation
     from .simulator import (
-        Observer,
+        ObserverEntry,
         ProcessState,
         RunResult,
         ScheduleSource,
@@ -129,8 +137,9 @@ class ExecutionPolicy:
     sampling:
         ``"every_step"`` — observers run after every executed step (supports
         both observer capabilities); ``"on_publish"`` — observers run only on
-        steps where the stepped process's ``outputs_version`` moved, plus its
-        first sampled step (supports only ``"on_publish"`` observers).
+        steps where the stepped process published a key some observer reads
+        (see :func:`published_since`), plus its first sampled step (supports
+        only ``"on_publish"`` observers).
     collect_trace:
         Whether executed steps are appended to the simulator's trace and
         returned in ``RunResult.executed_schedule``.  ``steps_executed`` stays
@@ -257,6 +266,41 @@ def check_observer_capabilities(policy: ExecutionPolicy, entries) -> None:
         )
 
 
+def watched_keys(entries) -> Optional[Tuple[str, ...]]:
+    """The output keys the attached observers read, or ``None`` for every key.
+
+    One observer that names no keys (``ObserverEntry.keys is None``) reads
+    them all, so it makes every publication count.
+    """
+    keys = set()
+    for entry in entries:
+        if entry.keys is None:
+            return None
+        keys.update(entry.keys)
+    return tuple(sorted(keys))
+
+
+def published_since(automaton, since: int, watched: Optional[Tuple[str, ...]]) -> bool:
+    """Whether a publication-gated policy samples ``automaton``'s process now.
+
+    The key-scoped sampling rule, called on steps where the process's
+    ``outputs_version`` moved since ``since``, its value at the previous
+    check.  A negative ``since`` marks the process's first sampled step of
+    the run, which always samples; otherwise the step samples when some key
+    in ``watched`` (``None``: any key) was published after ``since``.
+    Outputs change only through publication, so observers that record
+    changes of the keys they read see the same changes at the same steps as
+    under every-step sampling.
+    """
+    if since < 0 or watched is None:
+        return True
+    versions = automaton.output_versions
+    for key in watched:
+        if versions.get(key, 0) > since:
+            return True
+    return False
+
+
 def bind_collect(operation: "Operation", registers: "RegisterFile") -> BoundCollectOp:
     """A validated collect in its slot-bound form.
 
@@ -323,14 +367,13 @@ def execute(
     entries = simulator.observer_entries()
     check_observer_capabilities(policy, entries)
     if stop_condition is None and _runs_bare(policy, entries):
-        observers = [entry.observer for entry in entries]
         if isinstance(schedule, CompiledSchedule) and budget == len(schedule.steps):
             # The whole buffer is the budget: iterate the array itself and
             # credit per-process step counts in bulk from the shared tally.
             return _execute_bare(
-                simulator, schedule.steps, schedule.step_counts(), observers
+                simulator, schedule.steps, schedule.step_counts(), entries
             )
-        return _execute_bare(simulator, islice(step_iter, budget), None, observers)
+        return _execute_bare(simulator, islice(step_iter, budget), None, entries)
     return _execute_general(simulator, step_iter, budget, stop_condition, policy, entries)
 
 
@@ -353,6 +396,7 @@ def _execute_general(
     observers = [entry.observer for entry in entries]
     sample_observers = bool(observers)
     sample_every = policy.sampling == EVERY_STEP
+    watched = watched_keys(entries)
     collect = policy.collect_trace
     stride = policy.trace_stride
     registers = simulator.registers
@@ -457,11 +501,13 @@ def _execute_general(
                         observer(step_index, pid, simulator)
                 else:
                     version = automaton.outputs_version
-                    if last_versions[pid] != version:
+                    since = last_versions[pid]
+                    if since != version:
                         last_versions[pid] = version
-                        simulator._step_index = step_index
-                        for observer in observers:
-                            observer(step_index, pid, simulator)
+                        if published_since(automaton, since, watched):
+                            simulator._step_index = step_index
+                            for observer in observers:
+                                observer(step_index, pid, simulator)
             if stop_condition is not None:
                 simulator._step_index = step_index
                 if stop_condition(step_index, simulator):
@@ -484,7 +530,7 @@ def _execute_bare(
     simulator: "Simulator",
     buffer: Iterable[ProcessId],
     counts: Optional[Dict[ProcessId, int]] = None,
-    observers: Sequence["Observer"] = (),
+    entries: Sequence["ObserverEntry"] = (),
 ) -> "RunResult":
     """The bare loop: the single no-instrumentation step body.
 
@@ -492,9 +538,9 @@ def _execute_bare(
     a whole :class:`CompiledSchedule` array with its cached
     :meth:`~CompiledSchedule.step_counts` tally, already known to hold only
     pids in ``1..n``.  With ``counts=None`` the buffer is any step source:
-    it is materialized into a flat ``array('i')`` and tallied once (one
-    C-speed pass over at most the budget), and the tally pass doubles as
-    pid validation.  Raw iterables — unlike compiled buffers and
+    it is materialized into a flat ``array('i')`` and tallied once with
+    :func:`~repro.core.schedule.tally_steps` (C-level bytes scans over at
+    most the budget), and the tally pass doubles as pid validation.  Raw iterables — unlike compiled buffers and
     :class:`Schedule` objects — are not validated at construction, and the
     loop's pid-indexed tables must never be indexed with an out-of-range pid
     (a negative id would alias a real process); when the buffer mentions an
@@ -521,11 +567,13 @@ def _execute_bare(
     tallied per op when it starts, and on exit the tally is credited and
     the unread rest of every in-flight collect is taken back out.
 
-    ``observers`` are ``"on_publish"`` observers, sampled exactly as the
+    ``entries`` attach ``"on_publish"`` observers, sampled exactly as the
     general loop samples them under publication-gated policies: on a
-    process's first step of the run, then whenever its ``outputs_version``
-    moved.  Only steps that resumed a generator can publish, so collect steps
-    skip the check.  Observers see exact outputs and ``step_index``; the
+    process's first step of the run, then whenever it published a key some
+    observer reads (:func:`published_since`).  The per-step test is only
+    whether ``outputs_version`` moved; the key test runs on those steps.
+    Only steps that resumed a generator can publish, so collect steps skip
+    the check.  Observers see exact outputs and ``step_index``; the
     ``steps_taken`` and register read counts they could read are settled on
     exit.
     """
@@ -535,15 +583,12 @@ def _execute_bare(
     if counts is None:
         if not isinstance(buffer, array):
             buffer = array("i", buffer)
-        counter = Counter(buffer)
-        if any(not 1 <= pid <= n for pid in counter):
-            bad_index, bad_pid = next(
-                (index, pid) for index, pid in enumerate(buffer) if not 1 <= pid <= n
-            )
+        counts = tally_steps(buffer, n)
+        if counts is None:
+            bad_index, bad_pid = first_step_outside(buffer, n)
             prefix = buffer[:bad_index]
-            _execute_bare(simulator, prefix, dict(Counter(prefix)), observers)
+            _execute_bare(simulator, prefix, tally_steps(prefix, n), entries)
             raise SimulationError(f"unknown process id {bad_pid}")
-        counts = {pid: counter.get(pid, 0) for pid in simulator._states}
     registers = simulator.registers
     arena = registers.arena_view()
     slot_get = arena.slots.get
@@ -574,6 +619,8 @@ def _execute_bare(
         if not state.halted and state.started and state.collect_reads is None:
             sends[pid] = state.generator.send
             pending[pid] = state.pending_result
+    observers = [entry.observer for entry in entries]
+    watched = watched_keys(entries)
     observed = bool(observers)
     automata = [None] + [states[pid].automaton for pid in range(1, n + 1)]
     last_versions = [-1] * (n + 1)
@@ -581,10 +628,13 @@ def _execute_bare(
     executed = 0
 
     def notify(pid: ProcessId, step_index: int) -> None:
-        last_versions[pid] = automata[pid].outputs_version
-        simulator._step_index = step_index
-        for observer in observers:
-            observer(step_index, pid, simulator)
+        automaton = automata[pid]
+        since = last_versions[pid]
+        last_versions[pid] = automaton.outputs_version
+        if published_since(automaton, since, watched):
+            simulator._step_index = step_index
+            for observer in observers:
+                observer(step_index, pid, simulator)
 
     try:
         for pid in buffer:
@@ -838,11 +888,10 @@ def execute_batch(
     for sim in sims:
         entries = sim.observer_entries()
         check_observer_capabilities(policy, entries)
-        observers = [entry.observer for entry in entries]
         if not _runs_bare(policy, entries):
             results.append(_execute_general(sim, iter(steps), budget, None, policy, entries))
         elif whole_buffer:
-            results.append(_execute_bare(sim, steps, counts, observers))
+            results.append(_execute_bare(sim, steps, counts, entries))
         else:
-            results.append(_execute_bare(sim, islice(iter(steps), budget), None, observers))
+            results.append(_execute_bare(sim, islice(iter(steps), budget), None, entries))
     return results

@@ -10,7 +10,10 @@ Each observer declares a *capability* (see :mod:`repro.runtime.kernel`):
 ``"every_step"`` observers need every executed step and only run under the
 instrumented policy; ``"on_publish"`` observers — like the change-recording
 :class:`OutputTracker` below — only need the steps on which the stepped
-process published, so any execution policy may carry them.
+process published, so any execution policy may carry them.  An observer may
+also name the output keys it reads (``observed_keys``); the tracker names its
+one key, so publication-gated runs skip it on steps that published only other
+keys.
 """
 
 from __future__ import annotations
@@ -57,6 +60,11 @@ class OutputTracker:
     #: which the stepped process published — the ``on_publish`` capability.
     #: This is what lets it ride the fast execution policy unchanged.
     observer_capability: ClassVar[str] = ON_PUBLISH
+
+    @property
+    def observed_keys(self) -> Tuple[str, ...]:
+        """The one output key the tracker reads (scopes its ``on_publish`` sampling)."""
+        return (self.key,)
 
     def __call__(self, step: int, pid: ProcessId, simulator: "Any") -> None:
         value = simulator.output_of(pid, self.key)

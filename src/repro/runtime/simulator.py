@@ -103,10 +103,14 @@ class ProcessState:
 
 @dataclass(frozen=True)
 class ObserverEntry:
-    """One attached observer together with its declared capability."""
+    """One attached observer with its declared capability and the keys it reads.
+
+    ``keys`` is ``None`` when the observer may read any output key.
+    """
 
     observer: Observer
     capability: str
+    keys: Optional[Tuple[str, ...]] = None
 
 
 @dataclass
@@ -263,6 +267,11 @@ class Simulator:
         kernel enforces the declaration: running a publication-gated policy
         (:meth:`run_fast`) with an ``"every_step"`` observer attached raises
         :class:`SimulationError` instead of silently under-sampling.
+
+        The observer's ``observed_keys`` attribute, when it has one, names
+        the output keys it reads; one that names none (or no attribute) reads
+        every key.  Publication-gated policies sample a process only on steps
+        that published a key some observer reads.
         """
         if capability is None:
             capability = getattr(observer, "observer_capability", EVERY_STEP)
@@ -271,7 +280,10 @@ class Simulator:
                 f"unknown observer capability {capability!r}; "
                 f"expected one of {OBSERVER_CAPABILITIES}"
             )
-        self._observers.append(ObserverEntry(observer=observer, capability=capability))
+        keys = tuple(getattr(observer, "observed_keys", None) or ()) or None
+        self._observers.append(
+            ObserverEntry(observer=observer, capability=capability, keys=keys)
+        )
 
     def observer_entries(self) -> Tuple[ObserverEntry, ...]:
         """The attached observers with their capabilities (kernel-facing)."""
@@ -364,9 +376,11 @@ class Simulator:
           (otherwise ``executed_schedule`` comes back empty and :meth:`trace`
           does not grow, while ``steps_executed`` stays exact);
         * observers are sampled only on steps in which the stepped process
-          *published* an output (plus each process's first sampled step),
-          detected via
-          :attr:`~repro.runtime.automaton.ProcessAutomaton.outputs_version`.
+          *published* an output some observer reads (plus each process's
+          first sampled step), detected via
+          :attr:`~repro.runtime.automaton.ProcessAutomaton.outputs_version`
+          and the per-key
+          :attr:`~repro.runtime.automaton.ProcessAutomaton.output_versions`.
           Change-recording observers such as
           :class:`~repro.runtime.observers.OutputTracker` therefore record
           byte-identical change sequences.  Observers that declared the

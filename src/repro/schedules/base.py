@@ -42,13 +42,16 @@ class SynchronyGuarantee:
 
     @property
     def system_i(self) -> int:
+        """``i`` of the certified system ``S^i_{j,n}``: the size of ``p_set``."""
         return len(self.p_set)
 
     @property
     def system_j(self) -> int:
+        """``j`` of the certified system ``S^i_{j,n}``: the size of ``q_set``."""
         return len(self.q_set)
 
     def describe(self) -> str:
+        """One line: ``{P} timely w.r.t. {Q} with bound b``."""
         p = "{" + ",".join(str(x) for x in sorted(self.p_set)) + "}"
         q = "{" + ",".join(str(x) for x in sorted(self.q_set)) + "}"
         return f"{p} timely w.r.t. {q} with bound {self.bound}"

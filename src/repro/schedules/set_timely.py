@@ -33,11 +33,16 @@ observed through emitted fillers.  Every prefix is byte-identical to the
 one the full attempt loop produces, for static and dynamic crash patterns
 alike.  (E2's ``crashes={4,5}`` runs, with ``P={1,2,3}``, are the case this
 serves: both fillers are dead from step 0.)
+
+Crashes are honoured mid-phase too: a carrier that crashes hands the rest of
+its phase to the next alive member of ``P``, and a burst stops at its
+process's crash step, so no process steps at or after its crash step.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from typing import Iterator, List, Optional, Sequence
 
 from ..errors import ConfigurationError
@@ -212,22 +217,30 @@ class SetTimelyGenerator(ScheduleGenerator):
         step_index = 0
         phase = 0
         carrier_index = 0
+        never = sys.maxsize
 
         while True:
             carrier = carriers[carrier_index % len(carriers)]
             remaining = self._phase_length(phase)
-            # Skip carriers that have crashed; if none is alive the constructor
-            # guarantee was violated by a dynamic crash, so fail loudly.
-            attempts = 0
-            while is_crashed(carrier, step_index):
-                carrier_index += 1
-                attempts += 1
-                carrier = carriers[carrier_index % len(carriers)]
-                if attempts > len(carriers):
-                    raise ConfigurationError(
-                        "all members of P have crashed; cannot maintain the guarantee"
-                    )
+            # The step from which the carrier is crashed (``never`` for a
+            # correct one; -1 picks it at the phase's first step): a carrier
+            # that crashes mid-phase hands the rest of the phase to the next
+            # alive member of P.
+            carrier_stop = -1
             while remaining > 0:
+                if step_index >= carrier_stop:
+                    # Skip carriers that have crashed; if none is alive the
+                    # constructor guarantee was violated, so fail loudly.
+                    attempts = 0
+                    while is_crashed(carrier, step_index):
+                        carrier_index += 1
+                        attempts += 1
+                        carrier = carriers[carrier_index % len(carriers)]
+                        if attempts > len(carriers):
+                            raise ConfigurationError(
+                                "all members of P have crashed; cannot maintain the guarantee"
+                            )
+                    carrier_stop = crash_steps.get(carrier, never)
                 # One carrier step keeps P's timeliness alive ...
                 yield carrier
                 step_index += 1
@@ -261,13 +274,13 @@ class SetTimelyGenerator(ScheduleGenerator):
                     step_index += 1
                     emitted += 1
             # End-of-phase bursts: unbounded (growing) runs of the burst
-            # processes.  They contain no Q-step, so the guarantee holds.
+            # processes, each cut at its process's crash step.  They contain
+            # no Q-step, so the guarantee holds.
             if self.burst_set:
                 burst_length = self.burst_base + phase * self.burst_growth
                 for burst_pid in sorted(self.burst_set):
-                    if self.crash_pattern.is_crashed(burst_pid, step_index):
-                        continue
-                    for _ in range(burst_length):
+                    length = min(burst_length, crash_steps.get(burst_pid, never) - step_index)
+                    for _ in range(length):
                         yield burst_pid
                         step_index += 1
             phase += 1

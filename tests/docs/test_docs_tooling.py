@@ -78,6 +78,25 @@ def test_timeliness_docstring_coverage():
     _assert_fully_documented([REPO_ROOT / "src" / "repro" / "core" / "timeliness.py"])
 
 
+def test_schedule_formalism_and_generator_base_docstring_coverage():
+    # Same gate CI runs: the schedule formalism (with its step-buffer scan)
+    # and the generator base must stay fully documented.
+    _assert_fully_documented(
+        [
+            REPO_ROOT / "src" / "repro" / "core" / "schedule.py",
+            REPO_ROOT / "src" / "repro" / "schedules" / "base.py",
+        ]
+    )
+
+
+def test_schedule_module_doctests_pass():
+    import repro.core.schedule as schedule_module
+
+    results = doctest.testmod(schedule_module, verbose=False)
+    assert results.attempted >= 1, f"{schedule_module.__name__} lost its examples"
+    assert results.failed == 0
+
+
 def test_observers_detector_vocabulary_and_metrics_docstring_coverage():
     # Same gate CI runs: the run observers, the shared detector vocabulary and
     # the run metrics must stay fully documented.

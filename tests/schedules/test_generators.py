@@ -128,9 +128,11 @@ class TestSetTimelyGenerator:
 def _reference_set_timely_emit(self):
     """The set-timely stream with the full filler-attempt loop after every carrier step.
 
-    A verbatim copy of ``SetTimelyGenerator._emit`` from before the loop
-    stopped drawing once every filler had crashed (``self`` is the generator
-    whose parameters it reads).  The generated test below pins the current
+    A copy of ``SetTimelyGenerator._emit`` from before the loop stopped
+    drawing once every filler had crashed (``self`` is the generator whose
+    parameters it reads), with the same mid-phase crash handling: a carrier
+    that has crashed is replaced before each carrier step, and a burst stops
+    at its process's crash step.  The generated test below pins the current
     generator byte-identical to it.
     """
     rng = random.Random(self.seed)
@@ -153,16 +155,16 @@ def _reference_set_timely_emit(self):
     while True:
         carrier = carriers[carrier_index % len(carriers)]
         remaining = self._phase_length(phase)
-        attempts = 0
-        while is_crashed(carrier, step_index):
-            carrier_index += 1
-            attempts += 1
-            carrier = carriers[carrier_index % len(carriers)]
-            if attempts > len(carriers):
-                raise ConfigurationError(
-                    "all members of P have crashed; cannot maintain the guarantee"
-                )
         while remaining > 0:
+            attempts = 0
+            while is_crashed(carrier, step_index):
+                carrier_index += 1
+                attempts += 1
+                carrier = carriers[carrier_index % len(carriers)]
+                if attempts > len(carriers):
+                    raise ConfigurationError(
+                        "all members of P have crashed; cannot maintain the guarantee"
+                    )
             yield carrier
             step_index += 1
             remaining -= 1
@@ -192,9 +194,9 @@ def _reference_set_timely_emit(self):
         if self.burst_set:
             burst_length = self.burst_base + phase * self.burst_growth
             for burst_pid in sorted(self.burst_set):
-                if self.crash_pattern.is_crashed(burst_pid, step_index):
-                    continue
                 for _ in range(burst_length):
+                    if is_crashed(burst_pid, step_index):
+                        break
                     yield burst_pid
                     step_index += 1
         phase += 1
@@ -263,6 +265,42 @@ class TestSetTimelyStreamEquivalence:
         streamed = _steps_or_error(lambda: islice(SetTimelyGenerator(**config).stream(), length))
         assert compiled == expected
         assert streamed == expected
+
+    @settings(max_examples=200)
+    @given(config=set_timely_configs(), length=st.integers(0, 800))
+    def test_no_step_at_or_after_crash(self, config, length):
+        try:
+            generator = SetTimelyGenerator(**config)
+            steps = generator.compile(length).steps
+        except ConfigurationError:
+            return
+        crash_steps = generator.crash_pattern.crash_steps
+        late = [
+            (index, pid)
+            for index, pid in enumerate(steps)
+            if pid in crash_steps and index >= crash_steps[pid]
+        ]
+        assert late == []
+
+    def test_mid_phase_carrier_crash_rotates(self):
+        # Process 1 carries the first phase and crashes at step 3; the
+        # rest of the phase goes to process 2.
+        generator = SetTimelyGenerator(
+            n=4, p_set={1, 2}, q_set={1, 2, 3}, seed=1,
+            crash_pattern=CrashPattern.crashes_at(4, {1: 3}),
+        )
+        steps = list(generator.compile(40).steps)
+        assert [index for index, pid in enumerate(steps) if pid == 1] == [0]
+        assert steps[3] == 2
+
+    def test_burst_cut_at_crash_step(self):
+        generator = SetTimelyGenerator(
+            n=5, p_set={1, 2}, q_set={1, 2, 3}, seed=1,
+            burst_set={5}, burst_base=30,
+            crash_pattern=CrashPattern.crashes_at(5, {5: 40}),
+        )
+        steps = list(generator.compile(120).steps)
+        assert [index for index, pid in enumerate(steps) if pid == 5] == list(range(10, 40))
 
     def test_e2_all_fillers_crashed_scenario_digest(self):
         # E2's n=5, t=4, k=3 run with crashes {4, 5} (seed 11): P = {1, 2, 3},
