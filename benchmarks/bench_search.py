@@ -3,17 +3,10 @@
 Two measurements of the E11 subsystem:
 
 * **generation throughput** — evaluating one population of candidate recipes
-  through the ``search-eval`` campaign kind (bare-kernel checkpoint screening
-  for every candidate; confirm + certify only for flagged ones).  Prints
-  candidates/second, the number the falsification loop's scale is budgeted
-  in.
-* **generation screening** — one mixed-length generation of compiled
-  schedules screened against the k-anti-Ω convergence property twice: once
-  per candidate through the reference :meth:`ScheduleProperty.screen` path,
-  once whole-generation through :func:`screen_generation` with the auto
-  planner's column lane.  Verdicts must compare equal; the ratio is the
-  number gated in ``BENCH_kernel.json``
-  (``vector_screen_vs_reference_screen``).
+  through the ``search-eval`` campaign kind (one tracked run per candidate on
+  a rewound replica; the exact verdict and certification only for flagged
+  ones).  Prints candidates/second, the number the falsification loop's
+  scale is budgeted in.
 * **cached replay** — the same generation executed twice through a
   :class:`~repro.campaign.engine.CampaignEngine` with a content-addressed
   :class:`~repro.campaign.cache.ResultCache`: the second pass must be served
@@ -31,23 +24,12 @@ import tempfile
 import time
 from pathlib import Path
 
-import random
-from array import array
-
 from repro.campaign import CampaignEngine, ResultCache
-from repro.core.schedule import CompiledSchedule
-from repro.runtime import vector_backend
 from repro.search import SearchConfig, generation_recipes, generation_spec
-from repro.search.properties import last_screen_plan, make_property, screen_generation
 
 from _bench_utils import once
 
 CONFIG = SearchConfig.smoke_config("k-anti-omega-convergence", seed=0)
-SCREEN_PARAMS = {"n": 4, "t": 2, "k": 2}
-SCREEN_BATCH = 1024
-SCREEN_BATCH_SMOKE = 256
-SCREEN_HORIZON = 600
-SCREEN_CHECKPOINTS = 8
 
 
 def _generation_zero_spec():
@@ -70,36 +52,6 @@ def measure_generation(repeats: int = 3) -> dict:
         "candidates": candidates,
         "seconds": best,
         "per_second": candidates / best if best else float("inf"),
-    }
-
-
-def measure_screening(batch: int = SCREEN_BATCH) -> dict:
-    """Whole-generation column screening vs. the per-candidate reference path."""
-    rng = random.Random(11)
-    n = SCREEN_PARAMS["n"]
-    prop = make_property("k-anti-omega-convergence", SCREEN_PARAMS)
-    compileds = []
-    for index in range(batch):
-        length = SCREEN_HORIZON if index % 4 else SCREEN_HORIZON // 2
-        steps = array("i", [rng.randrange(1, n + 1) for _ in range(length)])
-        crash = {steps[0]: 0} if index % 17 == 0 else {}
-        compileds.append(CompiledSchedule(n=n, steps=steps, crash_steps=crash))
-
-    started = time.perf_counter()
-    reference = [prop.screen(c, SCREEN_CHECKPOINTS) for c in compileds]
-    reference_elapsed = time.perf_counter() - started
-
-    started = time.perf_counter()
-    column = screen_generation(prop, compileds, SCREEN_CHECKPOINTS, backend="auto")
-    column_elapsed = time.perf_counter() - started
-
-    return {
-        "batch": batch,
-        "lane": last_screen_plan()["lane"],
-        "reference": reference_elapsed,
-        "column": column_elapsed,
-        "ratio": reference_elapsed / column_elapsed if column_elapsed else float("inf"),
-        "identical": column == reference,
     }
 
 
@@ -128,7 +80,7 @@ def measure_cached_replay() -> dict:
     }
 
 
-def report(throughput: dict, replay: dict, screening: dict = None) -> str:
+def report(throughput: dict, replay: dict) -> str:
     lines = [
         "adversarial schedule search (E11 subsystem):",
         f"  generation evaluation:      {throughput['candidates']} candidates "
@@ -139,29 +91,14 @@ def report(throughput: dict, replay: dict, screening: dict = None) -> str:
         f"  warm records byte-identical: {replay['identical']} "
         f"({replay['warm_cache_hits']} cache hit(s))",
     ]
-    if screening is not None:
-        lines.append(
-            f"  generation screening:       {screening['batch']} candidates, "
-            f"reference {screening['reference']*1000:.1f} ms vs. "
-            f"{screening['lane']} lane {screening['column']*1000:.1f} ms "
-            f"({screening['ratio']:.1f}x, verdicts identical: "
-            f"{screening['identical']})"
-        )
     return "\n".join(lines)
 
 
 def test_search_generation_and_cached_replay(benchmark):
     throughput = once(benchmark, measure_generation)
     replay = measure_cached_replay()
-    screening = None
-    if vector_backend.np is not None:
-        screening = measure_screening(batch=SCREEN_BATCH_SMOKE)
-        assert screening["identical"], (
-            "column screening verdicts diverged from the reference path"
-        )
-        assert screening["lane"] == "column"
     print()
-    print(report(throughput, replay, screening))
+    print(report(throughput, replay))
     assert replay["identical"], "cached generation replay diverged from the cold run"
     assert replay["warm_cache_hits"] > 0, "second pass was not served from the cache"
     # Timing ratios are only meaningful when benchmarking is actually enabled
@@ -173,5 +110,4 @@ def test_search_generation_and_cached_replay(benchmark):
 
 
 if __name__ == "__main__":
-    screening = measure_screening() if vector_backend.np is not None else None
-    print(report(measure_generation(), measure_cached_replay(), screening))
+    print(report(measure_generation(), measure_cached_replay()))

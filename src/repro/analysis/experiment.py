@@ -610,7 +610,6 @@ def screened_solvability_grid_experiment(
     horizon: int = 2_400,
     seed: int = 11,
     checkpoints: int = 8,
-    backend: str = "auto",
 ) -> Rows:
     """The Theorem 27 grid with empirical convergence evidence, one batched screen.
 
@@ -618,13 +617,8 @@ def screened_solvability_grid_experiment(
     ``S^i_{j,n}`` schedule prefix is generated with a cell-dependent horizon
     (weaker systems — larger ``j`` — get proportionally longer prefixes), and
     the degree-``k`` detector's convergence screen runs over *all* cells in a
-    single :func:`~repro.search.properties.screen_generation` call.  A grid
-    has only a handful of cells (10 for ``t=2, k=2, n=4``), below the
-    column-screen crossover, so under the default ``auto`` backend the
-    planner screens them on the per-candidate reference lane; a forced
-    ``backend="vector"`` runs the sim-free column kernel instead.  The
-    verdicts are backend-independent either way (callers can inspect which
-    lane ran via :func:`~repro.search.properties.last_screen_plan`).
+    single :func:`~repro.search.properties.screen_generation` call (one
+    tracked run per cell on one rewound replica).
 
     The table pairs each cell's analytic Theorem 27 verdict with the screened
     evidence: whether every process published an output, the checkpoint from
@@ -653,7 +647,7 @@ def screened_solvability_grid_experiment(
             }
         )
         compileds.append(generator.compile(max(2, horizon * j // n)))
-    verdicts = screen_generation(prop, compileds, checkpoints, backend=backend)
+    verdicts = screen_generation(prop, compileds, checkpoints)
     headers = [
         "i",
         "j",

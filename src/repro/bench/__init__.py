@@ -15,11 +15,9 @@ which is what the CI regression check compares (see :func:`check_regression`).
 from .trajectory import (
     BENCH_CAMPAIGN_FILENAME,
     BENCH_KERNEL_FILENAME,
-    SCREEN_HEADLINE_FLOOR,
     WORKLOADS,
     bench_campaign,
     bench_kernel,
-    bench_screen,
     check_regression,
     compare_trajectories,
     load_trajectory,
@@ -31,11 +29,9 @@ from .trajectory import (
 __all__ = [
     "BENCH_CAMPAIGN_FILENAME",
     "BENCH_KERNEL_FILENAME",
-    "SCREEN_HEADLINE_FLOOR",
     "WORKLOADS",
     "bench_campaign",
     "bench_kernel",
-    "bench_screen",
     "check_regression",
     "compare_trajectories",
     "load_trajectory",

@@ -23,20 +23,10 @@ Two benchmark suites, deliberately small and stable across PRs:
   with compiled schedules disabled (the pre-batching engine), enabled
   (inline), and enabled across a persistent two-worker pool.  Payload
   equality between the streamed and batched paths is asserted on every run.
-  A ``search-eval`` lane runs one whole search generation under the python
-  backend and the auto planner, recording what backend dispatch buys the
-  end-to-end campaign path.
-
-The kernel suite also carries the **whole-generation screening lane**
-(:func:`bench_screen`): one column ``screen_generation`` call over a seeded
-mixed-length generation vs. the per-candidate reference screen loop, with
-verdict equality asserted and the ratio gated at the absolute
-:data:`SCREEN_HEADLINE_FLOOR`.
 
 Every gated ratio is measured so that a drift of the host's speed hits both
 of its sides alike instead of deciding it: the two sides alternate in one
-process (ABAB…, call by call for the kernel and campaign headlines, chunk by
-chunk for the screening lane), each side of a round covers at least
+process (ABAB…, call by call), each side of a round covers at least
 :data:`SAMPLE_SECONDS`, and the headline is the median round.
 
 ``write_trajectory`` persists both suites as ``BENCH_kernel.json`` and
@@ -57,7 +47,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..errors import ConfigurationError
-from ..runtime import vector_backend as _vector
 from ..runtime.automaton import (
     BoundReadOp,
     BoundWriteOp,
@@ -99,30 +88,10 @@ CAMPAIGN_CONFIGS: List[Dict[str, Any]] = [
 #: Replicas driven per execute_batch call in the batched kernel cases.
 BATCH_REPLICAS = 8
 
-#: Whole-generation screening lane: candidates per generation (full / smoke),
-#: schedule horizon, and checkpoint count.  The shapes sit where a real
-#: coverage-guided search generation lands (mixed-length schedules, a sprinkle
-#: of crash-at-0 candidates) and where the column screen's per-time-index
-#: overhead is well amortized — the measured ratio grows with the batch, so
-#: the smoke batch is the conservative end.
-SCREEN_GENERATION_SIZE = 3072
-SCREEN_GENERATION_SIZE_SMOKE = 1536
-SCREEN_HORIZON = 600
-SCREEN_CHECKPOINTS = 8
 #: Wall time each sample of a gated ratio covers, at least: a headline
-#: kernel run repeated, one chunk of the reference screen loop, or enough
-#: whole-generation column calls.  Shorter samples let host-speed drift
-#: between the two sides decide the ratio.
+#: kernel run repeated.  Shorter samples let host-speed drift between the
+#: two sides decide the ratio.
 SAMPLE_SECONDS = 0.2
-
-#: The screened-generation property (n, t, k) — the hottest real screen.
-SCREEN_PROPERTY = {"n": 4, "t": 2, "k": 2}
-
-#: Search-eval campaign lane: population evaluated as one ``search-eval``
-#: chunk, python backend vs. the auto planner (full / smoke).
-SEARCH_EVAL_POPULATION = 256
-SEARCH_EVAL_POPULATION_SMOKE = 128
-
 
 # ----------------------------------------------------------------------
 # Workloads
@@ -235,122 +204,6 @@ WORKLOADS: Dict[str, Callable] = {
 
 
 # ----------------------------------------------------------------------
-# Whole-generation screening lane
-# ----------------------------------------------------------------------
-
-def _screen_generation_candidates(batch: int, horizon: int, n: int, seed: int = 11):
-    """A synthetic search generation: mixed lengths plus crash-at-0 candidates."""
-    import random
-    from array import array as _array
-
-    from ..core.schedule import CompiledSchedule
-
-    rng = random.Random(seed)
-    candidates = []
-    for index in range(batch):
-        length = horizon if index % 4 else max(1, horizon // 2)
-        steps = [rng.randrange(1, n + 1) for _ in range(length)]
-        crash = {steps[0]: 0} if index % 17 == 0 else {}
-        candidates.append(
-            CompiledSchedule(n=n, steps=_array("i", steps), crash_steps=crash)
-        )
-    return candidates
-
-
-def bench_screen(smoke: bool = False, repeats: Optional[int] = None) -> Dict[str, Any]:
-    """Measure whole-generation screening: column lane vs. per-candidate reference.
-
-    Both lanes run the real search screening APIs — the reference lane is a
-    per-candidate :meth:`~repro.search.properties.ScheduleProperty.screen`
-    loop (one simulator build plus a bare-kernel checkpoint walk each), the
-    vector lane is one :func:`~repro.search.properties.screen_generation`
-    call forced onto the column lane — over the same seeded generation,
-    and the returned verdicts are compared for equality on every run.
-    Requires numpy (callers gate on its availability).
-
-    The lanes are interleaved so host-speed drift hits both alike: each of
-    ``repeats`` rounds walks the reference loop in contiguous chunks of the
-    generation, and times a vector sample before every chunk.  A reference
-    chunk holds enough candidates, and a vector sample enough whole-generation
-    calls, to cover about :data:`SAMPLE_SECONDS` each (sized from a
-    warm-up call of each lane).  A round's ratio is its reference chunks'
-    total time over its mean vector time per call; the headline is the
-    median round.
-    """
-    from ..search.properties import KAntiOmegaConvergenceProperty, screen_generation
-
-    batch = SCREEN_GENERATION_SIZE_SMOKE if smoke else SCREEN_GENERATION_SIZE
-    if repeats is None:
-        repeats = 3 if smoke else 5
-    prop = KAntiOmegaConvergenceProperty(**SCREEN_PROPERTY)
-    candidates = _screen_generation_candidates(
-        batch, SCREEN_HORIZON, int(SCREEN_PROPERTY["n"])
-    )
-
-    def vector_lane() -> List[Any]:
-        return screen_generation(prop, candidates, SCREEN_CHECKPOINTS, backend="vector")
-
-    def reference_lane(chunk: List[Any]) -> List[Any]:
-        return [prop.screen(candidate, SCREEN_CHECKPOINTS) for candidate in chunk]
-
-    # Warm both lanes outside the timed region, and size the samples.
-    screen_generation(prop, candidates[:64], SCREEN_CHECKPOINTS, backend="vector")
-    started = time.perf_counter()
-    vector_lane()
-    vector_call = time.perf_counter() - started
-    started = time.perf_counter()
-    reference_lane(candidates[:64])
-    reference_estimate = (time.perf_counter() - started) / 64 * batch
-    vector_calls = max(1, math.ceil(SAMPLE_SECONDS / vector_call))
-    chunks = max(1, min(batch, int(reference_estimate // SAMPLE_SECONDS)))
-    bounds = [batch * index // chunks for index in range(chunks + 1)]
-
-    vector_samples: List[float] = []
-    reference_samples: List[float] = []
-    ratios: List[float] = []
-    identical = True
-    for _ in range(repeats):
-        round_vector: List[float] = []
-        reference_seconds = 0.0
-        reference_verdicts: List[Any] = []
-        for start, end in zip(bounds, bounds[1:]):
-            started = time.perf_counter()
-            for _ in range(vector_calls):
-                vector_verdicts = vector_lane()
-            round_vector.append((time.perf_counter() - started) / vector_calls)
-            started = time.perf_counter()
-            reference_verdicts.extend(reference_lane(candidates[start:end]))
-            reference_seconds += time.perf_counter() - started
-        vector_seconds = statistics.fmean(round_vector)
-        vector_samples.append(vector_seconds)
-        reference_samples.append(reference_seconds)
-        ratios.append(reference_seconds / vector_seconds)
-        identical = identical and vector_verdicts == reference_verdicts
-
-    def case(seconds: float) -> Dict[str, Any]:
-        return {
-            "seconds": round(seconds, 4),
-            "us_per_candidate": round(seconds / batch * 1e6, 1),
-        }
-
-    return {
-        "batch": batch,
-        "horizon": SCREEN_HORIZON,
-        "checkpoints": SCREEN_CHECKPOINTS,
-        "property": dict(SCREEN_PROPERTY),
-        "repeats": repeats,
-        "reference_chunks": chunks,
-        "vector_calls_per_sample": vector_calls,
-        "cases": {
-            "reference-screen": case(statistics.median(reference_samples)),
-            "vector-screen": case(statistics.median(vector_samples)),
-        },
-        "verdicts_identical": identical,
-        "ratio": round(statistics.median(ratios), 2),
-    }
-
-
-# ----------------------------------------------------------------------
 # Measurement helpers
 # ----------------------------------------------------------------------
 
@@ -443,9 +296,6 @@ def bench_kernel(
     runs when omitted.  Filtered documents carry only the headline ratios
     their workloads support and are meant for interactive re-measurement,
     not for committing as the baseline.
-
-    The whole-generation screening lane (:func:`bench_screen`) is measured
-    when numpy is installed and skipped otherwise.
     """
     horizon = 20_000 if smoke else 60_000
     # Five rounds in both modes: the gated headline pairs take the median
@@ -537,13 +387,6 @@ def bench_kernel(
             "headline"
         ]["batched_vs_fast_stream"]
 
-    # The whole-generation screening lane needs numpy: measured when it is
-    # installed, skipped (and therefore ungated) otherwise.
-    screen_doc: Optional[Dict[str, Any]] = None
-    if _vector.np is not None:
-        screen_doc = bench_screen(smoke=smoke)
-        headline["vector_screen_vs_reference_screen"] = screen_doc["ratio"]
-
     return {
         "version": TRAJECTORY_VERSION,
         "suite": "kernel",
@@ -558,7 +401,6 @@ def bench_kernel(
             "workloads": selected,
         },
         "workloads": workload_docs,
-        "screen": screen_doc,
         "headline": headline,
     }
 
@@ -566,72 +408,6 @@ def bench_kernel(
 # ----------------------------------------------------------------------
 # Campaign suite
 # ----------------------------------------------------------------------
-
-def _bench_search_eval(smoke: bool, repeats: int) -> Tuple[Dict[str, Any], Dict[str, Any], bool]:
-    """One ``search-eval`` generation, python backend vs. the auto planner.
-
-    Measures what auto-backend dispatch buys the campaign path end-to-end —
-    the run includes recipe realization and confirm/certify for flagged
-    candidates, which both lanes share, so the ratio is deliberately more
-    modest than the pure screening headline.  The screen-verdict cache is
-    reset before every timed run (a warm cache would serve the second lane
-    for free), and payload equality between the lanes is asserted.  Runs
-    without numpy too: the auto planner then falls back loudly to the
-    reference screen and the recorded ratio is honest (~1x).
-    """
-    from dataclasses import replace
-
-    from ..campaign import CampaignEngine
-    from ..search.engine import (
-        SearchConfig,
-        generation_recipes,
-        generation_spec,
-        reset_screen_cache,
-    )
-
-    population = SEARCH_EVAL_POPULATION_SMOKE if smoke else SEARCH_EVAL_POPULATION
-    config = SearchConfig.smoke_config(
-        "k-anti-omega-convergence",
-        seed=0,
-        population=population,
-        eval_chunk=population,
-    )
-    recipes = generation_recipes(config, 0, [])
-
-    def run(backend: str) -> Tuple[float, Any]:
-        reset_screen_cache()
-        spec = generation_spec(replace(config, backend=backend), 0, recipes)
-        with CampaignEngine() as engine:
-            started = time.perf_counter()
-            result = engine.run(spec)
-            return time.perf_counter() - started, result
-
-    run("auto")  # warm imports / numpy outside the timed region
-    python_seconds = float("inf")
-    auto_seconds = float("inf")
-    python_result = auto_result = None
-    for _ in range(repeats):
-        elapsed, python_result = run("python")
-        python_seconds = min(python_seconds, elapsed)
-        elapsed, auto_result = run("auto")
-        auto_seconds = min(auto_seconds, elapsed)
-    identical = [record.payload for record in python_result.records] == [
-        record.payload for record in auto_result.records
-    ]
-
-    def case(seconds: float) -> Dict[str, Any]:
-        return {
-            "seconds": round(seconds, 4),
-            "candidates": population,
-            "us_per_candidate": round(seconds / population * 1e6, 1),
-        }
-
-    return (
-        case(python_seconds),
-        case(auto_seconds),
-        identical,
-    )
-
 
 def bench_campaign(smoke: bool = False) -> Dict[str, Any]:
     """Run the pinned campaign suite and return the trajectory document."""
@@ -686,15 +462,11 @@ def bench_campaign(smoke: bool = False) -> Dict[str, Any]:
             "ns_per_step": round(seconds / total_steps * 1e9, 1),
         }
 
-    python_case, auto_case, search_eval_identical = _bench_search_eval(smoke, repeats)
-
     cases = {
         "campaign-stream": case(stream_seconds),
         "campaign-batched": case(batched_seconds),
         "campaign-pool-cold": case(pool_cold_seconds),
         "campaign-pool-warm": case(pool_warm_seconds),
-        "search-eval-python": python_case,
-        "search-eval-auto": auto_case,
     }
     return {
         "version": TRAJECTORY_VERSION,
@@ -709,13 +481,7 @@ def bench_campaign(smoke: bool = False) -> Dict[str, Any]:
         },
         "cases": cases,
         "payloads_identical": identical,
-        "search_eval_payloads_identical": search_eval_identical,
-        "headline": {
-            "batched_vs_stream": round(batched_ratio, 2),
-            "search_eval_auto_vs_python": round(
-                python_case["seconds"] / auto_case["seconds"], 2
-            ),
-        },
+        "headline": {"batched_vs_stream": round(batched_ratio, 2)},
     }
 
 
@@ -756,26 +522,6 @@ def load_trajectory(directory: Union[str, Path]) -> Tuple[Dict[str, Any], Dict[s
 #: advantage — collapses the ratio far past 25%).
 REGRESSION_TOLERANCE = 0.25
 
-#: Absolute floor for the whole-generation screening headline: one column
-#: screen_generation call must beat the per-candidate reference screen loop
-#: by at least this ratio whenever the lane is measured.  Unlike the relative
-#: regression check this does not depend on the committed baseline, so the
-#: claim cannot erode across re-baselines.
-SCREEN_HEADLINE_FLOOR = 5.0
-
-#: Headline ratios whose relative gate only applies when fresh and baseline
-#: were measured in the same mode (both smoke or both full): these lanes'
-#: fixed per-run costs amortize over batch/horizon, so their ratios move
-#: structurally — not noisily — between smoke and full shapes.  Cross-mode
-#: they stay gated by their absolute floors and identity checks.
-MODE_SENSITIVE_HEADLINES = frozenset(
-    {
-        "vector_screen_vs_reference_screen",
-        "search_eval_auto_vs_python",
-    }
-)
-
-
 def check_regression(
     kernel_doc: Dict[str, Any],
     campaign_doc: Dict[str, Any],
@@ -805,34 +551,20 @@ def compare_trajectories(
     win) and the fresh-ops workload (the slot-addressed operation/addressing
     layer).  A key the baseline does not carry is skipped, so a freshly
     promoted headline starts gating from the first baseline that records it;
-    a key the *fresh* document does not carry is also skipped, so a no-numpy
-    environment (which cannot measure the screening lane) still gates what it
-    did measure.  The :data:`MODE_SENSITIVE_HEADLINES` relative gates only
-    apply when fresh and baseline were measured in the same mode (both smoke
-    or both full): their fixed per-run costs amortize over the batch, so
-    their ratios move structurally — not noisily — between smoke and full
-    shapes, and a cross-mode comparison within the tolerance band would fail
-    on every CI smoke run.  Cross-mode, the screening headline is still gated
-    by the absolute :data:`SCREEN_HEADLINE_FLOOR`, which applies whenever it
-    is present.  Returns a list of failure messages (empty when the trajectory holds).
+    a key the *fresh* document does not carry is also skipped, so a filtered
+    run still gates what it did measure.  Returns a list of failure messages
+    (empty when the trajectory holds).
     """
     failures: List[str] = []
     for label, fresh_doc, baseline_doc, key in (
         ("kernel", kernel_doc, baseline_kernel, "batched_vs_fast_stream"),
         ("kernel", kernel_doc, baseline_kernel, "fresh_ops_batched_vs_fast_stream"),
-        ("kernel", kernel_doc, baseline_kernel, "vector_screen_vs_reference_screen"),
         ("campaign", campaign_doc, baseline_campaign, "batched_vs_stream"),
-        ("campaign", campaign_doc, baseline_campaign, "search_eval_auto_vs_python"),
     ):
         baseline_value = baseline_doc["headline"].get(key)
         fresh_value = fresh_doc["headline"].get(key)
         if baseline_value is None or fresh_value is None:
             continue
-        if key in MODE_SENSITIVE_HEADLINES:
-            fresh_smoke = bool(fresh_doc.get("config", {}).get("smoke", False))
-            baseline_smoke = bool(baseline_doc.get("config", {}).get("smoke", False))
-            if fresh_smoke != baseline_smoke:
-                continue
         fresh = float(fresh_value)
         baseline = float(baseline_value)
         floor = baseline * (1.0 - REGRESSION_TOLERANCE)
@@ -841,26 +573,9 @@ def compare_trajectories(
                 f"{label} headline {key} regressed: {fresh:.2f}x vs. committed "
                 f"baseline {baseline:.2f}x (floor {floor:.2f}x)"
             )
-    fresh_screen = kernel_doc["headline"].get("vector_screen_vs_reference_screen")
-    if fresh_screen is not None and float(fresh_screen) < SCREEN_HEADLINE_FLOOR:
-        failures.append(
-            f"kernel headline vector_screen_vs_reference_screen below the "
-            f"absolute floor: {float(fresh_screen):.2f}x vs. required "
-            f"{SCREEN_HEADLINE_FLOOR:.1f}x"
-        )
-    screen_doc = kernel_doc.get("screen")
-    if screen_doc is not None and not screen_doc.get("verdicts_identical", False):
-        failures.append(
-            "screen verdicts differ between the column lane and the "
-            "per-candidate reference screen"
-        )
     if not campaign_doc.get("payloads_identical", False):
         failures.append(
             "campaign payloads differ between the streamed and batched paths"
-        )
-    if not campaign_doc.get("search_eval_payloads_identical", True):
-        failures.append(
-            "search-eval payloads differ between the python and auto backends"
         )
     return failures
 
@@ -914,29 +629,6 @@ def performance_markdown(
             "plus tuple-name resolution every step — the slot-addressed pipeline's "
             "target profile)."
         )
-    screen_doc = kernel_doc.get("screen")
-    if screen_doc is not None:
-        lines.append("")
-        lines.append(
-            f"Whole-generation screening ({screen_doc['batch']} candidates, "
-            f"horizon {screen_doc['horizon']}, {screen_doc['checkpoints']} "
-            "checkpoints):"
-        )
-        lines.append("")
-        lines.append("| case | seconds | us/candidate |")
-        lines.append("|---|---|---|")
-        for case_name, case in screen_doc["cases"].items():
-            lines.append(
-                f"| {case_name} | {case['seconds']} | {case['us_per_candidate']} |"
-            )
-        lines.append("")
-        lines.append(
-            f"Screening headline: one column `screen_generation` call is "
-            f"**{headline['vector_screen_vs_reference_screen']}x** faster than "
-            f"the per-candidate reference screen loop (gated at >= "
-            f"{SCREEN_HEADLINE_FLOOR:.0f}x); verdicts identical: "
-            f"**{screen_doc['verdicts_identical']}**."
-        )
     lines.append("")
     campaign_config = campaign_doc["config"]
     lines.append(
@@ -947,23 +639,11 @@ def performance_markdown(
     lines.append("| case | seconds | ns/step |")
     lines.append("|---|---|---|")
     for case_name, case in campaign_doc["cases"].items():
-        # Search-eval lanes are budgeted per candidate, not per step.
-        rate = case.get("ns_per_step")
-        if rate is None:
-            rate = f"{case['us_per_candidate']} us/cand"
-        lines.append(f"| {case_name} | {case['seconds']} | {rate} |")
+        lines.append(f"| {case_name} | {case['seconds']} | {case['ns_per_step']} |")
     lines.append("")
     lines.append(
         f"Batched vs. streamed campaign: "
         f"**{campaign_doc['headline']['batched_vs_stream']}x**; payloads "
         f"byte-identical: **{campaign_doc['payloads_identical']}**."
     )
-    auto_ratio = campaign_doc["headline"].get("search_eval_auto_vs_python")
-    if auto_ratio is not None:
-        lines.append(
-            f"Search-eval generation, auto planner vs. python backend: "
-            f"**{auto_ratio}x** end-to-end (recipe realization and "
-            "confirm/certify are shared costs); payloads byte-identical: "
-            f"**{campaign_doc.get('search_eval_payloads_identical')}**."
-        )
     return "\n".join(lines)

@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--screen",
         action="store_true",
         help="also screen one set-timely prefix per grid cell (all cells batched "
-        "through one auto-backend screen_generation call) and print the "
+        "through one screen_generation call) and print the "
         "empirical convergence evidence next to the Theorem 27 verdicts",
     )
     grid.add_argument(
@@ -290,14 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="timeliness bound for S^k_{t+1,n} membership (default: 4x the seed bound)",
     )
     search.add_argument("--top", type=int, default=None, help="findings to shrink and report")
-    search.add_argument(
-        "--backend",
-        default=None,
-        help="screening backend: auto (default — the planner picks the numpy "
-        "column lane when the property has one and the chunk reaches the "
-        "column-screen crossover, the reference screen below it, loud "
-        "reference fallback otherwise), vector (strict), or python",
-    )
     search.add_argument(
         "--smoke",
         action="store_true",
@@ -768,7 +760,6 @@ def _run_search(args: argparse.Namespace) -> List[str]:
                 ("--near-miss-threshold", args.near_miss_threshold),
                 ("--certify-bound", args.certify_bound),
                 ("--top", args.top),
-                ("--backend", args.backend),
                 ("--jsonl", args.jsonl),
             )
             if value is not None
@@ -802,7 +793,7 @@ def _run_search(args: argparse.Namespace) -> List[str]:
         "k": args.k if args.k is not None else 2,
         "fitness": args.fitness or "stabilization-delay",
     }
-    for key in ("generations", "population", "horizon", "checkpoints", "top", "backend"):
+    for key in ("generations", "population", "horizon", "checkpoints", "top"):
         value = getattr(args, key)
         if value is not None:
             overrides[key] = value
@@ -1066,11 +1057,6 @@ def _run_bench(args: argparse.Namespace) -> List[str]:
         f"  kernel headline   (fresh-ops: bare batched vs. per-run fast): "
         f"{kernel_doc['headline']['fresh_ops_batched_vs_fast_stream']}x",
     ]
-    if "vector_screen_vs_reference_screen" in kernel_doc["headline"]:
-        lines.append(
-            f"  kernel headline   (generation screen: column vs. reference):  "
-            f"{kernel_doc['headline']['vector_screen_vs_reference_screen']}x"
-        )
     lines.extend(
         [
             f"  campaign headline (batched vs. streamed engine):              "
@@ -1079,13 +1065,6 @@ def _run_bench(args: argparse.Namespace) -> List[str]:
             f"{campaign_doc['payloads_identical']}",
         ]
     )
-    if "search_eval_auto_vs_python" in campaign_doc["headline"]:
-        lines.append(
-            f"  campaign headline (search-eval: auto planner vs. python):     "
-            f"{campaign_doc['headline']['search_eval_auto_vs_python']}x "
-            f"(payloads identical: "
-            f"{campaign_doc['search_eval_payloads_identical']})"
-        )
     if baseline is not None:
         failures = compare_trajectories(kernel_doc, campaign_doc, *baseline)
         if failures:
@@ -1140,10 +1119,7 @@ def _run_map(
             ascii_table(headers, rows, title="screened grid (one batched screen)")
         )
         plan = last_screen_plan()
-        lines.append(
-            f"screen lane: {plan.get('lane')} ({plan.get('batch')} cells batched)"
-            + (f" — {plan['reason']}" if plan.get("reason") else "")
-        )
+        lines.append(f"screen lane: {plan.get('lane')} ({plan.get('batch')} cells batched)")
     return lines
 
 
@@ -1178,7 +1154,7 @@ def _run_solve(t: int, k: int, n: int, seed: int, max_steps: int) -> List[str]:
 def run(argv: Optional[Sequence[str]] = None) -> List[str]:
     """Execute the CLI and return the lines it would print (also used by tests).
 
-    Configuration mistakes (an unknown workload or screening backend name,
+    Configuration mistakes (an unknown workload name,
     an unreadable records file, ...) propagate as
     :class:`~repro.errors.ConfigurationError`, so programmatic callers can
     catch them; the console entry point (:func:`main`) converts them into a
@@ -1240,7 +1216,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Console entry point.
 
     Library-level :class:`~repro.errors.ConfigurationError` (an unknown
-    workload or screening backend name, an unreadable records file, ...)
+    workload name, an unreadable records file, ...)
     becomes a clean one-line ``SystemExit`` listing the valid choices, not an
     uncaught traceback.
     """

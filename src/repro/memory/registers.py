@@ -309,6 +309,21 @@ class RegisterFile:
                 writer = None
             self.declare((prefix, index), initial=initial, writer=writer)
 
+    def rewind(self) -> None:
+        """Put every register back to its initial state, in place.
+
+        Each interned slot gets its declared initial value (``None`` when
+        undeclared) and owner back, with both counters zeroed — the state a
+        fresh file would give the name on first access.  Slots stay where
+        they are, so operations bound to them stay valid; a name interned by
+        an earlier run stays interned, which nothing can observe.
+        """
+        arena = self._arena
+        defaults = self._defaults
+        owners = self._owners
+        for slot, name in enumerate(arena.names):
+            arena.reset(slot, value=defaults.get(name), writer=owners.get(name))
+
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------

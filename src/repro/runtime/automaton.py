@@ -364,6 +364,20 @@ class ProcessAutomaton:
         default is a no-op, matching the default :meth:`prebind`.
         """
 
+    def rewind(self) -> None:
+        """Return to the state construction left, for another run.
+
+        :meth:`~repro.runtime.simulator.Simulator.rewind` calls this for every
+        automaton.  The default clears the published outputs and their
+        versions; run state kept in the program generator's locals needs
+        nothing, since the next run starts a fresh generator.  Subclasses
+        that publish at construction, or keep run state on the instance,
+        override it (calling ``super().rewind()`` first).
+        """
+        self.outputs.clear()
+        self.outputs_version = 0
+        self.output_versions.clear()
+
     def program(self, ctx: ProcessContext) -> Program:
         """The process's program.  Subclasses must override.
 

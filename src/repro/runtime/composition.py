@@ -98,6 +98,14 @@ class ComposedAutomaton(ProcessAutomaton):
         for _, component in self._components:
             component.unbind()
 
+    def rewind(self) -> None:
+        """Rewind every component and forget what was synced from them."""
+        super().rewind()
+        for _, component in self._components:
+            component.rewind()
+        self._synced_component_versions = -1
+        self._synced_versions = [-1] * len(self._components)
+
     # ------------------------------------------------------------------
     def component(self, name: str) -> ProcessAutomaton:
         """Access a sub-automaton by its name."""

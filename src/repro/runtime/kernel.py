@@ -540,7 +540,9 @@ def _execute_bare(
     pids in ``1..n``.  With ``counts=None`` the buffer is any step source:
     it is materialized into a flat ``array('i')`` and tallied once with
     :func:`~repro.core.schedule.tally_steps` (C-level bytes scans over at
-    most the budget), and the tally pass doubles as pid validation.  Raw iterables — unlike compiled buffers and
+    most the budget), and the tally pass doubles as pid validation; a pid
+    too large for the ``array('i')`` buffer takes the same unknown-pid
+    path.  Raw iterables — unlike compiled buffers and
     :class:`Schedule` objects — are not validated at construction, and the
     loop's pid-indexed tables must never be indexed with an out-of-range pid
     (a negative id would alias a real process); when the buffer mentions an
@@ -582,7 +584,16 @@ def _execute_bare(
     n = simulator.n
     if counts is None:
         if not isinstance(buffer, array):
-            buffer = array("i", buffer)
+            steps = buffer if isinstance(buffer, list) else list(buffer)
+            try:
+                buffer = array("i", steps)
+            except OverflowError:
+                # A pid beyond the C int range cannot be buffered, but it is
+                # an unknown pid like any other: run the valid prefix and fail
+                # at the first bad step, as the general loop does.
+                bad_index, bad_pid = first_step_outside(steps, n)
+                _execute_bare(simulator, steps[:bad_index], None, entries)
+                raise SimulationError(f"unknown process id {bad_pid}") from None
         counts = tally_steps(buffer, n)
         if counts is None:
             bad_index, bad_pid = first_step_outside(buffer, n)

@@ -289,6 +289,27 @@ class Simulator:
         """The attached observers with their capabilities (kernel-facing)."""
         return tuple(self._observers)
 
+    def rewind(self) -> None:
+        """Return to the state construction left, keeping what it built.
+
+        A rewound simulator runs exactly like a freshly built one over the
+        same automata: every process is unstarted with no steps taken, every
+        automaton is rewound (:meth:`~repro.runtime.automaton.ProcessAutomaton.rewind`
+        clears its outputs), every register holds its initial value and owner
+        with zeroed counters (:meth:`~repro.memory.registers.RegisterFile.rewind`),
+        the trace and step index are empty, and no observer is attached.
+        What construction paid for stays: the register file with its slots,
+        the automata and their pre-bound operation tables.  Replaying many
+        schedules on one replica this way skips that cost per run.
+        """
+        for pid, state in self._states.items():
+            state.automaton.rewind()
+            self._states[pid] = ProcessState(automaton=state.automaton)
+        self.registers.rewind()
+        self._observers.clear()
+        self._trace.clear()
+        self._step_index = 0
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------

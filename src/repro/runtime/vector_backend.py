@@ -1,28 +1,35 @@
 """The sim-free anti-Ω screen kernel: a whole search generation as numpy lanes.
 
-The adversarial search screens every candidate schedule of a generation by
-reading the Figure 2 detector's published outputs at evenly spaced
-checkpoints.  :func:`anti_omega_screen_snapshots` computes those snapshots
-without building a single simulator: every ``(candidate, process)`` pair is
-one lane whose Figure 2 interpreter state lives in flat numpy arrays, and one
-pass over the time axis advances all lanes at once.
-:func:`repro.search.properties.screen_generation` sends large generations
-here and judges the snapshots with the same ``judge_screen`` the
-per-candidate reference screen uses, so the verdicts are identical
-(``tests/runtime/test_screen_snapshots.py`` and
-``tests/search/test_screen_generation.py`` pin both lanes against each other).
+The adversarial search screens every candidate schedule by reading the
+Figure 2 detector's published outputs at evenly spaced checkpoints.
+:func:`anti_omega_screen_snapshots` computes those snapshots without building
+a single simulator: every ``(candidate, process)`` pair is one lane whose
+Figure 2 interpreter state lives in flat numpy arrays, and one pass over the
+time axis advances all lanes at once.
+
+No search lane calls this kernel any more: the search judges every candidate
+from one tracked run on a rewound replica
+(:func:`repro.search.properties.screen_generation`), which screened faster
+than this kernel at every generation shape measured (ARCHITECTURE.md, "One
+tracked run per search candidate").  The kernel still reproduces
+the snapshots that run derives, byte for byte
+(``tests/runtime/test_screen_snapshots.py`` pins the two against each
+other).
 
 numpy is an optional extra (``pip install "repro-set-timeliness[vector]"``)
 and powers nothing else.  The module imports without it; the kernel then
-raises :class:`UnsupportedLowering`, which the screen planner answers with
-the reference screen, so a search returns the same verdicts either way:
+raises :class:`UnsupportedLowering`:
 
 >>> from repro.core.schedule import CompiledSchedule
->>> from repro.search.properties import make_property, screen_generation
+>>> from repro.search.properties import make_property, tracker_snapshots
 >>> prop = make_property("k-anti-omega-convergence", {"n": 3, "t": 1, "k": 1})
->>> generation = [CompiledSchedule(n=3, steps=[1, 2, 3] * 100)] * 96
->>> {verdict.violated for verdict in screen_generation(prop, generation, 4)}
-{False}
+>>> compiled = CompiledSchedule(n=3, steps=[1, 2, 3] * 100)
+>>> with prop.tracked_run(compiled, prop.screen_keys) as trackers:
+...     tracked = tracker_snapshots(trackers, prop.screen_keys, 3, len(compiled), 4)
+>>> np is None or anti_omega_screen_snapshots(
+...     3, 1, 1, [compiled], 4, prop.screen_keys
+... ) == [tracked]
+True
 """
 
 from __future__ import annotations
@@ -56,10 +63,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class UnsupportedLowering(Exception):
     """Raised when a generation cannot take the sim-free screen kernel.
 
-    :func:`~repro.search.properties.screen_generation` catches it and falls
-    back to the per-candidate reference screen (or raises
-    :class:`~repro.errors.SimulationError` under a forced ``vector``
-    backend); the message becomes the recorded fallback reason.
+    The message names what the kernel cannot lower: a missing numpy, mixed
+    process counts, an untracked key, or an unregistered statistic or
+    timeout policy.
     """
 
 
@@ -123,12 +129,12 @@ def anti_omega_screen_snapshots(
     ``result[row][i][pid][key]`` is the value published by ``pid`` after
     ``(L_row * (i + 1)) // checkpoints`` steps (``None`` before the first
     publication), byte-identical to what
-    :func:`~repro.search.properties.checkpoint_snapshots` collects.
+    :func:`~repro.search.properties.tracker_snapshots` derives from a
+    tracked run.
 
     Raises :class:`UnsupportedLowering` when the batch cannot take this lane
     (numpy missing, a non-registry statistic/policy, keys beyond
-    ``FD_OUTPUT``/``WINNER_SET``, or a candidate over a different ``n``) so
-    callers can fall back to the reference screen, and
+    ``FD_OUTPUT``/``WINNER_SET``, or a candidate over a different ``n``), and
     :class:`~repro.errors.ConfigurationError` for invalid ``checkpoints``.
     """
     if np is None:

@@ -52,9 +52,9 @@ from .properties import (
     PropertyVerdict,
     ScheduleProperty,
     available_properties,
-    checkpoint_snapshots,
     make_property,
     property_descriptions,
+    tracker_snapshots,
 )
 from .shrink import ShrinkResult, rebuild_candidate, shrink_schedule
 
@@ -80,7 +80,6 @@ __all__ = [
     "available_properties",
     "best_witness",
     "certify_schedule",
-    "checkpoint_snapshots",
     "describe_recipe",
     "generation_recipes",
     "generation_spec",
@@ -98,5 +97,6 @@ __all__ = [
     "seed_recipes",
     "shrink_schedule",
     "timeliness_fitness",
+    "tracker_snapshots",
     "write_search_jsonl",
 ]

@@ -12,12 +12,11 @@ property (:mod:`repro.search.properties`):
    worker processes, identical candidates deduplicate by content address, and
    a :class:`~repro.campaign.cache.ResultCache` makes re-running a search
    resume from cached generations.  Inside a run the whole chunk screens in
-   one call (:func:`~repro.search.properties.screen_generation` — the
-   column lane when the ``"auto"`` backend planner finds the chunk large
-   enough, per-candidate bare-kernel checkpointing otherwise), with elite
-   re-screens served from a
-   screen-verdict cache; only flagged candidates pay for the exact
-   tracker-based ``confirm`` pass and certification.
+   one call (:func:`~repro.search.properties.screen_generation`: one tracked
+   run per candidate on the property's rewound replica), with elite
+   re-screens served from a screen-verdict cache; a flagged candidate's
+   exact verdict reads the trackers of that same run, and only flagged
+   candidates pay for certification.
 2. **Shrink.**  Surviving findings (confirmed violations, else the best
    near-misses) are minimized by the deterministic delta-debugging loop in
    :mod:`repro.search.shrink`, with the property's exact verdict as the
@@ -43,12 +42,13 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..campaign.engine import CampaignEngine
 from ..campaign.spec import CampaignSpec
 from ..campaign.runner import register_kind
 from ..core.schedule import CompiledSchedule
+from ..core.systems import SystemWitness
 from ..errors import ConfigurationError
 from .certify import (
     CertificationReport,
@@ -64,7 +64,6 @@ from .mutations import (
     recipe_signature,
 )
 from .properties import (
-    SCREEN_BACKENDS,
     PropertyVerdict,
     ScheduleProperty,
     available_properties,
@@ -111,22 +110,12 @@ class SearchConfig:
     top: int = 3
     shrink_max_evaluations: int = 120
     eval_chunk: int = 4
-    #: Screening backend: ``"auto"`` (plan per batch: the column lane when
-    #: the property has one and the batch reaches the column-screen
-    #: crossover, the reference screen below it, loud reference fallback
-    #: otherwise), ``"vector"`` (forced, errors when the column lane cannot
-    #: take the batch) or ``"python"``.
-    backend: str = "auto"
     smoke: bool = False
 
     def __post_init__(self) -> None:
         if self.property not in available_properties():
             raise ConfigurationError(
                 f"unknown property {self.property!r}; registered: {available_properties()}"
-            )
-        if self.backend not in SCREEN_BACKENDS:
-            raise ConfigurationError(
-                f"unknown backend {self.backend!r}; registered: {list(SCREEN_BACKENDS)}"
             )
         if self.fitness not in FITNESS_MODES:
             raise ConfigurationError(
@@ -193,7 +182,6 @@ class SearchConfig:
         ("near_miss_threshold", "--near-miss-threshold"),
         ("certify_bound", "--certify-bound"),
         ("top", "--top"),
-        ("backend", "--backend"),
     )
 
     def command(self) -> str:
@@ -367,9 +355,13 @@ def _screened_verdicts(
     prop: ScheduleProperty,
     compileds: List[CompiledSchedule],
     checkpoints: int,
-    backend: str,
+    flagged: Callable[[int, PropertyVerdict], bool],
 ) -> List[PropertyVerdict]:
-    """Screen verdicts for a chunk: cache hits are free, misses batch."""
+    """Screen verdicts for a chunk: cache hits are free, misses batch.
+
+    ``flagged(i, screen)`` marks the candidates at position ``i`` of
+    ``compileds`` whose exact verdict the misses' runs attach.
+    """
     keys = [_screen_cache_key(prop, compiled, checkpoints) for compiled in compileds]
     verdicts: List[Optional[PropertyVerdict]] = [None] * len(compileds)
     missing: List[int] = []
@@ -384,7 +376,10 @@ def _screened_verdicts(
             missing.append(index)
     if missing:
         fresh = screen_generation(
-            prop, [compileds[index] for index in missing], checkpoints, backend=backend
+            prop,
+            [compileds[index] for index in missing],
+            checkpoints,
+            flagged=lambda position, screen: flagged(missing[position], screen),
         )
         for index, verdict in zip(missing, fresh):
             verdicts[index] = verdict
@@ -399,40 +394,23 @@ def _screened_verdicts(
 # The campaign kind: evaluate a chunk of recipes
 # ----------------------------------------------------------------------
 
-def evaluate_recipe(
-    recipe: Mapping[str, Any], params: Mapping[str, Any]
-) -> Dict[str, Any]:
-    """Evaluate one candidate: screen always; confirm + certify when flagged."""
-    prop = make_property(str(params["property"]), params["property_params"])
-    compiled = realize(recipe)
-    screen = prop.screen(compiled, int(params["checkpoints"]))
-    return _finish_evaluation(recipe, params, prop, compiled, screen)
-
-
 def _finish_evaluation(
     recipe: Mapping[str, Any],
     params: Mapping[str, Any],
     prop: ScheduleProperty,
     compiled: CompiledSchedule,
     screen: PropertyVerdict,
+    witness: Optional[SystemWitness],
 ) -> Dict[str, Any]:
     """Everything after the screen: fitness, confirm + certify when flagged."""
     i, j = prop.certification_sizes()
-    certify_prefix = params.get("certify_prefix")
-    if certify_prefix is not None:
-        certify_prefix = int(certify_prefix)
-    witness = None
-    if params.get("fitness") == "timeliness-bound":
-        witness = best_witness(compiled, i, j, certify_prefix)
-        fitness = round(witness.witness.evidence_ratio(), 6)
-    else:
-        fitness = screen.fitness
-    threshold = float(params["near_miss_threshold"])
-    flagged = screen.violated or fitness >= threshold
+    fitness = _fitness(screen, witness)
     confirmed: Optional[Dict[str, Any]] = None
     certificate: Optional[Dict[str, Any]] = None
-    if flagged:
-        confirm = prop.confirm(compiled)
+    if _flagged(params, screen, fitness):
+        # The screen run attached the exact verdict; a cache hit screened
+        # under other flagging parameters may lack it.
+        confirm = screen.exact if screen.exact is not None else prop.confirm(compiled)
         confirmed = {
             "violated": confirm.violated,
             "fitness": confirm.fitness,
@@ -444,7 +422,7 @@ def _finish_evaluation(
             j,
             certify_bound=int(params["certify_bound"]),
             max_faulty=prop.t,
-            prefix_length=certify_prefix,
+            prefix_length=_certify_prefix(params),
             witness=witness,
         ).to_payload()
     return {
@@ -461,31 +439,55 @@ def _finish_evaluation(
     }
 
 
+def _certify_prefix(params: Mapping[str, Any]) -> Optional[int]:
+    prefix = params.get("certify_prefix")
+    return None if prefix is None else int(prefix)
+
+
+def _fitness(screen: PropertyVerdict, witness: Optional[SystemWitness]) -> float:
+    """The searched fitness: the witness's evidence ratio, else the screen's."""
+    if witness is not None:
+        return round(witness.witness.evidence_ratio(), 6)
+    return screen.fitness
+
+
+def _flagged(params: Mapping[str, Any], screen: PropertyVerdict, fitness: float) -> bool:
+    """Whether a candidate needs its exact verdict and a certificate."""
+    return screen.violated or fitness >= float(params["near_miss_threshold"])
+
+
 def run_search_eval_kind(params: Dict[str, Any]) -> Dict[str, Any]:
     """Campaign kind ``search-eval``: evaluate one chunk of candidate recipes.
 
     The whole chunk screens in one :func:`~repro.search.properties.screen_generation`
-    call (``params["backend"]`` selects the lane; the planner default is
-    ``"auto"``), with elite re-screens served from the screen-verdict cache.
-    Deterministic in its parameters — verdicts are backend-independent and
-    the cache only ever returns what screening would recompute — which is
-    what makes search generations content-addressable campaign runs: re-running
-    a search with a result cache replays cached generations instead of
-    re-simulating them.
+    call, with elite re-screens served from the screen-verdict cache; a
+    flagged candidate's exact verdict comes from its screen run.
+    Deterministic in its parameters — the cache only ever returns what
+    screening would recompute — which is what makes search generations
+    content-addressable campaign runs: re-running a search with a result
+    cache replays cached generations instead of re-simulating them.
     """
     prop = make_property(str(params["property"]), params["property_params"])
     recipes = list(params["recipes"])
     compileds = [realize(recipe) for recipe in recipes]
+    witnesses: List[Optional[SystemWitness]] = [None] * len(compileds)
+    if params.get("fitness") == "timeliness-bound":
+        i, j = prop.certification_sizes()
+        witnesses = [
+            best_witness(compiled, i, j, _certify_prefix(params)) for compiled in compileds
+        ]
     screens = _screened_verdicts(
         prop,
         compileds,
         int(params["checkpoints"]),
-        str(params.get("backend", "auto")),
+        lambda index, screen: _flagged(params, screen, _fitness(screen, witnesses[index])),
     )
     return {
         "results": [
-            _finish_evaluation(recipe, params, prop, compiled, screen)
-            for recipe, compiled, screen in zip(recipes, compileds, screens)
+            _finish_evaluation(recipe, params, prop, compiled, screen, witness)
+            for recipe, compiled, screen, witness in zip(
+                recipes, compileds, screens, witnesses
+            )
         ]
     }
 
@@ -649,7 +651,6 @@ def _eval_params(config: SearchConfig, recipes: List[Dict[str, Any]]) -> Dict[st
         "near_miss_threshold": config.near_miss_threshold,
         "certify_bound": config.resolved_certify_bound(),
         "certify_prefix": config.certify_prefix,
-        "backend": config.backend,
         "recipes": recipes,
     }
 

@@ -3,36 +3,36 @@
 A :class:`ScheduleProperty` wraps one of the library's existing checkers —
 the k-anti-Ω detector property (:func:`repro.failure_detectors.properties.check_k_anti_omega`),
 Lemma 22's winner-set convergence, or the uniform k-agreement safety clauses
-(:func:`repro.agreement.problem.check_agreement`) — behind two evaluation
-modes with very different costs:
+(:func:`repro.agreement.problem.check_agreement`) — and judges a candidate
+schedule from **one tracked run**.
 
-``screen(compiled, checkpoints)``
-    The cheap falsification probe the engine runs on *every* candidate.  It
-    builds one instrumentation-free replica, drives it over the candidate's
-    buffer in checkpoint segments on the bare kernel loop (no observers, no
-    trace), and judges the property from the published-output snapshots taken
-    between segments.  The verdict is exact at checkpoint resolution: good
-    enough to rank candidates and to flag potential violations.
+Each property builds one replica of the system under test on first use
+(:meth:`ScheduleProperty.replica`) and rewinds it between candidates
+(:meth:`~repro.runtime.simulator.Simulator.rewind`), so a candidate costs one
+:meth:`~repro.runtime.simulator.Simulator.run_fast` instead of a simulator
+build plus a run.  The run carries one
+:class:`~repro.runtime.observers.OutputTracker` per published key the
+property reads; the trackers live only while their candidate is judged.
+Two judges read them:
 
-``confirm(compiled)``
-    The exact verdict, run only on flagged candidates and inside the
-    shrinker: attach the real output trackers, replay the candidate under the
-    fast policy, and apply the library's own property checker.  A candidate
-    only ever counts as a *violation* on the word of ``confirm``.
+``judge_screen(snapshots, compiled)``
+    The verdict at checkpoint resolution, from the published outputs at
+    evenly spaced step boundaries (:func:`tracker_snapshots` derives them
+    from the trackers' change lists).  Good enough to rank candidates and to
+    flag potential violations.
 
-Screen judging is split from screen execution: every property judges from
-checkpoint snapshots via ``judge_screen``, so a *whole generation* of
-candidates — each with its own schedule — can gather its snapshots in one
-vector call (:func:`screen_generation`, via ``batch_screen_snapshots``) and
-still produce verdicts identical to the one-at-a-time ``screen`` path.  There
-are two screen lanes: the anti-Ω properties route generations of at least
-the column-screen crossover through a sim-free column kernel
-(:func:`repro.runtime.vector_backend.anti_omega_screen_snapshots`) and
-smaller ones, by plan, through the per-candidate reference ``screen``; every
-other property has no column lane and falls back, loudly, to the reference
-``screen``.
+``judge_confirm(trackers, compiled)``
+    The exact verdict, from the library's own property checker over the
+    full change lists.  A candidate only ever counts as a *violation* on the
+    word of this judge.
 
-Both modes read the ground-truth correct set from the candidate's compiled
+:meth:`ScheduleProperty.screen` and :meth:`ScheduleProperty.confirm` run one
+candidate each and apply one judge (the shrinker's predicates call them).
+:func:`screen_generation` screens a whole generation; for each candidate its
+caller flags, the exact verdict comes from the same run, attached to the
+screen verdict as :attr:`PropertyVerdict.exact`.
+
+Both judges read the ground-truth correct set from the candidate's compiled
 crash metadata, exactly like every other harness in the library.  Fitness is
 a number in ``[0, 1]`` where higher means closer to falsifying the property —
 the engine maximizes it, so near-misses surface even when no candidate
@@ -41,29 +41,43 @@ violates anything (the expected outcome inside the model).
 
 from __future__ import annotations
 
-import logging
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..agreement.kset import DECISION
 from ..agreement.problem import check_agreement, distinct_inputs
 from ..agreement.runner import build_agreement_algorithm
 from ..core.schedule import CompiledSchedule
-from ..errors import ConfigurationError, SimulationError
+from ..errors import ConfigurationError
 from ..failure_detectors.anti_omega import (
     KAntiOmegaAutomaton,
     make_anti_omega_algorithm,
 )
-from ..failure_detectors.base import FD_OUTPUT, WINNER_SET, make_detector_trackers
+from ..failure_detectors.base import FD_OUTPUT, WINNER_SET
 from ..failure_detectors.properties import check_k_anti_omega, check_leader_set_convergence
 from ..memory.registers import RegisterFile
-from ..runtime.kernel import execute_batch
+from ..runtime.observers import OutputTracker
 from ..runtime.simulator import Simulator
 from ..types import AgreementInstance, ProcessId, ProcessSet, universe
 
 #: One ``pid -> {key: value}`` published-output sample (a checkpoint snapshot).
 Snapshot = Dict[ProcessId, Dict[str, Any]]
+
+#: One tracker per tracked output key, as a tracked run hands them to a judge.
+Trackers = Mapping[str, OutputTracker]
 
 
 @dataclass(frozen=True)
@@ -75,7 +89,9 @@ class PropertyVerdict:
     exact for ``confirm``); whether that counts as a paper-level
     counterexample is decided later by certification.  ``fitness`` is the
     property's own violation-proximity score in ``[0, 1]``; ``details`` is a
-    JSON-safe dict of whatever the property wants reported.
+    JSON-safe dict of whatever the property wants reported.  ``exact`` is
+    set only on a screen verdict whose candidate was flagged during
+    :func:`screen_generation`: the confirm verdict of the same run.
     """
 
     property_name: str
@@ -83,6 +99,7 @@ class PropertyVerdict:
     fitness: float
     mode: str
     details: Dict[str, Any] = field(default_factory=dict)
+    exact: Optional["PropertyVerdict"] = None
 
 
 class ScheduleProperty(ABC):
@@ -99,6 +116,7 @@ class ScheduleProperty(ABC):
         self.n = n
         self.t = t
         self.k = k
+        self._replica: Optional[Simulator] = None
 
     # ------------------------------------------------------------------
     def describe(self) -> str:
@@ -114,99 +132,127 @@ class ScheduleProperty(ABC):
         return universe(self.n) - compiled.faulty
 
     # ------------------------------------------------------------------
-    #: Published keys the screen snapshots sample (one column per key).
+    #: Published keys the screen snapshots sample (one tracker per key).
     screen_keys: Tuple[str, ...] = ()
+    #: Published keys the exact verdict reads (one tracker per key).
+    confirm_keys: Tuple[str, ...] = ()
 
     @abstractmethod
     def _build_simulator(self) -> Simulator:
         """A fresh instrumentation-free replica of the system under test."""
 
+    def replica(self) -> Simulator:
+        """The property's replica: built on first use, rewound between runs."""
+        if self._replica is None:
+            self._replica = self._build_simulator()
+        return self._replica
+
+    @contextmanager
+    def tracked_run(
+        self, compiled: CompiledSchedule, keys: Sequence[str]
+    ) -> Iterator[Dict[str, OutputTracker]]:
+        """Run ``compiled`` once on the replica, tracking each of ``keys``.
+
+        Yields ``key -> tracker`` after the run.  On exit the replica is
+        rewound, which detaches the trackers, so none outlives its candidate.
+        Not reentrant: the body must not run another candidate of this
+        property (judge the trackers, then run the next).
+        """
+        simulator = self.replica()
+        trackers = {key: OutputTracker(key=key) for key in keys}
+        try:
+            for tracker in trackers.values():
+                simulator.add_observer(tracker)
+            simulator.run_fast(compiled)
+            yield trackers
+        finally:
+            simulator.rewind()
+
+    def evaluate(
+        self,
+        compiled: CompiledSchedule,
+        checkpoints: int,
+        flagged: Optional[Callable[[PropertyVerdict], bool]] = None,
+    ) -> PropertyVerdict:
+        """The screen verdict, plus the exact one when ``flagged`` says so.
+
+        One tracked run serves both judges: when ``flagged(screen)`` holds,
+        :meth:`judge_confirm` reads the same trackers and its verdict is
+        attached as the screen verdict's ``exact``.
+        """
+        keys = self.screen_keys
+        if flagged is not None:
+            keys = tuple(dict.fromkeys(keys + self.confirm_keys))
+        with self.tracked_run(compiled, keys) as trackers:
+            snapshots = tracker_snapshots(
+                trackers, self.screen_keys, compiled.n, len(compiled), checkpoints
+            )
+            screen = self.judge_screen(snapshots, compiled)
+            if flagged is not None and flagged(screen):
+                screen = replace(screen, exact=self.judge_confirm(trackers, compiled))
+        return screen
+
     def screen(self, compiled: CompiledSchedule, checkpoints: int) -> PropertyVerdict:
-        """Cheap bare-kernel verdict at checkpoint resolution."""
-        simulator = self._build_simulator()
-        snapshots = checkpoint_snapshots(
-            simulator, compiled, checkpoints, self.screen_keys
-        )
-        return self.judge_screen(snapshots, compiled)
+        """The verdict at checkpoint resolution, from one tracked run."""
+        return self.evaluate(compiled, checkpoints)
+
+    def confirm(self, compiled: CompiledSchedule) -> PropertyVerdict:
+        """The exact verdict (the word that counts), from one tracked run."""
+        with self.tracked_run(compiled, self.confirm_keys) as trackers:
+            return self.judge_confirm(trackers, compiled)
 
     @abstractmethod
     def judge_screen(
         self, snapshots: List[Snapshot], compiled: CompiledSchedule
     ) -> PropertyVerdict:
-        """The screen verdict from checkpoint snapshots (shared by all lanes).
-
-        Every screen path — the per-candidate :meth:`screen`, and the batched
-        :func:`screen_generation` — funnels through this judge, which is what
-        pins the lanes verdict-identical: same snapshots in, same
-        :class:`PropertyVerdict` out.
-        """
-
-    def batch_screen_snapshots(
-        self, compileds: Sequence[CompiledSchedule], checkpoints: int
-    ) -> List[List[Snapshot]]:
-        """Checkpoint snapshots for a whole generation, via a column lane.
-
-        The base property has no column lane: it raises
-        :class:`~repro.runtime.vector_backend.UnsupportedLowering` before
-        building anything, so :func:`screen_generation` falls back to the
-        per-candidate reference :meth:`screen`.  Subclasses with a cheaper
-        whole-generation lane override it (the anti-Ω properties screen
-        sim-free).
-        """
-        from ..runtime.vector_backend import UnsupportedLowering
-
-        raise UnsupportedLowering(f"{type(self).__name__} has no column screen lane")
+        """The screen verdict from checkpoint snapshots."""
 
     @abstractmethod
-    def confirm(self, compiled: CompiledSchedule) -> PropertyVerdict:
-        """Exact tracker-based verdict (the word that counts)."""
+    def judge_confirm(
+        self, trackers: Trackers, compiled: CompiledSchedule
+    ) -> PropertyVerdict:
+        """The exact verdict from the change lists of :attr:`confirm_keys`."""
 
 
 # ----------------------------------------------------------------------
-# Checkpointed bare execution (shared by the screen paths)
+# Checkpoint snapshots from tracker change lists
 # ----------------------------------------------------------------------
 
-def checkpoint_snapshots(
-    simulator: Simulator,
-    compiled: CompiledSchedule,
-    checkpoints: int,
+def tracker_snapshots(
+    trackers: Trackers,
     keys: Sequence[str],
+    n: int,
+    length: int,
+    checkpoints: int,
 ) -> List[Snapshot]:
-    """Drive one replica over the buffer in segments, sampling outputs between.
+    """The published outputs under ``keys`` at ``checkpoints`` step boundaries.
 
-    The buffer is split into ``checkpoints`` contiguous segments; each
-    non-empty segment runs directly on the bare kernel loop (the replica
-    carries no observers) without re-entering the batch machinery per
-    segment, and after each segment the published outputs under ``keys`` are
-    snapshotted for every process.  Zero-length segments — ``checkpoints``
-    exceeding the schedule length — execute nothing and simply repeat the
-    previous snapshot.  Returns one ``pid -> {key: value}`` snapshot per
-    checkpoint; the final snapshot reflects the full buffer.
+    ``trackers`` recorded one run of ``length`` steps from a fresh (or
+    rewound) simulator.  Boundary ``i`` (``1..checkpoints``) falls after step
+    ``(length * i) // checkpoints``.  A tracker counts steps from 1, so a
+    change recorded at step ``s`` is visible after ``s`` steps: the value at
+    boundary ``b`` is the last change with ``step <= b``, and ``None`` before
+    the process's first change.  Boundaries that coincide (``checkpoints``
+    exceeding ``length``) repeat a snapshot; the last snapshot holds the
+    final outputs.  Returns one ``pid -> {key: value}`` snapshot per
+    boundary.
     """
-    from ..runtime.kernel import _execute_bare
-
     if checkpoints < 1:
         raise ConfigurationError(f"checkpoints must be >= 1, got {checkpoints}")
-    bare = not simulator.observer_entries()
-    total = len(compiled)
-    steps = compiled.steps
-    bounds = [(total * index) // checkpoints for index in range(checkpoints + 1)]
-    snapshots: List[Snapshot] = []
-    for start, end in zip(bounds, bounds[1:]):
-        if end > start:
-            if bare:
-                _execute_bare(simulator, steps[start:end])
-            else:
-                segment = CompiledSchedule(
-                    n=compiled.n, steps=steps[start:end], description="segment"
-                )
-                execute_batch([simulator], segment)
-        snapshots.append(
-            {
-                pid: {key: simulator.output_of(pid, key) for key in keys}
-                for pid in range(1, compiled.n + 1)
-            }
-        )
+    bounds = [(length * index) // checkpoints for index in range(1, checkpoints + 1)]
+    pids = range(1, n + 1)
+    snapshots: List[Snapshot] = [{pid: {} for pid in pids} for _ in bounds]
+    for key in keys:
+        changes = trackers[key].changes
+        current: List[Any] = [None] * (n + 1)
+        position = 0
+        for snapshot, bound in zip(snapshots, bounds):
+            while position < len(changes) and changes[position].step <= bound:
+                change = changes[position]
+                current[change.pid] = change.value
+                position += 1
+            for pid in pids:
+                snapshot[pid][key] = current[pid]
     return snapshots
 
 
@@ -266,29 +312,13 @@ class KAntiOmegaConvergenceProperty(ScheduleProperty):
 
     name = "k-anti-omega-convergence"
     screen_keys = (FD_OUTPUT,)
+    confirm_keys = (FD_OUTPUT, WINNER_SET)
 
     def _build_simulator(self) -> Simulator:
         registers = RegisterFile()
         KAntiOmegaAutomaton.declare_registers(registers, n=self.n, k=self.k)
         automata = make_anti_omega_algorithm(n=self.n, t=self.t, k=self.k)
         return Simulator(n=self.n, automata=automata, registers=registers)
-
-    def batch_screen_snapshots(
-        self, compileds: Sequence[CompiledSchedule], checkpoints: int
-    ) -> List[List[Snapshot]]:
-        """Whole-generation snapshots from the sim-free anti-Ω column kernel.
-
-        No simulators are built at all: the candidates' Figure 2 runs execute
-        as flat numpy lanes
-        (:func:`~repro.runtime.vector_backend.anti_omega_screen_snapshots`),
-        which skips the per-candidate construction cost that dominates short
-        screens on the reference path.
-        """
-        from ..runtime.vector_backend import anti_omega_screen_snapshots
-
-        return anti_omega_screen_snapshots(
-            self.n, self.t, self.k, compileds, checkpoints, self.screen_keys
-        )
 
     # ------------------------------------------------------------------
     def judge_screen(
@@ -340,13 +370,12 @@ class KAntiOmegaConvergenceProperty(ScheduleProperty):
             },
         )
 
-    def confirm(self, compiled: CompiledSchedule) -> PropertyVerdict:
-        """Exact verdict via output trackers and :func:`check_k_anti_omega`."""
-        simulator = self._build_simulator()
-        fd_tracker, winner_tracker = make_detector_trackers()
-        simulator.add_observer(fd_tracker)
-        simulator.add_observer(winner_tracker)
-        simulator.run_fast(compiled)
+    def judge_confirm(
+        self, trackers: Trackers, compiled: CompiledSchedule
+    ) -> PropertyVerdict:
+        """Exact verdict via :func:`check_k_anti_omega` over the trackers."""
+        fd_tracker = trackers[FD_OUTPUT]
+        winner_tracker = trackers[WINNER_SET]
         horizon = len(compiled)
         correct = self.correct_set(compiled)
         finals = fd_tracker.final_values()
@@ -419,6 +448,7 @@ class LeaderSetConvergenceProperty(KAntiOmegaConvergenceProperty):
 
     name = "leader-set-convergence"
     screen_keys = (WINNER_SET,)
+    confirm_keys = (WINNER_SET,)
 
     def judge_screen(
         self, snapshots: List[Snapshot], compiled: CompiledSchedule
@@ -458,13 +488,11 @@ class LeaderSetConvergenceProperty(KAntiOmegaConvergenceProperty):
             },
         )
 
-    def confirm(self, compiled: CompiledSchedule) -> PropertyVerdict:
+    def judge_confirm(
+        self, trackers: Trackers, compiled: CompiledSchedule
+    ) -> PropertyVerdict:
         """Exact verdict via :func:`check_leader_set_convergence` (Lemmas 20/22)."""
-        simulator = self._build_simulator()
-        fd_tracker, winner_tracker = make_detector_trackers()
-        simulator.add_observer(fd_tracker)
-        simulator.add_observer(winner_tracker)
-        simulator.run_fast(compiled)
+        winner_tracker = trackers[WINNER_SET]
         horizon = len(compiled)
         correct = self.correct_set(compiled)
         finals = winner_tracker.final_values()
@@ -508,6 +536,7 @@ class AgreementSafetyProperty(ScheduleProperty):
 
     name = "agreement-safety"
     screen_keys = (DECISION,)
+    confirm_keys = (DECISION,)
 
     def __init__(self, n: int, t: int, k: int) -> None:
         super().__init__(n, t, k)
@@ -571,13 +600,12 @@ class AgreementSafetyProperty(ScheduleProperty):
             decisions, compiled, "screen", extra={"first_decision_checkpoint": first_decided}
         )
 
-    def confirm(self, compiled: CompiledSchedule) -> PropertyVerdict:
-        """Exact verdict: full replay, then :func:`check_agreement` on the decisions."""
-        simulator = self._build_simulator()
-        simulator.run_fast(compiled)
-        decisions = {
-            pid: simulator.output_of(pid, DECISION) for pid in range(1, self.n + 1)
-        }
+    def judge_confirm(
+        self, trackers: Trackers, compiled: CompiledSchedule
+    ) -> PropertyVerdict:
+        """Exact verdict: :func:`check_agreement` on the final decisions."""
+        finals = trackers[DECISION].final_values()
+        decisions = {pid: finals.get(pid) for pid in range(1, self.n + 1)}
         return self._judge(decisions, compiled, "confirm")
 
 
@@ -588,43 +616,12 @@ class AgreementSafetyProperty(ScheduleProperty):
 #: Diagnostics for the most recent :func:`screen_generation` call.
 _LAST_SCREEN_PLAN: Dict[str, Any] = {}
 
-#: The screen backends :func:`screen_generation` accepts (the ``--backend``
-#: spelling of ``repro search`` and of ``search-eval`` campaign params).
-SCREEN_BACKENDS = ("auto", "python", "vector")
-
-_LOGGER = logging.getLogger(__name__)
-
-#: Fallback reasons already warned about (the "loud" in *falls back loudly*
-#: means one warning per distinct reason, not one per generation).
-_WARNED_FALLBACKS: Set[str] = set()
-
-
-def _warn_fallback(reason: str) -> None:
-    """Log each distinct screen-planner fallback reason once per process."""
-    if reason not in _WARNED_FALLBACKS:
-        _WARNED_FALLBACKS.add(reason)
-        _LOGGER.warning(
-            "auto backend falling back to the reference screen: %s", reason
-        )
-
-
-#: Smallest generation the ``auto`` planner sends to a column lane.  The
-#: sim-free kernel steps every column once per time row, so its cost is
-#: ~horizon x a fixed numpy overhead almost regardless of the batch, while
-#: the reference screen pays per candidate-step; below this batch the
-#: reference screen is faster (measured table in ARCHITECTURE.md, "Screen
-#: lanes and the auto planner").
-_COLUMN_SCREEN_CROSSOVER = 96
-
 
 def last_screen_plan() -> Dict[str, Any]:
-    """Which lane the last :func:`screen_generation` took, and why.
+    """Which lane the last :func:`screen_generation` took, for how many candidates.
 
-    Keys: ``lane`` (``"column"`` or ``"reference"``), ``reason`` (why the
-    reference lane ran — a fallback, a forced backend or a batch below the
-    column-screen crossover; ``None`` on the column lane), ``batch``.  Empty
-    before the first call.  The campaign and the tests use this to assert the
-    auto planner's decisions without scraping logs.
+    Keys: ``lane`` (always ``"reference"``: every candidate is one tracked
+    run on the reference kernel) and ``batch``.  Empty before the first call.
     """
     return dict(_LAST_SCREEN_PLAN)
 
@@ -633,90 +630,26 @@ def screen_generation(
     prop: ScheduleProperty,
     compileds: Sequence[CompiledSchedule],
     checkpoints: int,
-    backend: str = "auto",
+    flagged: Optional[Callable[[int, PropertyVerdict], bool]] = None,
 ) -> List[PropertyVerdict]:
-    """Screen a whole generation of candidates in one call.
+    """Screen a whole generation: one tracked run per candidate.
 
-    With ``backend="auto"`` (the planner default) a batch of at least
-    ``_COLUMN_SCREEN_CROSSOVER`` candidates gathers its checkpoint snapshots
-    through the property's column lane
-    (:meth:`ScheduleProperty.batch_screen_snapshots`) and judges each
-    candidate with the same :meth:`ScheduleProperty.judge_screen` the
-    one-at-a-time path uses — so the verdicts are identical, only cheaper.
-    A smaller batch of a property with a column lane takes the per-candidate
-    reference :meth:`ScheduleProperty.screen` by plan, without a warning,
-    because there the reference screen is the faster lane.  Batches the
-    column lane cannot take fall back *loudly* (one log warning per distinct
-    reason) to the reference path.  :func:`last_screen_plan` records every
-    decision.
-
-    ``backend="vector"`` forces the column lane at any batch size and raises
-    :class:`~repro.errors.SimulationError` when it cannot take the batch;
-    ``backend="python"`` forces the per-candidate reference path.
+    Every candidate runs once on the property's rewound replica
+    (:meth:`ScheduleProperty.evaluate`), so the verdicts equal the
+    one-at-a-time :meth:`ScheduleProperty.screen` ones.  With ``flagged``,
+    the candidate at position ``i`` whose screen verdict ``v`` makes
+    ``flagged(i, v)`` true also gets its exact verdict from that same run,
+    as ``v.exact`` — flagged candidates pay no second run.
     """
-    from ..runtime.vector_backend import UnsupportedLowering
-
-    if backend not in SCREEN_BACKENDS:
-        raise ConfigurationError(
-            f"unknown backend {backend!r}; registered: {list(SCREEN_BACKENDS)}"
-        )
     compiled_list = list(compileds)
-    if not compiled_list:
-        return []
-
-    def note(lane: str, reason: Optional[str]) -> None:
-        _LAST_SCREEN_PLAN.clear()
-        _LAST_SCREEN_PLAN.update(
-            {"lane": lane, "reason": reason, "batch": len(compiled_list)}
+    _LAST_SCREEN_PLAN.clear()
+    _LAST_SCREEN_PLAN.update({"lane": "reference", "batch": len(compiled_list)})
+    return [
+        prop.evaluate(
+            compiled, checkpoints, None if flagged is None else partial(flagged, index)
         )
-
-    if backend in ("auto", "vector"):
-        # A property that overrides screen() wholesale (instead of judging
-        # through judge_screen) cannot be replaced by the snapshot lanes —
-        # its per-candidate screen is the only spelling of its verdict.
-        if type(prop).screen is not ScheduleProperty.screen:
-            reason = (
-                f"{type(prop).__name__} overrides screen(); the column lanes "
-                "only replace the base checkpoint screen"
-            )
-            if backend == "vector":
-                raise SimulationError(
-                    f"vector screening could not take the batch: {reason}"
-                )
-            note("reference", reason)
-            _warn_fallback(reason)
-        elif (
-            backend == "auto"
-            and len(compiled_list) < _COLUMN_SCREEN_CROSSOVER
-            and type(prop).batch_screen_snapshots
-            is not ScheduleProperty.batch_screen_snapshots
-        ):
-            note(
-                "reference",
-                f"batch of {len(compiled_list)} below the column-screen "
-                f"crossover ({_COLUMN_SCREEN_CROSSOVER})",
-            )
-        else:
-            try:
-                snapshot_lists = prop.batch_screen_snapshots(
-                    compiled_list, checkpoints
-                )
-            except UnsupportedLowering as unsupported:
-                if backend == "vector":
-                    raise SimulationError(
-                        f"vector screening could not take the batch: {unsupported}"
-                    ) from unsupported
-                note("reference", str(unsupported))
-                _warn_fallback(str(unsupported))
-            else:
-                note("column", None)
-                return [
-                    prop.judge_screen(snapshots, compiled)
-                    for snapshots, compiled in zip(snapshot_lists, compiled_list)
-                ]
-    else:
-        note("reference", f"backend {backend!r} requested")
-    return [prop.screen(compiled, checkpoints) for compiled in compiled_list]
+        for index, compiled in enumerate(compiled_list)
+    ]
 
 
 # ----------------------------------------------------------------------

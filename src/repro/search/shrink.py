@@ -11,8 +11,10 @@ block orders, so the same input schedule and predicate always shrink to the
 same reproducer (pinned by ``tests/search/test_shrink.py``).
 
 The shrinker is evaluation-bounded rather than time-bounded
-(``max_evaluations``): each predicate call replays the candidate through the
-property's exact ``confirm`` path, so the budget is what keeps worst-case
+(``max_evaluations``): each predicate call replays the trial once — the
+search's predicates judge it with the property's ``confirm`` (or, for
+near-misses, ``screen``), one tracked run on the property's replica, rewound
+between trials rather than rebuilt — so the budget is what keeps worst-case
 shrinks from dominating a search run.
 """
 

@@ -139,3 +139,25 @@ class TestSolveAgreementEndToEnd:
         generator = RandomGenerator(3, seed=1)
         with pytest.raises(ConfigurationError):
             solve_agreement(problem, {1: 0}, generator, max_steps=100)
+
+
+class TestRewind:
+    @pytest.mark.parametrize("t,k", [(2, 2), (1, 2)], ids=["detector-stack", "trivial"])
+    def test_rewound_protocol_republishes_the_undecided_decision(self, t, k):
+        from repro.agreement.runner import build_agreement_algorithm
+
+        problem = AgreementInstance(t=t, k=k, n=4)
+        registers, automata, _ = build_agreement_algorithm(problem, distinct_inputs(4))
+        simulator = Simulator(n=4, automata=automata, registers=registers)
+        layers = [
+            automaton.component("agreement") if k <= t else automaton
+            for automaton in automata.values()
+        ]
+        assert all(layer.outputs == {DECISION: None} for layer in layers)
+        simulator.run_fast(Schedule(steps=tuple(range(1, 5)) * 400, n=4))
+        decided = simulator.outputs(DECISION)
+        assert None not in decided.values()
+        simulator.rewind()
+        assert all(layer.outputs == {DECISION: None} for layer in layers)
+        simulator.run_fast(Schedule(steps=tuple(range(1, 5)) * 400, n=4))
+        assert simulator.outputs(DECISION) == decided

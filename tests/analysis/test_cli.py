@@ -43,15 +43,12 @@ class TestCommands:
         assert "S^2_{3,4}" in output          # matching system
         assert "frontier" in output
 
-    def test_map_screen_plans_the_reference_lane(self):
-        """The grid's 10 cells are below the column-screen crossover."""
+    def test_map_screen_batches_every_cell(self):
+        """The grid's 10 cells screen in one call, one tracked run each."""
         lines = run(["map", "--screen", "--t", "2", "--k", "2", "--n", "4"])
         output = "\n".join(lines)
         assert "screened grid (one batched screen)" in output
-        assert (
-            "screen lane: reference (10 cells batched) — batch of 10 below "
-            "the column-screen crossover" in output
-        )
+        assert "screen lane: reference (10 cells batched)" in output
 
     def test_separations(self):
         lines = run(["separations"])
@@ -349,11 +346,9 @@ def _one_error_line(result):
 
 
 class TestOneLineErrors:
-    def test_unknown_search_backend_lists_choices(self, repro_cli):
-        line = _one_error_line(repro_cli("search", "--backend", "banana"))
-        assert line.startswith("repro: unknown backend 'banana'"), line
-        for name in ("auto", "python", "vector"):
-            assert f"'{name}'" in line
+    def test_bad_search_checkpoints(self, repro_cli):
+        line = _one_error_line(repro_cli("search", "--checkpoints", "0"))
+        assert line == "repro: checkpoints must be >= 1, got 0", line
 
     def test_report_on_a_missing_file(self, repro_cli, tmp_path):
         missing = tmp_path / "absent.jsonl"

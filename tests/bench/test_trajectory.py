@@ -6,7 +6,6 @@ the ratio-based regression check, markdown rendering, and the committed
 baseline files at the repository root — without re-measuring anything slow.
 """
 
-import importlib
 import json
 from pathlib import Path
 
@@ -60,48 +59,18 @@ class TestCommittedBaseline:
         _, campaign_doc = committed_trajectory
         assert campaign_doc["suite"] == "campaign"
         assert campaign_doc["payloads_identical"] is True
-        assert campaign_doc["search_eval_payloads_identical"] is True
         for name, case in campaign_doc["cases"].items():
-            rate = case.get("ns_per_step", case.get("us_per_candidate"))
-            assert case["seconds"] > 0 and rate > 0, name
+            assert case["seconds"] > 0 and case["ns_per_step"] > 0, name
         assert campaign_doc["headline"]["batched_vs_stream"] > 1.0
-        assert campaign_doc["headline"]["search_eval_auto_vs_python"] > 0
 
-    def test_kernel_screen_lane_committed_and_gated(self, committed_trajectory):
-        from repro.bench import SCREEN_HEADLINE_FLOOR
-
-        kernel_doc, _ = committed_trajectory
-        screen_doc = kernel_doc["screen"]
-        assert screen_doc["verdicts_identical"] is True
-        assert screen_doc["cases"]["vector-screen"]["seconds"] > 0
-        # ISSUE 8's acceptance bar: the committed whole-generation screening
-        # headline clears the absolute floor.
-        headline = kernel_doc["headline"]["vector_screen_vs_reference_screen"]
-        assert headline >= SCREEN_HEADLINE_FLOOR >= 5.0
-
-    def test_screen_bench_shapes_reach_the_column_crossover(self, monkeypatch):
-        """Every gated column-screen shape stays on the column lane under auto.
-
-        A batch below the crossover screens on the reference lane, which
-        would turn ``search_eval_auto_vs_python`` into python vs. python and
-        break ``bench_search``'s column-lane assertion.
-        """
-        from repro.bench.trajectory import (
-            SEARCH_EVAL_POPULATION,
-            SEARCH_EVAL_POPULATION_SMOKE,
-        )
-        from repro.search.properties import _COLUMN_SCREEN_CROSSOVER
-
-        monkeypatch.syspath_prepend(str(REPO_ROOT / "benchmarks"))
-        bench_search = importlib.import_module("bench_search")
-        for batch in (
-            SEARCH_EVAL_POPULATION,
-            SEARCH_EVAL_POPULATION_SMOKE,
-            bench_search.SCREEN_BATCH,
-            bench_search.SCREEN_BATCH_SMOKE,
-        ):
-            assert batch >= _COLUMN_SCREEN_CROSSOVER
-
+    def test_retired_screen_headlines_are_gone(self, committed_trajectory):
+        # The column screen and the search-eval auto planner left with their
+        # lanes: every search candidate is one tracked run now.
+        kernel_doc, campaign_doc = committed_trajectory
+        assert "vector_screen_vs_reference_screen" not in kernel_doc["headline"]
+        assert "screen" not in kernel_doc
+        assert "search_eval_auto_vs_python" not in campaign_doc["headline"]
+        assert "search_eval_payloads_identical" not in campaign_doc
 
 class TestRegressionCheck:
     def test_committed_baseline_passes_against_itself(self, committed_trajectory):
@@ -155,70 +124,6 @@ class TestRegressionCheck:
         broken["payloads_identical"] = False
         failures = check_regression(kernel_doc, broken, REPO_ROOT)
         assert any("payloads differ" in failure for failure in failures)
-
-    def test_screen_headline_below_absolute_floor_fails(self, committed_trajectory):
-        kernel_doc, campaign_doc = committed_trajectory
-        slow = json.loads(json.dumps(kernel_doc))
-        slow["headline"]["vector_screen_vs_reference_screen"] = 4.9
-        failures = check_regression(slow, campaign_doc, REPO_ROOT)
-        assert any("vector_screen_vs_reference_screen" in f for f in failures)
-        assert any("absolute floor" in f for f in failures)
-
-    def test_screen_verdict_divergence_fails(self, committed_trajectory):
-        kernel_doc, campaign_doc = committed_trajectory
-        broken = json.loads(json.dumps(kernel_doc))
-        broken["screen"]["verdicts_identical"] = False
-        failures = check_regression(broken, campaign_doc, REPO_ROOT)
-        assert any("verdicts differ" in failure for failure in failures)
-
-    def test_search_eval_payload_divergence_fails(self, committed_trajectory):
-        kernel_doc, campaign_doc = committed_trajectory
-        broken = json.loads(json.dumps(campaign_doc))
-        broken["search_eval_payloads_identical"] = False
-        failures = check_regression(kernel_doc, broken, REPO_ROOT)
-        assert any("search-eval payloads" in failure for failure in failures)
-
-    def test_mode_sensitive_screen_gate_skips_cross_mode(self, committed_trajectory):
-        # A smoke re-measurement of the screening lane is not relative-gated
-        # against a full-mode baseline (the ratio moves structurally with the
-        # batch size), but the absolute floor still applies.
-        from repro.bench import compare_trajectories
-
-        kernel_doc, campaign_doc = committed_trajectory
-        fresh = json.loads(json.dumps(kernel_doc))
-        fresh["config"]["smoke"] = not kernel_doc["config"].get("smoke", False)
-        fresh["headline"]["vector_screen_vs_reference_screen"] = 5.1
-        assert (
-            compare_trajectories(fresh, campaign_doc, kernel_doc, campaign_doc) == []
-        )
-
-
-class TestWithoutNumpy:
-    """numpy is the optional [vector] extra; only the screening lane needs it."""
-
-    @pytest.fixture(autouse=True)
-    def _hide_numpy(self, monkeypatch):
-        from repro.runtime import vector_backend
-
-        monkeypatch.setattr(vector_backend, "np", None)
-
-    def test_bench_kernel_skips_the_screen_lane(self):
-        from repro.bench import bench_kernel
-
-        doc = bench_kernel(smoke=True, workloads=["bound-ops"])
-        assert doc["screen"] is None
-        assert "vector_screen_vs_reference_screen" not in doc["headline"]
-        assert doc["workloads"]["bound-ops"]["batch-compiled-bare"]["ns_per_step"] > 0
-
-    def test_regression_gate_skips_the_missing_screen_headline(
-        self, committed_trajectory
-    ):
-        kernel_doc, campaign_doc = committed_trajectory
-        fresh = json.loads(json.dumps(kernel_doc))
-        del fresh["headline"]["vector_screen_vs_reference_screen"]
-        fresh["screen"] = None
-        assert check_regression(fresh, campaign_doc, REPO_ROOT) == []
-
 
 class TestReporting:
     def test_markdown_tables_render_from_trajectory(self, committed_trajectory):

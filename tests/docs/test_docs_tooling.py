@@ -111,8 +111,8 @@ def test_observers_detector_vocabulary_and_metrics_docstring_coverage():
 
 def test_screen_kernel_module_doctests_pass():
     # CI's "Screen kernel module doctests" step, mirrored in tier-1: the
-    # example must pass with and without numpy (the screen falls back to the
-    # reference lane without it).
+    # example must pass with and without numpy (it compares the kernel with
+    # a tracked run only when numpy is there).
     import repro.runtime.vector_backend as vector_module
 
     results = doctest.testmod(vector_module, verbose=False)

@@ -37,6 +37,24 @@ class TestRegisterFile:
         registers.write("unknown", 7)
         assert registers.read("unknown") == 7
 
+    def test_rewind_restores_initial_state_in_place(self):
+        registers = RegisterFile()
+        registers.declare(("Heartbeat", 1), initial=0, writer=1)
+        registers.write(("Heartbeat", 1), 9, writer=1)
+        registers.write("lazy", "x")
+        registers.read("lazy")
+        slots = dict(registers.arena_view().slots)
+        registers.rewind()
+        arena = registers.arena_view()
+        # Same slots (bound operations stay valid), initial values and owners
+        # back, counters zeroed.
+        assert arena.slots == slots
+        assert registers.peek(("Heartbeat", 1)) == 0 and registers.peek("lazy") is None
+        assert arena.writers == [1, None]
+        assert arena.read_counts == [0, 0] and arena.write_counts == [0, 0]
+        with pytest.raises(RegisterError):
+            registers.write(("Heartbeat", 1), 5, writer=2)
+
     def test_declare_sets_initial_value(self):
         registers = RegisterFile()
         registers.declare(("Heartbeat", 1), initial=0, writer=1)

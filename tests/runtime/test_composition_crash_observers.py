@@ -51,6 +51,26 @@ class TestComposedAutomaton:
         assert composed.output("worker.count") == 4
         assert composed.output("count") == 4
 
+    def test_rewind_resets_components_and_their_sync(self):
+        finite = Finite(1, 1)
+        forever = Counter(1, 1, tag="y")
+        composed = compose(1, 1, finite=finite, forever=forever)
+        simulator = Simulator(n=1, automata={1: composed})
+        tracker = OutputTracker(key="count")
+        simulator.add_observer(tracker)
+        simulator.run_fast(Schedule(steps=(1,) * 12, n=1))
+        first = [(change.step, change.value) for change in tracker.changes]
+        simulator.rewind()
+        assert composed.outputs == {} and composed.outputs_version == 0
+        assert finite.outputs == {} and forever.outputs == {}
+        # Re-syncing starts over, so the replay publishes (and is sampled)
+        # exactly like the first run.
+        tracker = OutputTracker(key="count")
+        simulator.add_observer(tracker)
+        simulator.run_fast(Schedule(steps=(1,) * 12, n=1))
+        assert [(change.step, change.value) for change in tracker.changes] == first
+        assert finite.output("done") is True and composed.output("count") == 9
+
     def test_halted_component_drops_out(self):
         finite = Finite(1, 1)
         forever = Counter(1, 1, tag="y")

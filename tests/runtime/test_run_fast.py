@@ -144,6 +144,27 @@ class TestRunFastEquivalence:
         with pytest.raises(SimulationError):
             simulator.run_fast([3], max_steps=1)
 
+    @pytest.mark.parametrize("bad_pid", [2**40, -(2**40), 0])
+    @pytest.mark.parametrize("budget", [None, 5])
+    @pytest.mark.parametrize("run", ["run", "run_fast"])
+    def test_unknown_pid_runs_the_valid_prefix_first(self, run, budget, bad_pid):
+        # A pid too large for the bare loop's array('i') buffer is an unknown
+        # pid like any other: both loops execute the valid prefix, then fail
+        # at the offending step with exact accounting.
+        def program(automaton, ctx):
+            count = 0
+            while True:
+                count += 1
+                automaton.publish("count", count)
+                yield WriteOp(("r", automaton.pid), count)
+
+        simulator = build_simulator(2, lambda pid: FunctionAutomaton(pid, 2, program))
+        with pytest.raises(SimulationError, match=rf"^unknown process id {bad_pid}$"):
+            getattr(simulator, run)(iter([1, 2, bad_pid, 1]), max_steps=budget)
+        assert simulator.step_index == 2
+        assert [simulator.steps_taken(pid) for pid in (1, 2)] == [1, 1]
+        assert simulator.outputs("count") == {1: 1, 2: 1}
+
 
 class TestStepBudgetValidation:
     def _simulator(self):

@@ -1,17 +1,16 @@
-"""Checkpoint snapshots of the two screen lanes, pinned against each other.
+"""The sim-free anti-Ω screen kernel, pinned against tracked runs.
 
 A generation screen reads each candidate's published outputs at evenly
-spaced checkpoints.  The reference lane drives one simulator per candidate
-(:func:`repro.search.properties.checkpoint_snapshots`); the anti-Ω family's
-column lane computes the same snapshots sim-free
-(:func:`repro.runtime.vector_backend.anti_omega_screen_snapshots`).  The two
-must agree byte for byte for every lowered accusation statistic and timeout
+spaced checkpoints.  The search derives them from one tracked run per
+candidate (:func:`repro.search.properties.tracker_snapshots`); the sim-free
+kernel (:func:`repro.runtime.vector_backend.anti_omega_screen_snapshots`),
+which no search lane calls any more, computes the same snapshots as numpy
+columns.  The two must agree byte for byte for every lowered accusation statistic and timeout
 policy, every instance size and checkpoint count, over generations that mix
 schedule lengths (including a zero-length candidate and a crash at step 0),
 and snapshot ``i`` must equal the outputs after ``(L * i) // checkpoints``
-steps.  The kernel's argument checks — the ``UnsupportedLowering`` cases a
-caller falls back on and the ``ConfigurationError`` for bad checkpoints —
-are pinned here too.
+steps.  The kernel's argument checks — the ``UnsupportedLowering`` cases and the
+``ConfigurationError`` for bad checkpoints — are pinned here too.
 """
 
 import random
@@ -25,11 +24,12 @@ from repro.errors import ConfigurationError
 from repro.failure_detectors.base import FD_OUTPUT, WINNER_SET
 from repro.runtime import vector_backend
 from repro.runtime.kernel import execute_batch
+from repro.runtime.observers import OutputTracker
 from repro.runtime.vector_backend import (
     UnsupportedLowering,
     anti_omega_screen_snapshots,
 )
-from repro.search.properties import checkpoint_snapshots
+from repro.search.properties import tracker_snapshots
 
 STATISTICS = test_batch.STATISTICS
 POLICIES = test_batch.POLICIES
@@ -78,11 +78,17 @@ def _replica(n, t, k, statistic=PAPER_STATISTIC, policy=PAPER_POLICY):
     return test_batch._anti_omega_replica(n, t, k, statistic, policy)[0]
 
 
+def _tracked_snapshots(replica, compiled, checkpoints, keys):
+    trackers = {key: OutputTracker(key=key) for key in keys}
+    for tracker in trackers.values():
+        replica.add_observer(tracker)
+    replica.run_fast(compiled)
+    return tracker_snapshots(trackers, keys, compiled.n, len(compiled), checkpoints)
+
+
 def _reference(n, t, k, compileds, checkpoints, keys=KEYS, **algorithm):
     return [
-        checkpoint_snapshots(
-            _replica(n, t, k, **algorithm), compiled, checkpoints, keys
-        )
+        _tracked_snapshots(_replica(n, t, k, **algorithm), compiled, checkpoints, keys)
         for compiled in compileds
     ]
 
@@ -134,7 +140,7 @@ class TestKernelMatchesReferenceSnapshots:
         kernel = anti_omega_screen_snapshots(n, t, k, compileds, 4, keys)
         assert kernel == _reference(n, t, k, compileds, 4, keys=keys)
 
-    @pytest.mark.parametrize("lane", ["reference", "kernel"])
+    @pytest.mark.parametrize("lane", ["tracked", "kernel"])
     def test_snapshot_boundaries_match_prefix_runs(self, lane):
         """Snapshot ``i`` equals the outputs after ``(L * i) // checkpoints`` steps."""
         n, t, k = 4, 2, 2
@@ -145,7 +151,7 @@ class TestKernelMatchesReferenceSnapshots:
                 n, t, k, [compiled], checkpoints, (FD_OUTPUT,)
             )
         else:
-            snapshots = checkpoint_snapshots(
+            snapshots = _tracked_snapshots(
                 _replica(n, t, k), compiled, checkpoints, (FD_OUTPUT,)
             )
         for index in range(1, checkpoints + 1):

@@ -125,6 +125,32 @@ class TestSimulatorExecution:
         simulator = Simulator(n=1, automata={1: IdleAutomaton(1, 1)}, registers=registers)
         assert simulator.registers.peek("x") == 5
 
+    def test_rewind_restores_a_fresh_simulator(self):
+        simulator = Simulator(n=2, automata={1: PingPong(1, 2), 2: PingPong(2, 2)})
+        seen = []
+        simulator.add_observer(lambda step, pid, sim: seen.append(step))
+        first = simulator.run(Schedule(steps=(1, 2, 1, 2, 1, 2), n=2))
+        assert simulator.halted_processes() == [1, 2]
+        simulator.rewind()
+        assert simulator.step_index == 0 and simulator.trace().steps == ()
+        assert not simulator.observer_entries()
+        assert simulator.halted_processes() == []
+        assert [simulator.steps_taken(pid) for pid in (1, 2)] == [0, 0]
+        assert simulator.outputs("seen") == {1: None, 2: None}
+        assert simulator.registers.peek(("reg", 1)) is None
+        # The replay runs exactly like the first run; the detached observer
+        # sees none of it.
+        again = simulator.run(Schedule(steps=(1, 2, 1, 2, 1, 2), n=2))
+        assert again == first and seen == [1, 2, 3, 4, 5, 6]
+
+    def test_rewind_keeps_prebound_tables_valid(self):
+        simulator = build_simulator(2, lambda pid: IdleAutomaton(pid, 2))
+        simulator.run_fast(Schedule(steps=(1, 2, 2), n=2))
+        simulator.rewind()
+        simulator.run_fast(Schedule(steps=(2, 2, 1), n=2))
+        assert simulator.registers.peek(("idle-scratch", 2)) == 2
+        assert simulator.registers.peek(("idle-scratch", 1)) == 1
+
     def test_run_result_outputs(self):
         simulator = Simulator(n=2, automata={1: PingPong(1, 2), 2: PingPong(2, 2)})
         result = simulator.run(Schedule(steps=(1, 2, 1, 2, 1, 2), n=2))

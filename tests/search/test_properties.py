@@ -11,12 +11,12 @@ from repro.search import (
     LeaderSetConvergenceProperty,
     available_properties,
     certify_schedule,
-    checkpoint_snapshots,
     make_property,
     make_recipe,
     property_descriptions,
     realize,
     timeliness_fitness,
+    tracker_snapshots,
 )
 
 IN_MODEL = {
@@ -91,12 +91,19 @@ class TestRegistry:
         assert prop.certification_sizes() == (2, 4)
 
 
+def screen_snapshots(prop, compiled, checkpoints):
+    """The checkpoint snapshots one tracked screen run of ``prop`` derives."""
+    with prop.tracked_run(compiled, prop.screen_keys) as trackers:
+        return tracker_snapshots(
+            trackers, prop.screen_keys, compiled.n, len(compiled), checkpoints
+        )
+
+
 class TestCheckpointSnapshots:
     def test_snapshot_count_and_final_state(self):
         prop = KAntiOmegaConvergenceProperty(n=4, t=2, k=2)
         compiled = in_model_schedule(1200)
-        simulator = prop._build_simulator()
-        snapshots = checkpoint_snapshots(simulator, compiled, 6, (FD_OUTPUT,))
+        snapshots = screen_snapshots(prop, compiled, 6)
         assert len(snapshots) == 6
         # The final snapshot must equal a fresh uninstrumented full run.
         reference = prop._build_simulator()
@@ -107,16 +114,24 @@ class TestCheckpointSnapshots:
     def test_zero_checkpoints_rejected(self):
         prop = KAntiOmegaConvergenceProperty(n=4, t=2, k=2)
         with pytest.raises(ConfigurationError):
-            checkpoint_snapshots(prop._build_simulator(), in_model_schedule(100), 0, (FD_OUTPUT,))
+            screen_snapshots(prop, in_model_schedule(100), 0)
 
     def test_zero_length_schedule_snapshots(self):
         # Regression: a zero-step compiled buffer still yields the requested
         # number of (identical, initial-state) snapshots instead of raising.
         prop = KAntiOmegaConvergenceProperty(n=4, t=2, k=2)
         compiled = build_generator(IN_MODEL).compile(0)
-        snapshots = checkpoint_snapshots(prop._build_simulator(), compiled, 3, (FD_OUTPUT,))
+        snapshots = screen_snapshots(prop, compiled, 3)
         assert len(snapshots) == 3
         assert snapshots[0] == snapshots[-1]
+
+    def test_replica_is_rewound_not_rebuilt(self):
+        prop = KAntiOmegaConvergenceProperty(n=4, t=2, k=2)
+        replica = prop.replica()
+        first = prop.confirm(in_model_schedule(600))
+        assert prop.replica() is replica
+        assert replica.step_index == 0 and not replica.observer_entries()
+        assert prop.confirm(in_model_schedule(600)) == first
 
 
 def all_crashed_schedule(horizon=40):

@@ -198,10 +198,10 @@ class _AlwaysViolated(KAntiOmegaConvergenceProperty):
             details={"count": count, "all_correct_produced": True},
         )
 
-    def screen(self, compiled, checkpoints):
+    def judge_screen(self, snapshots, compiled):
         return self._verdict(compiled, "screen")
 
-    def confirm(self, compiled):
+    def judge_confirm(self, trackers, compiled):
         return self._verdict(compiled, "confirm")
 
 
