@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 
@@ -38,16 +39,14 @@ def _jsonable(value: Any) -> Any:
     non-serializable parameter fails at spec-construction time, not inside a
     worker process.
     """
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
     if isinstance(value, (frozenset, set)):
         return sorted(_jsonable(v) for v in value)
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, list):
+    if isinstance(value, (tuple, list)):
         return [_jsonable(v) for v in value]
     if isinstance(value, Mapping):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
     raise ConfigurationError(
         f"campaign parameter value {value!r} is not JSON-serializable; "
         "use scalars, lists/tuples, sets or mappings of those"

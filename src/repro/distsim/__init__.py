@@ -7,9 +7,10 @@ closes that gap:
 
 * :mod:`repro.distsim.latency` — pluggable message latency models
   (constant, uniform, exponential, heavy-tailed Pareto, diurnal modulation);
-* :mod:`repro.distsim.engine` — the timeline engine, one event loop over a
-  heap of ``(time, seq, event)`` entries (integer simulated time, FIFO
-  tie-breaking by scheduling sequence): processes exchange
+* :mod:`repro.distsim.engine` — the timeline engine, one resumable event
+  loop over a heap of ``(time, seq, ...)`` entries (integer simulated time,
+  FIFO tie-breaking by scheduling sequence) that records activations into
+  flat arrays: processes exchange
   messages through channels with latency distributions, partitions, loss
   windows, recoverable outages, and permanent crashes; every *activation*
   (a tick or a delivery at an alive process) is one schedule step;

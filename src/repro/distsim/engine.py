@@ -22,22 +22,31 @@ units so unbounded timelines stay faultable forever):
 * **loss windows** — while active, each message is independently dropped with
   the given rate (per-channel seeded RNG streams);
 * **permanent crashes** — from ``crash_times[pid]`` on, the process never
-  activates again; its tick source is retired, so a fully-crashed system
-  drains its event heap and the timeline ends.
+  activates again (a crash event beats every other event at its instant,
+  the process's first tick included); its tick source is retired, so a
+  fully-crashed system drains its event heap and the timeline ends.
+
+Execution: :meth:`TimelineEngine.advance` is the engine's one event loop.
+It is resumable — every piece of loop state lives on the engine — and it
+appends each activation to flat arrays (process id, time, and the
+provenance of deliveries) instead of building a per-activation object;
+:class:`StepRecord` objects exist only as a view built from those arrays.
 
 Determinism: all randomness comes from per-purpose streams seeded as
 ``f"{seed}|{purpose}|{channel}"`` and consumed in event order, and the event
-heap breaks time ties by scheduling order (a sequence number in every
-``(time, seq, event)`` entry) — so a fixed :class:`DistConfig` replays the
-identical timeline every run.
+heap breaks time ties by scheduling order (a sequence number in every heap
+entry) — so a fixed :class:`DistConfig` replays the identical timeline every
+run, however the run is split into :meth:`~TimelineEngine.advance` calls.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..runtime.crash import CrashPattern
@@ -122,19 +131,17 @@ class FailoverPolicy(MessagePolicy):
     epoch: int = 4
     sticky: bool = True
 
-    def _primary(self, tick_index: int) -> ProcessId:
-        if not self.sticky:
-            return self.replicas[tick_index % len(self.replicas)]
-        # Eras 0..e-1 span epoch * (2**e - 1) requests, so the request lies
-        # in era e exactly when 2**e <= tick_index // epoch + 1 < 2**(e + 1).
-        era = (tick_index // self.epoch + 1).bit_length() - 1
-        return self.replicas[era % len(self.replicas)]
-
     def targets(self, pid: ProcessId, tick_index: int) -> Tuple[ProcessId, ...]:
         """The current primary, when ``pid`` is the coordinator; nobody else sends."""
         if pid != self.coordinator:
             return ()
-        return (self._primary(tick_index),)
+        replicas = self.replicas
+        if not self.sticky:
+            return (replicas[tick_index % len(replicas)],)
+        # Eras 0..e-1 span epoch * (2**e - 1) requests, so the request lies
+        # in era e exactly when 2**e <= tick_index // epoch + 1 < 2**(e + 1).
+        era = (tick_index // self.epoch + 1).bit_length() - 1
+        return (replicas[era % len(replicas)],)
 
     def describe(self) -> str:
         """Readable one-liner naming the balance discipline and the roles."""
@@ -193,6 +200,16 @@ class TickSpec:
             triangle = 1.0 - abs(2.0 * phase - 1.0)
             gap *= 1.0 + self.amplitude * triangle
         return max(1, int(round(gap)))
+
+    def fixed_gap(self) -> int:
+        """The gap :meth:`next_gap` always returns, or 0 when it samples one.
+
+        With no jitter, no Pareto multiplier and no diurnal modulation the
+        gap is the constant ``interval`` and draws nothing from the stream.
+        """
+        if self.jitter > 0 or self.arrival_alpha > 0 or (self.period > 0 and self.amplitude > 0):
+            return 0
+        return max(1, int(round(float(self.interval))))
 
 
 @dataclass(frozen=True)
@@ -342,7 +359,9 @@ class StepRecord(NamedTuple):
     """One activation of the timeline — one step of the reduced schedule.
 
     ``cause`` is ``"tick"`` or ``"deliver"``; for deliveries ``src`` is the
-    sender and ``send_time`` the instant the message left it.
+    sender and ``send_time`` the instant the message left it.  The engine
+    records activations into flat arrays; records are built from them only
+    on request (:attr:`repro.distsim.reduction.Timeline.records`).
     """
 
     index: int
@@ -351,11 +370,6 @@ class StepRecord(NamedTuple):
     cause: str
     src: ProcessId = 0
     send_time: int = -1
-
-
-_TICK = 0
-_DELIVER = 1
-_CRASH = 2
 
 
 class _ChannelStreams(dict):
@@ -382,15 +396,31 @@ def _covered(windows: Tuple[Recurrence, ...], now: int) -> bool:
 class TimelineEngine:
     """Drives one :class:`DistConfig` through simulated time.
 
-    The engine is single-use: :meth:`run` yields :class:`StepRecord` objects
-    in activation order, while the mutable counters (``sent``, ``delivered``,
-    ``dropped_*``, ``crash_index``, latency aggregates) fill in as the run
-    progresses.  The generator ends (``StopIteration``) when the event heap
-    drains — which happens exactly when no process can ever activate again.
+    The engine is single-use and resumable: each :meth:`advance` call runs
+    the one event loop further and appends every activation to four flat
+    arrays, index ``i`` holding activation ``i``:
 
-    Pending events live in one heap of ``(time, seq, event)`` tuples; ``seq``
-    counts scheduled events, so two events at the same instant pop in the
-    order they were scheduled (FIFO) whatever their payloads.
+    * ``pids`` (``array('i')``) — the activating process, i.e. the reduced
+      schedule's step sequence;
+    * ``times`` (``array('q')``) — the simulated instant;
+    * ``srcs`` (``array('i')``) — the sender of a delivery, ``0`` for a tick
+      (so the cause is ``"deliver"`` exactly when ``src`` is non-zero);
+    * ``send_times`` (``array('q')``) — the instant a delivered message left
+      its sender, ``-1`` for a tick.
+
+    The message counters (``sent``, ``delivered``, ``dropped_*``, latency
+    aggregates) and ``crash_index`` (step index at which each crash fired)
+    fill in as the run progresses, and so do the heap, the sequence counter,
+    the stall count and the per-process tick counts and crashed flags — all
+    of them live on the engine, so a run advanced in chunks of any size ends
+    in the same state as one advanced in a single call.
+
+    Pending events live in one heap of ``(time, seq, pid, src, send_time)``
+    tuples: a delivery to ``pid`` from ``src``, a tick of ``pid`` (``src``
+    0) or a crash of ``-pid``.  ``seq`` counts scheduled events, so two events
+    at the same instant pop in the order they were scheduled (FIFO) whatever
+    their payloads.  The crash events are scheduled first, so a crash beats
+    every other event at its instant — a process's first tick included.
     """
 
     def __init__(self, config: DistConfig) -> None:
@@ -403,117 +433,168 @@ class TimelineEngine:
         self.max_latency = 0
         self.total_latency = 0
         self.crash_index: Dict[ProcessId, int] = {}
+        self.pids = array("i")
+        self.times = array("q")
+        self.srcs = array("i")
+        self.send_times = array("q")
+        n = config.n
         seed = config.seed
-        self._tick_rng = {
-            pid: random.Random(f"{seed}|tick|{pid}") for pid in config.ticks
-        }
+        tick_rngs = {pid: random.Random(f"{seed}|tick|{pid}") for pid in config.ticks}
         initial = [
-            (spec.next_gap(self._tick_rng[pid], 0), (_TICK, pid))
-            for pid, spec in sorted(config.ticks.items())
+            (int(time), -pid) for pid, time in sorted(config.crash_times.items())
         ]
         initial += [
-            (int(time), (_CRASH, pid)) for pid, time in sorted(config.crash_times.items())
+            (spec.next_gap(tick_rngs[pid], 0), pid)
+            for pid, spec in sorted(config.ticks.items())
         ]
-        self._heap: List[Tuple[int, int, tuple]] = [
-            (time, seq, event) for seq, (time, event) in enumerate(initial)
+        self._heap: List[Tuple[int, int, int, int, int]] = [
+            (time, seq, pid, 0, -1) for seq, (time, pid) in enumerate(initial)
         ]
         heapq.heapify(self._heap)
+        self._seq = len(self._heap)
+        self._stall = 0
+        # A tick with a constant gap draws nothing: bind the gap once.
+        self._fixed_gaps = [0] * (n + 1)
+        self._next_gaps: List[Optional[Callable[[int], int]]] = [None] * (n + 1)
+        for pid, spec in config.ticks.items():
+            self._fixed_gaps[pid] = spec.fixed_gap()
+            self._next_gaps[pid] = partial(spec.next_gap, tick_rngs[pid])
+        self._tick_counts = [0] * (n + 1)
+        self._crashed = [False] * (n + 1)
+        self._outages: List[Tuple[Outage, ...]] = [
+            tuple(outage for outage in config.outages if outage.pid == pid)
+            for pid in range(n + 1)
+        ]
+        self._latency_rngs = _ChannelStreams(seed, "lat")
+        self._loss_rngs = _ChannelStreams(seed, "loss")
 
     # ------------------------------------------------------------------
-    def run(self) -> Iterator[StepRecord]:
-        """Yield the timeline's activations in deterministic order."""
-        config = self.config
-        n = config.n
+    def advance(self, limit: int) -> int:
+        """Run until ``limit`` activations are recorded in all, or the heap drains.
+
+        Returns the number of activations recorded so far, which is below
+        ``limit`` exactly when the timeline ended (no process can ever
+        activate again).  The loop stops right after the ``limit``-th
+        activation: the events that activation scheduled are counted, no
+        later event is popped.  Raises
+        :class:`~repro.errors.ConfigurationError` when more than
+        ``_STALL_BUDGET`` events in a row activate nobody.
+        """
+        pids = self.pids
+        steps = len(pids)
+        if steps >= limit:
+            return steps
         heap = self._heap
-        seq = len(heap)  # the initial events took 0 .. len(heap) - 1
+        config = self.config
+        record_pid = pids.append
+        record_time = self.times.append
+        record_src = self.srcs.append
+        record_send_time = self.send_times.append
         push = heapq.heappush
         pop = heapq.heappop
-        clocks = {
-            pid: (spec.next_gap, self._tick_rng[pid]) for pid, spec in config.ticks.items()
-        }
+        fixed_gaps = self._fixed_gaps
+        next_gaps = self._next_gaps
+        tick_counts = self._tick_counts
+        crashed = self._crashed
+        crash_index = self.crash_index
+        outages = self._outages
         targets = config.policy.targets
         partitions = config.partitions
         loss = config.loss
         latency = config.latency
         sampler = latency.sampler if latency is not None else None
         diurnal = latency is not None and latency.period > 0 and latency.amplitude > 0
-        latency_rngs = _ChannelStreams(config.seed, "lat")
-        loss_rngs = _ChannelStreams(config.seed, "loss")
-        outages: List[Tuple[Outage, ...]] = [
-            tuple(outage for outage in config.outages if outage.pid == pid)
-            for pid in range(n + 1)
-        ]
-        crashed = [False] * (n + 1)
-        tick_counts = [0] * (n + 1)
-        steps = 0
-        stall = 0
-        while heap:
-            now, _, event = pop(heap)
-            kind = event[0]
-            if kind == _TICK:
-                pid = event[1]
-                if crashed[pid]:
-                    continue  # retired clock: no re-arm, the heap can drain
-                tick_index = tick_counts[pid]
-                tick_counts[pid] = tick_index + 1
-                next_gap, rng = clocks[pid]
-                push(heap, (now + next_gap(rng, now), seq, event))
-                seq += 1
-                if outages[pid] and _covered(outages[pid], now):
-                    stall += 1
-                    if stall > _STALL_BUDGET:
-                        raise ConfigurationError(
-                            "distsim timeline stalled: no process can activate "
-                            f"(last {stall} events produced no step) — "
-                            f"{config.describe()}"
-                        )
-                    continue
-                stall = 0
-                record = StepRecord(steps, now, pid, "tick")
-                steps += 1
-                for dst in targets(pid, tick_index):
-                    self.sent += 1
-                    if partitions and any(
-                        partition.blocks(pid, dst, now) for partition in partitions
-                    ):
-                        self.dropped_partition += 1
+        latency_rngs = self._latency_rngs
+        loss_rngs = self._loss_rngs
+        seq = self._seq
+        stall = self._stall
+        sent = self.sent
+        delivered = self.delivered
+        dropped_loss = self.dropped_loss
+        dropped_partition = self.dropped_partition
+        dropped_down = self.dropped_down
+        max_latency = self.max_latency
+        total_latency = self.total_latency
+        try:
+            while heap:
+                now, _, pid, src, send_time = pop(heap)
+                if src:  # a delivery to pid
+                    if crashed[pid] or (outages[pid] and _covered(outages[pid], now)):
+                        dropped_down += 1
                         continue
-                    if loss and any(
-                        window.covers(now)
-                        and window.rate > 0
-                        and loss_rngs[pid, dst].random() < window.rate
-                        for window in loss
-                    ):
-                        self.dropped_loss += 1
-                        continue
-                    if sampler is None:
-                        delay = 1
-                    else:
-                        raw = sampler(latency_rngs[pid, dst], now)
-                        if diurnal:
-                            raw *= latency.diurnal_factor(now)
-                        delay = max(1, int(round(raw)))
-                    push(heap, (now + delay, seq, (_DELIVER, dst, pid, now)))
+                    delay = now - send_time
+                    delivered += 1
+                    total_latency += delay
+                    if delay > max_latency:
+                        max_latency = delay
+                elif pid > 0:  # a tick of pid
+                    if crashed[pid]:
+                        continue  # retired clock: no re-arm, the heap can drain
+                    tick_index = tick_counts[pid]
+                    tick_counts[pid] = tick_index + 1
+                    push(heap, (now + (fixed_gaps[pid] or next_gaps[pid](now)), seq, pid, 0, -1))
                     seq += 1
-                yield record
-            elif kind == _DELIVER:
-                _, dst, src, send_time = event
-                if crashed[dst] or (outages[dst] and _covered(outages[dst], now)):
-                    self.dropped_down += 1
+                    if outages[pid] and _covered(outages[pid], now):
+                        stall += 1
+                        if stall > _STALL_BUDGET:
+                            raise ConfigurationError(
+                                "distsim timeline stalled: no process can activate "
+                                f"(last {stall} events produced no step) — "
+                                f"{config.describe()}"
+                            )
+                        continue
+                    for dst in targets(pid, tick_index):
+                        sent += 1
+                        if partitions and any(
+                            partition.blocks(pid, dst, now) for partition in partitions
+                        ):
+                            dropped_partition += 1
+                            continue
+                        if loss and any(
+                            window.covers(now)
+                            and window.rate > 0
+                            and loss_rngs[pid, dst].random() < window.rate
+                            for window in loss
+                        ):
+                            dropped_loss += 1
+                            continue
+                        if sampler is None:
+                            delay = 1
+                        else:
+                            raw = sampler(latency_rngs[pid, dst], now)
+                            if diurnal:
+                                raw *= latency.diurnal_factor(now)
+                            delay = max(1, int(round(raw)))
+                        push(heap, (now + delay, seq, dst, pid, now))
+                        seq += 1
+                else:  # a crash of -pid
+                    crashed[-pid] = True
+                    crash_index.setdefault(-pid, steps)
                     continue
                 stall = 0
-                delay = now - send_time
-                self.delivered += 1
-                self.total_latency += delay
-                if delay > self.max_latency:
-                    self.max_latency = delay
-                record = StepRecord(steps, now, dst, "deliver", src, send_time)
+                record_pid(pid)
+                record_time(now)
+                record_src(src)
+                record_send_time(send_time)
                 steps += 1
-                yield record
-            else:  # _CRASH
-                pid = event[1]
-                crashed[pid] = True
-                self.crash_index.setdefault(pid, steps)
+                if steps == limit:
+                    break
+        finally:
+            self._seq = seq
+            self._stall = stall
+            self.sent = sent
+            self.delivered = delivered
+            self.dropped_loss = dropped_loss
+            self.dropped_partition = dropped_partition
+            self.dropped_down = dropped_down
+            self.max_latency = max_latency
+            self.total_latency = total_latency
+        return steps
+
+
+#: Activations per :meth:`TimelineEngine.advance` call when a caller cannot
+#: know up front how many it needs (crash calibration, step streams).
+ADVANCE_CHUNK = 1024
 
 
 def calibrated_crash_pattern(config: DistConfig) -> CrashPattern:
@@ -521,25 +602,32 @@ def calibrated_crash_pattern(config: DistConfig) -> CrashPattern:
 
     The paper's crash metadata lives in *step indices* (the global step from
     which a process never appears), while :class:`DistConfig` prescribes
-    crashes in simulated *time*.  A calibration run replays the timeline just
-    far enough to observe every crash event and records how many steps had
-    been emitted when each one fired — exactly the index conventions
+    crashes in simulated *time*.  A calibration run advances the timeline in
+    chunks until every crash event has fired and records how many steps had
+    been emitted when each one did — exactly the index conventions
     :meth:`~repro.schedules.base.ScheduleGenerator.generate` and
     :meth:`~repro.core.schedule.CompiledSchedule.prefix` expect.
+
+    Calibration needs the timeline only up to the first activation after the
+    last crash; a stall the chunked run meets beyond that point belongs to
+    the prefixes callers later ask for, so it does not fail calibration.
     """
     if not config.crash_times:
         return CrashPattern.none(config.n)
     engine = TimelineEngine(config)
-    pending = set(config.crash_times)
-    stepper = engine.run()
-    while not pending <= set(engine.crash_index):
-        try:
-            next(stepper)
-        except StopIteration:
-            break
-    missing = pending - set(engine.crash_index)
-    if missing:  # pragma: no cover - crash events always pop before the drain
+    pending = len(config.crash_times)
+    crash_index = engine.crash_index
+    try:
+        while len(crash_index) < pending:
+            target = len(engine.pids) + ADVANCE_CHUNK
+            if engine.advance(target) < target:
+                break
+    except ConfigurationError:
+        if len(crash_index) < pending or max(crash_index.values()) == len(engine.pids):
+            raise
+    if len(crash_index) < pending:  # pragma: no cover - crash events pop before the drain
+        missing = sorted(set(config.crash_times) - set(crash_index))
         raise ConfigurationError(
-            f"calibration never observed crash events for processes {sorted(missing)}"
+            f"calibration never observed crash events for processes {missing}"
         )
-    return CrashPattern.crashes_at(config.n, dict(engine.crash_index))
+    return CrashPattern.crashes_at(config.n, dict(crash_index))

@@ -1,7 +1,8 @@
 """The timeline→schedule reduction: set timeliness *derived* from messages.
 
 This module is the distsim tier's core deliverable.  A recorded
-:class:`Timeline` is lowered by :func:`compile_timeline` to the exact
+:class:`Timeline` holds the engine's flat activation arrays; it is lowered by
+:func:`compile_timeline`, which hands the pid array itself to the exact
 :class:`~repro.core.schedule.CompiledSchedule` format the rest of the
 reproduction executes (crash metadata included), and
 :func:`timeliness_report` derives the paper's Definition 1 quantities from
@@ -11,7 +12,7 @@ message-level facts:
   projection of activations onto process ids, per set and per member;
 * the *time-domain* quantities that explain them — the largest gap between
   consecutive ``P`` activations and the smallest gap between consecutive
-  ``Q`` activations; and
+  ``Q`` activations, read off the time array at C speed; and
 * :func:`predicted_bound`, the soundness bridge: any ``P``-free stretch
   spans at most ``max_p_gap`` simulated time, during which at most
   ``⌊max_p_gap / min_q_gap⌋ + 1`` ``Q``-steps fit, so the reduced
@@ -27,9 +28,11 @@ and by experiment E12 through :func:`run_dist_timeliness_kind`.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress
+from operator import sub
 from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
 from ..core.schedule import CompiledSchedule
@@ -69,37 +72,54 @@ class MessageStats:
 class Timeline:
     """A recorded finite prefix of one distributed timeline.
 
-    ``records`` are the activations in order (each one schedule step);
-    ``crash_steps`` is the calibrated step-domain crash metadata of the
-    *infinite* timeline, matching generator conventions, so the lowered
-    compiled schedule round-trips ``prefix()`` faulty hints exactly like the
-    generator path.
+    The activations are held as the engine recorded them, one flat array per
+    field with index ``i`` for activation ``i``: ``pids`` (``array('i')``,
+    the reduced step sequence), ``times``, ``srcs`` (the sender of a
+    delivery, 0 for a tick) and ``send_times`` (-1 for a tick) — see
+    :class:`~repro.distsim.engine.TimelineEngine`.  ``crash_steps`` is the
+    calibrated step-domain crash metadata of the *infinite* timeline,
+    matching generator conventions, so the lowered compiled schedule
+    round-trips ``prefix()`` faulty hints exactly like the generator path.
     """
 
     n: int
-    records: Tuple[StepRecord, ...]
+    pids: array
+    times: array
+    srcs: array
+    send_times: array
     crash_steps: Mapping[ProcessId, int]
     stats: MessageStats
     description: str
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.pids)
+
+    @property
+    def records(self) -> Tuple[StepRecord, ...]:
+        """The activations as :class:`StepRecord` objects, built from the arrays."""
+        return tuple(
+            StepRecord(index, time, pid, "deliver" if src else "tick", src, send_time)
+            for index, (time, pid, src, send_time) in enumerate(
+                zip(self.times, self.pids, self.srcs, self.send_times)
+            )
+        )
 
     @property
     def duration(self) -> int:
         """Simulated time of the last activation (0 for an empty timeline)."""
-        return self.records[-1].time if self.records else 0
+        return self.times[-1] if self.times else 0
 
     def step_pids(self) -> Tuple[ProcessId, ...]:
         """The reduced step sequence: activation process ids in order."""
-        return tuple(record.pid for record in self.records)
+        return tuple(self.pids)
 
 
 def run_timeline(generator: DistSimGenerator, length: int) -> Timeline:
     """Record the first ``length`` activations of a distsim generator.
 
-    Runs a fresh engine over the generator's configuration, so the recorded
-    step sequence is — by the determinism contract — byte-identical to what
+    Advances a fresh engine over the generator's configuration by exactly
+    ``length`` activations in one call, so the recorded step sequence is —
+    by the determinism contract — byte-identical to what
     ``generator.compile(length)`` buffers.  Raises
     :class:`~repro.errors.ConfigurationError` when the timeline ends early
     (every process permanently crashed before ``length`` activations).
@@ -112,10 +132,10 @@ def run_timeline(generator: DistSimGenerator, length: int) -> Timeline:
     if length < 0:
         raise ConfigurationError(f"timeline length must be non-negative, got {length}")
     engine = TimelineEngine(generator.config)
-    records = list(islice(engine.run(), length))
-    if len(records) < length:
+    recorded = engine.advance(length)
+    if recorded < length:
         raise ConfigurationError(
-            f"{generator.label} timeline ended after {len(records)} of "
+            f"{generator.label} timeline ended after {recorded} of "
             f"{length} requested steps: no alive process left to schedule"
         )
     mean = engine.total_latency / engine.delivered if engine.delivered else 0.0
@@ -130,7 +150,10 @@ def run_timeline(generator: DistSimGenerator, length: int) -> Timeline:
     )
     return Timeline(
         n=generator.n,
-        records=tuple(records),
+        pids=engine.pids,
+        times=engine.times,
+        srcs=engine.srcs,
+        send_times=engine.send_times,
         crash_steps=dict(generator.crash_pattern.crash_steps),
         stats=stats,
         description=generator.description,
@@ -140,7 +163,7 @@ def run_timeline(generator: DistSimGenerator, length: int) -> Timeline:
 def compile_timeline(timeline: Timeline) -> CompiledSchedule:
     """Lower a recorded timeline to the kernel's compiled-schedule format.
 
-    The buffer is the activation projection; the crash metadata is the
+    The buffer is the timeline's pid array itself; the crash metadata is the
     timeline's calibrated step-domain pattern.  For any
     :class:`DistSimGenerator` ``g`` and length ``L``,
     ``compile_timeline(run_timeline(g, L))`` equals ``g.compile(L)`` byte
@@ -148,7 +171,7 @@ def compile_timeline(timeline: Timeline) -> CompiledSchedule:
     """
     return CompiledSchedule(
         n=timeline.n,
-        steps=array("i", timeline.step_pids()),
+        steps=timeline.pids,
         crash_steps=dict(timeline.crash_steps),
         description=timeline.description,
     )
@@ -187,18 +210,38 @@ def _time_gaps(
     it is the whole duration.  ``min_q_gap`` is the smallest difference
     between consecutive ``Q`` activation times (0 when two coincide, which
     makes :func:`predicted_bound` fall back to the trivial bound).
+
+    The member times are selected at C speed: for ``n <= 255`` the pid
+    array's low bytes are packed once and ``bytes.translate`` marks each
+    set's activations for ``itertools.compress``; wider systems select with
+    the set's own membership test.
     """
-    p_times = [record.time for record in timeline.records if record.pid in p_set]
-    q_times = [record.time for record in timeline.records if record.pid in q_set]
+    pids = timeline.pids
+    if timeline.n <= 255:
+        low = 0 if sys.byteorder == "little" else pids.itemsize - 1
+        packed = pids.tobytes()[low :: pids.itemsize]
+
+        def selectors(members: ProcessSet) -> Iterable[int]:
+            marks = bytearray(256)
+            for pid in members:
+                marks[pid] = 1
+            return packed.translate(marks)
+
+    else:
+
+        def selectors(members: ProcessSet) -> Iterable[bool]:
+            return map(members.__contains__, pids)
+
+    p_times = list(compress(timeline.times, selectors(p_set)))
+    q_times = list(compress(timeline.times, selectors(q_set)))
     duration = timeline.duration
     if p_times:
-        gaps = [p_times[0] - 0, duration - p_times[-1]]
-        gaps.extend(b - a for a, b in zip(p_times, p_times[1:]))
-        max_p_gap = max(gaps)
+        inner = max(map(sub, p_times[1:], p_times), default=0)
+        max_p_gap = max(p_times[0], duration - p_times[-1], inner)
     else:
         max_p_gap = duration
     if len(q_times) >= 2:
-        min_q_gap = min(b - a for a, b in zip(q_times, q_times[1:]))
+        min_q_gap = min(map(sub, q_times[1:], q_times))
     else:
         min_q_gap = 0
     return max_p_gap, min_q_gap

@@ -7,7 +7,9 @@ reduced timeline of a :class:`~repro.distsim.engine.DistConfig`.  Because the
 adapter speaks the generator protocol (``generate``/``compile``/``stream``,
 crash pattern in step indices), every existing consumer — campaigns, the
 batched kernel, the search screen lanes, `repro scenarios` — runs
-dist workloads unchanged.
+dist workloads unchanged.  ``compile(L)`` advances a fresh engine by exactly
+``L`` activations in one call and takes its pid array as the buffer; the
+step stream advances it in chunks of :data:`~repro.distsim.engine.ADVANCE_CHUNK`.
 
 Families (registered in :mod:`repro.scenarios.families` under these names):
 
@@ -35,12 +37,14 @@ All families accept the shared fault parameters ``outages``, ``partitions``,
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Tuple
+from array import array
+from typing import Any, Dict, Iterator, List, Mapping, Tuple
 
 from ..errors import ConfigurationError
 from ..schedules.base import ScheduleGenerator
 from ..types import ProcessId
 from .engine import (
+    ADVANCE_CHUNK,
     BroadcastPolicy,
     DistConfig,
     FailoverPolicy,
@@ -77,12 +81,32 @@ class DistSimGenerator(ScheduleGenerator):
         """Family label plus the full replayable config provenance."""
         return f"{self.label} {self.config.describe()}"
 
-    def _emit(self):
-        for record in TimelineEngine(self.config).run():
-            yield record.pid
-        raise ConfigurationError(
+    def _ended(self) -> ConfigurationError:
+        return ConfigurationError(
             f"{self.label} timeline ended: no alive process left to schedule"
         )
+
+    def _compile_steps(self, length: int) -> array:
+        engine = TimelineEngine(self.config)
+        if engine.advance(length) < length:
+            raise self._ended()
+        return engine.pids
+
+    def _emit(self) -> Iterator[ProcessId]:
+        engine = TimelineEngine(self.config)
+        pids = engine.pids
+        emitted = 0
+        while True:
+            target = emitted + ADVANCE_CHUNK
+            try:
+                recorded = engine.advance(target)
+            except ConfigurationError:
+                yield from pids[emitted:]  # the activations before the stall
+                raise
+            yield from pids[emitted:recorded]
+            if recorded < target:
+                raise self._ended()
+            emitted = recorded
 
 
 # ----------------------------------------------------------------------

@@ -126,10 +126,18 @@ class ScheduleGenerator(ABC):
             raise ConfigurationError(f"compile length must be non-negative, got {length}")
         return CompiledSchedule(
             n=self.n,
-            steps=array("i", islice(self._emit(), length)),
+            steps=self._compile_steps(length),
             crash_steps=self.crash_pattern.crash_steps,
             description=self.description,
         )
+
+    def _compile_steps(self, length: int) -> array:
+        """The first ``length`` steps as ``array('i')``: :meth:`compile`'s buffer.
+
+        A generator that can fill the buffer without a per-step iterator
+        overrides this.
+        """
+        return array("i", islice(self._emit(), length))
 
     def infinite(self) -> InfiniteSchedule:
         """Wrap the generator as an :class:`InfiniteSchedule` (memoized steps)."""

@@ -1,5 +1,7 @@
 """Tests for campaign specs (grid expansion) and the content-addressed cache."""
 
+from types import MappingProxyType
+
 import pytest
 
 from repro.campaign.cache import ResultCache
@@ -27,6 +29,28 @@ class TestCanonicalJson:
     def test_non_serializable_rejected(self):
         with pytest.raises(ConfigurationError):
             canonical_json({"fn": canonical_json})
+
+    def test_non_dict_mappings_normalize(self):
+        proxy = MappingProxyType({2: frozenset({3, 1}), "a": (None, True)})
+        assert canonical_json(proxy) == '{"2":[1,3],"a":[null,true]}'
+        assert canonical_json({"p": proxy}) == canonical_json({"p": dict(proxy)})
+
+    def test_content_key_and_error_text_are_stable(self):
+        # Recorded before the scalar fast path: cached results stay addressable.
+        params = {
+            "n": 4, "seed": None, "flag": True, "rate": 0.25, "name": "x",
+            "crashes": frozenset({2, 1}), "grid": (1, [2, 3]),
+            "nested": MappingProxyType({1: {"a": (True,)}}),
+        }
+        assert content_key("detector", params) == (
+            "7e85643b1d619cb93bdb6f69e41b2b170a2ecd86d7164ba3b77a0184b42fce1a"
+        )
+        with pytest.raises(ConfigurationError) as excinfo:
+            canonical_json({"fn": object})
+        assert str(excinfo.value) == (
+            "campaign parameter value <class 'object'> is not JSON-serializable; "
+            "use scalars, lists/tuples, sets or mappings of those"
+        )
 
 
 class TestGridExpansion:

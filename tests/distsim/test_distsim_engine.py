@@ -1,11 +1,10 @@
 """Engine-level invariants of the message-passing discrete-event tier.
 
 These tests pin the determinism contract of :mod:`repro.distsim.engine` at
-the record level — the differential suite (``test_reduction.py``) then pins
-the *reduction* of those records to compiled schedules.
+the level of the engine's activation arrays — the differential suite
+(``test_reduction.py``) then pins the *reduction* of those activations to
+compiled schedules.
 """
-
-import itertools
 
 import pytest
 
@@ -40,6 +39,11 @@ def sticky_config(n=3, seed=0, **overrides):
     return DistConfig(**base)
 
 
+def activations(engine):
+    """The engine's recorded activations as ``(time, pid, src, send_time)`` rows."""
+    return list(zip(engine.times, engine.pids, engine.srcs, engine.send_times))
+
+
 class ReversedFanout(MessagePolicy):
     """Process 3 sends to 2 and then to 1 on every tick; nobody else sends."""
 
@@ -61,15 +65,42 @@ class TestEventOrder:
             policy=ReversedFanout(),
             latency=latency_from_params({"latency": "constant", "latency_scale": 4}),
         )
-        records = list(itertools.islice(TimelineEngine(config).run(), 5))
-        assert [(r.time, r.pid, r.cause, r.src) for r in records] == [
-            (4, 3, "tick", 0),
-            (8, 3, "tick", 0),
-            (8, 2, "deliver", 3),
-            (8, 1, "deliver", 3),
-            (12, 3, "tick", 0),
+        engine = TimelineEngine(config)
+        assert engine.advance(5) == 5
+        assert activations(engine) == [
+            (4, 3, 0, -1),
+            (8, 3, 0, -1),
+            (8, 2, 3, 4),
+            (8, 1, 3, 4),
+            (12, 3, 0, -1),
         ]
-        assert [r.index for r in records] == [0, 1, 2, 3, 4]
+
+    def test_crash_beats_first_tick_at_the_same_instant(self):
+        # Process 1's first tick falls exactly at its crash instant: from
+        # crash_times[1] on it never activates, first tick included.
+        config = DistConfig(
+            n=3, ticks={1: TickSpec(8), 2: TickSpec(8)}, crash_times={1: 8}
+        )
+        engine = TimelineEngine(config)
+        engine.advance(4)
+        assert activations(engine) == [
+            (8, 2, 0, -1), (16, 2, 0, -1), (24, 2, 0, -1), (32, 2, 0, -1)
+        ]
+        assert engine.crash_index == {1: 0}
+        assert calibrated_crash_pattern(config).crash_steps == {1: 0}
+
+    def test_advance_stops_right_after_the_limit(self):
+        # The 2nd activation is a tick whose request is counted as sent; the
+        # delivery it scheduled is not popped until the engine advances.
+        engine = TimelineEngine(sticky_config())
+        assert engine.advance(2) == 2
+        assert activations(engine) == [(8, 3, 0, -1), (10, 1, 3, 8)]
+        assert (engine.sent, engine.delivered) == (1, 1)
+        assert engine.advance(3) == 3
+        assert (engine.sent, engine.delivered) == (2, 1)
+        assert engine.advance(3) == 3  # already there: nothing runs
+        assert engine.advance(4) == 4
+        assert activations(engine)[2:] == [(16, 3, 0, -1), (18, 1, 3, 16)]
 
 
 class TestValidation:
@@ -122,14 +153,15 @@ class TestValidation:
 class TestDeterminism:
     def test_identical_seeds_identical_records(self):
         config = sticky_config()
-        first = [next(TimelineEngine(config).run()) for _ in range(1)]
+        first = TimelineEngine(config)
+        first.advance(1)
         runs = []
         for _ in range(2):
             engine = TimelineEngine(config)
-            stepper = engine.run()
-            runs.append([next(stepper) for _ in range(400)])
+            engine.advance(400)
+            runs.append(activations(engine))
         assert runs[0] == runs[1]
-        assert first[0] == runs[0][0]
+        assert activations(first) == runs[0][:1]
 
     def test_different_seed_different_stream(self):
         params = {"schedule": "dist-heavy-tail", "n": 4}
@@ -139,10 +171,10 @@ class TestDeterminism:
 
     def test_records_are_time_ordered_with_dense_indices(self):
         engine = TimelineEngine(sticky_config())
-        stepper = engine.run()
-        records = [next(stepper) for _ in range(300)]
-        assert [r.index for r in records] == list(range(300))
-        assert all(a.time <= b.time for a, b in zip(records, records[1:]))
+        assert engine.advance(300) == 300
+        assert {len(engine.pids), len(engine.srcs), len(engine.send_times)} == {300}
+        times = engine.times
+        assert all(a <= b for a, b in zip(times, times[1:]))
 
 
 class TestCausality:
@@ -198,6 +230,28 @@ class TestCrashes:
         assert len(short) == 10
 
 
+    def test_stall_after_the_last_crash_fails_only_the_prefixes_that_reach_it(self):
+        # Replica 1 crashes at 5; from 100 on the coordinator is down for
+        # good, so after 20 activations every event is a stalled tick.
+        # Calibration needs only the activation after the crash, and the
+        # generator hands out the 20 activations before the stall error.
+        params = {
+            "schedule": "dist-sticky-failover", "n": 3, "seed": 0,
+            "crash_times": {1: 5},
+            "outages": [{"pid": 3, "start": 100, "duration": 10**9}],
+        }
+        generator = build_generator(params)
+        assert generator.crash_pattern.crash_steps == {1: 0}
+        assert len(generator.compile(20)) == 20
+        assert len(generator.generate(20)) == 20
+        stream = generator.stream()
+        assert len([next(stream) for _ in range(20)]) == 20
+        with pytest.raises(ConfigurationError, match="stalled"):
+            next(stream)
+        with pytest.raises(ConfigurationError, match="stalled"):
+            generator.compile(21)
+
+
 class TestFaults:
     def test_partition_blocks_cross_group_messages(self):
         groups = (frozenset({1, 2}), frozenset({3}))
@@ -207,9 +261,7 @@ class TestFaults:
         assert not window.blocks(1, 3, 10_000)
         config = sticky_config(partitions=(window,))
         engine = TimelineEngine(config)
-        stepper = engine.run()
-        for _ in range(200):
-            next(stepper)
+        engine.advance(200)
         assert engine.dropped_partition > 0
 
     def test_loss_window_drops_deterministically(self):
@@ -219,9 +271,7 @@ class TestFaults:
         counts = []
         for _ in range(2):
             engine = TimelineEngine(config)
-            stepper = engine.run()
-            for _ in range(300):
-                next(stepper)
+            engine.advance(300)
             counts.append((engine.sent, engine.dropped_loss))
         assert counts[0] == counts[1]
         assert counts[0][1] > 0
@@ -231,13 +281,10 @@ class TestFaults:
             outages=(Outage(pid=1, start=0, duration=100, period=200),)
         )
         engine = TimelineEngine(config)
-        stepper = engine.run()
-        records = [next(stepper) for _ in range(300)]
-        for record in records:
-            if record.pid == 1:
-                assert not Recurrence(start=0, duration=100, period=200).covers(
-                    record.time
-                )
+        engine.advance(300)
+        for time, pid, _, _ in activations(engine):
+            if pid == 1:
+                assert not Recurrence(start=0, duration=100, period=200).covers(time)
 
 
 class TestPolicies:
