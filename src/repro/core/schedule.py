@@ -22,6 +22,8 @@ This module provides:
   (campaigns, benchmarks) drive many simulators over the same scenario; the
   compiled form lets them stop re-running the Python generator chain per step
   and iterate a dense C-level buffer instead.
+* :func:`pack_steps` — a step buffer as one byte per step, for the bytes
+  scans of set timeliness.
 * :func:`tally_steps` — the one whole-buffer pass: it checks that every step
   lies in ``Πn`` and counts the steps of each process with C-level bytes
   scans (one ``count`` per process over the packed low bytes), so validating
@@ -83,6 +85,23 @@ def _packed_chunks(steps: Sequence[ProcessId]) -> Iterator[Optional[bytes]]:
             yield None
     else:
         yield None
+
+
+def pack_steps(steps: Sequence[ProcessId]) -> Optional[bytes]:
+    """``steps`` as one byte per step, or ``None`` when some step is outside ``0..255``.
+
+    The packed form the bytes scans of set timeliness read
+    (:func:`~repro.core.timeliness.best_timeliness_packed`): an integer
+    array packs straight from its raw buffer, chunk by chunk, so callers
+    holding a step buffer never materialize a :class:`Schedule`.
+
+    >>> pack_steps(array("i", [1, 2, 3]))
+    b'\\x01\\x02\\x03'
+    >>> pack_steps([1, 300]) is None
+    True
+    """
+    chunks = list(_packed_chunks(steps))
+    return None if None in chunks else b"".join(chunks)
 
 
 def tally_steps(steps: Sequence[ProcessId], n: int) -> Optional[Dict[ProcessId, int]]:

@@ -27,13 +27,19 @@ notions on prefixes are:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, List, Tuple
 
 from ..errors import ConfigurationError
 from ..types import ProcessSet, SystemCoordinates, process_set, universe
 from .schedule import Schedule
-from .timeliness import TimelinessWitness, analyze_timeliness, best_timeliness_pair
+from .timeliness import (
+    TimelinessWitness,
+    analyze_timeliness,
+    best_timeliness_packed,
+    best_timeliness_pair,
+)
 
 
 @dataclass(frozen=True)
@@ -50,6 +56,7 @@ class SystemWitness:
 
     @property
     def bound(self) -> int:
+        """The observed timeliness bound: the witness's ``minimal_bound``."""
         return self.witness.minimal_bound
 
 
@@ -79,6 +86,7 @@ class System:
 
     @property
     def name(self) -> str:
+        """The paper's name for the system, ``S_n``."""
         return f"S_{self._n}"
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -120,9 +128,12 @@ class System:
 
     # ------------------------------------------------------------------
     def _check_universe(self, schedule: Schedule) -> None:
-        if schedule.n != self._n:
+        self._check_universe_size(schedule.n)
+
+    def _check_universe_size(self, n: int) -> None:
+        if n != self._n:
             raise ConfigurationError(
-                f"schedule over Π{schedule.n} cannot be judged against a system over Π{self._n}"
+                f"schedule over Π{n} cannot be judged against a system over Π{self._n}"
             )
 
 
@@ -159,9 +170,11 @@ class SetTimelinessSystem(System):
 
     @property
     def name(self) -> str:
+        """The paper's name for the system, ``S^i_{j,n}``."""
         return f"S^{self._i}_{{{self._j},{self._n}}}"
 
     def coordinates(self) -> SystemCoordinates:
+        """Coordinates ``(i, j, n)`` of this system in the ``S^i_{j,n}`` family."""
         return SystemCoordinates(i=self._i, j=self._j, n=self._n)
 
     def is_asynchronous(self) -> bool:
@@ -176,16 +189,27 @@ class SetTimelinessSystem(System):
         should keep ``n`` modest (which the paper's constructions do — the
         Figure 2 algorithm itself enumerates ``Π^k_n``).
         """
-        all_processes = sorted(self.processes)
-        for p_combo in combinations(all_processes, self._i):
-            for q_combo in combinations(all_processes, self._j):
-                yield process_set(p_combo), process_set(q_combo)
+        return _iter_pairs(self._i, self._j, self._n)
 
     def best_witness(self, schedule: Schedule) -> SystemWitness:
         """The ``(P, Q)`` pair of the right sizes with the smallest observed bound."""
         self._check_universe(schedule)
-        pairs = list(self.candidate_pairs())
+        pairs = _candidate_pairs(self._i, self._j, self._n)
         index, witness = best_timeliness_pair(schedule, pairs)
+        p_set, q_set = pairs[index]
+        return SystemWitness(p_set=p_set, q_set=q_set, witness=witness)
+
+    def best_packed_witness(self, packed: bytes, n: int) -> SystemWitness:
+        """:meth:`best_witness` on a schedule over ``Πn`` packed one byte per step.
+
+        For ``n <= 255`` only (see
+        :func:`~repro.core.timeliness.best_timeliness_packed`): callers that
+        hold their steps in an integer buffer pack it themselves and skip
+        building a :class:`~repro.core.schedule.Schedule`.
+        """
+        self._check_universe_size(n)
+        pairs = _candidate_pairs(self._i, self._j, self._n)
+        index, witness = best_timeliness_packed(packed, n, pairs)
         p_set, q_set = pairs[index]
         return SystemWitness(p_set=p_set, q_set=q_set, witness=witness)
 
@@ -230,6 +254,20 @@ class SetTimelinessSystem(System):
             return True
         other_coords = other.coordinates()
         return other_coords.i <= self._i and other_coords.j >= self._j
+
+
+def _iter_pairs(i: int, j: int, n: int) -> Iterator[Tuple[ProcessSet, ProcessSet]]:
+    """All ``(P, Q)`` pairs with ``|P| = i`` and ``|Q| = j`` over ``Πn``, in order."""
+    processes = range(1, n + 1)
+    for p_combo in combinations(processes, i):
+        for q_combo in combinations(processes, j):
+            yield process_set(p_combo), process_set(q_combo)
+
+
+@lru_cache(maxsize=64)
+def _candidate_pairs(i: int, j: int, n: int) -> Tuple[Tuple[ProcessSet, ProcessSet], ...]:
+    """:func:`_iter_pairs` as a tuple, built once per ``(i, j, n)``."""
+    return tuple(_iter_pairs(i, j, n))
 
 
 def asynchronous_system(n: int) -> AsynchronousSystem:

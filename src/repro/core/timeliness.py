@@ -19,6 +19,8 @@ the **minimal** valid bound, which this module computes exactly:
 One implementation computes ``g`` everywhere: :func:`best_timeliness_pair`
 packs the steps into bytes and finds the longest run of ``Q``-steps between
 ``P``-steps with C-level ``translate`` and substring scans;
+:func:`best_timeliness_packed` is the same scan for callers that pack their
+own integer step buffers (so they never build a :class:`Schedule`), and
 :func:`analyze_timeliness` is that scan on a single pair.  The per-step
 segment scan (:func:`p_free_segments`) remains only for schedules over more
 than 255 processes, which do not fit in bytes, and for
@@ -33,7 +35,8 @@ must be small relative to the total number of ``Q``-steps observed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import VerificationError
 from ..types import ProcessId, ProcessSet, process_set
@@ -185,6 +188,73 @@ def _longest_run(text: bytes) -> int:
     return low
 
 
+class _PairScan(NamedTuple):
+    """One frozen ``(P, Q)`` pair with the byte tables its packed scan uses."""
+
+    p_set: ProcessSet
+    q_set: ProcessSet
+    reduce: bytes  # translate table: P-steps to separators, other Q-steps to \x01
+    dropped: bytes  # the steps of neither set, deleted by the same translate
+    mark: bytes  # translate table: P-steps to separators, the rest kept
+    q_pids: bytes  # Q's members inside Πn, for counting its steps
+
+
+def _frozen_pairs(
+    pairs: Sequence[Tuple[Iterable[ProcessId], Iterable[ProcessId]]]
+) -> Tuple[Tuple[ProcessSet, ProcessSet], ...]:
+    """``pairs`` as frozen sets, checked non-empty (the analyses' error texts)."""
+    frozen = tuple((process_set(p_set), process_set(q_set)) for p_set, q_set in pairs)
+    if not frozen:
+        raise VerificationError("no (P, Q) pair to analyse")
+    for p_frozen, q_frozen in frozen:
+        if not p_frozen:
+            raise VerificationError("timeliness analysis needs a non-empty set P")
+        if not q_frozen:
+            raise VerificationError("timeliness analysis needs a non-empty set Q")
+    return frozen
+
+
+@lru_cache(maxsize=256)
+def _cached_scans(n: int, pairs: tuple) -> Tuple[_PairScan, ...]:
+    """The frozen pairs over ``Πn`` (``n <= 255``) with their byte tables."""
+    pids = range(1, n + 1)
+    scans = []
+    for p_frozen, q_frozen in _frozen_pairs(pairs):
+        separators = bytes(pid for pid in pids if pid in p_frozen)
+        others = bytes(pid for pid in pids if pid in q_frozen and pid not in p_frozen)
+        scans.append(
+            _PairScan(
+                p_set=p_frozen,
+                q_set=q_frozen,
+                reduce=bytes.maketrans(
+                    separators + others, bytes(len(separators)) + b"\1" * len(others)
+                ),
+                dropped=bytes(
+                    pid for pid in pids if pid not in p_frozen and pid not in q_frozen
+                ),
+                mark=bytes.maketrans(separators, bytes(len(separators))),
+                q_pids=bytes(pid for pid in pids if pid in q_frozen),
+            )
+        )
+    return tuple(scans)
+
+
+def _pair_scans(
+    n: int, pairs: Sequence[Tuple[Iterable[ProcessId], Iterable[ProcessId]]]
+) -> Tuple[_PairScan, ...]:
+    """:func:`_cached_scans` for ``pairs``, built once per ``(n, pairs)``.
+
+    Pairs of hashable sets are the cache key as given; unhashable ones
+    (``set``, ``list``) are frozen first.
+    """
+    key = tuple(pairs)
+    try:
+        hash(key)
+    except TypeError:
+        key = _frozen_pairs(key)
+    return _cached_scans(n, key)
+
+
 def best_timeliness_pair(
     schedule: Schedule,
     pairs: Sequence[Tuple[Iterable[ProcessId], Iterable[ProcessId]]],
@@ -194,59 +264,71 @@ def best_timeliness_pair(
     This is the module's one timeliness scan.  It gives the answer of
     scanning each pair's :func:`p_free_segments` and keeping the first worst
     segment, but the per-step work runs in C: the steps are packed into
-    bytes once, and for each pair one ``translate`` turns ``P``-steps into
-    separators, the other ``Q``-steps into ``\\x01`` and drops the rest, so
-    the largest number of ``Q``-steps in a ``P``-free segment is the longest
-    ``\\x01`` run.  A pair that cannot beat the best so far costs one
-    substring scan, and only the winning pair's worst segment is located.
-    Schedules over more than 255 processes do not fit in bytes and fall back
-    to the segment scan.  Raises :class:`VerificationError` on an empty pair
-    list or an empty set.
+    bytes once and handed to :func:`best_timeliness_packed`.  Schedules over
+    more than 255 processes do not fit in bytes and fall back to the segment
+    scan.  Raises :class:`VerificationError` on an empty pair list or an
+    empty set.
     """
-    frozen = [(process_set(p_set), process_set(q_set)) for p_set, q_set in pairs]
-    if not frozen:
-        raise VerificationError("no (P, Q) pair to analyse")
-    for p_frozen, q_frozen in frozen:
-        if not p_frozen:
-            raise VerificationError("timeliness analysis needs a non-empty set P")
-        if not q_frozen:
-            raise VerificationError("timeliness analysis needs a non-empty set Q")
     if schedule.n > 255:
-        witnesses = [_segment_scan(schedule, p_set, q_set) for p_set, q_set in frozen]
+        witnesses = [
+            _segment_scan(schedule, p_set, q_set) for p_set, q_set in _frozen_pairs(pairs)
+        ]
         bounds = [witness.minimal_bound for witness in witnesses]
         best = bounds.index(min(bounds))
         return best, witnesses[best]
-    pids = range(1, schedule.n + 1)
-    packed = bytes(schedule.steps)
+    return _best_packed(bytes(schedule.steps), _pair_scans(schedule.n, pairs))
+
+
+def best_timeliness_packed(
+    packed: bytes,
+    n: int,
+    pairs: Sequence[Tuple[Iterable[ProcessId], Iterable[ProcessId]]],
+) -> Tuple[int, TimelinessWitness]:
+    """:func:`best_timeliness_pair` on a schedule packed one byte per step.
+
+    ``packed`` holds the schedule's steps, each a process of ``Πn``, as
+    bytes (``n <= 255``): callers that keep steps in an integer buffer pack
+    it straight from there (``CompiledSchedule`` buffers, distsim pid
+    arrays) and skip building a :class:`Schedule`.  The pairs' frozen sets
+    and byte tables are built once per ``(n, pairs)``.  Raises
+    :class:`VerificationError` when ``n`` exceeds 255, on an empty pair list
+    or an empty set.
+    """
+    if n > 255:
+        raise VerificationError(f"a packed schedule holds at most 255 processes, got n={n}")
+    return _best_packed(packed, _pair_scans(n, pairs))
+
+
+def _best_packed(packed: bytes, scans: Tuple[_PairScan, ...]) -> Tuple[int, TimelinessWitness]:
+    """The bytes scan behind both entries, over pairs with their tables.
+
+    For each pair one ``translate`` turns ``P``-steps into separators, the
+    other ``Q``-steps into ``\\x01`` and drops the rest, so the largest
+    number of ``Q``-steps in a ``P``-free segment is the longest ``\\x01``
+    run.  A pair that cannot beat the best so far costs one
+    substring scan, and only the winning pair's worst segment is located.
+    """
     best, worst_q, reduced = -1, 0, b""
-    for index, (p_frozen, q_frozen) in enumerate(frozen):
-        separators = bytes(pid for pid in pids if pid in p_frozen)
-        others = bytes(pid for pid in pids if pid in q_frozen and pid not in p_frozen)
-        dropped = bytes(pid for pid in pids if pid not in p_frozen and pid not in q_frozen)
-        text = packed.translate(
-            bytes.maketrans(separators + others, bytes(len(separators)) + b"\1" * len(others)),
-            dropped,
-        )
+    for index, scan in enumerate(scans):
+        text = packed.translate(scan.reduce, scan.dropped)
         if best >= 0 and b"\1" * worst_q in text:
             continue  # a run as long as the best pair's: this pair cannot win
         best, worst_q, reduced = index, _longest_run(text), text
-    p_frozen, q_frozen = frozen[best]
+    scan = scans[best]
     worst: Optional[PFreeSegment] = None
     if worst_q > 0:
         # The run's segment is P's k-th P-free run, k the separators before it.
         k = reduced.count(b"\0", 0, reduced.find(b"\1" * worst_q))
-        separators = bytes(pid for pid in pids if pid in p_frozen)
-        marked = packed.translate(bytes.maketrans(separators, bytes(len(separators))))
-        lengths = list(map(len, marked.split(b"\0")))
+        lengths = list(map(len, packed.translate(scan.mark).split(b"\0")))
         start = sum(lengths[:k]) + k
         worst = PFreeSegment(start=start, end=start + lengths[k], q_steps=worst_q)
     return best, TimelinessWitness(
-        p_set=p_frozen,
-        q_set=q_frozen,
+        p_set=scan.p_set,
+        q_set=scan.q_set,
         minimal_bound=worst_q + 1,
-        total_q_steps=sum(packed.count(pid) for pid in pids if pid in q_frozen),
+        total_q_steps=sum(map(packed.count, scan.q_pids)),
         worst_segment=worst,
-        schedule_length=len(schedule),
+        schedule_length=len(packed),
     )
 
 

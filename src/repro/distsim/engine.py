@@ -504,6 +504,8 @@ class TimelineEngine:
         latency = config.latency
         sampler = latency.sampler if latency is not None else None
         diurnal = latency is not None and latency.period > 0 and latency.amplitude > 0
+        # No model delays by 1; a constant one draws nothing: bind the delay once.
+        fixed_delay = 1 if latency is None else latency.fixed_delay()
         latency_rngs = self._latency_rngs
         loss_rngs = self._loss_rngs
         seq = self._seq
@@ -558,8 +560,8 @@ class TimelineEngine:
                         ):
                             dropped_loss += 1
                             continue
-                        if sampler is None:
-                            delay = 1
+                        if fixed_delay:
+                            delay = fixed_delay
                         else:
                             raw = sampler(latency_rngs[pid, dst], now)
                             if diurnal:

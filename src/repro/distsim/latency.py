@@ -41,6 +41,8 @@ class LatencyModel:
 
     ``sampler`` maps ``(rng, now)`` to a raw delay; the model clamps the
     result to an integer of at least 1 and applies the diurnal factor.
+    ``constant`` is the delay of a model whose sampler draws nothing (the
+    ``constant`` model's ``scale``, at least 1), 0 for a sampling model.
     """
 
     name: str
@@ -48,6 +50,7 @@ class LatencyModel:
     detail: str
     period: int = 0
     amplitude: float = 0.0
+    constant: int = 0
 
     def diurnal_factor(self, now: int) -> float:
         """The triangle-wave load factor at simulated time ``now`` (≥ 1.0)."""
@@ -61,6 +64,17 @@ class LatencyModel:
         """Draw one delivery delay (a positive integer) at time ``now``."""
         raw = self.sampler(rng, now) * self.diurnal_factor(now)
         return max(1, int(round(raw)))
+
+    def fixed_delay(self) -> int:
+        """The delay :meth:`sample` always returns, or 0 when it samples one.
+
+        A ``constant`` model without diurnal modulation delays every message
+        by the same amount and draws nothing from the channel's stream, so a
+        caller can bind the delay once.
+        """
+        if self.period > 0 and self.amplitude > 0:
+            return 0
+        return self.constant
 
     def describe(self) -> str:
         """Readable summary, e.g. ``"pareto(scale=3, alpha=1.6)"``."""
@@ -144,4 +158,5 @@ def latency_from_params(params: Mapping[str, object]) -> LatencyModel:
         detail=detail,
         period=period,
         amplitude=amplitude,
+        constant=scale if name == "constant" else 0,
     )

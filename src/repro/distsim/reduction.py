@@ -8,8 +8,9 @@ reproduction executes (crash metadata included), and
 :func:`timeliness_report` derives the paper's Definition 1 quantities from
 message-level facts:
 
-* the *reduced-schedule* bounds — ``analyze_timeliness`` run on the
-  projection of activations onto process ids, per set and per member;
+* the *reduced-schedule* bounds — the set-timeliness bytes scan
+  (:func:`~repro.core.timeliness.best_timeliness_packed`) run on the pid
+  array packed once, per set and per member;
 * the *time-domain* quantities that explain them — the largest gap between
   consecutive ``P`` activations and the smallest gap between consecutive
   ``Q`` activations, read off the time array at C speed; and
@@ -28,15 +29,14 @@ and by experiment E12 through :func:`run_dist_timeliness_kind`.
 
 from __future__ import annotations
 
-import sys
 from array import array
 from dataclasses import dataclass
 from itertools import compress
 from operator import sub
-from typing import Any, Dict, Iterable, List, Mapping, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from ..core.schedule import CompiledSchedule
-from ..core.timeliness import analyze_timeliness
+from ..core.schedule import CompiledSchedule, pack_steps
+from ..core.timeliness import TimelinessWitness, analyze_timeliness, best_timeliness_packed
 from ..errors import ConfigurationError
 from ..types import ProcessId, ProcessSet, process_set
 from .engine import StepRecord, TimelineEngine
@@ -200,7 +200,10 @@ def predicted_bound(max_p_gap: int, min_q_gap: int, total_q_steps: int) -> int:
 
 
 def _time_gaps(
-    timeline: Timeline, p_set: ProcessSet, q_set: ProcessSet
+    timeline: Timeline,
+    p_set: ProcessSet,
+    q_set: ProcessSet,
+    packed: Optional[bytes] = None,
 ) -> Tuple[int, int]:
     """``(max_p_gap, min_q_gap)`` in simulated time over the recorded prefix.
 
@@ -212,14 +215,15 @@ def _time_gaps(
     makes :func:`predicted_bound` fall back to the trivial bound).
 
     The member times are selected at C speed: for ``n <= 255`` the pid
-    array's low bytes are packed once and ``bytes.translate`` marks each
-    set's activations for ``itertools.compress``; wider systems select with
-    the set's own membership test.
+    array's low bytes are packed once (or come in as ``packed``) and
+    ``bytes.translate`` marks each set's activations for
+    ``itertools.compress``; wider systems select with the set's own
+    membership test.
     """
     pids = timeline.pids
-    if timeline.n <= 255:
-        low = 0 if sys.byteorder == "little" else pids.itemsize - 1
-        packed = pids.tobytes()[low :: pids.itemsize]
+    if packed is None and timeline.n <= 255:
+        packed = pack_steps(pids)
+    if packed is not None:
 
         def selectors(members: ProcessSet) -> Iterable[int]:
             marks = bytearray(256)
@@ -251,7 +255,7 @@ def _time_gaps(
 class DistTimelinessReport:
     """Set timeliness of ``P`` w.r.t. ``Q``, derived from a recorded timeline.
 
-    ``set_bound`` and ``member_bounds`` come from ``analyze_timeliness`` on
+    ``set_bound`` and ``member_bounds`` are Definition 1's minimal bounds on
     the reduced schedule; ``max_p_gap``/``min_q_gap``/``predicted`` are the
     message-level explanation (``set_bound <= predicted`` always);
     ``set_timely``/``timely_members`` apply the report's ``threshold``;
@@ -362,13 +366,25 @@ def timeliness_report(
                 f"timeliness report: {name} names processes {outside} outside "
                 f"Πn = {{1..{timeline.n}}}"
             )
-    reduced = compile_timeline(timeline).prefix()
-    witness = analyze_timeliness(reduced, p_frozen, q_frozen)
+    if timeline.n <= 255:
+        # The pid array packed once feeds every scan below.
+        packed = pack_steps(timeline.pids)
+
+        def analyze(members: ProcessSet) -> TimelinessWitness:
+            return best_timeliness_packed(packed, timeline.n, ((members, q_frozen),))[1]
+
+    else:
+        packed = None
+        reduced = compile_timeline(timeline).prefix()
+
+        def analyze(members: ProcessSet) -> TimelinessWitness:
+            return analyze_timeliness(reduced, members, q_frozen)
+
+    witness = analyze(p_frozen)
     member_bounds = {
-        pid: analyze_timeliness(reduced, {pid}, q_frozen).minimal_bound
-        for pid in sorted(p_frozen)
+        pid: analyze(frozenset((pid,))).minimal_bound for pid in sorted(p_frozen)
     }
-    max_p_gap, min_q_gap = _time_gaps(timeline, p_frozen, q_frozen)
+    max_p_gap, min_q_gap = _time_gaps(timeline, p_frozen, q_frozen, packed)
     predicted = predicted_bound(max_p_gap, min_q_gap, witness.total_q_steps)
     return DistTimelinessReport(
         n=timeline.n,

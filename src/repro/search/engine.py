@@ -342,13 +342,20 @@ def reset_screen_cache() -> None:
     _SCREEN_CACHE_STATS["misses"] = 0
 
 
+def _content_digest(compiled: CompiledSchedule) -> str:
+    """Digest of a candidate's content: its step buffer and crash metadata."""
+    digest = hashlib.sha1(compiled.steps.tobytes())
+    digest.update(repr(sorted(compiled.crash_steps.items())).encode())
+    return digest.hexdigest()
+
+
 def _screen_cache_key(
     prop: ScheduleProperty, compiled: CompiledSchedule, checkpoints: int
 ) -> Tuple[Any, ...]:
     """Content key: the verdict depends only on these inputs."""
-    digest = hashlib.sha1(compiled.steps.tobytes())
-    digest.update(repr(sorted(compiled.crash_steps.items())).encode())
-    return (prop.name, prop.n, prop.t, prop.k, compiled.n, checkpoints, digest.hexdigest())
+    return (
+        prop.name, prop.n, prop.t, prop.k, compiled.n, checkpoints, _content_digest(compiled)
+    )
 
 
 def _screened_verdicts(
@@ -360,11 +367,13 @@ def _screened_verdicts(
     """Screen verdicts for a chunk: cache hits are free, misses batch.
 
     ``flagged(i, screen)`` marks the candidates at position ``i`` of
-    ``compileds`` whose exact verdict the misses' runs attach.
+    ``compileds`` whose exact verdict the misses' runs attach.  Equal
+    content keys in one chunk run once: the run attaches the exact verdict
+    when any of the key's positions is flagged, and every position gets it.
     """
     keys = [_screen_cache_key(prop, compiled, checkpoints) for compiled in compileds]
     verdicts: List[Optional[PropertyVerdict]] = [None] * len(compileds)
-    missing: List[int] = []
+    missing: Dict[Tuple[Any, ...], List[int]] = {}
     for index, key in enumerate(keys):
         cached = _SCREEN_CACHE.get(key)
         if cached is not None:
@@ -373,18 +382,22 @@ def _screened_verdicts(
             verdicts[index] = cached
         else:
             _SCREEN_CACHE_STATS["misses"] += 1
-            missing.append(index)
+            missing.setdefault(key, []).append(index)
     if missing:
+        positions = list(missing.values())
         fresh = screen_generation(
             prop,
-            [compileds[index] for index in missing],
+            [compileds[indices[0]] for indices in positions],
             checkpoints,
-            flagged=lambda position, screen: flagged(missing[position], screen),
+            flagged=lambda position, screen: any(
+                flagged(index, screen) for index in positions[position]
+            ),
         )
-        for index, verdict in zip(missing, fresh):
-            verdicts[index] = verdict
-            _SCREEN_CACHE[keys[index]] = verdict
-            _SCREEN_CACHE.move_to_end(keys[index])
+        for key, indices, verdict in zip(missing, positions, fresh):
+            for index in indices:
+                verdicts[index] = verdict
+            _SCREEN_CACHE[key] = verdict
+            _SCREEN_CACHE.move_to_end(key)
         while len(_SCREEN_CACHE) > _SCREEN_CACHE_LIMIT:
             _SCREEN_CACHE.popitem(last=False)
     return verdicts
@@ -801,6 +814,7 @@ def _shrink_findings(
         return verdict.in_model == target_in_model
 
     findings: List[ShrunkFinding] = []
+    memos: Dict[Tuple[str, Optional[bool]], Dict[str, bool]] = {}
     for kind, candidate in selected:
         compiled = realize(candidate.recipe)
         target_side = candidate.in_model
@@ -822,8 +836,16 @@ def _shrink_findings(
             def still_finding(trial: CompiledSchedule) -> bool:
                 return prop.confirm(trial).violated
 
+        # Within one (kind, side) the predicate reads only the trial's content,
+        # so findings whose shrinks meet the same trial replay it once.
+        memo = memos.setdefault((kind, target_side), {})
+
         def predicate(trial: CompiledSchedule) -> bool:
-            return still_finding(trial) and same_side(trial, target_side)
+            key = _content_digest(trial)
+            held = memo.get(key)
+            if held is None:
+                held = memo[key] = still_finding(trial) and same_side(trial, target_side)
+            return held
 
         result = shrink_schedule(
             compiled, predicate, max_evaluations=config.shrink_max_evaluations

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, MutableSequence, Optional
 
 from ..campaign import runner
 from ..campaign.spec import canonical_json
@@ -104,13 +104,47 @@ def _window(directive: Mapping[str, Any], length: int) -> "tuple[int, int]":
     return start, min(start + window, length)
 
 
+def _filled(steps: MutableSequence[int], pid: int, count: int) -> MutableSequence[int]:
+    """``count`` copies of ``pid``, as the same sequence type as ``steps``."""
+    unit = steps[:1]
+    unit[0] = pid
+    return unit * count
+
+
+def _remap(
+    steps: MutableSequence[int], start: int, end: int, images: Dict[int, int], n: int
+) -> None:
+    """Rewrite ``steps[start:end]`` through ``images`` (pid -> pid, others kept).
+
+    An ``array('i')`` over ``Πn`` with ``n <= 255`` holds each step as its
+    pid's byte plus zero bytes, so one ``bytes.translate`` of the window's
+    raw bytes (zero maps to itself) rewrites every step in C; anything else
+    maps the window through ``dict.get``.
+    """
+    window = steps[start:end]
+    if isinstance(window, array) and window.typecode == "i" and n <= 255:
+        table = bytearray(range(256))
+        for pid, image in images.items():
+            table[pid] = image
+        mapped = array("i")
+        mapped.frombytes(window.tobytes().translate(table))
+    else:
+        mapped = window[:0]
+        mapped.extend(map(images.get, window, window))
+    steps[start:end] = mapped
+
+
 def apply_mutation(
-    steps: List[int],
+    steps: MutableSequence[int],
     crash_steps: Dict[int, int],
     n: int,
     directive: Mapping[str, Any],
 ) -> None:
     """Apply one directive to ``steps``/``crash_steps`` in place.
+
+    ``steps`` is a list or an ``array('i')`` of steps in ``Πn``; every
+    rewrite is a slice assignment (``silence`` maps its window through a pid
+    table), so a directive costs no per-step Python work.
 
     Directives are forgiving by construction — windows are clamped into the
     buffer and degenerate parameters become no-ops — because the engine
@@ -126,8 +160,7 @@ def apply_mutation(
         if not 1 <= pid <= n:
             raise ConfigurationError(f"burst mutation names process {pid} outside Πn")
         start, end = _window(directive, length)
-        for index in range(start, end):
-            steps[index] = pid
+        steps[start:end] = _filled(steps, pid, end - start)
     elif op == "silence":
         silenced = frozenset(int(p) for p in directive.get("pids", ()))
         silenced = frozenset(p for p in silenced if 1 <= p <= n)
@@ -135,9 +168,7 @@ def apply_mutation(
             return
         substitute = _substitute_for(silenced, n, directive.get("substitute"))
         start, end = _window(directive, length)
-        for index in range(start, end):
-            if steps[index] in silenced:
-                steps[index] = substitute
+        _remap(steps, start, end, dict.fromkeys(silenced, substitute), n)
     elif op == "swap":
         block = max(1, int(directive.get("length", 1)))
         first = max(0, int(directive.get("first", 0)))
@@ -147,9 +178,11 @@ def apply_mutation(
         block = min(block, second - first, length - second)
         if block <= 0:
             return
-        for offset in range(block):
-            a, b = first + offset, second + offset
-            steps[a], steps[b] = steps[b], steps[a]
+        # block <= second - first: the two blocks never overlap.
+        steps[first : first + block], steps[second : second + block] = (
+            steps[second : second + block],
+            steps[first : first + block],
+        )
     elif op == "rotate":
         offset = int(directive.get("offset", 0)) % length
         if offset:
@@ -159,9 +192,7 @@ def apply_mutation(
         times = max(2, int(directive.get("times", 2)))
         window = end - start
         unit = max(1, window // times)
-        pattern = steps[start : start + unit]
-        for index in range(start, end):
-            steps[index] = pattern[(index - start) % unit]
+        steps[start:end] = (steps[start : start + unit] * -(-window // unit))[:window]
     elif op == "crash":
         pid = int(directive.get("pid", 1))
         if not 1 <= pid <= n:
@@ -177,22 +208,30 @@ def apply_mutation(
         )
 
 
-def _enforce_crashes(steps: List[int], crash_steps: Dict[int, int], n: int) -> None:
+def _enforce_crashes(
+    steps: MutableSequence[int], crash_steps: Dict[int, int], n: int
+) -> None:
     """Rewrite any step a crashed process would take at/after its crash index.
 
     This is the invariant that makes a realized candidate a *prefix-consistent*
     compiled schedule: the crash metadata never contradicts the buffer, no
     matter how directives interleaved (a burst can resurrect a process that a
     later directive crashes, and vice versa).
+
+    Per faulty process, one ``index`` scan from its crash index finds its
+    first late step, and the rest of the buffer is remapped from there.  The
+    substitute is never faulty, so no rewrite creates a step another pass
+    would have to catch.
     """
     if not crash_steps:
         return
-    faulty = frozenset(crash_steps)
-    substitute = _substitute_for(faulty, n)
-    for index, pid in enumerate(steps):
-        crash_at = crash_steps.get(pid)
-        if crash_at is not None and index >= crash_at:
-            steps[index] = substitute
+    substitute = _substitute_for(frozenset(crash_steps), n)
+    for pid, crash_at in crash_steps.items():
+        try:
+            first = steps.index(pid, max(crash_at, 0))
+        except ValueError:
+            continue
+        _remap(steps, first, len(steps), {pid: substitute}, n)
 
 
 def realize(recipe: Mapping[str, Any]) -> CompiledSchedule:
@@ -203,7 +242,7 @@ def realize(recipe: Mapping[str, Any]) -> CompiledSchedule:
     campaign layer's compiled-schedule memo
     (:func:`~repro.campaign.runner.compiled_schedule_for`, which keeps the
     16 most recently used scenarios), then the
-    directives are applied to a copy of its steps in order and crash
+    directives are applied to a copy of its step array in order and crash
     consistency is re-enforced.  An unmutated recipe returns the shared base
     buffer itself, so callers must treat the result as read-only.  Two equal
     recipes always produce byte-identical buffers, which is what lets
@@ -218,14 +257,14 @@ def realize(recipe: Mapping[str, Any]) -> CompiledSchedule:
     mutations = list(recipe.get("mutations", ()))
     if not mutations:
         return compiled
-    steps = list(compiled.steps)
+    steps = array("i", compiled.steps)
     crash_steps: Dict[int, int] = dict(compiled.crash_steps)
     for directive in mutations:
         apply_mutation(steps, crash_steps, compiled.n, directive)
     _enforce_crashes(steps, crash_steps, compiled.n)
     return CompiledSchedule(
         n=compiled.n,
-        steps=array("i", steps),
+        steps=steps,
         crash_steps=crash_steps,
         description=describe_recipe(recipe),
     )

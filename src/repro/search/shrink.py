@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, Sequence
 
 from ..core.schedule import CompiledSchedule
 from ..errors import ConfigurationError
@@ -67,16 +67,19 @@ def rebuild_candidate(
     must not drift while shrinking), but each crash index is recomputed as
     "just after the process's last remaining step" — 0 when every step was
     removed — so the metadata invariant (no step of a crashed process at or
-    after its crash index) holds by construction.
+    after its crash index) holds by construction.  Each faulty process's
+    last step is one ``index`` scan of the reversed buffer.
     """
-    last_seen: Dict[int, int] = {}
-    for index, pid in enumerate(steps):
-        last_seen[pid] = index
-    crash_steps = {
-        pid: (last_seen[pid] + 1 if pid in last_seen else 0) for pid in faulty
-    }
+    buffer = array("i", steps)
+    reverse = buffer[::-1]
+    crash_steps: Dict[int, int] = {}
+    for pid in faulty:
+        try:
+            crash_steps[pid] = len(buffer) - reverse.index(pid)
+        except ValueError:
+            crash_steps[pid] = 0
     return CompiledSchedule(
-        n=n, steps=array("i", steps), crash_steps=crash_steps, description=description
+        n=n, steps=buffer, crash_steps=crash_steps, description=description
     )
 
 
@@ -113,7 +116,7 @@ def shrink_schedule(
     n = compiled.n
     faulty = tuple(sorted(compiled.faulty))
     description = f"shrunk[{compiled.description}]"
-    steps: List[int] = list(compiled.steps)
+    steps = array("i", compiled.steps)
 
     granularity = 2
     while len(steps) > min_length and evaluations < max_evaluations:

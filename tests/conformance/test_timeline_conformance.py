@@ -7,8 +7,10 @@ counters and crash indices as one call to the same total.  Inputs range
 over every ``dist-*`` family, every latency model and the fault kinds
 (loss, partitions, recurring outages and permanent crashes, among them a
 crash at an instant the process ticks).  On the same inputs the generator's
-compiled buffer must equal the recorded timeline's lowering, and the
-report's C-speed time-gap selection must equal a walk over the records.
+compiled buffer must equal the recorded timeline's lowering, the
+report's C-speed time-gap selection must equal a walk over the records, and
+its bounds, scanned on the pid array packed once, must equal the scans of
+the lowered :class:`~repro.core.schedule.Schedule`.
 """
 
 from array import array
@@ -18,6 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conformance_support import CONFORMANCE
+from repro.core.timeliness import analyze_timeliness
 from repro.distsim import (
     MessageStats,
     Timeline,
@@ -25,7 +28,9 @@ from repro.distsim import (
     available_latency_models,
     compile_timeline,
     dist_family_names,
+    predicted_bound,
     run_timeline,
+    timeliness_report,
 )
 from repro.distsim.reduction import _time_gaps
 from repro.errors import ConfigurationError
@@ -188,15 +193,38 @@ def synthetic_timelines(draw):
     )
 
 
-@CONFORMANCE
-@given(timeline=synthetic_timelines(), data=st.data())
-def test_time_gaps_select_members_on_both_sides_of_the_byte_range(timeline, data):
-    members = st.frozensets(
+def _members(timeline):
+    """Member sets of ``timeline``'s ``Πn``, biased to processes that step."""
+    return st.frozensets(
         st.sampled_from(sorted(set(timeline.pids)) or [1]) | st.integers(1, timeline.n),
         min_size=1, max_size=6,
     )
-    p_set = data.draw(members, label="P")
-    q_set = data.draw(members, label="Q")
+
+
+@CONFORMANCE
+@given(timeline=synthetic_timelines(), data=st.data())
+def test_time_gaps_select_members_on_both_sides_of_the_byte_range(timeline, data):
+    p_set = data.draw(_members(timeline), label="P")
+    q_set = data.draw(_members(timeline), label="Q")
     assert _time_gaps(timeline, p_set, q_set) == _reference_time_gaps(
         timeline, p_set, q_set
     )
+
+
+@CONFORMANCE
+@given(timeline=synthetic_timelines(), data=st.data())
+def test_report_bounds_equal_scans_of_the_lowered_schedule(timeline, data):
+    p_set = data.draw(_members(timeline), label="P")
+    q_set = data.draw(_members(timeline), label="Q")
+    report = timeliness_report(timeline, p_set, q_set)
+    schedule = compile_timeline(timeline).prefix()
+    witness = analyze_timeliness(schedule, p_set, q_set)
+    assert (report.set_bound, report.set_saturated, report.set_evidence_ratio) == (
+        witness.minimal_bound, witness.saturated, witness.evidence_ratio()
+    )
+    assert report.member_bounds == {
+        pid: analyze_timeliness(schedule, {pid}, q_set).minimal_bound for pid in sorted(p_set)
+    }
+    gaps = _reference_time_gaps(timeline, p_set, q_set)
+    assert (report.max_p_gap, report.min_q_gap) == gaps
+    assert report.predicted == predicted_bound(*gaps, witness.total_q_steps)

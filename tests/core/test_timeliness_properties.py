@@ -7,19 +7,25 @@ P-step") on arbitrary schedules and arbitrary non-empty sets.
 
 from __future__ import annotations
 
+from array import array
 from typing import FrozenSet, List, Tuple
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.core.schedule import Schedule
+from repro.core.schedule import CompiledSchedule, Schedule
+from repro.core.systems import SetTimelinessSystem, SystemWitness
 from repro.core.timeliness import (
     PFreeSegment,
     TimelinessWitness,
     analyze_timeliness,
+    best_timeliness_packed,
     best_timeliness_pair,
     is_timely,
 )
+from repro.errors import ConfigurationError, VerificationError
+from repro.search import certify
 from repro.core.observations import observation_2, observation_3
 
 
@@ -185,3 +191,70 @@ def test_analysis_matches_segment_scan_oracle(schedule, p_set, q_set):
 @example(EMPTY, [(frozenset({1}), frozenset({2})), (frozenset({3}), frozenset({4}))])
 def test_best_pair_matches_per_pair_analysis(schedule, pairs):
     assert best_timeliness_pair(schedule, pairs) == first_best_by_oracle(schedule, pairs)
+
+
+@given(
+    st.one_of(schedules(), bursty_schedules()),
+    st.lists(st.tuples(nonempty_subsets(), nonempty_subsets()), min_size=1, max_size=8),
+)
+@example(OUTSIDE, [({9}, [2]), ((0, 3), {2, 5})])
+@example(EMPTY, [(frozenset({1}), frozenset({2}))])
+def test_packed_entry_matches_the_schedule_entry(schedule, pairs):
+    packed = bytes(schedule.steps)
+    assert best_timeliness_packed(packed, N, pairs) == best_timeliness_pair(schedule, pairs)
+    assert best_timeliness_packed(packed, N, pairs) == first_best_by_oracle(schedule, pairs)
+
+
+def test_packed_entry_rejects_wide_systems_and_empty_sets():
+    with pytest.raises(VerificationError, match="at most 255"):
+        best_timeliness_packed(b"\1", 256, [({1}, {2})])
+    with pytest.raises(VerificationError, match="no \\(P, Q\\) pair"):
+        best_timeliness_packed(b"\1", N, [])
+    with pytest.raises(VerificationError, match="non-empty set Q"):
+        best_timeliness_packed(b"\1", N, [({1}, set())])
+
+
+@st.composite
+def compiled_prefixes(draw):
+    """A compiled buffer over a small Πn, witness sizes and a prefix cap."""
+    n = draw(st.integers(2, 6))
+    steps = draw(st.lists(st.integers(1, n), min_size=1, max_size=60))
+    j = draw(st.integers(1, n))
+    i = draw(st.integers(1, j))
+    crash_steps = draw(
+        st.dictionaries(st.integers(1, n), st.integers(0, len(steps) + 2), max_size=n - 1)
+    )
+    prefix = draw(st.one_of(st.none(), st.integers(-2, len(steps) + 5)))
+    compiled = CompiledSchedule(n=n, steps=array("i", steps), crash_steps=crash_steps)
+    return compiled, i, j, prefix
+
+
+# Over more than 255 processes the witness search takes the Schedule path; the
+# sizes keep the pair count small (one pair, and 300 pairs).
+WIDE_COMPILED = CompiledSchedule(n=300, steps=array("i", [1, 300, 2, 300, 300, 299, 1, 300]))
+
+
+@given(compiled_prefixes())
+@example((WIDE_COMPILED, 300, 300, None))
+@example((WIDE_COMPILED, 299, 300, 5))
+@example((WIDE_COMPILED, 299, 300, 0))
+def test_certify_witness_matches_the_schedule_path(case):
+    compiled, i, j, prefix = case
+    length = len(compiled) if prefix is None else min(prefix, len(compiled))
+    if length < 1:
+        with pytest.raises(ConfigurationError, match="empty schedule prefix"):
+            certify.best_witness(compiled, i, j, prefix)
+        return
+    system = SetTimelinessSystem(i=i, j=j, n=compiled.n)
+    schedule = compiled.prefix(length)
+    witness = certify.best_witness(compiled, i, j, prefix)
+    assert witness == system.best_witness(schedule)
+    pairs = list(system.candidate_pairs())
+    index, expected = first_best_by_oracle(schedule, pairs)
+    assert witness == SystemWitness(p_set=pairs[index][0], q_set=pairs[index][1], witness=expected)
+
+
+def test_packed_system_witness_checks_the_universe():
+    system = SetTimelinessSystem(i=1, j=2, n=4)
+    with pytest.raises(ConfigurationError, match="schedule over Π5"):
+        system.best_packed_witness(b"\1\2", 5)

@@ -150,6 +150,30 @@ class TestValidation:
             latency_from_params({"latency": "pareto", "latency_alpha": 0})
 
 
+class TestLatencyBinding:
+    def test_only_an_unmodulated_constant_model_has_a_fixed_delay(self):
+        assert latency_from_params({"latency": "constant", "latency_scale": 3}).fixed_delay() == 3
+        diurnal = {"latency_period": 100, "latency_amplitude": 0.5}
+        assert latency_from_params({"latency": "constant", **diurnal}).fixed_delay() == 0
+        for name in ("uniform", "exponential", "pareto"):
+            assert latency_from_params({"latency": name}).fixed_delay() == 0
+
+    def test_constant_latency_draws_no_channel_stream(self):
+        engine = TimelineEngine(sticky_config())
+        engine.advance(300)
+        assert engine.delivered > 0
+        assert not engine._latency_rngs
+        for src, time, send_time in zip(engine.srcs, engine.times, engine.send_times):
+            if src:
+                assert time - send_time == 2
+
+    def test_sampling_latency_still_draws_per_channel(self):
+        config = sticky_config(latency=latency_from_params({"latency": "uniform"}))
+        engine = TimelineEngine(config)
+        engine.advance(300)
+        assert engine._latency_rngs
+
+
 class TestDeterminism:
     def test_identical_seeds_identical_records(self):
         config = sticky_config()

@@ -78,6 +78,12 @@ def test_timeliness_docstring_coverage():
     _assert_fully_documented([REPO_ROOT / "src" / "repro" / "core" / "timeliness.py"])
 
 
+def test_systems_docstring_coverage():
+    # Same gate CI runs: the S^i_{j,n} systems and their witness search
+    # must stay fully documented.
+    _assert_fully_documented([REPO_ROOT / "src" / "repro" / "core" / "systems.py"])
+
+
 def test_schedule_formalism_and_generator_base_docstring_coverage():
     # Same gate CI runs: the schedule formalism (with its step-buffer scan)
     # and the generator base must stay fully documented.

@@ -5,6 +5,8 @@ from array import array
 from collections import OrderedDict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign import runner
 from repro.errors import ConfigurationError
@@ -19,6 +21,7 @@ from repro.search import (
     recipe_signature,
     sample_mutation,
 )
+from repro.search.mutations import _enforce_crashes, _substitute_for, _window
 
 BASE = {
     "schedule": "set-timely",
@@ -223,3 +226,167 @@ class TestApplyMutation:
     def test_burst_outside_universe_rejected(self):
         with pytest.raises(ConfigurationError):
             apply_mutation([1, 2], {}, 2, {"op": "burst", "pid": 9, "start": 0, "length": 1})
+
+
+# ----------------------------------------------------------------------
+# The per-element loops, kept as the reference the slice-assignment
+# directives and the index-scan crash enforcement must reproduce exactly.
+# ----------------------------------------------------------------------
+
+def reference_apply_mutation(steps, crash_steps, n, directive):
+    """``apply_mutation`` as one Python step per rewritten element."""
+    op = str(directive.get("op", ""))
+    length = len(steps)
+    if length == 0:
+        return
+    if op == "burst":
+        pid = int(directive.get("pid", 1))
+        if not 1 <= pid <= n:
+            raise ConfigurationError(f"burst mutation names process {pid} outside Πn")
+        start, end = _window(directive, length)
+        for index in range(start, end):
+            steps[index] = pid
+    elif op == "silence":
+        silenced = frozenset(int(p) for p in directive.get("pids", ()))
+        silenced = frozenset(p for p in silenced if 1 <= p <= n)
+        if not silenced or len(silenced) >= n:
+            return
+        substitute = _substitute_for(silenced, n, directive.get("substitute"))
+        start, end = _window(directive, length)
+        for index in range(start, end):
+            if steps[index] in silenced:
+                steps[index] = substitute
+    elif op == "swap":
+        block = max(1, int(directive.get("length", 1)))
+        first = max(0, int(directive.get("first", 0)))
+        second = max(0, int(directive.get("second", 0)))
+        if first > second:
+            first, second = second, first
+        block = min(block, second - first, length - second)
+        if block <= 0:
+            return
+        for offset in range(block):
+            a, b = first + offset, second + offset
+            steps[a], steps[b] = steps[b], steps[a]
+    elif op == "rotate":
+        offset = int(directive.get("offset", 0)) % length
+        if offset:
+            steps[:] = steps[offset:] + steps[:offset]
+    elif op == "stutter":
+        start, end = _window(directive, length)
+        times = max(2, int(directive.get("times", 2)))
+        window = end - start
+        unit = max(1, window // times)
+        pattern = steps[start : start + unit]
+        for index in range(start, end):
+            steps[index] = pattern[(index - start) % unit]
+    elif op == "crash":
+        pid = int(directive.get("pid", 1))
+        if not 1 <= pid <= n:
+            raise ConfigurationError(f"crash mutation names process {pid} outside Πn")
+        already = frozenset(crash_steps) | {pid}
+        if len(already) >= n:
+            return
+        at = max(0, min(int(directive.get("at", 0)), length))
+        crash_steps[pid] = min(at, crash_steps.get(pid, at))
+    else:
+        raise ConfigurationError(
+            f"unknown mutation op {op!r}; expected one of {MUTATION_OPS}"
+        )
+
+
+def reference_enforce_crashes(steps, crash_steps, n):
+    """``_enforce_crashes`` as a walk over every step."""
+    if not crash_steps:
+        return
+    substitute = _substitute_for(frozenset(crash_steps), n)
+    for index, pid in enumerate(steps):
+        crash_at = crash_steps.get(pid)
+        if crash_at is not None and index >= crash_at:
+            steps[index] = substitute
+
+
+def _directives(n, length):
+    """Directives of every op, with windows and ids in and out of range."""
+    # Small positions make near, overlapping and degenerate windows common.
+    position = st.one_of(st.integers(-3, 8), st.integers(-3, length + 5))
+    pid = st.integers(-1, n + 2)
+    ops = [
+        ("burst", {"pid": pid, "start": position, "length": position}),
+        (
+            "silence",
+            {
+                "pids": st.lists(st.integers(0, n + 2), max_size=n + 1),
+                "start": position,
+                "length": position,
+                "substitute": pid,
+            },
+        ),
+        ("swap", {"first": position, "second": position, "length": position}),
+        # Blocks a few steps apart: overlapping requests, clamped to disjoint.
+        (
+            "swap",
+            {"first": st.integers(0, 6), "second": st.integers(0, 6), "length": st.integers(1, 8)},
+        ),
+        ("rotate", {"offset": st.integers(-2 * length - 3, 2 * length + 3)}),
+        ("stutter", {"start": position, "length": position, "times": st.integers(-1, 6)}),
+        ("crash", {"pid": pid, "at": position}),
+        ("teleport", {}),
+    ]
+    full = [st.fixed_dictionaries({"op": st.just(op), **params}) for op, params in ops]
+    # Directives missing some parameters take the defaults.
+    partial = st.sampled_from(ops).flatmap(
+        lambda entry: st.fixed_dictionaries({"op": st.just(entry[0])}, optional=entry[1])
+    )
+    return st.one_of(*full, partial)
+
+
+def _outcome(apply, enforce, steps, crash_steps, n, directives):
+    """Buffer, crash steps and error text after applying ``directives``."""
+    error = None
+    try:
+        for directive in directives:
+            apply(steps, crash_steps, n, directive)
+        enforce(steps, crash_steps, n)
+    except ConfigurationError as raised:
+        error = str(raised)
+    return list(steps), dict(crash_steps), error
+
+
+@st.composite
+def _mutation_cases(draw):
+    n = draw(st.integers(2, 5))
+    length = draw(st.integers(0, 48))
+    steps = draw(st.lists(st.integers(1, n), min_size=length, max_size=length))
+    crash_steps = draw(
+        st.dictionaries(st.integers(1, n), st.integers(0, length + 3), max_size=n)
+    )
+    directives = draw(st.lists(_directives(n, length), max_size=6))
+    return n, steps, crash_steps, directives
+
+
+class TestDirectivesMatchTheReferenceLoops:
+    @settings(max_examples=150)
+    @given(_mutation_cases())
+    def test_lists_and_arrays_match_the_per_element_reference(self, case):
+        n, steps, crash_steps, directives = case
+        expected = _outcome(
+            reference_apply_mutation, reference_enforce_crashes,
+            list(steps), dict(crash_steps), n, directives,
+        )
+        for buffer in (list(steps), array("i", steps)):
+            assert _outcome(
+                apply_mutation, _enforce_crashes, buffer, dict(crash_steps), n, directives
+            ) == expected
+
+    def test_wide_systems_remap_without_the_byte_table(self):
+        steps = array("i", [1, 300, 299, 300, 2] * 4)
+        expected = list(steps)
+        directive = {"op": "silence", "pids": [300], "start": 2, "length": 9}
+        reference_apply_mutation(expected, {}, 300, directive)
+        apply_mutation(steps, {}, 300, directive)
+        assert list(steps) == expected
+        crash_steps = {299: 3}
+        reference_enforce_crashes(expected, crash_steps, 300)
+        _enforce_crashes(steps, crash_steps, 300)
+        assert list(steps) == expected

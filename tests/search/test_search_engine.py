@@ -9,22 +9,47 @@ from repro.campaign.runner import _KINDS
 from repro.campaign.spec import RunSpec
 from repro.campaign import execute_spec
 from repro.errors import ConfigurationError
+from repro.runtime.simulator import Simulator
 from repro.search import (
     IN_MODEL_VIOLATION,
     NEAR_MISS,
     OUT_OF_MODEL_VIOLATION,
     SearchConfig,
+    certify_schedule,
     generation_recipes,
+    make_property,
+    make_recipe,
+    realize,
     recipe_signature,
     run_search,
     search_report_lines,
     seed_recipes,
+)
+from repro.search.engine import (
+    EvaluatedCandidate,
+    _screened_verdicts,
+    _shrink_findings,
+    reset_screen_cache,
 )
 from repro.search.properties import (
     PROPERTY_CLASSES,
     KAntiOmegaConvergenceProperty,
     PropertyVerdict,
 )
+
+
+@pytest.fixture()
+def tracked_runs(monkeypatch):
+    """Counts ``Simulator.run_fast`` calls: one per tracked run."""
+    runs = []
+    original = Simulator.run_fast
+
+    def counting(self, *args, **kwargs):
+        runs.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Simulator, "run_fast", counting)
+    return runs
 
 
 def fingerprint(report):
@@ -241,6 +266,79 @@ class TestViolationPath:
         )
         report = run_search(config)
         assert all(f.kind != NEAR_MISS for f in report.findings)
+
+
+    def test_shrinks_replay_a_trial_once_per_content(self, stub_property, tracked_runs):
+        # Crashing p1 at 41 or at 42 of a round robin leaves equal buffers
+        # (p1 steps at 40 and 44): the findings differ only in crash steps,
+        # and every trial of the second shrink is one the first already ran.
+        config = SearchConfig.smoke_config(stub_property, top=2, seed=1)
+        prop = make_property(config.property, config.property_params())
+        i, j = prop.certification_sizes()
+
+        def finding(at):
+            recipe = make_recipe(
+                {"schedule": "round-robin", "n": 4}, 80, [{"op": "crash", "pid": 1, "at": at}]
+            )
+            compiled = realize(recipe)
+            certificate = certify_schedule(
+                compiled,
+                i,
+                j,
+                certify_bound=config.resolved_certify_bound(),
+                max_faulty=prop.t,
+                prefix_length=config.certify_prefix,
+            )
+            return EvaluatedCandidate(
+                generation=0,
+                recipe=recipe,
+                signature=recipe_signature(recipe),
+                description="crash of p1",
+                length=len(compiled),
+                faulty=(1,),
+                fitness=1.0,
+                screen_violated=True,
+                screen_details={},
+                confirmed_violated=True,
+                confirmed_details={},
+                certificate=certificate.to_payload(),
+            )
+
+        alone = _shrink_findings(config, [finding(41)])
+        single = len(tracked_runs)
+        assert single > 2
+        del tracked_runs[:]
+        both = _shrink_findings(config, [finding(41), finding(42)])
+        # The second finding runs only its unshrunk input and its final confirm.
+        assert len(tracked_runs) == single + 2
+        assert both[0].evaluations == both[1].evaluations == alone[0].evaluations
+        for shrunk in both:
+            assert shrunk.schedule.steps == alone[0].schedule.steps
+            assert shrunk.schedule.crash_steps == alone[0].schedule.crash_steps
+
+
+class TestScreenedVerdicts:
+    def test_equal_candidates_in_one_chunk_run_once(self, tracked_runs):
+        reset_screen_cache()
+        prop = make_property("k-anti-omega-convergence", {"n": 4, "t": 2, "k": 2})
+        recipe = make_recipe({"schedule": "round-robin", "n": 4}, 200)
+        # Equal content, distinct objects: a no-op rotation realizes a copy.
+        first = realize(recipe)
+        second = realize(make_recipe(recipe["base"], 200, [{"op": "rotate", "offset": 0}]))
+        assert first is not second and first.steps == second.steps
+        flagged = []
+
+        def flag_second(index, screen):
+            flagged.append(index)
+            return index == 1
+
+        verdicts = _screened_verdicts(prop, [first, second], 4, flag_second)
+        reset_screen_cache()
+        assert len(tracked_runs) == 1
+        assert verdicts[0] == verdicts[1]
+        # The second position is flagged, so the one run attached the exact verdict.
+        assert sorted(flagged) == [0, 1]
+        assert verdicts[0].exact is not None
 
 
 class TestReportTallies:

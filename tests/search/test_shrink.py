@@ -4,9 +4,11 @@ import random
 from array import array
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.schedule import CompiledSchedule
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ScheduleError
 from repro.search import (
     make_recipe,
     make_property,
@@ -165,3 +167,51 @@ class TestRebuildCandidate:
         candidate = rebuild_candidate(4, [1, 2, 1], [3], "test")
         assert candidate.crash_steps == {3: 0}
         assert candidate.faulty == frozenset({3})
+
+
+def reference_rebuild_candidate(n, steps, faulty, description):
+    """``rebuild_candidate`` as one walk recording every process's last step."""
+    last_seen = {}
+    for index, pid in enumerate(steps):
+        last_seen[pid] = index
+    crash_steps = {
+        pid: (last_seen[pid] + 1 if pid in last_seen else 0) for pid in faulty
+    }
+    return CompiledSchedule(
+        n=n, steps=array("i", steps), crash_steps=crash_steps, description=description
+    )
+
+
+def _rebuilt(rebuild, n, steps, faulty):
+    """Buffer, crash steps and description of a rebuild, or its error text."""
+    try:
+        candidate = rebuild(n, steps, faulty, "trial")
+    except ScheduleError as raised:
+        return str(raised)
+    return candidate.steps.tobytes(), candidate.crash_steps, candidate.description
+
+
+class TestRebuildMatchesTheReference:
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                # Out-of-range steps and faulty ids exercise the error texts.
+                st.lists(st.integers(0, n + 1), max_size=40),
+                st.lists(st.integers(0, n + 1), max_size=n + 1),
+            )
+        ),
+        st.sampled_from([list, tuple, lambda steps: array("i", steps)]),
+    )
+    def test_crash_indices_and_errors_match(self, case, container):
+        n, steps, faulty = case
+        assert _rebuilt(rebuild_candidate, n, container(steps), faulty) == _rebuilt(
+            reference_rebuild_candidate, n, list(steps), faulty
+        )
+
+    def test_rebuild_copies_the_callers_buffer(self):
+        steps = array("i", [1, 2, 3, 1])
+        candidate = rebuild_candidate(4, steps, [1], "test")
+        steps[0] = 4
+        assert list(candidate.steps) == [1, 2, 3, 1]
+        assert candidate.crash_steps == {1: 4}
