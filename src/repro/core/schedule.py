@@ -91,15 +91,19 @@ def pack_steps(steps: Sequence[ProcessId]) -> Optional[bytes]:
     """``steps`` as one byte per step, or ``None`` when some step is outside ``0..255``.
 
     The packed form the bytes scans of set timeliness read
-    (:func:`~repro.core.timeliness.best_timeliness_packed`): an integer
+    (:func:`~repro.core.timeliness.best_timeliness_steps`): an integer
     array packs straight from its raw buffer, chunk by chunk, so callers
-    holding a step buffer never materialize a :class:`Schedule`.
+    holding a step buffer never materialize a :class:`Schedule`, and bytes
+    come back as they are, so a caller scanning one buffer many times packs
+    it once.
 
     >>> pack_steps(array("i", [1, 2, 3]))
     b'\\x01\\x02\\x03'
     >>> pack_steps([1, 300]) is None
     True
     """
+    if isinstance(steps, bytes):
+        return steps
     chunks = list(_packed_chunks(steps))
     return None if None in chunks else b"".join(chunks)
 

@@ -29,17 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Tuple, Union
 
 from ..errors import ConfigurationError
 from ..types import ProcessSet, SystemCoordinates, process_set, universe
-from .schedule import Schedule
-from .timeliness import (
-    TimelinessWitness,
-    analyze_timeliness,
-    best_timeliness_packed,
-    best_timeliness_pair,
-)
+from .schedule import CompiledSchedule, Schedule
+from .timeliness import TimelinessWitness, analyze_timeliness, best_timeliness_steps
 
 
 @dataclass(frozen=True)
@@ -127,13 +122,10 @@ class System:
         return other.n == self._n
 
     # ------------------------------------------------------------------
-    def _check_universe(self, schedule: Schedule) -> None:
-        self._check_universe_size(schedule.n)
-
-    def _check_universe_size(self, n: int) -> None:
-        if n != self._n:
+    def _check_universe(self, schedule: Union[Schedule, CompiledSchedule]) -> None:
+        if schedule.n != self._n:
             raise ConfigurationError(
-                f"schedule over Π{n} cannot be judged against a system over Π{self._n}"
+                f"schedule over Π{schedule.n} cannot be judged against a system over Π{self._n}"
             )
 
 
@@ -191,25 +183,16 @@ class SetTimelinessSystem(System):
         """
         return _iter_pairs(self._i, self._j, self._n)
 
-    def best_witness(self, schedule: Schedule) -> SystemWitness:
-        """The ``(P, Q)`` pair of the right sizes with the smallest observed bound."""
+    def best_witness(self, schedule: Union[Schedule, CompiledSchedule]) -> SystemWitness:
+        """The ``(P, Q)`` pair of the right sizes with the smallest observed bound.
+
+        A :class:`~repro.core.schedule.CompiledSchedule` is scanned straight
+        from its step buffer (:func:`~repro.core.timeliness.best_timeliness_steps`),
+        so judging a compiled prefix materializes no ``Schedule``.
+        """
         self._check_universe(schedule)
         pairs = _candidate_pairs(self._i, self._j, self._n)
-        index, witness = best_timeliness_pair(schedule, pairs)
-        p_set, q_set = pairs[index]
-        return SystemWitness(p_set=p_set, q_set=q_set, witness=witness)
-
-    def best_packed_witness(self, packed: bytes, n: int) -> SystemWitness:
-        """:meth:`best_witness` on a schedule over ``Πn`` packed one byte per step.
-
-        For ``n <= 255`` only (see
-        :func:`~repro.core.timeliness.best_timeliness_packed`): callers that
-        hold their steps in an integer buffer pack it themselves and skip
-        building a :class:`~repro.core.schedule.Schedule`.
-        """
-        self._check_universe_size(n)
-        pairs = _candidate_pairs(self._i, self._j, self._n)
-        index, witness = best_timeliness_packed(packed, n, pairs)
+        index, witness = best_timeliness_steps(schedule.steps, schedule.n, pairs)
         p_set, q_set = pairs[index]
         return SystemWitness(p_set=p_set, q_set=q_set, witness=witness)
 

@@ -16,15 +16,15 @@ the **minimal** valid bound, which this module computes exactly:
   cannot fit inside a ``P``-free segment, and a ``P``-free window with exactly
   ``g`` ``Q``-steps exists whenever ``g >= 1``.
 
-One implementation computes ``g`` everywhere: :func:`best_timeliness_pair`
-packs the steps into bytes and finds the longest run of ``Q``-steps between
-``P``-steps with C-level ``translate`` and substring scans;
-:func:`best_timeliness_packed` is the same scan for callers that pack their
-own integer step buffers (so they never build a :class:`Schedule`), and
-:func:`analyze_timeliness` is that scan on a single pair.  The per-step
-segment scan (:func:`p_free_segments`) remains only for schedules over more
-than 255 processes, which do not fit in bytes, and for
-:func:`find_violating_window`, which walks the segments themselves.
+One implementation computes ``g`` everywhere: :func:`best_timeliness_steps`
+packs a step buffer into bytes and finds the longest run of ``Q``-steps
+between ``P``-steps with C-level ``translate`` and substring scans, so callers
+holding an integer buffer never build a :class:`Schedule`;
+:func:`best_timeliness_pair` is that entry on a :class:`Schedule` and
+:func:`analyze_timeliness` on a single pair.  The per-step segment scan
+(:func:`p_free_segments`) remains only for buffers with a step above 255,
+which do not fit in bytes, and for :func:`find_violating_window`, which walks
+the segments themselves.
 
 The module also provides witnesses (the violating window for ``bound - 1``),
 checks of Observations 2 and 3, and helpers for judging whether a finite prefix
@@ -40,7 +40,7 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import VerificationError
 from ..types import ProcessId, ProcessSet, process_set
-from .schedule import Schedule
+from .schedule import Schedule, pack_steps
 
 
 @dataclass(frozen=True)
@@ -115,12 +115,17 @@ class TimelinessWitness:
 
 def p_free_segments(schedule: Schedule, p_set: Iterable[ProcessId], q_set: Iterable[ProcessId]) -> List[PFreeSegment]:
     """Compute all maximal ``P``-free segments with their ``Q``-step counts."""
-    p_frozen = process_set(p_set)
-    q_frozen = process_set(q_set)
+    return _segments(schedule.steps, process_set(p_set), process_set(q_set))
+
+
+def _segments(
+    steps: Sequence[ProcessId], p_frozen: ProcessSet, q_frozen: ProcessSet
+) -> List[PFreeSegment]:
+    """:func:`p_free_segments` over a bare step buffer."""
     segments: List[PFreeSegment] = []
     start: Optional[int] = None
     q_count = 0
-    for index, step in enumerate(schedule.steps):
+    for index, step in enumerate(steps):
         if step in p_frozen:
             if start is not None:
                 segments.append(PFreeSegment(start=start, end=index, q_steps=q_count))
@@ -132,7 +137,7 @@ def p_free_segments(schedule: Schedule, p_set: Iterable[ProcessId], q_set: Itera
             if step in q_frozen:
                 q_count += 1
     if start is not None:
-        segments.append(PFreeSegment(start=start, end=len(schedule.steps), q_steps=q_count))
+        segments.append(PFreeSegment(start=start, end=len(steps), q_steps=q_count))
     return segments
 
 
@@ -153,11 +158,11 @@ def analyze_timeliness(
 
 
 def _segment_scan(
-    schedule: Schedule, p_frozen: ProcessSet, q_frozen: ProcessSet
+    steps: Sequence[ProcessId], p_frozen: ProcessSet, q_frozen: ProcessSet
 ) -> TimelinessWitness:
-    """The per-step segment scan, for schedules too wide to pack into bytes."""
+    """The per-step segment scan, for buffers that do not pack into bytes."""
     worst: Optional[PFreeSegment] = None
-    for segment in p_free_segments(schedule, p_frozen, q_frozen):
+    for segment in _segments(steps, p_frozen, q_frozen):
         if worst is None or segment.q_steps > worst.q_steps:
             worst = segment
     worst_q = worst.q_steps if worst is not None else 0
@@ -165,9 +170,9 @@ def _segment_scan(
         p_set=p_frozen,
         q_set=q_frozen,
         minimal_bound=worst_q + 1,
-        total_q_steps=schedule.count_set(q_frozen),
+        total_q_steps=sum(1 for step in steps if step in q_frozen),
         worst_segment=worst if worst_q > 0 else None,
-        schedule_length=len(schedule),
+        schedule_length=len(steps),
     )
 
 
@@ -216,8 +221,12 @@ def _frozen_pairs(
 
 @lru_cache(maxsize=256)
 def _cached_scans(n: int, pairs: tuple) -> Tuple[_PairScan, ...]:
-    """The frozen pairs over ``Πn`` (``n <= 255``) with their byte tables."""
-    pids = range(1, n + 1)
+    """The frozen pairs over ``Πn`` with their byte tables.
+
+    The tables cover the processes that fit in a byte: a packed buffer holds
+    no step of a wider process.
+    """
+    pids = range(1, min(n, 255) + 1)
     scans = []
     for p_frozen, q_frozen in _frozen_pairs(pairs):
         separators = bytes(pid for pid in pids if pid in p_frozen)
@@ -261,46 +270,42 @@ def best_timeliness_pair(
 ) -> Tuple[int, TimelinessWitness]:
     """The first of ``pairs`` with the smallest minimal bound, and its witness.
 
-    This is the module's one timeliness scan.  It gives the answer of
-    scanning each pair's :func:`p_free_segments` and keeping the first worst
-    segment, but the per-step work runs in C: the steps are packed into
-    bytes once and handed to :func:`best_timeliness_packed`.  Schedules over
-    more than 255 processes do not fit in bytes and fall back to the segment
-    scan.  Raises :class:`VerificationError` on an empty pair list or an
-    empty set.
+    :func:`best_timeliness_steps` on the schedule's steps.  Raises
+    :class:`VerificationError` on an empty pair list or an empty set.
     """
-    if schedule.n > 255:
-        witnesses = [
-            _segment_scan(schedule, p_set, q_set) for p_set, q_set in _frozen_pairs(pairs)
-        ]
-        bounds = [witness.minimal_bound for witness in witnesses]
-        best = bounds.index(min(bounds))
-        return best, witnesses[best]
-    return _best_packed(bytes(schedule.steps), _pair_scans(schedule.n, pairs))
+    return best_timeliness_steps(schedule.steps, schedule.n, pairs)
 
 
-def best_timeliness_packed(
-    packed: bytes,
+def best_timeliness_steps(
+    steps: Sequence[ProcessId],
     n: int,
     pairs: Sequence[Tuple[Iterable[ProcessId], Iterable[ProcessId]]],
 ) -> Tuple[int, TimelinessWitness]:
-    """:func:`best_timeliness_pair` on a schedule packed one byte per step.
+    """:func:`best_timeliness_pair` on a step buffer over ``Πn``.
 
-    ``packed`` holds the schedule's steps, each a process of ``Πn``, as
-    bytes (``n <= 255``): callers that keep steps in an integer buffer pack
-    it straight from there (``CompiledSchedule`` buffers, distsim pid
-    arrays) and skip building a :class:`Schedule`.  The pairs' frozen sets
-    and byte tables are built once per ``(n, pairs)``.  Raises
-    :class:`VerificationError` when ``n`` exceeds 255, on an empty pair list
-    or an empty set.
+    This is the module's one timeliness scan.  It gives the answer of
+    scanning each pair's :func:`p_free_segments` and keeping the first worst
+    segment, but the per-step work runs in C: ``steps`` (a tuple, list or
+    integer array, or bytes already packed by
+    :func:`~repro.core.schedule.pack_steps`) is packed one byte per step and
+    every pair is scanned as bytes, with its frozen sets and byte tables
+    built once per ``(n, pairs)``.  A buffer with a step above 255 does not
+    pack and takes the segment scan.  Raises :class:`VerificationError` on an
+    empty pair list or an empty set.
     """
-    if n > 255:
-        raise VerificationError(f"a packed schedule holds at most 255 processes, got n={n}")
-    return _best_packed(packed, _pair_scans(n, pairs))
+    packed = pack_steps(steps)
+    if packed is not None:
+        return _best_packed(packed, _pair_scans(n, pairs))
+    witnesses = [
+        _segment_scan(steps, p_set, q_set) for p_set, q_set in _frozen_pairs(pairs)
+    ]
+    bounds = [witness.minimal_bound for witness in witnesses]
+    best = bounds.index(min(bounds))
+    return best, witnesses[best]
 
 
 def _best_packed(packed: bytes, scans: Tuple[_PairScan, ...]) -> Tuple[int, TimelinessWitness]:
-    """The bytes scan behind both entries, over pairs with their tables.
+    """The bytes scan of :func:`best_timeliness_steps`, over pairs with their tables.
 
     For each pair one ``translate`` turns ``P``-steps into separators, the
     other ``Q``-steps into ``\\x01`` and drops the rest, so the largest

@@ -41,8 +41,6 @@ class LatencyModel:
 
     ``sampler`` maps ``(rng, now)`` to a raw delay; the model clamps the
     result to an integer of at least 1 and applies the diurnal factor.
-    ``constant`` is the delay of a model whose sampler draws nothing (the
-    ``constant`` model's ``scale``, at least 1), 0 for a sampling model.
     """
 
     name: str
@@ -50,7 +48,6 @@ class LatencyModel:
     detail: str
     period: int = 0
     amplitude: float = 0.0
-    constant: int = 0
 
     def diurnal_factor(self, now: int) -> float:
         """The triangle-wave load factor at simulated time ``now`` (≥ 1.0)."""
@@ -72,9 +69,9 @@ class LatencyModel:
         by the same amount and draws nothing from the channel's stream, so a
         caller can bind the delay once.
         """
-        if self.period > 0 and self.amplitude > 0:
+        if self.name != "constant" or (self.period > 0 and self.amplitude > 0):
             return 0
-        return self.constant
+        return self.sample(None, 0)
 
     def describe(self) -> str:
         """Readable summary, e.g. ``"pareto(scale=3, alpha=1.6)"``."""
@@ -158,5 +155,4 @@ def latency_from_params(params: Mapping[str, object]) -> LatencyModel:
         detail=detail,
         period=period,
         amplitude=amplitude,
-        constant=scale if name == "constant" else 0,
     )

@@ -9,7 +9,7 @@ reproduction executes (crash metadata included), and
 message-level facts:
 
 * the *reduced-schedule* bounds — the set-timeliness bytes scan
-  (:func:`~repro.core.timeliness.best_timeliness_packed`) run on the pid
+  (:func:`~repro.core.timeliness.best_timeliness_steps`) run on the pid
   array packed once, per set and per member;
 * the *time-domain* quantities that explain them — the largest gap between
   consecutive ``P`` activations and the smallest gap between consecutive
@@ -33,10 +33,10 @@ from array import array
 from dataclasses import dataclass
 from itertools import compress
 from operator import sub
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.schedule import CompiledSchedule, pack_steps
-from ..core.timeliness import TimelinessWitness, analyze_timeliness, best_timeliness_packed
+from ..core.timeliness import TimelinessWitness, best_timeliness_steps
 from ..errors import ConfigurationError
 from ..types import ProcessId, ProcessSet, process_set
 from .engine import StepRecord, TimelineEngine
@@ -214,21 +214,21 @@ def _time_gaps(
     between consecutive ``Q`` activation times (0 when two coincide, which
     makes :func:`predicted_bound` fall back to the trivial bound).
 
-    The member times are selected at C speed: for ``n <= 255`` the pid
-    array's low bytes are packed once (or come in as ``packed``) and
-    ``bytes.translate`` marks each set's activations for
-    ``itertools.compress``; wider systems select with the set's own
-    membership test.
+    The member times are selected at C speed: the pid array's low bytes are
+    packed once (or come in as ``packed``) and ``bytes.translate`` marks each
+    set's activations for ``itertools.compress``; a pid array that does not
+    pack (a pid above 255) selects with the set's own membership test.
     """
     pids = timeline.pids
-    if packed is None and timeline.n <= 255:
+    if packed is None:
         packed = pack_steps(pids)
     if packed is not None:
 
         def selectors(members: ProcessSet) -> Iterable[int]:
             marks = bytearray(256)
             for pid in members:
-                marks[pid] = 1
+                if pid < 256:  # a wider pid has no activation in packed bytes
+                    marks[pid] = 1
             return packed.translate(marks)
 
     else:
@@ -366,19 +366,12 @@ def timeliness_report(
                 f"timeliness report: {name} names processes {outside} outside "
                 f"Πn = {{1..{timeline.n}}}"
             )
-    if timeline.n <= 255:
-        # The pid array packed once feeds every scan below.
-        packed = pack_steps(timeline.pids)
+    # The pid array packed once feeds every scan below.
+    packed = pack_steps(timeline.pids)
+    steps: Sequence[ProcessId] = timeline.pids if packed is None else packed
 
-        def analyze(members: ProcessSet) -> TimelinessWitness:
-            return best_timeliness_packed(packed, timeline.n, ((members, q_frozen),))[1]
-
-    else:
-        packed = None
-        reduced = compile_timeline(timeline).prefix()
-
-        def analyze(members: ProcessSet) -> TimelinessWitness:
-            return analyze_timeliness(reduced, members, q_frozen)
+    def analyze(members: ProcessSet) -> TimelinessWitness:
+        return best_timeliness_steps(steps, timeline.n, ((members, q_frozen),))[1]
 
     witness = analyze(p_frozen)
     member_bounds = {

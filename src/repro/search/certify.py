@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from ..core.schedule import CompiledSchedule, pack_steps
+from ..core.schedule import CompiledSchedule
 from ..core.systems import SetTimelinessSystem, SystemWitness
 from ..errors import ConfigurationError
 
@@ -75,19 +75,15 @@ def best_witness(
 ) -> SystemWitness:
     """The best size-``(i, j)`` timeliness witness on a candidate's prefix.
 
-    The prefix is packed straight from the compiled buffer, one byte per
-    step, and scanned as bytes; only systems over more than 255 processes
-    materialize it as a :class:`~repro.core.schedule.Schedule`.
+    The prefix is scanned straight from the compiled step buffer; no
+    :class:`~repro.core.schedule.Schedule` is built.
     """
     length = len(compiled) if prefix_length is None else min(prefix_length, len(compiled))
     if length < 1:
         raise ConfigurationError("cannot certify an empty schedule prefix")
-    system = SetTimelinessSystem(i=i, j=j, n=compiled.n)
-    if compiled.n > 255:
-        return system.best_witness(compiled.prefix(length))
-    steps = compiled.steps if length == len(compiled) else compiled.steps[:length]
-    # The buffer was validated into 1..n at construction, so it always packs.
-    return system.best_packed_witness(pack_steps(steps), compiled.n)
+    if length < len(compiled):
+        compiled = CompiledSchedule(compiled.n, compiled.steps[:length])
+    return SetTimelinessSystem(i=i, j=j, n=compiled.n).best_witness(compiled)
 
 
 def timeliness_fitness(

@@ -20,8 +20,8 @@ from repro.core.timeliness import (
     PFreeSegment,
     TimelinessWitness,
     analyze_timeliness,
-    best_timeliness_packed,
     best_timeliness_pair,
+    best_timeliness_steps,
     is_timely,
 )
 from repro.errors import ConfigurationError, VerificationError
@@ -164,6 +164,8 @@ def first_best_by_oracle(schedule, pairs):
 # Beyond the strategies: a schedule too wide for the bytes scan, sets naming
 # ids outside Πn (they never step), and the empty schedule.
 WIDE = Schedule(steps=(1, 300, 2, 300, 300, 299, 1, 300), n=300)
+# A system over more than 255 processes whose steps all fit in a byte packs.
+WIDE_NARROW_STEPS = Schedule(steps=(1, 255, 2, 255, 255, 7, 1, 255), n=300)
 OUTSIDE = Schedule(steps=(1, 2, 3, 2, 4, 2), n=N)
 EMPTY = Schedule(steps=(), n=N)
 
@@ -187,6 +189,10 @@ def test_analysis_matches_segment_scan_oracle(schedule, p_set, q_set):
     st.lists(st.tuples(nonempty_subsets(), nonempty_subsets()), min_size=1, max_size=8),
 )
 @example(WIDE, [(frozenset({2}), frozenset({300})), (frozenset({300}), frozenset({1}))])
+@example(
+    WIDE_NARROW_STEPS,
+    [(frozenset({300}), frozenset({255, 299})), (frozenset({2, 300}), frozenset({1, 255}))],
+)
 @example(OUTSIDE, [(frozenset({9}), frozenset({2})), (frozenset({0, 3}), frozenset({2, 5}))])
 @example(EMPTY, [(frozenset({1}), frozenset({2})), (frozenset({3}), frozenset({4}))])
 def test_best_pair_matches_per_pair_analysis(schedule, pairs):
@@ -199,19 +205,23 @@ def test_best_pair_matches_per_pair_analysis(schedule, pairs):
 )
 @example(OUTSIDE, [({9}, [2]), ((0, 3), {2, 5})])
 @example(EMPTY, [(frozenset({1}), frozenset({2}))])
-def test_packed_entry_matches_the_schedule_entry(schedule, pairs):
-    packed = bytes(schedule.steps)
-    assert best_timeliness_packed(packed, N, pairs) == best_timeliness_pair(schedule, pairs)
-    assert best_timeliness_packed(packed, N, pairs) == first_best_by_oracle(schedule, pairs)
+@example(WIDE, [({300}, {1, 300}), ({2}, {299})])
+def test_steps_entry_matches_the_schedule_entry_on_every_buffer_kind(schedule, pairs):
+    expected = first_best_by_oracle(schedule, pairs)
+    assert best_timeliness_pair(schedule, pairs) == expected
+    buffers = [schedule.steps, list(schedule.steps), array("i", schedule.steps)]
+    if schedule.n <= 255:
+        buffers.append(bytes(schedule.steps))
+    for steps in buffers:
+        assert best_timeliness_steps(steps, schedule.n, pairs) == expected
 
 
-def test_packed_entry_rejects_wide_systems_and_empty_sets():
-    with pytest.raises(VerificationError, match="at most 255"):
-        best_timeliness_packed(b"\1", 256, [({1}, {2})])
-    with pytest.raises(VerificationError, match="no \\(P, Q\\) pair"):
-        best_timeliness_packed(b"\1", N, [])
-    with pytest.raises(VerificationError, match="non-empty set Q"):
-        best_timeliness_packed(b"\1", N, [({1}, set())])
+def test_steps_entry_rejects_empty_pairs_and_sets():
+    for steps in (b"\1", array("i", [300])):
+        with pytest.raises(VerificationError, match="no \\(P, Q\\) pair"):
+            best_timeliness_steps(steps, 300, [])
+        with pytest.raises(VerificationError, match="non-empty set Q"):
+            best_timeliness_steps(steps, 300, [({1}, set())])
 
 
 @st.composite
@@ -229,14 +239,15 @@ def compiled_prefixes(draw):
     return compiled, i, j, prefix
 
 
-# Over more than 255 processes the witness search takes the Schedule path; the
-# sizes keep the pair count small (one pair, and 300 pairs).
+# Over more than 255 processes a buffer with a wider pid takes the segment
+# scan; the sizes keep the pair count small (one pair, and 300 pairs).
 WIDE_COMPILED = CompiledSchedule(n=300, steps=array("i", [1, 300, 2, 300, 300, 299, 1, 300]))
 
 
 @given(compiled_prefixes())
 @example((WIDE_COMPILED, 300, 300, None))
 @example((WIDE_COMPILED, 299, 300, 5))
+@example((WIDE_COMPILED, 299, 300, 1))
 @example((WIDE_COMPILED, 299, 300, 0))
 def test_certify_witness_matches_the_schedule_path(case):
     compiled, i, j, prefix = case
@@ -254,7 +265,7 @@ def test_certify_witness_matches_the_schedule_path(case):
     assert witness == SystemWitness(p_set=pairs[index][0], q_set=pairs[index][1], witness=expected)
 
 
-def test_packed_system_witness_checks_the_universe():
+def test_compiled_system_witness_checks_the_universe():
     system = SetTimelinessSystem(i=1, j=2, n=4)
     with pytest.raises(ConfigurationError, match="schedule over Π5"):
-        system.best_packed_witness(b"\1\2", 5)
+        system.best_witness(CompiledSchedule(n=5, steps=array("i", [1, 2])))
