@@ -5,14 +5,14 @@ swaps in min / max / median and shows, on two crafted workloads, how the
 alternatives lose the properties Lemma 15 needs.
 """
 
-from repro.analysis.experiment import accusation_ablation_experiment
+from repro.analysis.experiment import run_experiment
 from repro.analysis.reporting import ascii_table
 
 from _bench_utils import once
 
 
 def test_a1_accusation_statistic_ablation(benchmark):
-    headers, rows = once(benchmark, accusation_ablation_experiment, horizon=80_000)
+    headers, rows = once(benchmark, run_experiment, "a1", horizon=80_000)
     print()
     print(ascii_table(headers, rows, title="A1 — accusation-statistic ablation"))
 

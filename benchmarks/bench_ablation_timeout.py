@@ -6,7 +6,7 @@ observers genuinely need to grow their timeouts before they stop accusing the
 timely set.
 """
 
-from repro.analysis.experiment import timeout_ablation_experiment
+from repro.analysis.experiment import run_experiment
 from repro.analysis.reporting import ascii_table
 
 from _bench_utils import once
@@ -15,7 +15,7 @@ HORIZON = 200_000
 
 
 def test_a2_timeout_policy_ablation(benchmark):
-    headers, rows = once(benchmark, timeout_ablation_experiment, horizon=HORIZON, bound=400)
+    headers, rows = once(benchmark, run_experiment, "a2", horizon=HORIZON, bound=400)
     print()
     print(ascii_table(headers, rows, title="A2 — timeout growth policy ablation (bound 400)"))
     by_policy = {row[0]: row for row in rows}

@@ -5,14 +5,14 @@ instances, or the trivial algorithm when t < k) on certified schedules of the
 matching system and reports decision quality and cost.
 """
 
-from repro.analysis.experiment import agreement_experiment
+from repro.analysis.experiment import run_experiment
 from repro.analysis.reporting import ascii_table
 
 from _bench_utils import once
 
 
 def test_e3_agreement_sweep(benchmark):
-    headers, rows = once(benchmark, agreement_experiment, horizon=600_000)
+    headers, rows = once(benchmark, run_experiment, "e3", horizon=600_000)
     print()
     print(
         ascii_table(

@@ -4,7 +4,7 @@ Runs the detector on certified set-timely schedules across an (n, t, k, crash)
 sweep and reports stabilization step, margin, and the converged winner set.
 """
 
-from repro.analysis.experiment import anti_omega_convergence_experiment
+from repro.analysis.experiment import run_experiment
 from repro.analysis.reporting import ascii_table
 
 from _bench_utils import once
@@ -13,7 +13,7 @@ HORIZON = 60_000
 
 
 def test_e2_detector_convergence_sweep(benchmark):
-    headers, rows = once(benchmark, anti_omega_convergence_experiment, horizon=HORIZON)
+    headers, rows = once(benchmark, run_experiment, "e2", horizon=HORIZON)
     print()
     print(
         ascii_table(
@@ -37,7 +37,7 @@ def test_e2_detector_convergence_large_bound(benchmark):
         {"n": 4, "t": 3, "k": 2, "bound": 200, "crashes": frozenset({4})},
     ]
     headers, rows = once(
-        benchmark, anti_omega_convergence_experiment, configs=configs, horizon=150_000
+        benchmark, run_experiment, "e2", configs=configs, horizon=150_000
     )
     print()
     print(ascii_table(headers, rows, title="E2b — convergence with timeliness bound 200"))

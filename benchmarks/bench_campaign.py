@@ -5,7 +5,7 @@ twice and compares wall-clock time:
 
 * **serial path** — the pre-campaign harness: one configuration at a time
   through ``Simulator.run`` (per-step observer sampling, memoized infinite
-  schedule), exactly what ``anti_omega_convergence_experiment`` did before the
+  schedule), exactly what the E2 harness (``run_experiment("e2")``) did before the
   campaign engine existed (``run_detector_experiment(..., fast=False)``);
 * **campaign path** — the same sweep as a declarative campaign executed by
   ``CampaignEngine(workers=4)``: fast-path simulator runs, content-addressed
@@ -34,11 +34,7 @@ Run standalone (``PYTHONPATH=src python benchmarks/bench_campaign.py``) or via
 
 import time
 
-from repro.analysis.experiment import (
-    anti_omega_convergence_experiment,
-    detector_campaign_spec,
-    detector_rows,
-)
+from repro.analysis.experiment import detector_campaign_spec, run_experiment
 from repro.analysis.metrics import run_detector_experiment
 from repro.analysis.reporting import ascii_table
 from repro.bench.trajectory import KERNEL_SCENARIO, floor_workload
@@ -89,8 +85,8 @@ def run_serial_legacy(horizon: int = HORIZON) -> str:
 
 def run_campaign(horizon: int = HORIZON, workers: int = WORKERS) -> str:
     """The same sweep through the campaign engine; returns its table."""
-    headers, rows = anti_omega_convergence_experiment(
-        horizon=horizon, engine=CampaignEngine(workers=workers)
+    headers, rows = run_experiment(
+        "e2", horizon=horizon, engine=CampaignEngine(workers=workers)
     )
     return ascii_table(headers, rows)
 

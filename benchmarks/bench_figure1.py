@@ -5,7 +5,7 @@ Figure 1 schedule and times both the schedule generation and the timeliness
 analysis machinery.
 """
 
-from repro.analysis.experiment import figure1_experiment
+from repro.analysis.experiment import run_experiment
 from repro.analysis.reporting import ascii_table
 from repro.core.timeliness import analyze_timeliness
 from repro.schedules.figure1 import Figure1Generator
@@ -14,7 +14,7 @@ from _bench_utils import once
 
 
 def test_e1_figure1_bounds_table(benchmark):
-    headers, rows = once(benchmark, figure1_experiment, blocks=(2, 4, 8, 16, 32, 64))
+    headers, rows = once(benchmark, run_experiment, "e1", blocks=(2, 4, 8, 16, 32, 64))
     print()
     print(ascii_table(headers, rows, title="E1 — Figure 1 observed timeliness bounds"))
     # The set stays timely with bound 2; the individuals' bounds keep growing.

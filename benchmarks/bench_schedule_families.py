@@ -6,14 +6,14 @@ synchronous, eventually synchronous, set-timely-without-individual-timeliness
 size exists (never settles).
 """
 
-from repro.analysis.experiment import schedule_family_comparison_experiment
+from repro.analysis.experiment import run_experiment
 from repro.analysis.reporting import ascii_table
 
 from _bench_utils import once
 
 
 def test_e2c_schedule_family_comparison(benchmark):
-    headers, rows = once(benchmark, schedule_family_comparison_experiment, horizon=60_000)
+    headers, rows = once(benchmark, run_experiment, "families", horizon=60_000)
     print()
     print(ascii_table(headers, rows, title="E2c — detector behaviour across schedule families"))
     by_family = {row[0]: row for row in rows}

@@ -13,13 +13,13 @@ Run:  python examples/figure1_set_timeliness.py
 """
 
 from repro import Figure1Generator, analyze_timeliness
-from repro.analysis.experiment import figure1_experiment
+from repro.analysis.experiment import run_experiment
 from repro.analysis.reporting import ascii_table
 from repro.analysis.timeliness_matrix import pairwise_timeliness
 
 
 def main() -> None:
-    headers, rows = figure1_experiment(blocks=(2, 4, 8, 16, 32))
+    headers, rows = run_experiment("e1", blocks=(2, 4, 8, 16, 32))
     print(
         ascii_table(
             headers,

@@ -20,7 +20,7 @@ Run:  python examples/separation_demo.py
 """
 
 from repro import AgreementInstance, CarrierRotationAdversary, distinct_inputs, solve_agreement
-from repro.analysis.experiment import separation_experiment
+from repro.analysis.experiment import run_experiment
 from repro.analysis.reporting import ascii_table
 from repro.analysis.timeliness_matrix import timely_sets_of_size
 
@@ -42,7 +42,7 @@ def main() -> None:
     )
     print()
 
-    headers, rows = separation_experiment(k=K, horizons=(40_000, 80_000, 160_000))
+    headers, rows = run_experiment("e4", k=K, horizons=(40_000, 80_000, 160_000))
     print(
         ascii_table(
             headers,

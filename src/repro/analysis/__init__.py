@@ -1,19 +1,16 @@
 """Analysis layer: metric collection, experiment harnesses, reporting."""
 
 from .experiment import (
-    accusation_ablation_experiment,
-    agreement_experiment,
-    anti_omega_convergence_experiment,
+    EXPERIMENT_REGISTRY,
+    Experiment,
     default_agreement_configs,
     default_detector_configs,
+    experiment_params,
     falsification_experiment,
-    figure1_experiment,
-    schedule_family_comparison_experiment,
+    run_experiment,
     screened_solvability_grid_experiment,
-    separation_experiment,
     separation_statements_experiment,
     solvability_map_experiment,
-    timeout_ablation_experiment,
 )
 from .metrics import DetectorConvergenceReport, run_detector_experiment
 from .reporting import ascii_table, bullet_list, format_cell, render_solvability_grid
@@ -25,19 +22,16 @@ from .timeliness_matrix import (
 )
 
 __all__ = [
-    "accusation_ablation_experiment",
-    "agreement_experiment",
-    "anti_omega_convergence_experiment",
+    "EXPERIMENT_REGISTRY",
+    "Experiment",
     "default_agreement_configs",
     "default_detector_configs",
+    "experiment_params",
     "falsification_experiment",
-    "figure1_experiment",
-    "schedule_family_comparison_experiment",
+    "run_experiment",
     "screened_solvability_grid_experiment",
-    "separation_experiment",
     "separation_statements_experiment",
     "solvability_map_experiment",
-    "timeout_ablation_experiment",
     "DetectorConvergenceReport",
     "run_detector_experiment",
     "ascii_table",

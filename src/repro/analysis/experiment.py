@@ -1,18 +1,23 @@
-"""Experiment harness: one function per paper artifact (E1–E11, A1–A3).
+"""Experiment harness: the paper's artifacts (E1–E12, A1–A2) as tables.
 
-Every function returns ``(headers, rows)`` ready for
+Every table function returns ``(headers, rows)`` ready for
 :func:`repro.analysis.reporting.ascii_table`.  The benchmarks and the CLI call
 these functions and print the tables; the numbers recorded in EXPERIMENTS.md
 come from exactly these code paths, so the document can always be regenerated.
 
-Since the campaign engine landed, every *run-based* experiment (E1–E4, E10,
-A1, A2, and the schedule/scenario-family comparisons) is a thin adapter: it builds a
-declarative :class:`~repro.campaign.spec.CampaignSpec`, executes it through a
+Every *run-based* artifact (E1–E4, E10, E12, A1, A2 and the schedule-family
+comparison) is one entry of :data:`EXPERIMENT_REGISTRY`: a declarative
+:class:`~repro.campaign.spec.CampaignSpec` builder, the column list that
+shapes its per-run records into the paper's table, its title and
+EXPERIMENTS.md section, and the standalone subcommand that prints it.
+:func:`run_experiment` executes any entry through a
 :class:`~repro.campaign.engine.CampaignEngine` (serial by default — pass
 ``engine=CampaignEngine(workers=4, cache=...)`` to parallelize and cache), and
-shapes the per-run records into the paper's table.  The solvability-oracle
-artifacts (E5) stay direct calls: they execute no schedules, only the
-Theorem 27 decision procedure.
+:func:`experiment_params` is the one rule by which ``repro <exp>``,
+``repro campaign <name>`` and ``repro queue enqueue <name>`` apply
+command-line overrides.  The solvability-oracle artifacts (E5) and the
+adversarial search (E11) stay direct calls: the oracle executes no schedules,
+and a search is not a fixed grid of runs.
 
 Default parameters are sized to finish in seconds on a laptop; callers can
 scale them up for higher-confidence runs.
@@ -20,15 +25,22 @@ scale them up for higher-confidence runs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..campaign.engine import CampaignEngine, CampaignResult
+from ..campaign.records import RunRecord
 from ..campaign.spec import CampaignSpec
-from ..core.solvability import classify, matching_system, separations, solvability_grid
+from ..core.solvability import classify, separations, solvability_grid
 from ..errors import ConfigurationError
 from ..types import AgreementInstance
 
 Rows = Tuple[List[str], List[List[Any]]]
+
+#: One table column: its header and where each cell comes from — a dotted
+#: path into the run record (``params.<key>`` or ``payload.<key>[.<key>]``),
+#: or a function of the record for derived cells.
+Column = Tuple[str, Union[str, Callable[[RunRecord], Any]]]
 
 #: Display labels for the ablation axes (the campaign parameters use the
 #: registry names from :mod:`repro.campaign.runner`).
@@ -49,9 +61,13 @@ def _engine(engine: Optional[CampaignEngine]) -> CampaignEngine:
     return engine if engine is not None else CampaignEngine()
 
 
-def _winner_set(payload: Dict[str, Any]) -> Optional[tuple]:
-    winner = payload.get("winner_set")
+def _winner_set(record: RunRecord) -> Optional[tuple]:
+    winner = record.payload.get("winner_set")
     return tuple(winner) if winner is not None else None
+
+
+def _crashes(record: RunRecord) -> frozenset:
+    return frozenset(record.params.get("crashes") or [])
 
 
 def _first_k_correct(n: int, k: int, crashes: Iterable[int]) -> frozenset:
@@ -74,38 +90,17 @@ def _first_m_processes(n: int, m: int) -> frozenset:
 # ----------------------------------------------------------------------
 
 def figure1_campaign_spec(blocks: Sequence[int] = (2, 4, 8, 16)) -> CampaignSpec:
-    """The E1 prefix sweep as a declarative campaign."""
-    return CampaignSpec(
-        name="figure1",
-        kind="figure1",
-        runs=[{"blocks": block_count} for block_count in blocks],
-    )
-
-
-def figure1_experiment(
-    blocks: Sequence[int] = (2, 4, 8, 16),
-    engine: Optional[CampaignEngine] = None,
-) -> Rows:
-    """Observed timeliness bounds on growing prefixes of the Figure 1 schedule.
+    """The E1 prefix sweep: timeliness bounds on growing Figure 1 prefixes.
 
     The paper's claim: neither ``p1`` nor ``p2`` is timely with respect to
     ``q`` (their observed bounds grow with the prefix), but the set
     ``{p1, p2}`` is timely with bound 2 (constant).
     """
-    spec = figure1_campaign_spec(blocks=blocks)
-    result = _engine(engine).run(spec)
-    headers = ["blocks", "steps", "bound {p1} vs {q}", "bound {p2} vs {q}", "bound {p1,p2} vs {q}"]
-    rows = [
-        [
-            record.params["blocks"],
-            record.payload["steps"],
-            record.payload["bound_p1"],
-            record.payload["bound_p2"],
-            record.payload["bound_set"],
-        ]
-        for record in result.records
-    ]
-    return headers, rows
+    return CampaignSpec(
+        name="figure1",
+        kind="figure1",
+        runs=[{"blocks": block_count} for block_count in blocks],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -130,7 +125,10 @@ def detector_campaign_spec(
     horizon: int = 60_000,
     seed: int = 11,
 ) -> CampaignSpec:
-    """The E2 sweep as a declarative campaign (one run per configuration)."""
+    """The E2 sweep: the detector on certified ``S^k_{t+1,n}`` schedules.
+
+    One run per configuration; each measures the detector's stabilization.
+    """
     runs: List[Dict[str, Any]] = []
     for config in configs if configs is not None else default_detector_configs():
         n, t, k = config["n"], config["t"], config["k"]
@@ -168,56 +166,24 @@ def detector_seed_grid_campaign_spec(
     )
 
 
-def detector_rows(result: CampaignResult) -> Rows:
-    """Shape detector campaign records into the E2 table."""
-    headers = [
-        "n",
-        "t",
-        "k",
-        "crashes",
-        "satisfied",
-        "stabilization step",
-        "margin",
-        "winner changes",
-        "winner set",
-        "contains correct",
-    ]
-    rows = [
-        [
-            record.params["n"],
-            record.params["t"],
-            record.params["k"],
-            frozenset(record.params.get("crashes") or []),
-            record.payload["satisfied"],
-            record.payload["stabilization_step"],
-            record.payload["margin"],
-            record.payload["winner_changes"],
-            _winner_set(record.payload),
-            record.payload["winner_contains_correct"],
-        ]
-        for record in result.records
-    ]
-    return headers, rows
-
-
-def anti_omega_convergence_experiment(
-    configs: Optional[Sequence[Dict[str, Any]]] = None,
-    horizon: int = 60_000,
-    seed: int = 11,
-    engine: Optional[CampaignEngine] = None,
-) -> Rows:
-    """Run the detector on certified ``S^k_{t+1,n}`` schedules and measure stabilization."""
-    spec = detector_campaign_spec(configs=configs, horizon=horizon, seed=seed)
-    return detector_rows(_engine(engine).run(spec))
-
-
 def schedule_families_campaign_spec(
     horizon: int = 60_000,
     n: int = 4,
     t: int = 2,
     k: int = 2,
 ) -> CampaignSpec:
-    """The schedule-family comparison as a declarative campaign."""
+    """Detector behaviour across qualitatively different schedule families.
+
+    Puts the set-timeliness assumption in context: the degree-``k`` detector
+    stabilizes on the fully synchronous round-robin schedule, on classical
+    eventually synchronous schedules, and on set-timely schedules whose
+    members are not individually timely.  The contrast row runs the *same
+    degree* against the carrier-rotation adversary in the boundary
+    configuration ``n = k + 1, t = k`` but asks it for degree ``k - 1`` —
+    the schedule then has no timely set of that size and the winner never
+    settles (this is the E4 separation, shown here alongside the positive
+    families for context).
+    """
     runs: List[Dict[str, Any]] = [
         {
             "family": "round-robin (synchronous)",
@@ -265,55 +231,20 @@ def schedule_families_campaign_spec(
     return CampaignSpec(name="schedule-families", kind="detector", runs=runs)
 
 
-def schedule_family_comparison_experiment(
-    horizon: int = 60_000,
-    n: int = 4,
-    t: int = 2,
-    k: int = 2,
-    engine: Optional[CampaignEngine] = None,
-) -> Rows:
-    """Detector behaviour across qualitatively different schedule families.
-
-    Puts the set-timeliness assumption in context: the degree-``k`` detector
-    stabilizes on the fully synchronous round-robin schedule, on classical
-    eventually synchronous schedules, and on set-timely schedules whose
-    members are not individually timely.  The contrast row runs the *same
-    degree* against the carrier-rotation adversary in the boundary
-    configuration ``n = k + 1, t = k`` but asks it for degree ``k - 1`` —
-    the schedule then has no timely set of that size and the winner never
-    settles (this is the E4 separation, shown here alongside the positive
-    families for context).
-    """
-    spec = schedule_families_campaign_spec(horizon=horizon, n=n, t=t, k=k)
-    result = _engine(engine).run(spec)
-    headers = [
-        "schedule family",
-        "n",
-        "detector degree",
-        "satisfied",
-        "stabilized early",
-        "last winner change",
-        "winner changes",
-        "winner contains correct",
-    ]
-    rows = [
-        [
-            record.params["family"],
-            record.params["n"],
-            record.params["k"],
-            record.payload["satisfied"],
-            record.payload["stabilized_early"],
-            record.payload["last_winner_change"],
-            record.payload["winner_changes"],
-            record.payload["winner_contains_correct"],
-        ]
-        for record in result.records
-    ]
-    return headers, rows
-
-
 def scenarios_campaign_spec(horizon: int = 40_000) -> CampaignSpec:
-    """The composable scenario-family comparison as a declarative campaign."""
+    """Detector behaviour across the composable scenario families (E10).
+
+    Exercises the scenario layer end to end: the three new families —
+    crash-recovery churn, alternating-synchrony epochs (bounded and growing),
+    and a benign prefix spliced onto a carrier-rotation adversary — plus a
+    perturbed (interleaving-noise) set-timely scenario, all swept through the
+    campaign engine as ordinary ``schedule`` parameters.  The expected shape:
+    churn and bounded epochs still let the degree-``k`` detector settle
+    (everybody is correct and silence windows stay bounded); growing epochs
+    and the spliced adversary drag the winner set back into churn — the
+    splice shows up as a late ``last winner change`` long after the benign
+    prefix ended; noise degrades bounds but not convergence.
+    """
     runs: List[Dict[str, Any]] = [
         {
             "family": "crash-recovery churn",
@@ -378,51 +309,6 @@ def scenarios_campaign_spec(horizon: int = 40_000) -> CampaignSpec:
     return CampaignSpec(name="scenarios", kind="detector", runs=runs)
 
 
-def scenario_family_comparison_experiment(
-    horizon: int = 40_000,
-    engine: Optional[CampaignEngine] = None,
-) -> Rows:
-    """Detector behaviour across the composable scenario families (E10).
-
-    Exercises the scenario layer end to end: the three new families —
-    crash-recovery churn, alternating-synchrony epochs (bounded and growing),
-    and a benign prefix spliced onto a carrier-rotation adversary — plus a
-    perturbed (interleaving-noise) set-timely scenario, all swept through the
-    campaign engine as ordinary ``schedule`` parameters.  The expected shape:
-    churn and bounded epochs still let the degree-``k`` detector settle
-    (everybody is correct and silence windows stay bounded); growing epochs
-    and the spliced adversary drag the winner set back into churn — the
-    splice shows up as a late ``last winner change`` long after the benign
-    prefix ended; noise degrades bounds but not convergence.
-    """
-    spec = scenarios_campaign_spec(horizon=horizon)
-    result = _engine(engine).run(spec)
-    headers = [
-        "scenario family",
-        "n",
-        "detector degree",
-        "satisfied",
-        "stabilized early",
-        "last winner change",
-        "winner changes",
-        "winner contains correct",
-    ]
-    rows = [
-        [
-            record.params["family"],
-            record.params["n"],
-            record.params["k"],
-            record.payload["satisfied"],
-            record.payload["stabilized_early"],
-            record.payload["last_winner_change"],
-            record.payload["winner_changes"],
-            record.payload["winner_contains_correct"],
-        ]
-        for record in result.records
-    ]
-    return headers, rows
-
-
 # ----------------------------------------------------------------------
 # E3 — Theorem 24 / Corollary 25: solving (t,k,n)-agreement in S^k_{t+1,n}
 # ----------------------------------------------------------------------
@@ -446,7 +332,7 @@ def agreement_campaign_spec(
     horizon: int = 400_000,
     seed: int = 23,
 ) -> CampaignSpec:
-    """The E3 sweep as a declarative campaign."""
+    """The E3 sweep: each instance solved on a certified schedule of its matching system."""
     runs: List[Dict[str, Any]] = []
     for config in configs if configs is not None else default_agreement_configs():
         n, t, k = config["n"], config["t"], config["k"]
@@ -474,43 +360,6 @@ def agreement_campaign_spec(
     return CampaignSpec(name="agreement", kind="agreement", runs=runs)
 
 
-def agreement_experiment(
-    configs: Optional[Sequence[Dict[str, Any]]] = None,
-    horizon: int = 400_000,
-    seed: int = 23,
-    engine: Optional[CampaignEngine] = None,
-) -> Rows:
-    """Solve each configured instance on a certified schedule of its matching system."""
-    spec = agreement_campaign_spec(configs=configs, horizon=horizon, seed=seed)
-    result = _engine(engine).run(spec)
-    headers = [
-        "problem",
-        "system",
-        "protocol",
-        "crashes",
-        "all correct decided",
-        "distinct decisions",
-        "valid",
-        "max decision step",
-        "steps executed",
-    ]
-    rows = [
-        [
-            record.payload["problem"],
-            record.payload["system"],
-            record.payload["protocol"],
-            frozenset(record.params.get("crashes") or []),
-            record.payload["all_correct_decided"],
-            record.payload["distinct_decisions"],
-            record.payload["valid"],
-            record.payload["max_decision_step"],
-            record.payload["steps_executed"],
-        ]
-        for record in result.records
-    ]
-    return headers, rows
-
-
 # ----------------------------------------------------------------------
 # E4 — Theorem 26 separation on a single adversary schedule family
 # ----------------------------------------------------------------------
@@ -519,7 +368,15 @@ def separation_campaign_spec(
     k: int = 2,
     horizons: Sequence[int] = (40_000, 80_000, 160_000),
 ) -> CampaignSpec:
-    """The E4 separation probes as a declarative campaign."""
+    """The separation ``S^k_{t+1,n}`` solves (t,k,n) but not (t,k-1,n), with n = k+1, t = k.
+
+    The same carrier-rotation schedule is fed to the detector configured for
+    degree ``k`` (the solvable side: it stabilizes early and never churns
+    again) and for degree ``k - 1`` (the machinery for the stronger problem:
+    its winner set keeps churning all the way to every horizon, and the last
+    change grows linearly with the horizon — the empirical face of
+    non-stabilization).
+    """
     if k < 2:
         raise ConfigurationError(
             f"the separation experiment needs k >= 2 so that k-1 >= 1, got k={k}"
@@ -542,46 +399,6 @@ def separation_campaign_spec(
         for horizon in horizons
     ]
     return CampaignSpec(name="separation", kind="separation-probe", runs=runs)
-
-
-def separation_experiment(
-    k: int = 2,
-    horizons: Sequence[int] = (40_000, 80_000, 160_000),
-    engine: Optional[CampaignEngine] = None,
-) -> Rows:
-    """The separation ``S^k_{t+1,n}`` solves (t,k,n) but not (t,k-1,n), with n = k+1, t = k.
-
-    The same carrier-rotation schedule is fed to the detector configured for
-    degree ``k`` (the solvable side: it stabilizes early and never churns
-    again) and for degree ``k - 1`` (the machinery for the stronger problem:
-    its winner set keeps churning all the way to every horizon, and the last
-    change grows linearly with the horizon — the empirical face of
-    non-stabilization).
-    """
-    spec = separation_campaign_spec(k=k, horizons=horizons)
-    result = _engine(engine).run(spec)
-    headers = [
-        "degree",
-        "horizon",
-        "satisfied (prefix)",
-        "last winner change",
-        "winner changes",
-        "stabilized early",
-        "timely sets of this size (bound<=8)",
-    ]
-    rows = [
-        [
-            record.params["k"],
-            record.params["horizon"],
-            record.payload["satisfied"],
-            record.payload["last_winner_change"],
-            record.payload["winner_changes"],
-            record.payload["stabilized_early"],
-            record.payload["timely_count"],
-        ]
-        for record in result.records
-    ]
-    return headers, rows
 
 
 # ----------------------------------------------------------------------
@@ -768,7 +585,26 @@ def accusation_ablation_campaign_spec(
     t: int = 2,
     k: int = 2,
 ) -> CampaignSpec:
-    """The A1 accusation-statistic ablation as a declarative campaign."""
+    """A1: replace the (t+1)-st smallest accusation statistic and observe the damage.
+
+    Two scenarios probe the two directions of Lemma 15:
+
+    * **crashed-min-set** — processes {1, 2} (the lexicographically smallest
+      k-set) are crashed from the start.  The *min* and *median* statistics
+      never let that set's accusation grow past the crashed processes' frozen
+      zero entries, so the winner set converges to a set with no correct
+      member and the detector property fails; the paper's statistic (and, with
+      t+1 = n-1 here, even *max*) moves past it.
+    * **bursty-observer** — process 4 is correct but takes ever-growing bursts
+      of solo steps, during which it accuses every set it does not belong to,
+      so exactly one entry of every such set's counter vector diverges.  The
+      paper's statistic ignores a single divergent entry and stabilizes on a
+      winner set regardless; *max* is forced to avoid divergent sets and lands
+      on a different winner after more churn.  (Making *max* churn forever
+      requires every candidate set to have a divergent entry, which needs a
+      more contrived failure pattern than this workload produces within the
+      default horizon.)
+    """
     crashed = frozenset({1, 2})
     scenarios: List[Dict[str, Any]] = [
         {
@@ -808,59 +644,6 @@ def accusation_ablation_campaign_spec(
     )
 
 
-def accusation_ablation_experiment(
-    horizon: int = 80_000,
-    n: int = 4,
-    t: int = 2,
-    k: int = 2,
-    engine: Optional[CampaignEngine] = None,
-) -> Rows:
-    """Replace the (t+1)-st smallest accusation statistic and observe the damage.
-
-    Two scenarios probe the two directions of Lemma 15:
-
-    * **crashed-min-set** — processes {1, 2} (the lexicographically smallest
-      k-set) are crashed from the start.  The *min* and *median* statistics
-      never let that set's accusation grow past the crashed processes' frozen
-      zero entries, so the winner set converges to a set with no correct
-      member and the detector property fails; the paper's statistic (and, with
-      t+1 = n-1 here, even *max*) moves past it.
-    * **bursty-observer** — process 4 is correct but takes ever-growing bursts
-      of solo steps, during which it accuses every set it does not belong to,
-      so exactly one entry of every such set's counter vector diverges.  The
-      paper's statistic ignores a single divergent entry and stabilizes on a
-      winner set regardless; *max* is forced to avoid divergent sets and lands
-      on a different winner after more churn.  (Making *max* churn forever
-      requires every candidate set to have a divergent entry, which needs a
-      more contrived failure pattern than this workload produces within the
-      default horizon.)
-    """
-    spec = accusation_ablation_campaign_spec(horizon=horizon, n=n, t=t, k=k)
-    result = _engine(engine).run(spec)
-    headers = [
-        "scenario",
-        "statistic",
-        "satisfied",
-        "winner set",
-        "contains correct",
-        "winner changes",
-        "last winner change",
-    ]
-    rows = [
-        [
-            record.params["scenario"],
-            STATISTIC_LABELS[record.params["statistic"]],
-            record.payload["satisfied"],
-            _winner_set(record.payload),
-            record.payload["winner_contains_correct"],
-            record.payload["winner_changes"],
-            record.payload["last_winner_change"],
-        ]
-        for record in result.records
-    ]
-    return headers, rows
-
-
 def timeout_ablation_campaign_spec(
     horizon: int = 200_000,
     n: int = 4,
@@ -868,7 +651,15 @@ def timeout_ablation_campaign_spec(
     k: int = 2,
     bound: int = 400,
 ) -> CampaignSpec:
-    """The A2 timeout-policy ablation as a declarative campaign."""
+    """A2: timeout growth policies (line 17): +1 (paper), doubling, constant.
+
+    The timeliness bound is deliberately large (``bound`` steps — several
+    detector iterations), so observers really do have to grow their timeouts
+    beyond 1 before they stop accusing the timely set.  The constant policy
+    never does, so its counters for the timely set keep growing and the winner
+    churns; the paper's +1 policy and the doubling policy both stabilize, the
+    doubling one after fewer expirations.
+    """
     return CampaignSpec(
         name="timeout-ablation",
         kind="detector",
@@ -887,47 +678,6 @@ def timeout_ablation_campaign_spec(
     )
 
 
-def timeout_ablation_experiment(
-    horizon: int = 200_000,
-    n: int = 4,
-    t: int = 2,
-    k: int = 2,
-    bound: int = 400,
-    engine: Optional[CampaignEngine] = None,
-) -> Rows:
-    """Compare timeout growth policies (line 17): +1 (paper), doubling, constant.
-
-    The timeliness bound is deliberately large (``bound`` steps — several
-    detector iterations), so observers really do have to grow their timeouts
-    beyond 1 before they stop accusing the timely set.  The constant policy
-    never does, so its counters for the timely set keep growing and the winner
-    churns; the paper's +1 policy and the doubling policy both stabilize, the
-    doubling one after fewer expirations.
-    """
-    spec = timeout_ablation_campaign_spec(horizon=horizon, n=n, t=t, k=k, bound=bound)
-    result = _engine(engine).run(spec)
-    headers = [
-        "policy",
-        "satisfied",
-        "stabilization step",
-        "winner changes",
-        "last winner change",
-        "margin",
-    ]
-    rows = [
-        [
-            POLICY_LABELS[record.params["policy"]],
-            record.payload["satisfied"],
-            record.payload["stabilization_step"],
-            record.payload["winner_changes"],
-            record.payload["last_winner_change"],
-            record.payload["margin"],
-        ]
-        for record in result.records
-    ]
-    return headers, rows
-
-
 # ----------------------------------------------------------------------
 # E12 — set-timeliness emergence from message timeliness (distsim)
 # ----------------------------------------------------------------------
@@ -937,7 +687,16 @@ def dist_emergence_campaign_spec(
     threshold: int = 8,
     seed: int = 0,
 ) -> CampaignSpec:
-    """The E12 latency-distribution sweep as a declarative campaign.
+    """E12: set timeliness *emerging* from message timeliness, per latency model.
+
+    The paper's central distinction — a set that is timely while no member is
+    — reproduced in a message-passing system instead of being postulated: the
+    sticky-doubling failover workload keeps the replica *set* answering every
+    coordinator request within a couple of request rounds (small set bound),
+    while each individual replica is starved for exponentially growing epochs
+    (member bounds grow with the horizon).  Heavier latency tails widen the
+    set bound; the round-robin and partition arms show the two ways emergence
+    dies (members become timely too / the set loses timeliness as well).
 
     Every run records a ``dist-sticky-failover`` timeline (coordinator
     ``p3`` firing requests at the replica set ``{p1, p2}``) and reduces it to
@@ -1000,105 +759,288 @@ def dist_emergence_campaign_spec(
     return CampaignSpec(name="dist-emergence", kind="dist-timeliness", runs=runs)
 
 
-def set_timeliness_emergence_experiment(
-    horizon: int = 2_400,
-    threshold: int = 8,
-    engine: Optional[CampaignEngine] = None,
-) -> Rows:
-    """E12: set timeliness *emerging* from message timeliness, per latency model.
+def _latency_label(record: RunRecord) -> str:
+    latency = str(record.params["latency"])
+    alpha = record.params.get("latency_alpha")
+    return latency if alpha is None else f"{latency}(α={alpha})"
 
-    The paper's central distinction — a set that is timely while no member is
-    — reproduced in a message-passing system instead of being postulated: the
-    sticky-doubling failover workload keeps the replica *set* answering every
-    coordinator request within a couple of request rounds (small set bound),
-    while each individual replica is starved for exponentially growing epochs
-    (member bounds grow with the horizon).  Heavier latency tails widen the
-    set bound; the round-robin and partition arms show the two ways emergence
-    dies (members become timely too / the set loses timeliness as well).
-    """
-    spec = dist_emergence_campaign_spec(horizon=horizon, threshold=threshold)
-    result = _engine(engine).run(spec)
-    headers = [
-        "workload arm",
-        "latency",
-        "set bound {p1,p2}",
-        "best member bound",
-        "predicted bound",
-        "max latency",
-        "set timely",
-        "timely members",
-        "emerged",
-    ]
-    rows = []
-    for record in result.records:
-        payload = record.payload
-        latency = str(record.params["latency"])
-        if record.params.get("latency_alpha") is not None:
-            latency += f"(α={record.params['latency_alpha']})"
-        member_bounds = payload["member_bounds"].values()
-        rows.append(
-            [
-                record.params["arm"],
-                latency,
-                payload["set_bound"],
-                min(member_bounds) if member_bounds else "-",
-                payload["predicted_bound"],
-                payload["messages"]["max_latency"],
-                payload["set_timely"],
-                ",".join(str(pid) for pid in payload["timely_members"]) or "none",
-                payload["emerged"],
-            ]
-        )
-    return headers, rows
+
+def _best_member_bound(record: RunRecord) -> Any:
+    bounds = record.payload["member_bounds"].values()
+    return min(bounds) if bounds else "-"
+
+
+def _timely_members(record: RunRecord) -> str:
+    return ",".join(str(pid) for pid in record.payload["timely_members"]) or "none"
 
 
 # ----------------------------------------------------------------------
-# Named campaign registry (what `repro queue enqueue <name>` expands)
+# The experiment registry: what `repro <exp>`, `repro campaign <name>` and
+# `repro queue enqueue <name>` run
 # ----------------------------------------------------------------------
 
-def named_campaign_spec(
-    name: str,
-    *,
-    horizon: Optional[int] = None,
-    seed: Optional[int] = None,
-    k: int = 2,
-    seeds: Sequence[int] = (11, 13, 17),
-) -> CampaignSpec:
-    """The spec behind a CLI campaign name (``e1``/``e2``/.../``a2``).
+def _cell(record: RunRecord, source: Union[str, Callable[[RunRecord], Any]]) -> Any:
+    if callable(source):
+        return source(record)
+    section, *path = source.split(".")
+    value: Any = getattr(record, section)
+    for key in path:
+        value = value[key]
+    return value
 
-    One authoritative mapping from the names ``repro campaign`` and ``repro
-    queue enqueue`` accept to declarative specs, with the same defaults the
-    table-printing harnesses use — so a queue drained out-of-band executes
-    byte-for-byte the same runs the foreground campaign would.
+
+@dataclass(frozen=True)
+class Experiment:
+    """One campaign-backed paper artifact: everything needed to run and print it.
+
+    ``build`` is the artifact's ``*_campaign_spec`` builder; its parameters
+    are exactly the overrides the entry accepts (:func:`experiment_params`).
+    ``columns`` shapes the run records into the artifact's table; ``None``
+    means the engine's generic record table, which the CLI follows with the
+    engine's own run summary.  ``command`` is the standalone subcommand that
+    prints the table (``None`` when there is none besides ``repro campaign``;
+    E12's is ``repro distsim --table``, whose parser also serves
+    single-workload runs), and ``flags`` are that subcommand's options with
+    their defaults, each named after a parameter of ``build``.
     """
-    if name == "e1":
-        return figure1_campaign_spec()
-    if name == "e2":
-        return detector_campaign_spec(
-            horizon=horizon or 60_000, seed=seed if seed is not None else 11
-        )
-    if name == "e2-seeds":
-        return detector_seed_grid_campaign_spec(horizon=horizon or 60_000, seeds=seeds)
-    if name == "e3":
-        return agreement_campaign_spec(
-            horizon=horizon or 400_000, seed=seed if seed is not None else 23
-        )
-    if name == "e4":
-        horizons = (horizon,) if horizon is not None else (40_000, 80_000, 160_000)
-        return separation_campaign_spec(k=k, horizons=horizons)
-    if name == "families":
-        return schedule_families_campaign_spec(horizon=horizon or 60_000)
-    if name == "scenarios":
-        return scenarios_campaign_spec(horizon=horizon or 40_000)
-    if name == "a1":
-        return accusation_ablation_campaign_spec(horizon=horizon or 80_000)
-    if name == "a2":
-        return timeout_ablation_campaign_spec(horizon=horizon or 200_000)
-    if name == "e12":
-        return dist_emergence_campaign_spec(
-            horizon=horizon or 2_400, seed=seed if seed is not None else 0
-        )
-    raise ConfigurationError(
-        f"unknown campaign {name!r}; expected one of e1, e2, e2-seeds, e3, e4, "
-        "e12, families, scenarios, a1, a2"
+
+    name: str
+    title: str
+    section: str
+    build: Callable[..., CampaignSpec]
+    columns: Optional[Tuple[Column, ...]] = None
+    command: Optional[str] = None
+    flags: Mapping[str, Any] = field(default_factory=dict)
+
+    def rows(self, result: CampaignResult) -> Rows:
+        """Shape a campaign result into the artifact's ``(headers, rows)`` table."""
+        if self.columns is None:
+            return result.table()
+        headers = [header for header, _ in self.columns]
+        rows = [
+            [_cell(record, source) for _, source in self.columns]
+            for record in result.records
+        ]
+        return headers, rows
+
+
+def _family_columns(first_header: str) -> Tuple[Column, ...]:
+    """The family-comparison table; its schedule and scenario forms differ in the first header."""
+    return (
+        (first_header, "params.family"),
+        ("n", "params.n"),
+        ("detector degree", "params.k"),
+        ("satisfied", "payload.satisfied"),
+        ("stabilized early", "payload.stabilized_early"),
+        ("last winner change", "payload.last_winner_change"),
+        ("winner changes", "payload.winner_changes"),
+        ("winner contains correct", "payload.winner_contains_correct"),
     )
+
+
+_E2_SECTION = "E2 — Theorem 23: Figure 2 implements k-anti-Ω in S^k_{t+1,n}"
+
+#: Every campaign-backed artifact, keyed by its campaign name, in listing order.
+EXPERIMENT_REGISTRY: Dict[str, Experiment] = {
+    entry.name: entry
+    for entry in (
+        Experiment(
+            name="e1",
+            title="E1 — Figure 1 observed timeliness bounds",
+            section="E1 — Figure 1: set timeliness without individual timeliness",
+            build=figure1_campaign_spec,
+            columns=(
+                ("blocks", "params.blocks"),
+                ("steps", "payload.steps"),
+                ("bound {p1} vs {q}", "payload.bound_p1"),
+                ("bound {p2} vs {q}", "payload.bound_p2"),
+                ("bound {p1,p2} vs {q}", "payload.bound_set"),
+            ),
+            command="figure1",
+            flags={"blocks": (2, 4, 8, 16, 32)},
+        ),
+        Experiment(
+            name="e2",
+            title="E2 — k-anti-Ω convergence on certified S^k_{t+1,n} schedules",
+            section=_E2_SECTION,
+            build=detector_campaign_spec,
+            columns=(
+                ("n", "params.n"),
+                ("t", "params.t"),
+                ("k", "params.k"),
+                ("crashes", _crashes),
+                ("satisfied", "payload.satisfied"),
+                ("stabilization step", "payload.stabilization_step"),
+                ("margin", "payload.margin"),
+                ("winner changes", "payload.winner_changes"),
+                ("winner set", _winner_set),
+                ("contains correct", "payload.winner_contains_correct"),
+            ),
+            command="detector",
+            flags={"horizon": 60_000},
+        ),
+        Experiment(
+            name="e2-seeds",
+            title="E2 × seed grid — the detector sweep crossed with a seed axis",
+            section=_E2_SECTION,
+            build=detector_seed_grid_campaign_spec,
+        ),
+        Experiment(
+            name="e3",
+            title="E3 — (t,k,n)-agreement on certified schedules",
+            section="E3 — Theorem 24 / Corollary 25: (t,k,n)-agreement in S^k_{t+1,n}",
+            build=agreement_campaign_spec,
+            columns=(
+                ("problem", "payload.problem"),
+                ("system", "payload.system"),
+                ("protocol", "payload.protocol"),
+                ("crashes", _crashes),
+                ("all correct decided", "payload.all_correct_decided"),
+                ("distinct decisions", "payload.distinct_decisions"),
+                ("valid", "payload.valid"),
+                ("max decision step", "payload.max_decision_step"),
+                ("steps executed", "payload.steps_executed"),
+            ),
+            command="agreement",
+            flags={"horizon": 600_000},
+        ),
+        Experiment(
+            name="e4",
+            title="E4 — Theorem 26 separation on the carrier-rotation adversary",
+            section="E4 — Theorem 26: the separation, empirically",
+            build=separation_campaign_spec,
+            columns=(
+                ("degree", "params.k"),
+                ("horizon", "params.horizon"),
+                ("satisfied (prefix)", "payload.satisfied"),
+                ("last winner change", "payload.last_winner_change"),
+                ("winner changes", "payload.winner_changes"),
+                ("stabilized early", "payload.stabilized_early"),
+                ("timely sets of this size (bound<=8)", "payload.timely_count"),
+            ),
+            command="separation",
+            flags={"k": 2, "horizons": (40_000, 80_000, 160_000)},
+        ),
+        Experiment(
+            name="families",
+            title="detector across schedule families",
+            section=_E2_SECTION,
+            build=schedule_families_campaign_spec,
+            columns=_family_columns("schedule family"),
+        ),
+        Experiment(
+            name="scenarios",
+            title="E10 — detector across the composable scenario families",
+            section="E10 — the composable scenario families",
+            build=scenarios_campaign_spec,
+            columns=_family_columns("scenario family"),
+        ),
+        Experiment(
+            name="a1",
+            title="A1 — accusation-statistic ablation",
+            section="A1 — ablation: the accusation statistic",
+            build=accusation_ablation_campaign_spec,
+            columns=(
+                ("scenario", "params.scenario"),
+                ("statistic", lambda record: STATISTIC_LABELS[record.params["statistic"]]),
+                ("satisfied", "payload.satisfied"),
+                ("winner set", _winner_set),
+                ("contains correct", "payload.winner_contains_correct"),
+                ("winner changes", "payload.winner_changes"),
+                ("last winner change", "payload.last_winner_change"),
+            ),
+            command="ablation-accusation",
+        ),
+        Experiment(
+            name="a2",
+            title="A2 — timeout growth policy ablation",
+            section="A2 — ablation: the timeout growth policy",
+            build=timeout_ablation_campaign_spec,
+            columns=(
+                ("policy", lambda record: POLICY_LABELS[record.params["policy"]]),
+                ("satisfied", "payload.satisfied"),
+                ("stabilization step", "payload.stabilization_step"),
+                ("winner changes", "payload.winner_changes"),
+                ("last winner change", "payload.last_winner_change"),
+                ("margin", "payload.margin"),
+            ),
+            command="ablation-timeout",
+            flags={"horizon": 200_000, "bound": 400},
+        ),
+        Experiment(
+            name="e12",
+            title="E12: set timeliness emerging from message timeliness",
+            section="E12 — set-timeliness emergence from message timeliness (distsim)",
+            build=dist_emergence_campaign_spec,
+            columns=(
+                ("workload arm", "params.arm"),
+                ("latency", _latency_label),
+                ("set bound {p1,p2}", "payload.set_bound"),
+                ("best member bound", _best_member_bound),
+                ("predicted bound", "payload.predicted_bound"),
+                ("max latency", "payload.messages.max_latency"),
+                ("set timely", "payload.set_timely"),
+                ("timely members", _timely_members),
+                ("emerged", "payload.emerged"),
+            ),
+        ),
+    )
+}
+
+
+def experiment(name: str) -> Experiment:
+    """The registry entry behind a campaign name (``e1``, ``e2``, ..., ``e12``)."""
+    try:
+        return EXPERIMENT_REGISTRY[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown campaign {name!r}; expected one of {', '.join(EXPERIMENT_REGISTRY)}"
+        ) from None
+
+
+#: Why a command-line override has no effect on an entry that does not take it.
+_NO_EFFECT = {
+    "horizon": "it has no step horizon",
+    "seed": "seeds are fixed by the artifact",
+    "k": "its degree is fixed by the artifact",
+    "seeds": "it has no seed axis",
+}
+
+
+def experiment_params(name: str, **overrides: Any) -> Tuple[Dict[str, Any], List[str]]:
+    """Apply command-line overrides to entry ``name``: ``(builder params, notes)``.
+
+    The one override rule of ``repro <exp>``, ``repro campaign`` and ``repro
+    queue enqueue``: an override counts when it is not ``None``, and the entry
+    takes it when its spec builder has a parameter of that name (a single
+    ``horizon`` fills a builder's ``horizons`` axis).  Any other override
+    yields a "no effect" note instead of being dropped silently.  A horizon
+    below 1 is rejected here, before anything runs or is enqueued.
+    """
+    from inspect import signature
+
+    accepted = signature(experiment(name).build).parameters
+    params: Dict[str, Any] = {}
+    notes: List[str] = []
+    for key, value in overrides.items():
+        if value is None:
+            continue
+        if key == "horizon" and key not in accepted and "horizons" in accepted:
+            key, value = "horizons", (value,)
+        if key in accepted:
+            params[key] = value
+        else:
+            notes.append(
+                f"note: --{key} has no effect on campaign {name!r} ({_NO_EFFECT[key]})"
+            )
+    for horizon in (params.get("horizon", 1), *params.get("horizons", ())):
+        if horizon < 1:
+            raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
+    return params, notes
+
+
+def run_experiment(name: str, engine: Optional[CampaignEngine] = None, **params: Any) -> Rows:
+    """Run registry entry ``name`` with spec-builder ``params``; return its table."""
+    entry = experiment(name)
+    return entry.rows(_engine(engine).run(entry.build(**params)))
+

@@ -34,24 +34,15 @@ from . import __version__
 from .agreement.problem import distinct_inputs
 from .agreement.runner import solve_agreement
 from .analysis.experiment import (
-    accusation_ablation_experiment,
-    agreement_experiment,
-    anti_omega_convergence_experiment,
-    detector_seed_grid_campaign_spec,
-    figure1_experiment,
-    named_campaign_spec,
-    scenario_family_comparison_experiment,
-    schedule_family_comparison_experiment,
-    separation_experiment,
+    EXPERIMENT_REGISTRY,
+    experiment_params,
+    run_experiment,
     separation_statements_experiment,
-    set_timeliness_emergence_experiment,
     solvability_map_experiment,
-    timeout_ablation_experiment,
 )
 from .analysis.reporting import ascii_table, render_solvability_grid
 from .campaign import (
     CampaignEngine,
-    CampaignSpec,
     DurableCampaignEngine,
     FaultPlan,
     JobQueue,
@@ -61,6 +52,7 @@ from .campaign import (
     read_jsonl,
 )
 from .campaign.records import record_columns
+from .core.schedule import tally_steps
 from .core.solvability import matching_system, solvable_frontier
 from .errors import ConfigurationError
 from .scenarios import build_generator as build_scenario_generator
@@ -68,16 +60,15 @@ from .scenarios import family_descriptions
 from .schedules.set_timely import SetTimelyGenerator
 from .types import AgreementInstance
 
-#: Experiment names accepted by the CLI, with one-line descriptions.
+#: The experiment registry's standalone subcommands (``repro figure1``, ...).
+STANDALONE = {
+    entry.command: entry for entry in EXPERIMENT_REGISTRY.values() if entry.command
+}
+
+#: The other subcommands, with one-line descriptions.
 EXPERIMENTS = {
-    "figure1": "E1 — Figure 1 observed timeliness bounds",
-    "detector": "E2 — k-anti-Ω convergence on certified S^k_{t+1,n} schedules",
-    "agreement": "E3 — (t,k,n)-agreement on certified schedules",
-    "separation": "E4 — Theorem 26 separation on the carrier-rotation adversary",
     "map": "E5 — Theorem 27 solvability map for one problem",
     "separations": "E5 — separation statements cross-checked against the oracle",
-    "ablation-accusation": "A1 — accusation-statistic ablation",
-    "ablation-timeout": "A2 — timeout growth policy ablation",
     "solve": "one end-to-end agreement run in the matching system",
     "scenarios": "list the composable scenario families, or run the detector on one",
     "search": "E11 — adversarial schedule search: falsify → shrink → certify",
@@ -89,17 +80,12 @@ EXPERIMENTS = {
     "bench": "run the pinned perf benchmarks and write the BENCH_*.json trajectory",
 }
 
-#: The EXPERIMENTS.md section each subcommand regenerates (``--help`` epilogs).
+#: The EXPERIMENTS.md section each other subcommand regenerates (``--help``
+#: epilogs); a standalone registry subcommand names its entry's section.
 EXPERIMENTS_MD_SECTIONS = {
     "list": "the artifact index (all sections)",
-    "figure1": "E1 — Figure 1: set timeliness without individual timeliness",
-    "detector": "E2 — Theorem 23: Figure 2 implements k-anti-Ω in S^k_{t+1,n}",
-    "agreement": "E3 — Theorem 24 / Corollary 25: (t,k,n)-agreement in S^k_{t+1,n}",
-    "separation": "E4 — Theorem 26: the separation, empirically",
     "map": "E5 — Theorem 27: the exact solvability map",
     "separations": "E5 — Theorem 27: the exact solvability map",
-    "ablation-accusation": "A1 — ablation: the accusation statistic",
-    "ablation-timeout": "A2 — ablation: the timeout growth policy",
     "solve": "E3 — Theorem 24 / Corollary 25: (t,k,n)-agreement in S^k_{t+1,n}",
     "scenarios": "E10 — the composable scenario families",
     "search": "E11 — adversarial schedule search (falsify → shrink → certify)",
@@ -113,21 +99,24 @@ EXPERIMENTS_MD_SECTIONS = {
 
 def _epilog(command: str) -> str:
     """The ``--help`` epilog naming a subcommand's EXPERIMENTS.md section."""
-    return f"Documented in EXPERIMENTS.md, section: {EXPERIMENTS_MD_SECTIONS[command]}"
+    entry = STANDALONE.get(command)
+    section = entry.section if entry else EXPERIMENTS_MD_SECTIONS[command]
+    return f"Documented in EXPERIMENTS.md, section: {section}"
 
-#: Campaigns runnable via ``repro campaign <name>``, with one-line descriptions.
-CAMPAIGNS = {
-    "e1": "E1 — Figure 1 timeliness bounds",
-    "e2": "E2 — anti-Ω convergence sweep (the default detector configs)",
-    "e2-seeds": "E2 × seed grid — the detector sweep crossed with a seed axis",
-    "e3": "E3 — agreement sweep",
-    "e4": "E4 — separation probes on the carrier-rotation adversary",
-    "families": "detector across schedule families",
-    "scenarios": "E10 — detector across the composable scenario families",
-    "a1": "A1 — accusation-statistic ablation grid",
-    "a2": "A2 — timeout-policy ablation grid",
-    "e12": "E12 — set-timeliness emergence across latency distributions",
-}
+
+def _add_override_flags(parser: argparse.ArgumentParser) -> None:
+    """The registry override flags of ``campaign`` and ``queue enqueue``.
+
+    Each defaults to ``None``, so a campaign keeps its spec builder's default
+    unless the flag is given; a flag the campaign does not take prints a "no
+    effect" note (:func:`~repro.analysis.experiment.experiment_params`).
+    """
+    parser.add_argument("--horizon", type=int, default=None, help="override the step horizon")
+    parser.add_argument("--seed", type=int, default=None, help="override the schedule seed")
+    parser.add_argument("--k", type=int, default=None, help="override the detector degree")
+    parser.add_argument(
+        "--seeds", type=int, nargs="+", default=None, help="override the seed axis"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,26 +134,13 @@ def build_parser() -> argparse.ArgumentParser:
         "list", help="list available experiments", epilog=_epilog("list")
     )
 
-    figure1 = subparsers.add_parser(
-        "figure1", help=EXPERIMENTS["figure1"], epilog=_epilog("figure1")
-    )
-    figure1.add_argument("--blocks", type=int, nargs="+", default=[2, 4, 8, 16, 32])
-
-    detector = subparsers.add_parser(
-        "detector", help=EXPERIMENTS["detector"], epilog=_epilog("detector")
-    )
-    detector.add_argument("--horizon", type=int, default=60_000)
-
-    agreement = subparsers.add_parser(
-        "agreement", help=EXPERIMENTS["agreement"], epilog=_epilog("agreement")
-    )
-    agreement.add_argument("--horizon", type=int, default=600_000)
-
-    separation = subparsers.add_parser(
-        "separation", help=EXPERIMENTS["separation"], epilog=_epilog("separation")
-    )
-    separation.add_argument("--k", type=int, default=2)
-    separation.add_argument("--horizons", type=int, nargs="+", default=[40_000, 80_000, 160_000])
+    for command, entry in STANDALONE.items():
+        standalone = subparsers.add_parser(command, help=entry.title, epilog=_epilog(command))
+        for flag, default in entry.flags.items():
+            if isinstance(default, tuple):
+                standalone.add_argument(f"--{flag}", type=int, nargs="+", default=list(default))
+            else:
+                standalone.add_argument(f"--{flag}", type=int, default=default)
 
     grid = subparsers.add_parser("map", help=EXPERIMENTS["map"], epilog=_epilog("map"))
     grid.add_argument("--t", type=int, required=True)
@@ -185,19 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser(
         "separations", help=EXPERIMENTS["separations"], epilog=_epilog("separations")
     )
-    subparsers.add_parser(
-        "ablation-accusation",
-        help=EXPERIMENTS["ablation-accusation"],
-        epilog=_epilog("ablation-accusation"),
-    )
-
-    ablation_timeout = subparsers.add_parser(
-        "ablation-timeout",
-        help=EXPERIMENTS["ablation-timeout"],
-        epilog=_epilog("ablation-timeout"),
-    )
-    ablation_timeout.add_argument("--horizon", type=int, default=200_000)
-    ablation_timeout.add_argument("--bound", type=int, default=400)
 
     scenarios = subparsers.add_parser(
         "scenarios", help=EXPERIMENTS["scenarios"], epilog=_epilog("scenarios")
@@ -359,19 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
     campaign = subparsers.add_parser(
         "campaign", help=EXPERIMENTS["campaign"], epilog=_epilog("campaign")
     )
-    campaign.add_argument("name", choices=sorted(CAMPAIGNS), help="campaign to run")
+    campaign.add_argument(
+        "name", choices=sorted(EXPERIMENT_REGISTRY), help="campaign to run"
+    )
     campaign.add_argument("--workers", type=int, default=1, help="worker processes (1 = inline)")
-    campaign.add_argument("--horizon", type=int, default=None, help="override the step horizon")
-    campaign.add_argument("--k", type=int, default=2, help="degree for the e4 campaign")
-    campaign.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="schedule seed override (e2/e3; other campaigns fix their seeds by design)",
-    )
-    campaign.add_argument(
-        "--seeds", type=int, nargs="+", default=[11, 13, 17], help="seed axis for e2-seeds"
-    )
+    _add_override_flags(campaign)
     campaign.add_argument("--jsonl", type=str, default=None, help="write per-run records here")
     campaign.add_argument("--cache-dir", type=str, default=None, help="content-addressed result cache")
     campaign.add_argument("--chunk-size", type=int, default=None, help="runs per dispatched task")
@@ -415,14 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="expand a named campaign into a durable queue (idempotent)",
         epilog=_epilog("queue"),
     )
-    q_enqueue.add_argument("name", choices=sorted(CAMPAIGNS), help="campaign to enqueue")
-    q_enqueue.add_argument("--db", type=str, required=True, help="queue database file")
-    q_enqueue.add_argument("--horizon", type=int, default=None, help="override the step horizon")
-    q_enqueue.add_argument("--seed", type=int, default=None, help="schedule seed override (e2/e3)")
-    q_enqueue.add_argument("--k", type=int, default=2, help="degree for the e4 campaign")
     q_enqueue.add_argument(
-        "--seeds", type=int, nargs="+", default=[11, 13, 17], help="seed axis for e2-seeds"
+        "name", choices=sorted(EXPERIMENT_REGISTRY), help="campaign to enqueue"
     )
+    q_enqueue.add_argument("--db", type=str, required=True, help="queue database file")
+    _add_override_flags(q_enqueue)
     q_enqueue.add_argument(
         "--lease-seconds", type=float, default=None, help="queue lease duration"
     )
@@ -508,12 +460,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_list() -> List[str]:
     lines = ["available experiments:"]
+    for command, entry in STANDALONE.items():
+        lines.append(f"  {command:<22} {entry.title}")
     for name, description in EXPERIMENTS.items():
         lines.append(f"  {name:<22} {description}")
     lines.append("campaigns (run with `repro campaign <name>`):")
-    for name, description in CAMPAIGNS.items():
-        lines.append(f"  {name:<22} {description}")
+    for name, entry in EXPERIMENT_REGISTRY.items():
+        lines.append(f"  {name:<22} {entry.title}")
     return lines
+
+
+def _run_registered(name: str, **overrides: Any) -> List[str]:
+    """Run one registry entry serially and print its table (``repro <exp>``)."""
+    params, notes = experiment_params(name, **overrides)
+    headers, rows = run_experiment(name, **params)
+    return [ascii_table(headers, rows, title=EXPERIMENT_REGISTRY[name].title), *notes]
+
+
+def _census_table(steps: Sequence[int], n: int, length: int, title: str) -> str:
+    """Per-process step counts over the first ``length`` steps, as a table."""
+    counts = tally_steps(steps, n)
+    rows = [
+        [pid, counts[pid], f"{counts[pid] / max(length, 1):.1%}"] for pid in sorted(counts)
+    ]
+    return ascii_table(["process", f"steps in first {length}", "share"], rows, title=title)
 
 
 def _parse_scalar(text: str) -> Any:
@@ -592,19 +562,8 @@ def _run_scenarios(args: argparse.Namespace) -> List[str]:
 
     census_length = min(args.census, args.horizon)
     prefix = generator.generate(census_length)
-    counts: Dict[int, int] = {pid: 0 for pid in range(1, generator.n + 1)}
-    for pid in prefix.steps:
-        counts[pid] += 1
-    census_rows = [
-        [pid, counts[pid], f"{counts[pid] / max(census_length, 1):.1%}"]
-        for pid in sorted(counts)
-    ]
     lines.append(
-        ascii_table(
-            ["process", f"steps in first {census_length}", "share"],
-            census_rows,
-            title="schedule census",
-        )
+        _census_table(prefix.steps, generator.n, census_length, "schedule census")
     )
 
     report = run_detector_experiment(
@@ -652,16 +611,9 @@ def _run_distsim(args: argparse.Namespace) -> List[str]:
     from .distsim.workloads import DIST_FAMILIES
 
     if args.table:
-        headers, rows = set_timeliness_emergence_experiment(
-            horizon=args.horizon, threshold=args.threshold
+        return _run_registered(
+            "e12", horizon=args.horizon, threshold=args.threshold, seed=args.seed
         )
-        return [
-            ascii_table(
-                headers,
-                rows,
-                title="E12: set timeliness emerging from message timeliness",
-            )
-        ]
 
     if args.family is None:
         lines = ["message-passing workload families (run with `repro distsim <family>`):"]
@@ -684,18 +636,9 @@ def _run_distsim(args: argparse.Namespace) -> List[str]:
 
     lines = [f"workload:  {generator.description}"]
     census_length = min(args.census, len(timeline))
-    counts: Dict[int, int] = {pid: 0 for pid in range(1, timeline.n + 1)}
-    for pid in timeline.step_pids()[:census_length]:
-        counts[pid] += 1
-    census_rows = [
-        [pid, counts[pid], f"{counts[pid] / max(census_length, 1):.1%}"]
-        for pid in sorted(counts)
-    ]
     lines.append(
-        ascii_table(
-            ["process", f"steps in first {census_length}", "share"],
-            census_rows,
-            title="reduced schedule census",
+        _census_table(
+            timeline.pids[:census_length], timeline.n, census_length, "reduced schedule census"
         )
     )
     stats = timeline.stats
@@ -808,13 +751,16 @@ def _run_search(args: argparse.Namespace) -> List[str]:
 
     with CampaignEngine(**engine_kwargs) as engine:
         report = run_search(config, engine=engine, jsonl_path=args.jsonl)
-    lines = search_report_lines(report)
-    lines.append(
+    return [*search_report_lines(report), _engine_footer(args)]
+
+
+def _engine_footer(args: argparse.Namespace) -> str:
+    """The ``workers=…, records -> …, cache -> …`` line after an engine run."""
+    return (
         f"workers={args.workers}"
         + (f", records -> {args.jsonl}" if args.jsonl else "")
         + (f", cache -> {args.cache_dir}" if args.cache_dir else "")
     )
-    return lines
 
 
 def _chaos_plan_factory(args: argparse.Namespace):
@@ -839,7 +785,15 @@ def _chaos_plan_factory(args: argparse.Namespace):
     return factory
 
 
+def _campaign_params(args: argparse.Namespace) -> "tuple[Dict[str, Any], List[str]]":
+    """The ``campaign``/``queue enqueue`` override flags through the registry's one rule."""
+    return experiment_params(
+        args.name, seed=args.seed, horizon=args.horizon, k=args.k, seeds=args.seeds
+    )
+
+
 def _run_campaign(args: argparse.Namespace) -> List[str]:
+    params, notes = _campaign_params(args)
     if args.resume is not None:
         # Durable path: jobs live in the SQLite queue, workers are detachable
         # processes, and a re-invocation with the same DB resumes the drain.
@@ -853,7 +807,7 @@ def _run_campaign(args: argparse.Namespace) -> List[str]:
             lease_seconds=args.lease_seconds,
             max_attempts=args.max_attempts,
         )
-        lines = _run_campaign_with_engine(args, engine)
+        lines = _run_campaign_with_engine(args, engine, params, notes)
         lines.append(engine.enqueue_report.summary())
         drain = engine.drain_report
         lines.append(
@@ -872,7 +826,7 @@ def _run_campaign(args: argparse.Namespace) -> List[str]:
         chunk_size=args.chunk_size,
         jsonl_path=args.jsonl,
     ) as engine:
-        return _run_campaign_with_engine(args, engine)
+        return _run_campaign_with_engine(args, engine, params, notes)
 
 
 def _require_queue_db(path: str) -> str:
@@ -886,18 +840,13 @@ def _require_queue_db(path: str) -> str:
 
 def _run_queue(args: argparse.Namespace) -> List[str]:
     if args.queue_command == "enqueue":
-        spec = named_campaign_spec(
-            args.name,
-            horizon=args.horizon,
-            seed=args.seed,
-            k=args.k,
-            seeds=args.seeds,
-        )
+        params, notes = _campaign_params(args)
+        spec = EXPERIMENT_REGISTRY[args.name].build(**params)
         with JobQueue(
             args.db, lease_seconds=args.lease_seconds, max_attempts=args.max_attempts
         ) as queue:
             report = queue.enqueue(spec)
-            return [report.summary(), *queue.status().lines()]
+            return [report.summary(), *queue.status().lines(), *notes]
     if args.queue_command == "work":
         with JobQueue(_require_queue_db(args.db)) as queue:
             worker = QueueWorker(
@@ -934,72 +883,18 @@ def _run_queue(args: argparse.Namespace) -> List[str]:
     raise SystemExit(f"unknown queue command {args.queue_command!r}")  # pragma: no cover
 
 
-def _run_campaign_with_engine(args: argparse.Namespace, engine: CampaignEngine) -> List[str]:
-
-    def horizon(default: int) -> int:
-        return args.horizon if args.horizon is not None else default
-
-    def seed(default: int) -> int:
-        return args.seed if args.seed is not None else default
-
-    notes: List[str] = []
-    # Flags that a campaign does not consume are reported, never silently
-    # dropped: the seeds of e1/e4/families/a1/a2 are part of the artifact's
-    # identity, and e1 has no step horizon at all.
-    if args.seed is not None and args.name not in ("e2", "e3"):
-        notes.append(f"note: --seed has no effect on campaign {args.name!r} (seeds are fixed by the artifact)")
-    if args.horizon is not None and args.name == "e1":
-        notes.append("note: --horizon has no effect on campaign 'e1' (it has no step horizon)")
-
-    if args.name == "e1":
-        headers, rows = figure1_experiment(engine=engine)
-        title = CAMPAIGNS["e1"]
-    elif args.name == "e2":
-        headers, rows = anti_omega_convergence_experiment(
-            horizon=horizon(60_000), seed=seed(11), engine=engine
-        )
-        title = CAMPAIGNS["e2"]
-    elif args.name == "e2-seeds":
-        grid = detector_seed_grid_campaign_spec(
-            horizon=horizon(60_000), seeds=list(args.seeds)
-        )
-        result = engine.run(grid)
-        headers, rows = result.table()
-        return [ascii_table(headers, rows, title=CAMPAIGNS["e2-seeds"]), *notes, result.summary()]
-    elif args.name == "e3":
-        headers, rows = agreement_experiment(horizon=horizon(400_000), seed=seed(23), engine=engine)
-        title = CAMPAIGNS["e3"]
-    elif args.name == "e4":
-        horizons = (args.horizon,) if args.horizon is not None else (40_000, 80_000, 160_000)
-        headers, rows = separation_experiment(k=args.k, horizons=horizons, engine=engine)
-        title = CAMPAIGNS["e4"]
-    elif args.name == "families":
-        headers, rows = schedule_family_comparison_experiment(horizon=horizon(60_000), engine=engine)
-        title = CAMPAIGNS["families"]
-    elif args.name == "scenarios":
-        headers, rows = scenario_family_comparison_experiment(horizon=horizon(40_000), engine=engine)
-        title = CAMPAIGNS["scenarios"]
-    elif args.name == "a1":
-        headers, rows = accusation_ablation_experiment(horizon=horizon(80_000), engine=engine)
-        title = CAMPAIGNS["a1"]
-    elif args.name == "a2":
-        headers, rows = timeout_ablation_experiment(horizon=horizon(200_000), engine=engine)
-        title = CAMPAIGNS["a2"]
-    elif args.name == "e12":
-        headers, rows = set_timeliness_emergence_experiment(
-            horizon=horizon(2_400), engine=engine
-        )
-        title = CAMPAIGNS["e12"]
-    else:  # pragma: no cover - argparse choices prevent this
-        raise SystemExit(f"unknown campaign {args.name!r}")
-    lines = [ascii_table(headers, rows, title=title)]
-    lines.extend(notes)
-    lines.append(
-        f"workers={args.workers}"
-        + (f", records -> {args.jsonl}" if args.jsonl else "")
-        + (f", cache -> {args.cache_dir}" if args.cache_dir else "")
-    )
-    return lines
+def _run_campaign_with_engine(
+    args: argparse.Namespace,
+    engine: CampaignEngine,
+    params: Dict[str, Any],
+    notes: List[str],
+) -> List[str]:
+    entry = EXPERIMENT_REGISTRY[args.name]
+    result = engine.run(entry.build(**params))
+    headers, rows = entry.rows(result)
+    # A generic record table is followed by the engine's own run summary.
+    tail = result.summary() if entry.columns is None else _engine_footer(args)
+    return [ascii_table(headers, rows, title=entry.title), *notes, tail]
 
 
 def _run_bench(args: argparse.Namespace) -> List[str]:
@@ -1168,18 +1063,11 @@ def run(argv: Optional[Sequence[str]] = None) -> List[str]:
 def _dispatch(args: argparse.Namespace) -> List[str]:
     if args.command in (None, "list"):
         return _run_list()
-    if args.command == "figure1":
-        headers, rows = figure1_experiment(blocks=tuple(args.blocks))
-        return [ascii_table(headers, rows, title=EXPERIMENTS["figure1"])]
-    if args.command == "detector":
-        headers, rows = anti_omega_convergence_experiment(horizon=args.horizon)
-        return [ascii_table(headers, rows, title=EXPERIMENTS["detector"])]
-    if args.command == "agreement":
-        headers, rows = agreement_experiment(horizon=args.horizon)
-        return [ascii_table(headers, rows, title=EXPERIMENTS["agreement"])]
-    if args.command == "separation":
-        headers, rows = separation_experiment(k=args.k, horizons=tuple(args.horizons))
-        return [ascii_table(headers, rows, title=EXPERIMENTS["separation"])]
+    entry = STANDALONE.get(args.command)
+    if entry is not None:
+        return _run_registered(
+            entry.name, **{flag: getattr(args, flag) for flag in entry.flags}
+        )
     if args.command == "map":
         return _run_map(
             args.t, args.k, args.n, screen=args.screen, horizon=args.horizon, seed=args.seed
@@ -1187,12 +1075,6 @@ def _dispatch(args: argparse.Namespace) -> List[str]:
     if args.command == "separations":
         headers, rows = separation_statements_experiment()
         return [ascii_table(headers, rows, title=EXPERIMENTS["separations"])]
-    if args.command == "ablation-accusation":
-        headers, rows = accusation_ablation_experiment()
-        return [ascii_table(headers, rows, title=EXPERIMENTS["ablation-accusation"])]
-    if args.command == "ablation-timeout":
-        headers, rows = timeout_ablation_experiment(horizon=args.horizon, bound=args.bound)
-        return [ascii_table(headers, rows, title=EXPERIMENTS["ablation-timeout"])]
     if args.command == "scenarios":
         return _run_scenarios(args)
     if args.command == "distsim":

@@ -3,14 +3,9 @@
 import pytest
 
 from repro.analysis.experiment import (
-    accusation_ablation_experiment,
-    agreement_experiment,
-    anti_omega_convergence_experiment,
-    figure1_experiment,
-    separation_experiment,
+    run_experiment,
     separation_statements_experiment,
     solvability_map_experiment,
-    timeout_ablation_experiment,
 )
 from repro.analysis.metrics import run_detector_experiment
 from repro.analysis.reporting import ascii_table, bullet_list, format_cell, render_solvability_grid
@@ -95,13 +90,13 @@ class TestExperimentHarnesses:
     well-formed rows; the full-size numbers live in benchmarks/EXPERIMENTS.md."""
 
     def test_figure1(self):
-        headers, rows = figure1_experiment(blocks=(2, 4))
+        headers, rows = run_experiment("e1", blocks=(2, 4))
         assert len(headers) == 5 and len(rows) == 2
         assert rows[0][4] <= 2  # the set bound stays 2
 
     def test_anti_omega_convergence(self):
         configs = [{"n": 3, "t": 2, "k": 2, "bound": 3, "crashes": frozenset()}]
-        headers, rows = anti_omega_convergence_experiment(configs=configs, horizon=8_000)
+        headers, rows = run_experiment("e2", configs=configs, horizon=8_000)
         assert len(rows) == 1
         assert rows[0][4] is True  # satisfied
 
@@ -110,14 +105,14 @@ class TestExperimentHarnesses:
             {"n": 3, "t": 2, "k": 2, "crashes": frozenset()},
             {"n": 4, "t": 1, "k": 2, "crashes": frozenset()},
         ]
-        headers, rows = agreement_experiment(configs=configs, horizon=200_000)
+        headers, rows = run_experiment("e3", configs=configs, horizon=200_000)
         assert len(rows) == 2
         for row in rows:
             assert row[4] is True  # all correct decided
             assert row[6] is True  # valid
 
     def test_separation(self):
-        headers, rows = separation_experiment(k=2, horizons=(10_000,))
+        headers, rows = run_experiment("e4", k=2, horizons=(10_000,))
         assert len(rows) == 2
         by_degree = {row[0]: row for row in rows}
         assert by_degree[2][5] is True   # degree k stabilizes early
@@ -130,10 +125,10 @@ class TestExperimentHarnesses:
         assert all(row[3] is True for row in rows)
 
     def test_ablations_smoke(self):
-        headers, rows = accusation_ablation_experiment(horizon=12_000)
+        headers, rows = run_experiment("a1", horizon=12_000)
         assert {row[1] for row in rows} >= {"min", "max"}
         crashed_rows = {row[1]: row for row in rows if row[0] == "crashed-min-set"}
         assert crashed_rows["paper (t+1)-st smallest"][4] is True   # contains correct
         assert crashed_rows["min"][4] is False                       # min converges to the dead set
-        headers, rows = timeout_ablation_experiment(horizon=30_000, bound=200)
+        headers, rows = run_experiment("a2", horizon=30_000, bound=200)
         assert len(rows) == 3

@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from repro import __version__
-from repro.cli import CAMPAIGNS, EXPERIMENTS, build_parser, run
+from repro.analysis.experiment import EXPERIMENT_REGISTRY
+from repro.cli import EXPERIMENTS, STANDALONE, build_parser, run
 from repro.scenarios import available_families
 
 
@@ -13,7 +14,7 @@ class TestParser:
     def test_every_experiment_has_a_subcommand(self):
         parser = build_parser()
         help_text = parser.format_help()
-        for name in EXPERIMENTS:
+        for name in [*STANDALONE, *EXPERIMENTS]:
             assert name in help_text
 
     def test_unknown_command_rejected(self):
@@ -29,7 +30,7 @@ class TestCommands:
 
     def test_list(self):
         lines = run(["list"])
-        assert len(lines) == len(EXPERIMENTS) + len(CAMPAIGNS) + 2
+        assert len(lines) == len(STANDALONE) + len(EXPERIMENTS) + len(EXPERIMENT_REGISTRY) + 2
         assert any("campaign" in line for line in lines)
 
     def test_figure1(self):
@@ -243,6 +244,52 @@ class TestQueueCommands:
         assert any("4 already done" in line for line in second)
 
 
+#: One value per registry override flag, each unlike every entry's default.
+OVERRIDE_FLAGS = [("--horizon", ["700"]), ("--seed", ["5"]), ("--k", ["3"]), ("--seeds", ["5", "7"])]
+
+
+class TestOneOverrideRule:
+    @pytest.mark.parametrize("flag, values", OVERRIDE_FLAGS)
+    @pytest.mark.parametrize("name", list(EXPERIMENT_REGISTRY))
+    def test_campaign_and_enqueue_apply_the_same_override(
+        self, monkeypatch, tmp_path, name, flag, values
+    ):
+        # `repro campaign` and `repro queue enqueue` expand the same runs and
+        # print the same notes.  A campaign takes exactly the overrides its
+        # spec builder has a parameter for (a lone --horizon fills e4's
+        # horizons axis); any other override is named in a "no effect" note
+        # and leaves the runs unchanged — it is never dropped silently.
+        import inspect
+
+        from repro.campaign import CampaignEngine, CampaignResult, JobQueue
+
+        specs = []
+
+        def capture(engine, spec):
+            specs.append(spec)
+            return CampaignResult(spec=spec, records=[], elapsed=0.0, workers=1)
+
+        monkeypatch.setattr(CampaignEngine, "run", capture)
+
+        def keys_and_notes(argv):
+            lines = run(argv)
+            return [run_spec.key() for run_spec in specs.pop().expand()], [
+                line for line in lines if line.startswith("note:")
+            ]
+
+        default_keys, _ = keys_and_notes(["campaign", name])
+        campaign_keys, campaign_notes = keys_and_notes(["campaign", name, flag, *values])
+        db = str(tmp_path / "q.db")
+        enqueue_lines = run(["queue", "enqueue", name, "--db", db, flag, *values])
+        with JobQueue(db) as queue:
+            assert set(queue.attempts_by_key()) == set(campaign_keys)
+        assert [line for line in enqueue_lines if line.startswith("note:")] == campaign_notes
+        builder = inspect.signature(EXPERIMENT_REGISTRY[name].build).parameters
+        takes = flag[2:] in builder or (flag == "--horizon" and "horizons" in builder)
+        assert bool(campaign_notes) != takes
+        assert (campaign_keys == default_keys) != takes
+
+
 class TestSearchCommand:
     def test_list_properties(self):
         lines = run(["search", "--list-properties"])
@@ -355,13 +402,19 @@ class TestOneLineErrors:
         line = _one_error_line(repro_cli("report", "--jsonl", str(missing)))
         assert line == f"repro: cannot read {missing}: No such file or directory"
 
-    @pytest.mark.parametrize("command", ["detector", "campaign e2"])
+    @pytest.mark.parametrize(
+        "command", ["detector", "campaign e2", "queue enqueue e2 --db {db}"]
+    )
     @pytest.mark.parametrize("horizon", ["0", "-5"])
-    def test_detector_horizon_below_one(self, repro_cli, command, horizon):
+    def test_detector_horizon_below_one(self, repro_cli, tmp_path, command, horizon):
         # A negative horizon used to reach the schedule compiler first and
-        # print its "compile length" wording instead of the horizon's.
-        line = _one_error_line(repro_cli(*command.split(), "--horizon", horizon))
+        # print its "compile length" wording instead of the horizon's; the
+        # queue used to enqueue it (or, for 0, the default horizon) silently.
+        db = tmp_path / "q.db"
+        argv = command.format(db=db).split()
+        line = _one_error_line(repro_cli(*argv, "--horizon", horizon))
         assert line == f"repro: horizon must be >= 1, got {horizon}"
+        assert not db.exists()  # rejected before anything was enqueued
 
     @pytest.mark.parametrize("command", ["agreement", "campaign e3"])
     @pytest.mark.parametrize("horizon", ["0", "-3"])

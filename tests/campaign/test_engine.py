@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.analysis.experiment import detector_campaign_spec, detector_rows
+from repro.analysis.experiment import EXPERIMENT_REGISTRY, detector_campaign_spec
 from repro.analysis.reporting import ascii_table
 from repro.campaign import (
     CampaignEngine,
@@ -44,7 +44,8 @@ class TestEngineBasics:
         serial = CampaignEngine(workers=1).run(_small_spec())
         parallel = CampaignEngine(workers=3).run(_small_spec())
         assert _comparable(serial.records) == _comparable(parallel.records)
-        assert ascii_table(*detector_rows(serial)) == ascii_table(*detector_rows(parallel))
+        e2 = EXPERIMENT_REGISTRY["e2"]
+        assert ascii_table(*e2.rows(serial)) == ascii_table(*e2.rows(parallel))
 
     def test_chunk_size_invariance(self):
         one = CampaignEngine(workers=2, chunk_size=1).run(_small_spec())
@@ -97,7 +98,8 @@ class TestCaching:
         fresh = CampaignEngine(workers=1).run(_small_spec())
         CampaignEngine(workers=1, cache=cache).run(_small_spec())
         cached = CampaignEngine(workers=1, cache=cache).run(_small_spec())
-        assert ascii_table(*detector_rows(fresh)) == ascii_table(*detector_rows(cached))
+        e2 = EXPERIMENT_REGISTRY["e2"]
+        assert ascii_table(*e2.rows(fresh)) == ascii_table(*e2.rows(cached))
 
 
 class TestRecordStreaming:

@@ -10,11 +10,12 @@ scripted.
 import pytest
 
 from repro.analysis.experiment import (
+    EXPERIMENT_REGISTRY,
     dist_emergence_campaign_spec,
-    named_campaign_spec,
-    set_timeliness_emergence_experiment,
+    experiment,
+    run_experiment,
 )
-from repro.cli import CAMPAIGNS, EXPERIMENTS, EXPERIMENTS_MD_SECTIONS, run
+from repro.cli import EXPERIMENTS, EXPERIMENTS_MD_SECTIONS, run
 from repro.distsim import run_dist_timeliness_kind, run_timeline, timeliness_report
 from repro.errors import ConfigurationError
 from repro.scenarios.spec import build_generator
@@ -80,13 +81,13 @@ class TestE12Adapter:
         ]
 
     def test_named_campaign_registry_knows_e12(self):
-        spec = named_campaign_spec("e12", horizon=800)
+        spec = experiment("e12").build(horizon=800)
         assert spec.name == "dist-emergence"
         with pytest.raises(ConfigurationError, match="e12"):
-            named_campaign_spec("no-such-campaign")
+            experiment("no-such-campaign")
 
     def test_table_shape_and_verdicts(self):
-        headers, rows = set_timeliness_emergence_experiment(horizon=1200)
+        headers, rows = run_experiment("e12", horizon=1200)
         assert headers == E12_HEADERS
         assert len(rows) == 6
         verdicts = {row[0]: (row[6], row[8]) for row in rows}
@@ -140,7 +141,7 @@ class TestCli:
     def test_campaign_e12(self):
         lines = run(["campaign", "e12", "--horizon", "800"])
         text = "\n".join(lines)
-        assert CAMPAIGNS["e12"] in text
+        assert EXPERIMENT_REGISTRY["e12"].title in text
         assert "sticky / constant" in text
 
     def test_scenarios_listing_includes_dist_families(self):
@@ -155,7 +156,7 @@ class TestCli:
             EXPERIMENTS_MD_SECTIONS["distsim"]
             == "E12 — set-timeliness emergence from message timeliness (distsim)"
         )
-        assert "e12" in CAMPAIGNS
+        assert "e12" in EXPERIMENT_REGISTRY
 
     def test_queue_enqueue_e12(self, tmp_path):
         db = str(tmp_path / "e12.sqlite")
