@@ -1030,9 +1030,10 @@ def experiment_params(name: str, **overrides: Any) -> Tuple[Dict[str, Any], List
         if key in accepted:
             params[key] = value
         else:
-            notes.append(
-                f"note: --{key} has no effect on campaign {name!r} ({_NO_EFFECT[key]})"
-            )
+            why = _NO_EFFECT[key]
+            if key == "seed" and "seeds" in accepted:
+                why = "its seeds are an axis: use --seeds"
+            notes.append(f"note: --{key} has no effect on campaign {name!r} ({why})")
     for horizon in (params.get("horizon", 1), *params.get("horizons", ())):
         if horizon < 1:
             raise ConfigurationError(f"horizon must be >= 1, got {horizon}")

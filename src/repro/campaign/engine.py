@@ -281,6 +281,8 @@ class CampaignEngine:
         and within groups), so the reordering is deterministic; record
         assembly is keyed, so grid order is unaffected.
         """
+        if len(pending) < 2:
+            return pending
         groups: Dict[Tuple[str, str], List[Tuple[str, RunSpec]]] = {}
         for key, run_spec in pending:
             signature = (run_spec.kind, schedule_signature(run_spec.param_dict()))

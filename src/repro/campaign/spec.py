@@ -60,10 +60,15 @@ def canonical_json(value: Any) -> str:
 
 def content_key(kind: str, params: Mapping[str, Any]) -> str:
     """SHA-256 content address of one run's ``(kind, params)`` identity."""
+    return _keyed(kind, canonical_json(params))
+
+
+def _keyed(kind: str, params_json: str) -> str:
+    """The content address of ``kind`` and its parameters' canonical JSON."""
     digest = hashlib.sha256()
     digest.update(kind.encode("utf-8"))
     digest.update(b"\x00")
-    digest.update(canonical_json(params).encode("utf-8"))
+    digest.update(params_json.encode("utf-8"))
     return digest.hexdigest()
 
 
@@ -88,8 +93,13 @@ class RunSpec:
         return {k: v for k, v in self.params}
 
     def key(self) -> str:
-        """The run's content address."""
-        return content_key(self.kind, self.param_dict())
+        """The run's content address: :func:`content_key` of ``kind`` and the params.
+
+        ``params`` is already JSON-normalized, so it is serialized as it is.
+        """
+        return _keyed(
+            self.kind, json.dumps(self.param_dict(), sort_keys=True, separators=(",", ":"))
+        )
 
 
 @dataclass

@@ -279,7 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the full E12 sweep (sticky failover, every latency arm) and "
         "print its table",
     )
-    distsim.add_argument("--n", type=int, default=3)
+    distsim.add_argument(
+        "--n", type=int, default=None, help="number of processes (default: 3)"
+    )
     distsim.add_argument("--seed", type=int, default=0)
     distsim.add_argument(
         "--horizon", type=int, default=2_400, help="timeline steps to simulate and reduce"
@@ -307,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     distsim.add_argument(
         "--census",
         type=int,
-        default=2_000,
-        help="prefix length for the per-process step census table",
+        default=None,
+        help="prefix length for the per-process step census table (default: 2000)",
     )
     distsim.add_argument(
         "--set",
@@ -611,6 +613,26 @@ def _run_distsim(args: argparse.Namespace) -> List[str]:
     from .distsim.workloads import DIST_FAMILIES
 
     if args.table:
+        # The table is the fixed E12 sweep: single-workload flags would be
+        # silently meaningless, so reject them.
+        ignored = [
+            flag
+            for flag, value in (
+                ("a family name", args.family),
+                ("--n", args.n),
+                ("--p-set", args.p_set),
+                ("--q-set", args.q_set),
+                ("--census", args.census),
+                ("--set", args.assignments or None),
+            )
+            if value is not None
+        ]
+        if ignored:
+            raise SystemExit(
+                f"--table runs the fixed E12 sweep and does not accept {', '.join(ignored)}; "
+                "drop --table to run a single workload (--horizon, --threshold and "
+                "--seed work with both)"
+            )
         return _run_registered(
             "e12", horizon=args.horizon, threshold=args.threshold, seed=args.seed
         )
@@ -625,7 +647,11 @@ def _run_distsim(args: argparse.Namespace) -> List[str]:
         )
         return lines
 
-    params: Dict[str, Any] = {"schedule": args.family, "n": args.n, "seed": args.seed}
+    params: Dict[str, Any] = {
+        "schedule": args.family,
+        "n": args.n if args.n is not None else 3,
+        "seed": args.seed,
+    }
     for assignment in args.assignments:
         key, value = _parse_assignment(assignment)
         params[key] = value
@@ -635,7 +661,7 @@ def _run_distsim(args: argparse.Namespace) -> List[str]:
     timeline = run_timeline(generator, args.horizon)
 
     lines = [f"workload:  {generator.description}"]
-    census_length = min(args.census, len(timeline))
+    census_length = min(args.census if args.census is not None else 2_000, len(timeline))
     lines.append(
         _census_table(
             timeline.pids[:census_length], timeline.n, census_length, "reduced schedule census"

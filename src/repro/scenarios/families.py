@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
 
 from ..distsim.workloads import DIST_FAMILIES
@@ -46,6 +47,7 @@ from ..schedules.base import ScheduleGenerator, SynchronyGuarantee
 from ..schedules.figure1 import Figure1Generator
 from ..schedules.random_schedule import RandomGenerator
 from ..schedules.round_robin import RoundRobinGenerator
+from ..schedules.segments import Segments, rotation, uniform
 from ..schedules.set_timely import SetTimelyGenerator
 from ..types import ProcessId
 from .combinators import concat
@@ -134,6 +136,7 @@ class CrashRecoveryChurnGenerator(ScheduleGenerator):
 
     @classmethod
     def from_params(cls, params: dict) -> "CrashRecoveryChurnGenerator":
+        """Build from JSON-normalized scenario parameters (``n``, ``seed``, cycle shape, crashes)."""
         n = int(params["n"])
         return cls(
             n,
@@ -146,6 +149,7 @@ class CrashRecoveryChurnGenerator(ScheduleGenerator):
 
     @property
     def description(self) -> str:
+        """Provenance line: cycle shape, seed and crash pattern."""
         return (
             f"crash-recovery churn (period={self.period}, outage={self.outage}, "
             f"churn={self.churn}, seed={self.seed}, {self.crash_pattern.describe()})"
@@ -222,6 +226,7 @@ class AlternatingSynchronyGenerator(ScheduleGenerator):
 
     @classmethod
     def from_params(cls, params: dict) -> "AlternatingSynchronyGenerator":
+        """Build from JSON-normalized scenario parameters (``n``, ``seed``, epochs, crashes)."""
         n = int(params["n"])
         return cls(
             n,
@@ -234,6 +239,7 @@ class AlternatingSynchronyGenerator(ScheduleGenerator):
 
     @property
     def description(self) -> str:
+        """Provenance line: epoch lengths, growth, seed and crash pattern."""
         return (
             f"alternating synchrony (sync={self.sync_epoch}, async={self.async_epoch}, "
             f"growth={self.epoch_growth}, seed={self.seed}, {self.crash_pattern.describe()})"
@@ -263,39 +269,22 @@ class AlternatingSynchronyGenerator(ScheduleGenerator):
         )
 
     def _emit(self) -> Iterator[ProcessId]:
+        return chain.from_iterable(self._segments())
+
+    def _segments(self) -> Segments:
         rng = random.Random(self.seed)
-        is_crashed = self.crash_pattern.is_crashed
-        step_index = 0
+        everyone = range(1, self.n + 1)
+        empty = "alternating-epochs scenario has no alive process left"
+        step = 0
         epoch = 0
         while True:
             growth = epoch * self.epoch_growth
-            emitted = 0
-            target = self.sync_epoch + growth
-            while emitted < target:
-                progressed = False
-                for pid in range(1, self.n + 1):
-                    if is_crashed(pid, step_index):
-                        continue
-                    yield pid
-                    step_index += 1
-                    emitted += 1
-                    progressed = True
-                    if emitted >= target:
-                        break
-                if not progressed:
-                    raise ConfigurationError(
-                        "alternating-epochs scenario has no alive process left"
-                    )
-            for _ in range(self.async_epoch + growth):
-                alive = [
-                    pid for pid in range(1, self.n + 1) if not is_crashed(pid, step_index)
-                ]
-                if not alive:
-                    raise ConfigurationError(
-                        "alternating-epochs scenario has no alive process left"
-                    )
-                yield rng.choice(alive)
-                step_index += 1
+            step = yield from rotation(
+                self.crash_pattern, everyone, step, self.sync_epoch + growth, empty
+            )
+            step = yield from uniform(
+                self.crash_pattern, everyone, rng, step, self.async_epoch + growth, empty
+            )
             epoch += 1
 
 

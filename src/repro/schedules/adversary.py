@@ -26,12 +26,14 @@ the paper's own machinery failing to stabilize on them:
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Optional, Sequence
+from itertools import chain, repeat
+from typing import Iterator, Optional, Sequence
 
 from ..errors import ConfigurationError
 from ..runtime.crash import CrashPattern
 from ..types import ProcessId, ProcessSet, process_set
 from .base import ScheduleGenerator, SynchronyGuarantee
+from .segments import FOREVER, Segments, rotation, sweep, uniform
 
 
 class CarrierRotationAdversary(ScheduleGenerator):
@@ -41,6 +43,8 @@ class CarrierRotationAdversary(ScheduleGenerator):
     carrier set in id order) takes ``base_phase + m * phase_growth``
     consecutive steps; then every other alive process takes exactly one step
     (the *boundary block*), and the next phase starts with the next carrier.
+    A carrier that crashes mid-phase hands the rest of its phase to the next
+    alive carrier, which the boundary block then skips.
 
     Structural guarantees (all by construction):
 
@@ -89,6 +93,7 @@ class CarrierRotationAdversary(ScheduleGenerator):
 
     @property
     def description(self) -> str:
+        """Provenance line: carriers, phase lengths and crash pattern."""
         return (
             f"carrier-rotation adversary: carriers={sorted(self.carriers)}, "
             f"growing phases ({self.base_phase}+{self.phase_growth}m), "
@@ -112,31 +117,35 @@ class CarrierRotationAdversary(ScheduleGenerator):
         )
 
     def _emit(self) -> Iterator[ProcessId]:
+        return chain.from_iterable(self._segments())
+
+    def _segments(self) -> Segments:
         carriers = sorted(self.carriers)
-        everyone = list(range(1, self.n + 1))
-        step_index = 0
+        everyone = range(1, self.n + 1)
+        alive_span = self.crash_pattern.alive_span
+        step = 0
         phase = 0
         carrier_cursor = 0
         while True:
-            carrier = carriers[carrier_cursor % len(carriers)]
-            attempts = 0
-            while self.crash_pattern.is_crashed(carrier, step_index):
-                carrier_cursor += 1
-                attempts += 1
-                carrier = carriers[carrier_cursor % len(carriers)]
-                if attempts > len(carriers):
+            remaining = self.base_phase + phase * self.phase_growth
+            while remaining:
+                # The carrier steps until its crash step; a crashed carrier
+                # hands the rest of the phase to the next alive one.
+                for _ in carriers:
+                    alive, until = alive_span((carriers[carrier_cursor % len(carriers)],), step)
+                    if alive:
+                        break
+                    carrier_cursor += 1
+                else:
                     raise ConfigurationError("all carriers have crashed mid-schedule")
-            interior = self.base_phase + phase * self.phase_growth
-            for _ in range(interior):
-                yield carrier
-                step_index += 1
-            for pid in everyone:
-                if pid == carrier:
-                    continue
-                if self.crash_pattern.is_crashed(pid, step_index):
-                    continue
-                yield pid
-                step_index += 1
+                carrier = alive[0]
+                count = min(remaining, until - step)
+                yield repeat(carrier, count)
+                step += count
+                remaining -= count
+            step = yield from sweep(
+                self.crash_pattern, [pid for pid in everyone if pid != carrier], step
+            )
             phase += 1
             carrier_cursor += 1
 
@@ -177,6 +186,7 @@ class EventuallySynchronousGenerator(ScheduleGenerator):
 
     @property
     def description(self) -> str:
+        """Provenance line: chaos length, seed and crash pattern."""
         return (
             f"eventually synchronous (chaotic for {self.chaos_steps} steps, seed={self.seed}, "
             f"{self.crash_pattern.describe()})"
@@ -200,25 +210,22 @@ class EventuallySynchronousGenerator(ScheduleGenerator):
         )
 
     def _emit(self) -> Iterator[ProcessId]:
-        rng = random.Random(self.seed)
-        step_index = 0
-        while step_index < self.chaos_steps:
-            alive = [
-                pid
-                for pid in range(1, self.n + 1)
-                if not self.crash_pattern.is_crashed(pid, step_index)
-            ]
-            if not alive:
-                raise ConfigurationError("all processes crashed during the chaotic prefix")
-            yield rng.choice(alive)
-            step_index += 1
-        while True:
-            progressed = False
-            for pid in range(1, self.n + 1):
-                if self.crash_pattern.is_crashed(pid, step_index):
-                    continue
-                yield pid
-                step_index += 1
-                progressed = True
-            if not progressed:
-                raise ConfigurationError("all processes crashed; nothing left to schedule")
+        return chain.from_iterable(self._segments())
+
+    def _segments(self) -> Segments:
+        everyone = range(1, self.n + 1)
+        step = yield from uniform(
+            self.crash_pattern,
+            everyone,
+            random.Random(self.seed),
+            0,
+            self.chaos_steps,
+            "all processes crashed during the chaotic prefix",
+        )
+        yield from rotation(
+            self.crash_pattern,
+            everyone,
+            step,
+            FOREVER,
+            "all processes crashed; nothing left to schedule",
+        )

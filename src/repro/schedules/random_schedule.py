@@ -10,12 +10,17 @@ and by experiments that need "arbitrary" schedules of the asynchronous system.
 from __future__ import annotations
 
 import random
+from itertools import chain
 from typing import Dict, Iterator, Mapping, Optional
 
 from ..errors import ConfigurationError
 from ..runtime.crash import CrashPattern
 from ..types import ProcessId
 from .base import ScheduleGenerator
+from .segments import Segments
+
+#: Draws per segment while no crash step is ahead (``choices`` draws eagerly).
+_CHUNK = 1024
 
 
 class RandomGenerator(ScheduleGenerator):
@@ -72,24 +77,27 @@ class RandomGenerator(ScheduleGenerator):
 
     @property
     def description(self) -> str:
+        """Provenance line: the seed."""
         return f"seeded random schedule (seed={self.seed})"
 
     def _emit(self) -> Iterator[ProcessId]:
+        return chain.from_iterable(self._segments())
+
+    def _segments(self) -> Segments:
+        # ``choices(alive, weights, k=m)`` makes the same ``random()`` calls
+        # as ``m`` calls with ``k=1``, so one call per segment keeps the
+        # per-step stream.
         rng = random.Random(self.seed)
-        step_index = 0
+        schedulable = [pid for pid in range(1, self.n + 1) if self.weights[pid] > 0]
+        step = 0
         while True:
-            alive = [
-                pid
-                for pid in range(1, self.n + 1)
-                if not self.crash_pattern.is_crashed(pid, step_index)
-                and self.weights[pid] > 0
-            ]
+            alive, until = self.crash_pattern.alive_span(schedulable, step)
             if not alive:
                 raise ConfigurationError(
                     "random generator has no schedulable process left "
                     "(all crashed or zero-weighted)"
                 )
             weights = [self.weights[pid] for pid in alive]
-            pid = rng.choices(alive, weights=weights, k=1)[0]
-            yield pid
-            step_index += 1
+            count = min(until - step, _CHUNK)
+            yield rng.choices(alive, weights=weights, k=count)
+            step += count

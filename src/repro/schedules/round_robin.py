@@ -8,12 +8,14 @@ convergence experiments and as a building block of other generators.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 from ..errors import ConfigurationError
 from ..runtime.crash import CrashPattern
 from ..types import ProcessId
 from .base import ScheduleGenerator, SynchronyGuarantee
+from .segments import FOREVER, rotation
 
 
 class RoundRobinGenerator(ScheduleGenerator):
@@ -59,6 +61,7 @@ class RoundRobinGenerator(ScheduleGenerator):
 
     @property
     def description(self) -> str:
+        """Provenance line: the rotation order."""
         return f"round-robin over {list(self.order)}"
 
     def guarantee(self) -> Optional[SynchronyGuarantee]:
@@ -78,17 +81,13 @@ class RoundRobinGenerator(ScheduleGenerator):
         )
 
     def _emit(self) -> Iterator[ProcessId]:
-        step_index = 0
-        while True:
-            emitted_this_cycle = False
-            for pid in self.order:
-                if self.crash_pattern.is_crashed(pid, step_index):
-                    continue
-                yield pid
-                step_index += 1
-                emitted_this_cycle = True
-            if not emitted_this_cycle:
-                raise ConfigurationError(
-                    "round-robin generator has no alive process left to schedule; "
-                    "crash pattern kills every process in the rotation"
-                )
+        return chain.from_iterable(
+            rotation(
+                self.crash_pattern,
+                self.order,
+                0,
+                FOREVER,
+                "round-robin generator has no alive process left to schedule; "
+                "crash pattern kills every process in the rotation",
+            )
+        )

@@ -286,8 +286,20 @@ class TestOneOverrideRule:
         assert [line for line in enqueue_lines if line.startswith("note:")] == campaign_notes
         builder = inspect.signature(EXPERIMENT_REGISTRY[name].build).parameters
         takes = flag[2:] in builder or (flag == "--horizon" and "horizons" in builder)
-        assert bool(campaign_notes) != takes
         assert (campaign_keys == default_keys) != takes
+        if takes:
+            assert campaign_notes == []
+        else:
+            # A lone --seed on an entry with a seed axis points to --seeds.
+            why = {
+                "--horizon": "it has no step horizon",
+                "--seed": "its seeds are an axis: use --seeds"
+                if "seeds" in builder
+                else "seeds are fixed by the artifact",
+                "--k": "its degree is fixed by the artifact",
+                "--seeds": "it has no seed axis",
+            }[flag]
+            assert campaign_notes == [f"note: {flag} has no effect on campaign {name!r} ({why})"]
 
 
 class TestSearchCommand:

@@ -3,6 +3,8 @@
 from types import MappingProxyType
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.spec import CampaignSpec, RunSpec, canonical_json, content_key
@@ -53,6 +55,24 @@ class TestCanonicalJson:
         )
 
 
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=4)
+)
+_VALUES = st.recursive(
+    _SCALARS
+    | st.frozensets(st.integers(), max_size=4)
+    | st.sets(st.text(max_size=3), max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.one_of(st.integers(), st.text(max_size=3)), inner, max_size=3),
+    max_leaves=12,
+)
+#: Run parameters: top-level names (some ints) that stay distinct as strings.
+_PARAMS = st.dictionaries(
+    st.one_of(st.text(max_size=5), st.integers()), _VALUES, max_size=5
+).filter(lambda params: len({str(key) for key in params}) == len(params))
+
+
 class TestGridExpansion:
     def test_explicit_runs_in_order(self):
         spec = CampaignSpec(name="x", kind="k", runs=[{"a": 1}, {"a": 2}])
@@ -94,6 +114,11 @@ class TestGridExpansion:
     def test_runspec_key_stable(self):
         spec = RunSpec.create("k", {"n": 3, "xs": (2, 1)})
         assert spec.key() == RunSpec.create("k", {"xs": [2, 1], "n": 3}).key()
+
+    @given(kind=st.text(max_size=6), params=_PARAMS)
+    def test_runspec_key_is_the_content_key(self, kind, params):
+        # RunSpec.create normalizes once; key() serializes that as it is.
+        assert RunSpec.create(kind, params).key() == content_key(kind, params)
 
 
 class TestResultCache:

@@ -138,6 +138,25 @@ class TestCli:
         assert "sticky / pareto α=1.1" in text
         assert "round-robin / constant" in text
 
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (["--n", "5", "--p-set", "1", "--census", "10"], "--n, --p-set, --census"),
+            (
+                ["dist-heavy-tail", "--q-set", "3", "--set", "latency=uniform"],
+                "a family name, --q-set, --set",
+            ),
+        ],
+    )
+    def test_table_rejects_single_workload_flags(self, repro_cli, extra, named):
+        result = repro_cli("distsim", "--table", "--horizon", "400", *extra)
+        assert "Traceback" not in result.stderr
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1, result.stderr
+        assert lines[0].startswith(f"--table runs the fixed E12 sweep and does not accept {named};")
+        assert result.stdout == ""
+        assert result.returncode == 1
+
     def test_campaign_e12(self):
         lines = run(["campaign", "e12", "--horizon", "800"])
         text = "\n".join(lines)

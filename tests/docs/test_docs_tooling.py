@@ -95,11 +95,34 @@ def test_schedule_formalism_and_generator_base_docstring_coverage():
     )
 
 
+def test_schedule_families_docstring_coverage():
+    # Same gate CI runs: the segment-emitting schedule families and their
+    # segment helpers must stay fully documented.
+    schedules = REPO_ROOT / "src" / "repro" / "schedules"
+    _assert_fully_documented(
+        [
+            schedules / "round_robin.py",
+            schedules / "adversary.py",
+            schedules / "random_schedule.py",
+            schedules / "segments.py",
+            REPO_ROOT / "src" / "repro" / "scenarios" / "families.py",
+        ]
+    )
+
+
 def test_schedule_module_doctests_pass():
     import repro.core.schedule as schedule_module
 
     results = doctest.testmod(schedule_module, verbose=False)
     assert results.attempted >= 1, f"{schedule_module.__name__} lost its examples"
+    assert results.failed == 0
+
+
+def test_crash_pattern_doctests_pass():
+    import repro.runtime.crash as crash_module
+
+    results = doctest.testmod(crash_module, verbose=False)
+    assert results.attempted >= 1, f"{crash_module.__name__} lost its examples"
     assert results.failed == 0
 
 

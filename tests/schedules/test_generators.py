@@ -1,12 +1,8 @@
 """Tests for the schedule generators and their structural guarantees."""
 
 import hashlib
-import random
-from itertools import islice
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.timeliness import analyze_timeliness
 from repro.errors import ConfigurationError
@@ -125,163 +121,9 @@ class TestSetTimelyGenerator:
             SetTimelyGenerator(n=4, p_set={1}, q_set={2, 4}, burst_set={4}, burst_base=10)
 
 
-def _reference_set_timely_emit(self):
-    """The set-timely stream with the full filler-attempt loop after every carrier step.
-
-    A copy of ``SetTimelyGenerator._emit`` from before the loop stopped
-    drawing once every filler had crashed (``self`` is the generator whose
-    parameters it reads), with the same mid-phase crash handling: a carrier
-    that has crashed is replaced before each carrier step, and a burst stops
-    at its process's crash step.  The generated test below pins the current
-    generator byte-identical to it.
-    """
-    rng = random.Random(self.seed)
-    rng_random = rng.random
-    getrandbits = rng.getrandbits
-    crash_pattern = self.crash_pattern
-    is_crashed = crash_pattern.is_crashed
-    static_dead = crash_pattern.faulty if crash_pattern.is_static else None
-    carriers = sorted(self.p_set)
-    fillers = sorted(frozenset(range(1, self.n + 1)) - self.p_set)
-    n_fillers = len(fillers)
-    filler_bits = n_fillers.bit_length()
-    filler_budget = self.bound - 1
-    guard_limit = 4 * n_fillers + 8
-    filler_cursor = 0
-    step_index = 0
-    phase = 0
-    carrier_index = 0
-
-    while True:
-        carrier = carriers[carrier_index % len(carriers)]
-        remaining = self._phase_length(phase)
-        while remaining > 0:
-            attempts = 0
-            while is_crashed(carrier, step_index):
-                carrier_index += 1
-                attempts += 1
-                carrier = carriers[carrier_index % len(carriers)]
-                if attempts > len(carriers):
-                    raise ConfigurationError(
-                        "all members of P have crashed; cannot maintain the guarantee"
-                    )
-            yield carrier
-            step_index += 1
-            remaining -= 1
-            emitted = 0
-            guard = 0
-            while emitted < filler_budget and n_fillers:
-                guard += 1
-                if guard > guard_limit:
-                    break
-                if rng_random() < 0.5:
-                    draw = getrandbits(filler_bits)
-                    while draw >= n_fillers:
-                        draw = getrandbits(filler_bits)
-                    candidate = fillers[draw]
-                else:
-                    candidate = fillers[filler_cursor % n_fillers]
-                    filler_cursor += 1
-                if (
-                    candidate in static_dead
-                    if static_dead is not None
-                    else is_crashed(candidate, step_index)
-                ):
-                    continue
-                yield candidate
-                step_index += 1
-                emitted += 1
-        if self.burst_set:
-            burst_length = self.burst_base + phase * self.burst_growth
-            for burst_pid in sorted(self.burst_set):
-                for _ in range(burst_length):
-                    if is_crashed(burst_pid, step_index):
-                        break
-                    yield burst_pid
-                    step_index += 1
-        phase += 1
-        carrier_index += 1
-
-
-@st.composite
-def set_timely_configs(draw):
-    """Constructor arguments for SetTimelyGenerator, invalid ones included.
-
-    Crash patterns are failure-free, static (crashed from step 0), dynamic,
-    or crash every filler (every process outside ``P``) at static or
-    dynamic steps, the case where the generator stops drawing fillers.
-    """
-    n = draw(st.integers(2, 8))
-    pids = st.integers(1, n)
-    p_set = draw(st.sets(pids, min_size=1, max_size=n))
-    q_set = draw(st.sets(pids, min_size=1, max_size=n))
-    fillers = sorted(set(range(1, n + 1)) - p_set)
-    crash_steps = st.integers(0, 300)
-    shape = draw(st.sampled_from(["none", "static", "dynamic", "fillers-gone"]))
-    if shape == "static":
-        crash = CrashPattern.initial_crashes(n, draw(st.sets(pids, max_size=n)))
-    elif shape == "dynamic":
-        crash = CrashPattern.crashes_at(
-            n, draw(st.dictionaries(pids, crash_steps, max_size=n))
-        )
-    elif shape == "fillers-gone":
-        at = {pid: draw(st.sampled_from([0, draw(crash_steps)])) for pid in fillers}
-        at.update(draw(st.dictionaries(st.sampled_from(sorted(p_set)), crash_steps, max_size=1)))
-        crash = CrashPattern.crashes_at(n, at)
-    else:
-        crash = None
-    burst_pool = sorted(set(fillers) - q_set)
-    burst_set = draw(st.sets(st.sampled_from(burst_pool), max_size=2)) if burst_pool else set()
-    return {
-        "n": n,
-        "p_set": p_set,
-        "q_set": q_set,
-        "bound": draw(st.integers(2, 6)),
-        "seed": draw(st.integers(0, 2**32 - 1)),
-        "crash_pattern": crash,
-        "base_phase": draw(st.integers(1, 6)),
-        "phase_growth": draw(st.integers(1, 4)),
-        "burst_set": burst_set,
-        "burst_base": draw(st.integers(0, 20)),
-        "burst_growth": draw(st.integers(0, 10)),
-    }
-
-
-def _steps_or_error(produce):
-    try:
-        return list(produce())
-    except ConfigurationError:
-        return ConfigurationError
-
-
 class TestSetTimelyStreamEquivalence:
-    @settings(max_examples=200)
-    @given(config=set_timely_configs(), length=st.integers(0, 800))
-    def test_stream_matches_full_attempt_loop(self, config, length):
-        expected = _steps_or_error(
-            lambda: islice(_reference_set_timely_emit(SetTimelyGenerator(**config)), length)
-        )
-        compiled = _steps_or_error(lambda: SetTimelyGenerator(**config).compile(length).steps)
-        streamed = _steps_or_error(lambda: islice(SetTimelyGenerator(**config).stream(), length))
-        assert compiled == expected
-        assert streamed == expected
-
-    @settings(max_examples=200)
-    @given(config=set_timely_configs(), length=st.integers(0, 800))
-    def test_no_step_at_or_after_crash(self, config, length):
-        try:
-            generator = SetTimelyGenerator(**config)
-            steps = generator.compile(length).steps
-        except ConfigurationError:
-            return
-        crash_steps = generator.crash_pattern.crash_steps
-        late = [
-            (index, pid)
-            for index, pid in enumerate(steps)
-            if pid in crash_steps and index >= crash_steps[pid]
-        ]
-        assert late == []
-
+    # The generated stream-vs-oracle and no-step-after-crash checks live in
+    # tests/conformance/test_family_conformance.py.
     def test_mid_phase_carrier_crash_rotates(self):
         # Process 1 carries the first phase and crashes at step 3; the
         # rest of the phase goes to process 2.
