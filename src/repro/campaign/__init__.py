@@ -46,9 +46,7 @@ from .runner import (
     available_kinds,
     build_generator,
     compiled_schedule_for,
-    compiled_schedules_disabled,
     execute_spec,
-    prebinding_disabled,
     register_kind,
     schedule_signature,
 )
@@ -56,8 +54,6 @@ from .runner import (
 __all__ = [
     "build_generator",
     "compiled_schedule_for",
-    "compiled_schedules_disabled",
-    "prebinding_disabled",
     "schedule_signature",
     "CampaignEngine",
     "CampaignResult",

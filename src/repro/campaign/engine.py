@@ -42,23 +42,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from contextlib import nullcontext
-
 from ..errors import CampaignError, ConfigurationError
 from .cache import ResultCache
 from .records import RunRecord, record_columns, write_jsonl
-from .runner import (
-    compiled_schedules_disabled,
-    compiled_schedules_enabled,
-    execute_spec,
-    schedule_signature,
-)
+from .runner import execute_spec, schedule_signature
 from .spec import CampaignSpec, RunSpec
 
 
-def _execute_chunk(
-    chunk: List[RunSpec], compile_schedules: bool = True
-) -> List[Tuple[Dict[str, Any], float]]:
+def _execute_chunk(chunk: List[RunSpec]) -> List[Tuple[Dict[str, Any], float]]:
     """Worker-side entry point: execute a chunk of unique runs in order.
 
     Returns ``(payload, elapsed_seconds)`` per run, with the wall time
@@ -66,24 +57,18 @@ def _execute_chunk(
     observes when a chunk's *result* arrives, which says nothing about how
     long any individual run took.
 
-    ``compile_schedules`` is the parent's compiled-schedule toggle, snapshot
-    at dispatch time — pool workers are forked once and would otherwise never
-    see a later :func:`~repro.campaign.runner.compiled_schedules_disabled`
-    context in the parent.
-
     The cyclic GC is paused for the duration of the chunk — runs allocate heavily
     but create no reference cycles worth collecting mid-run.
     """
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        with nullcontext() if compile_schedules else compiled_schedules_disabled():
-            results: List[Tuple[Dict[str, Any], float]] = []
-            for spec in chunk:
-                started = time.perf_counter()
-                payload = execute_spec(spec)
-                results.append((payload, time.perf_counter() - started))
-            return results
+        results: List[Tuple[Dict[str, Any], float]] = []
+        for spec in chunk:
+            started = time.perf_counter()
+            payload = execute_spec(spec)
+            results.append((payload, time.perf_counter() - started))
+        return results
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -347,7 +332,6 @@ class CampaignEngine:
         remaining: List[List[Tuple[str, RunSpec]]] = [
             ordered[start : start + chunk_size] for start in range(0, len(ordered), chunk_size)
         ]
-        compile_schedules = compiled_schedules_enabled()
         pool_breaks = 0
         while remaining:
             pool = self._ensure_pool()
@@ -355,9 +339,7 @@ class CampaignEngine:
             last_break: Optional[BaseException] = None
             try:
                 futures = {
-                    pool.submit(
-                        _execute_chunk, [spec for _, spec in chunk], compile_schedules
-                    ): chunk
+                    pool.submit(_execute_chunk, [spec for _, spec in chunk]): chunk
                     for chunk in remaining
                 }
                 for future in as_completed(futures):

@@ -15,6 +15,8 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Union
 
+from ..errors import ConfigurationError
+
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -122,11 +124,21 @@ def write_jsonl(
 
 
 def read_jsonl(path: Union[str, Path]) -> List[RunRecord]:
-    """Read a JSON-lines record file back, skipping blank lines."""
+    """Read a JSON-lines record file back, skipping blank lines.
+
+    A line that is not a run record raises :class:`ConfigurationError`
+    naming the file and the line's 1-based number.
+    """
     records: List[RunRecord] = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(RunRecord.from_json_line(line))
+    with Path(path).open("rb") as handle:
+        for number, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if line:
+                    records.append(RunRecord.from_json_line(line))
+            except (KeyError, TypeError, ValueError) as error:
+                reason = f"missing field {error}" if isinstance(error, KeyError) else error
+                raise ConfigurationError(
+                    f"{path}, line {number}: not a run record ({reason})"
+                ) from error
     return records

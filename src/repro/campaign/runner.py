@@ -31,20 +31,15 @@ scenario, flat-buffer replays per replica) and operation pre-binding (the
 simulators they build invoke every automaton's
 :meth:`~repro.runtime.automaton.ProcessAutomaton.prebind` hook, so detector
 and agreement steps dispatch slot-bound ops against the register arena).
-Each layer has an A/B switch for benchmarks and equivalence tests:
-:func:`compiled_schedules_disabled` here, and the re-exported
-:func:`~repro.runtime.simulator.prebinding_disabled` for the binding layer.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Tuple
 
 from ..core.schedule import CompiledSchedule
 from ..errors import ConfigurationError
-from ..runtime.simulator import prebinding_disabled
 from ..failure_detectors.anti_omega import (
     constant_timeout_policy,
     doubling_timeout_policy,
@@ -129,8 +124,6 @@ __all__ = [
     "execute_spec",
     "schedule_signature",
     "compiled_schedule_for",
-    "compiled_schedules_disabled",
-    "prebinding_disabled",
 ]
 
 
@@ -172,7 +165,6 @@ _EXPERIMENT_KEYS = frozenset(
 #: once per process.  Entries are read-only: mutated recipes copy the steps.
 _COMPILED_MEMO: "OrderedDict[Tuple[str, int], CompiledSchedule]" = OrderedDict()
 _COMPILED_MEMO_LIMIT = 16
-_COMPILE_ENABLED = True
 
 
 def schedule_signature(params: Mapping[str, Any]) -> str:
@@ -187,35 +179,8 @@ def schedule_signature(params: Mapping[str, Any]) -> str:
     )
 
 
-def compiled_schedules_enabled() -> bool:
-    """Whether run kinds currently compile their schedules (see the toggle below)."""
-    return _COMPILE_ENABLED
-
-
-@contextmanager
-def compiled_schedules_disabled() -> Iterator[None]:
-    """Run kinds over live generator streams instead of compiled buffers.
-
-    Used by the benchmark trajectory (to measure exactly what compilation
-    buys) and by the equivalence tests (to pin that batched and per-run
-    execution produce byte-identical records).  The engine snapshots the flag
-    at dispatch time and forwards it into its worker processes
-    (:func:`~repro.campaign.engine._execute_chunk`), so the toggle also
-    governs pooled runs whose workers were forked earlier.
-    """
-    global _COMPILE_ENABLED
-    previous = _COMPILE_ENABLED
-    _COMPILE_ENABLED = False
-    try:
-        yield
-    finally:
-        _COMPILE_ENABLED = previous
-
-
-def compiled_schedule_for(params: Mapping[str, Any], horizon: int) -> Optional[CompiledSchedule]:
-    """The memoized compiled buffer for ``params``' scenario, or ``None`` when disabled."""
-    if not _COMPILE_ENABLED:
-        return None
+def compiled_schedule_for(params: Mapping[str, Any], horizon: int) -> CompiledSchedule:
+    """The memoized compiled buffer for ``params``' scenario at ``horizon`` steps."""
     key = (schedule_signature(params), int(horizon))
     compiled = _COMPILED_MEMO.get(key)
     if compiled is not None:
@@ -258,7 +223,7 @@ def _detector_report(params: Dict[str, Any]):
         fast=True,
         schedule=compiled,
     )
-    return generator, compiled, report
+    return compiled, report
 
 
 def _detector_payload(report) -> Dict[str, Any]:
@@ -279,7 +244,7 @@ def _detector_payload(report) -> Dict[str, Any]:
 
 def run_detector_kind(params: Dict[str, Any]) -> Dict[str, Any]:
     """Kind ``detector``: run k-anti-Ω on the scenario and report stabilization."""
-    _, _, report = _detector_report(params)
+    _, report = _detector_report(params)
     return _detector_payload(report)
 
 
@@ -291,7 +256,7 @@ def run_separation_probe_kind(params: Dict[str, Any]) -> Dict[str, Any]:
     """
     from ..analysis.timeliness_matrix import timely_sets_of_size
 
-    generator, compiled, report = _detector_report(params)
+    compiled, report = _detector_report(params)
     payload = _detector_payload(report)
     prefix_length = int(params.get("prefix_length", 20_000))
     count_size = int(params.get("count_size", params["k"]))
@@ -299,7 +264,7 @@ def run_separation_probe_kind(params: Dict[str, Any]) -> Dict[str, Any]:
     length = min(int(params["horizon"]), prefix_length)
     # The compiled buffer is the same step stream the generator would emit,
     # so the probe prefix can be sliced out instead of regenerated.
-    prefix = compiled.prefix(length) if compiled is not None else generator.generate(length)
+    prefix = compiled.prefix(length)
     payload["timely_count"] = len(timely_sets_of_size(prefix, count_size, bound=count_bound))
     return payload
 

@@ -77,7 +77,6 @@ EXPERIMENTS = {
     "campaign": "run a named campaign through the parallel campaign engine",
     "queue": "durable crash-safe campaign queue: enqueue, work, status, drain",
     "report": "re-aggregate a campaign's JSON-lines record file into a table",
-    "bench": "run the pinned perf benchmarks and write the BENCH_*.json trajectory",
 }
 
 #: The EXPERIMENTS.md section each other subcommand regenerates (``--help``
@@ -93,7 +92,6 @@ EXPERIMENTS_MD_SECTIONS = {
     "campaign": "E1–E4, E10, A1–A2 (campaign forms) and 'Campaign engine speedup'",
     "queue": "Durable queue — crash-safe campaigns",
     "report": "Campaign engine speedup (JSON-lines record aggregation)",
-    "bench": "Performance trajectory",
 }
 
 
@@ -419,44 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("--jsonl", type=str, required=True, help="record file to aggregate")
 
-    bench = subparsers.add_parser("bench", help=EXPERIMENTS["bench"], epilog=_epilog("bench"))
-    bench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small horizons / fewer repeats (what CI runs on every push)",
-    )
-    bench.add_argument(
-        "--out",
-        type=str,
-        default=".",
-        help="directory the BENCH_*.json files are written to (default: cwd)",
-    )
-    bench.add_argument(
-        "--check",
-        type=str,
-        nargs="?",
-        const=".",
-        default=None,
-        metavar="BASELINE_DIR",
-        help="compare headline speedup ratios against the committed baseline "
-        "in BASELINE_DIR (default '.'); exit non-zero on a >25%% regression",
-    )
-    bench.add_argument(
-        "--markdown",
-        action="store_true",
-        help="print the EXPERIMENTS.md performance tables instead of a summary "
-        "(re-renders the committed trajectory in --out without re-measuring)",
-    )
-    bench.add_argument(
-        "--workload",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="re-measure only this kernel workload (repeatable; e.g. floor, "
-        "fresh-ops, bound-ops). Skips the campaign suite and writes no "
-        "trajectory files — an interactive filter, not a baseline refresh",
-    )
-
     return parser
 
 
@@ -751,7 +711,7 @@ def _run_search(args: argparse.Namespace) -> List[str]:
 
     chosen_property = args.property or "k-anti-omega-convergence"
     if chosen_property not in available_properties():
-        raise SystemExit(
+        raise ConfigurationError(
             f"unknown property {chosen_property!r}; registered: {available_properties()}"
         )
 
@@ -923,81 +883,6 @@ def _run_campaign_with_engine(
     return [ascii_table(headers, rows, title=entry.title), *notes, tail]
 
 
-def _run_bench(args: argparse.Namespace) -> List[str]:
-    from .bench import (
-        bench_kernel,
-        compare_trajectories,
-        load_trajectory,
-        performance_markdown,
-        write_trajectory,
-    )
-
-    if args.markdown:
-        if args.workload:
-            raise SystemExit("--workload re-measures; it cannot render --markdown")
-        kernel_doc, campaign_doc = load_trajectory(args.out)
-        return [performance_markdown(kernel_doc, campaign_doc)]
-
-    if args.workload:
-        # Single-workload re-measurement: kernel suite only, nothing written —
-        # the committed baseline stays a full-suite artifact.
-        if args.check is not None:
-            raise SystemExit(
-                "--workload measures a partial suite; run a full `repro bench "
-                "--check` for the regression gate"
-            )
-        kernel_doc = bench_kernel(smoke=args.smoke, workloads=args.workload)
-        lines = [
-            f"kernel workload re-measurement ({'smoke' if args.smoke else 'full'} mode):"
-        ]
-        for name, cases in kernel_doc["workloads"].items():
-            lines.append(f"  workload {name}:")
-            for case_name, case in cases.items():
-                if case_name == "headline":
-                    continue
-                lines.append(
-                    f"    {case_name:<22} {case['ns_per_step']:>8} ns/step "
-                    f"({case['speedup_vs_instrumented']}x vs. instrumented)"
-                )
-            lines.append(
-                f"    headline (batched vs. per-run fast): "
-                f"{cases['headline']['batched_vs_fast_stream']}x"
-            )
-        return lines
-
-    # Load the baseline before measuring: with --out and --check both
-    # pointing at the repo root, writing first would overwrite the committed
-    # baseline and turn the regression check into a self-comparison.
-    baseline = load_trajectory(args.check) if args.check is not None else None
-    kernel_doc, campaign_doc, paths = write_trajectory(args.out, smoke=args.smoke)
-    lines = [
-        f"benchmark trajectory ({'smoke' if args.smoke else 'full'} mode):",
-        *(f"  wrote {path}" for path in paths),
-        f"  kernel headline   (floor: bare batched vs. per-run fast):     "
-        f"{kernel_doc['headline']['batched_vs_fast_stream']}x",
-        f"  kernel headline   (fresh-ops: bare batched vs. per-run fast): "
-        f"{kernel_doc['headline']['fresh_ops_batched_vs_fast_stream']}x",
-    ]
-    lines.extend(
-        [
-            f"  campaign headline (batched vs. streamed engine):              "
-            f"{campaign_doc['headline']['batched_vs_stream']}x",
-            f"  campaign payloads identical across paths:                     "
-            f"{campaign_doc['payloads_identical']}",
-        ]
-    )
-    if baseline is not None:
-        failures = compare_trajectories(kernel_doc, campaign_doc, *baseline)
-        if failures:
-            for failure in failures:
-                lines.append(f"  REGRESSION: {failure}")
-            for line in lines:
-                print(line)
-            raise SystemExit(1)
-        lines.append(f"  regression check against {args.check}: ok")
-    return lines
-
-
 def _run_report(jsonl: str) -> List[str]:
     try:
         records = read_jsonl(jsonl)
@@ -1075,7 +960,7 @@ def _run_solve(t: int, k: int, n: int, seed: int, max_steps: int) -> List[str]:
 def run(argv: Optional[Sequence[str]] = None) -> List[str]:
     """Execute the CLI and return the lines it would print (also used by tests).
 
-    Configuration mistakes (an unknown workload name,
+    Configuration mistakes (an unknown family or property name,
     an unreadable records file, ...) propagate as
     :class:`~repro.errors.ConfigurationError`, so programmatic callers can
     catch them; the console entry point (:func:`main`) converts them into a
@@ -1115,8 +1000,6 @@ def _dispatch(args: argparse.Namespace) -> List[str]:
         return _run_queue(args)
     if args.command == "report":
         return _run_report(args.jsonl)
-    if args.command == "bench":
-        return _run_bench(args)
     raise SystemExit(f"unknown command {args.command!r}")
 
 
@@ -1124,7 +1007,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Console entry point.
 
     Library-level :class:`~repro.errors.ConfigurationError` (an unknown
-    workload name, an unreadable records file, ...)
+    family or property name, an unreadable records file, ...)
     becomes a clean one-line ``SystemExit`` listing the valid choices, not an
     uncaught traceback.
     """

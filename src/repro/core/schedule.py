@@ -475,9 +475,9 @@ class CompiledSchedule:
     the generator chain is run to materialize its first ``len(steps)`` steps
     into an ``array('i')``, after which any number of replicas can iterate the
     raw buffer at C speed.  The execution kernel recognizes this type directly
-    (:func:`repro.runtime.kernel.normalize_source`), and
-    :func:`repro.runtime.kernel.execute_batch` drives whole replica batches
-    over one shared buffer.
+    (:func:`repro.runtime.kernel.normalize_source`), and a run over the whole
+    buffer iterates the array itself in the kernel's bare loop, crediting
+    per-process step counts from :meth:`step_counts`.
 
     ``crash_steps`` carries the producing generator's crash pattern as a plain
     ``pid -> step`` mapping (the step index from which the process takes no

@@ -6,7 +6,7 @@ Each family is a builder from JSON-normalized parameters to a
 reduced timeline of a :class:`~repro.distsim.engine.DistConfig`.  Because the
 adapter speaks the generator protocol (``generate``/``compile``/``stream``,
 crash pattern in step indices), every existing consumer — campaigns, the
-batched kernel, the search screen lanes, `repro scenarios` — runs
+execution kernel, the search screen, `repro scenarios` — runs
 dist workloads unchanged.  ``compile(L)`` advances a fresh engine by exactly
 ``L`` activations in one call and takes its pid array as the buffer; the
 step stream advances it in chunks of :data:`~repro.distsim.engine.ADVANCE_CHUNK`.

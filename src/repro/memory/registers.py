@@ -10,7 +10,7 @@ provides the register file used by the simulator:
   (struct-of-arrays).  Execution engines address registers by slot —
   ``values[slot]`` instead of a tuple-keyed dict probe — which is what makes
   pre-bound operations (:meth:`repro.runtime.automaton.ReadOp.bind`) cheap to
-  dispatch and keeps batched replicas on aligned value columns.
+  dispatch.
 * :class:`Register` — one atomic multi-reader register, optionally restricted
   to a single writer (the paper's algorithms only ever use single-writer
   registers such as ``Heartbeat[p]`` and ``Counter[A, p]``, and single-writer

@@ -21,8 +21,6 @@ from .kernel import (
     INSTRUMENTED,
     ON_PUBLISH,
     ExecutionPolicy,
-    align_replica_arenas,
-    execute_batch,
     trace_sampling,
 )
 from .simulator import (
@@ -40,8 +38,6 @@ __all__ = [
     "INSTRUMENTED",
     "ON_PUBLISH",
     "ExecutionPolicy",
-    "align_replica_arenas",
-    "execute_batch",
     "trace_sampling",
     "ObserverEntry",
     "BoundReadOp",

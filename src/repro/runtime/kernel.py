@@ -13,21 +13,17 @@ privates.  This module replaces both bodies with a single loop,
   per-key :attr:`~repro.runtime.automaton.ProcessAutomaton.output_versions`);
 * whether the executed trace is recorded, and at which stride.
 
-Two specializations keep campaign-scale replica sweeps fast without forking
-the semantics:
-
-* :func:`_execute_bare` — when a run records no trace, has no stop
-  condition and attaches no observers or only ``"on_publish"`` ones under a
-  publication-gated policy (the campaign configurations), :func:`execute`
-  selects a tighter loop up front instead of paying dead per-step branches.
-  The bare loop executes exactly the same steps with the same externally
-  observable effects (outputs, halting, register operation counts,
-  per-process step counts, tracker change lists); it only skips work whose
-  results nobody asked for.
-* :func:`execute_batch` — drives a batch of independent replicas over one
-  shared schedule source (ideally a
-  :class:`~repro.core.schedule.CompiledSchedule`, whose flat ``array('i')``
-  buffer is normalized once and iterated per replica at C speed).
+One specialization keeps campaign-scale runs fast without forking the
+semantics: when a run records no trace, has no stop condition and attaches
+no observers or only ``"on_publish"`` ones under a publication-gated policy
+(the campaign configurations), :func:`execute` selects a tighter loop,
+:func:`_execute_bare`, up front instead of paying dead per-step branches.
+The bare loop executes exactly the same steps with the same externally
+observable effects (outputs, halting, register operation counts,
+per-process step counts, tracker change lists); it only skips work whose
+results nobody asked for.  Over a whole
+:class:`~repro.core.schedule.CompiledSchedule` it iterates the flat
+``array('i')`` buffer at C speed with the buffer's cached step counts.
 
 The kernel enforces observer *capabilities*: an observer that needs to see
 every step (capability ``"every_step"``) may only run under an every-step
@@ -98,7 +94,6 @@ from .automaton import (
     BoundReadOp,
     BoundWriteOp,
     ReadOp,
-    RegisterName,
     WriteOp,
     is_collect_operation,
     is_read_operation,
@@ -787,122 +782,3 @@ def _execute_bare(
         outputs={pid: dict(state.automaton.outputs) for pid, state in states.items()},
     )
 
-
-def _materialize_for_batch(
-    n: int, schedule: "ScheduleSource", max_steps: Optional[int]
-) -> CompiledSchedule:
-    """Turn any schedule source into a shared, re-iterable compiled buffer.
-
-    Batch execution drives every replica over the *same* steps, so one-shot
-    iterables must be materialized exactly once.  Budget semantics mirror
-    :func:`normalize_source`.
-    """
-    _check_max_steps(max_steps)
-    if isinstance(schedule, (CompiledSchedule, Schedule, InfiniteSchedule)):
-        if schedule.n != n:
-            raise SimulationError(
-                f"schedule over Π{schedule.n} cannot drive a simulator over Π{n}"
-            )
-        if isinstance(schedule, CompiledSchedule):
-            return schedule
-        if isinstance(schedule, Schedule):
-            return CompiledSchedule(n=n, steps=schedule.steps, description="materialized")
-        if max_steps is None:
-            raise SimulationError("an unbounded schedule needs an explicit max_steps")
-        return CompiledSchedule(
-            n=n,
-            steps=islice(schedule.iter_steps(), max_steps),
-            crash_steps={pid: 0 for pid in schedule.faulty},
-            description=schedule.description,
-        )
-    steps = iter(schedule)
-    if max_steps is not None:
-        steps = islice(steps, max_steps)
-    return CompiledSchedule(n=n, steps=steps, description="materialized")
-
-
-def align_replica_arenas(
-    simulators: Sequence["Simulator"],
-) -> Optional[Dict[RegisterName, int]]:
-    """Lay replica register state out as value columns over one shared slot map.
-
-    The canonical slot order is the longest replica's interning order.  When
-    every replica's order is a prefix of it — true by construction for
-    identically built replicas, the campaign and benchmark case — the missing
-    tail names are interned into the shorter replicas (with each file's own
-    declared defaults), after which slot ``i`` names the same register in
-    every replica and ``[sim.registers.arena_view().values for sim in
-    simulators]`` is a set of aligned per-replica value columns over one
-    logical slot map.  Identically built replicas executing the same schedule
-    also *stay* aligned, because they intern lazily created registers in the
-    same order.
-
-    Returns the shared ``name → slot`` map when the replicas align.  When
-    pre-existing interning orders diverge, alignment is impossible without
-    renumbering live slots (which bound ops forbid), so the function returns
-    ``None`` and leaves every arena untouched — per-replica dispatch stays
-    correct regardless, and no replica's register namespace is polluted with
-    another algorithm's names.
-    """
-    sims = list(simulators)
-    if not sims:
-        return None
-    arenas = [sim.registers.arena_view() for sim in sims]
-    canonical = max(arenas, key=len)
-    canonical_names = canonical.names
-    for arena in arenas:
-        if arena is not canonical and arena.names != canonical_names[: len(arena)]:
-            return None
-    for sim, arena in zip(sims, arenas):
-        if arena is canonical or len(arena) == len(canonical_names):
-            continue
-        resolve_slot = sim.registers.resolve_slot
-        for name in canonical_names[len(arena):]:
-            resolve_slot(name)
-    return dict(canonical.slots)
-
-
-def execute_batch(
-    simulators: Sequence["Simulator"],
-    schedule: "ScheduleSource",
-    max_steps: Optional[int] = None,
-    policy: ExecutionPolicy = FAST,
-) -> List["RunResult"]:
-    """Drive a batch of independent replicas over one shared schedule source.
-
-    All replicas must live over the same ``Πn``.  The source is normalized
-    once (non-re-iterable sources are materialized into a shared
-    :class:`~repro.core.schedule.CompiledSchedule` buffer) and the replicas'
-    register arenas are slot-aligned (:func:`align_replica_arenas`), then each
-    replica is executed to the same step budget under ``policy``: the bare
-    counted loop when the policy collects no trace and samples its observers
-    (if any) only on publication, the general loop otherwise.  Results come
-    back in replica order and are identical to ``[execute(sim, schedule,
-    max_steps, None, policy) for sim in simulators]``.
-    """
-    sims = list(simulators)
-    if not sims:
-        return []
-    n = sims[0].n
-    for sim in sims[1:]:
-        if sim.n != n:
-            raise SimulationError(
-                f"execute_batch needs replicas over one Πn, got n={n} and n={sim.n}"
-            )
-    align_replica_arenas(sims)
-    compiled = _materialize_for_batch(n, schedule, max_steps)
-    steps = compiled.steps
-    budget = len(steps) if max_steps is None else min(max_steps, len(steps))
-    whole_buffer = budget == len(steps)
-    counts = compiled.step_counts() if whole_buffer else None
-    results: List["RunResult"] = []
-    for sim in sims:
-        entries = sim.observer_entries()
-        check_observer_capabilities(policy, entries)
-        if not _runs_bare(policy, entries):
-            results.append(_execute_general(sim, iter(steps), budget, None, policy, entries))
-        elif whole_buffer:
-            results.append(_execute_bare(sim, steps, counts, entries))
-        else:
-            results.append(_execute_bare(sim, islice(iter(steps), budget), None, entries))
-    return results

@@ -72,9 +72,8 @@ def prebinding_disabled() -> Iterator[None]:
     :meth:`~repro.runtime.automaton.ProcessAutomaton.prebind` calls it would
     normally make, so automata yield name-addressed ops and the kernel takes
     the interning-dict path on every register access.  Used by the
-    equivalence tests (to pin that slot-bound and name-addressed dispatch are
-    byte-identical) and available to campaigns as an A/B switch, mirroring
-    :func:`repro.campaign.runner.compiled_schedules_disabled`.
+    equivalence tests to pin that slot-bound and name-addressed dispatch are
+    byte-identical.
     """
     global _PREBIND_ENABLED
     previous = _PREBIND_ENABLED

@@ -48,7 +48,6 @@ from ..campaign import runner
 from ..campaign.spec import canonical_json
 from ..core.schedule import CompiledSchedule
 from ..errors import ConfigurationError
-from ..scenarios.spec import build_generator
 
 #: The mutation operations :func:`apply_mutation` understands.
 MUTATION_OPS = ("burst", "silence", "swap", "rotate", "stutter", "crash")
@@ -252,8 +251,6 @@ def realize(recipe: Mapping[str, Any]) -> CompiledSchedule:
     horizon = int(recipe["horizon"])
     # Looked up through the module so a patched or traced memo is honoured.
     compiled = runner.compiled_schedule_for(base_params, horizon)
-    if compiled is None:  # the memo is switched off: compile directly
-        compiled = build_generator(base_params).compile(horizon)
     mutations = list(recipe.get("mutations", ()))
     if not mutations:
         return compiled

@@ -310,7 +310,9 @@ class TestSearchCommand:
             assert name in output
 
     def test_unknown_property_rejected(self):
-        with pytest.raises(SystemExit):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="unknown property 'no-such-claim'"):
             run(["search", "--property", "no-such-claim", "--smoke"])
 
     def test_smoke_search_reports_no_in_model_violations(self):
@@ -470,21 +472,110 @@ class TestOneLineErrors:
             run_detector_kind(params)
 
 
-class TestBenchCommand:
-    def test_unknown_workload_exits_cleanly_listing_choices(self):
-        # The console entry point turns the library's ConfigurationError into
-        # a one-line SystemExit naming every valid workload, not a traceback.
+#: One bad value per subcommand: (argv, how ``run`` rejects it).  ``config``
+#: is a library ConfigurationError that ``main`` prints as one ``repro: ...``
+#: line; ``usage`` is argparse's own exit (status 2, one ``error:`` line after
+#: the usage text), for commands that take no value a library could reject.
+BAD_ARGUMENTS = {
+    "list": (["list", "--bogus"], "usage"),
+    "figure1": (["figure1", "--blocks", "-1"], "config"),
+    "detector": (["detector", "--horizon", "0"], "config"),
+    "agreement": (["agreement", "--horizon", "-3"], "config"),
+    "separation": (["separation", "--k", "1"], "config"),
+    "ablation-accusation": (["ablation-accusation", "--horizon", "0"], "usage"),
+    "ablation-timeout": (["ablation-timeout", "--horizon", "0"], "config"),
+    "map": (["map", "--t", "5", "--k", "2", "--n", "4"], "config"),
+    "separations": (["separations", "--bogus"], "usage"),
+    "scenarios": (["scenarios", "no-such-family"], "config"),
+    "solve": (["solve", "--t", "2", "--k", "2", "--n", "4", "--max-steps", "0"], "config"),
+    "search": (["search", "--property", "nope"], "config"),
+    "distsim": (["distsim", "no-such-family"], "config"),
+    "campaign": (["campaign", "e2", "--horizon", "0"], "config"),
+    "queue enqueue": (["queue", "enqueue", "e2", "--db", "{db}", "--horizon", "0"], "config"),
+    "queue work": (["queue", "work", "--db", "{db}"], "config"),
+    "queue status": (["queue", "status", "--db", "{db}"], "config"),
+    "queue drain": (["queue", "drain", "--db", "{db}"], "config"),
+    "report": (["report", "--jsonl", "{not_json}"], "config"),
+    "report (record without index)": (["report", "--jsonl", "{no_index}"], "config"),
+}
+
+
+def _subcommand_names():
+    """Every subcommand of ``build_parser()``, ``queue`` subcommands included."""
+    import argparse
+
+    def choices(parser):
+        return next(
+            action.choices
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+
+    names = set()
+    for name, subparser in choices(build_parser()).items():
+        if name == "queue":
+            names.update(f"queue {sub}" for sub in choices(subparser))
+        else:
+            names.add(name)
+    return names
+
+
+class TestBadArguments:
+    """Every subcommand rejects a bad value with one error line, never a traceback."""
+
+    @pytest.fixture
+    def bad_argv(self, tmp_path):
+        not_json = tmp_path / "hostname"
+        not_json.write_text("not-a-record\n")
+        no_index = tmp_path / "no-index.jsonl"
+        no_index.write_text('{"a":1}\n')
+        paths = {"db": tmp_path / "absent.db", "not_json": not_json, "no_index": no_index}
+
+        def expand(case):
+            argv, how = BAD_ARGUMENTS[case]
+            return [part.format(**paths) for part in argv], how
+
+        return expand
+
+    def test_every_subcommand_has_a_case(self):
+        assert _subcommand_names() == {case.split(" (")[0] for case in BAD_ARGUMENTS}
+
+    @pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+    def test_main_exits_with_one_line(self, case, bad_argv, capsys):
         from repro.cli import main
 
+        argv, how = bad_argv(case)
         with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "--workload", "nope"])
-        message = str(excinfo.value)
-        assert "unknown workload" in message
-        for name in ("floor", "fresh-ops", "bound-ops"):
-            assert name in message
+            main(argv)
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr
+        if how == "config":
+            message = str(excinfo.value)
+            assert message.startswith("repro: ") and "\n" not in message, message
+            assert stderr == ""
+        else:
+            assert excinfo.value.code == 2
+            errors = [line for line in stderr.splitlines() if ": error: " in line]
+            assert errors == stderr.strip().splitlines()[-1:], stderr
 
-    def test_run_still_raises_configuration_error_for_library_callers(self):
+    @pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+    def test_run_raises_configuration_error_or_usage_exit(self, case, bad_argv):
         from repro.errors import ConfigurationError
 
-        with pytest.raises(ConfigurationError):
-            run(["bench", "--workload", "nope"])
+        argv, how = bad_argv(case)
+        if how == "config":
+            with pytest.raises(ConfigurationError):
+                run(argv)
+        else:
+            with pytest.raises(SystemExit) as excinfo:
+                run(argv)
+            assert excinfo.value.code == 2
+
+    def test_malformed_record_file_names_the_file_and_line(self, tmp_path):
+        from repro.errors import ConfigurationError
+
+        path = tmp_path / "runs.jsonl"
+        record = '{"index": 0, "key": "k", "kind": "x", "params": {}, "payload": {}}'
+        path.write_text(f"\n{record}\n{{\"a\":1}}\n")
+        with pytest.raises(ConfigurationError, match=r"runs\.jsonl, line 3: .*'index'"):
+            run(["report", "--jsonl", str(path)])

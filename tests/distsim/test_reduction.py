@@ -7,8 +7,9 @@ The contract under test: for every distsim workload, compiling through the
 buffers — same steps, same crash metadata, same ``Πn``, same description.
 Prefixes and faulty hints follow the exact conventions of every other
 schedule generator, and the compiled buffers replay identically through
-``execute`` and ``execute_batch`` — for idle replicas and for the paper's
-k-anti-Ω automaton, whose outputs depend on every step's interleaving.
+``execute`` — under the instrumented policy and through the bare loop, for
+idle replicas and for the paper's k-anti-Ω automaton, whose outputs depend on
+every step's interleaving.
 
 The sweep size is environment-switched: the default (tier-1) run keeps a
 representative smoke subset; ``REPRO_DISTSIM_FULL=1`` (the CI ``tests-distsim``
@@ -29,7 +30,7 @@ from repro.failure_detectors.anti_omega import (
 )
 from repro.memory.registers import RegisterFile
 from repro.runtime.automaton import IdleAutomaton
-from repro.runtime.kernel import FAST, execute, execute_batch
+from repro.runtime.kernel import FAST, execute
 from repro.runtime.simulator import Simulator
 from repro.scenarios.spec import build_generator
 
@@ -177,27 +178,27 @@ class TestReplay:
         assert views[0] == views[1]
 
     @pytest.mark.parametrize("params", REPLAY_COMBOS, ids=_combo_id)
-    def test_execute_batch_reference_backend(self, params):
+    def test_bare_loop_matches_across_compilation_paths(self, params):
         length = 250
-        compiled = compile_timeline(run_timeline(build_generator(params), length))
-        replicas = [_idle_replica(compiled.n) for _ in range(3)]
-        results = execute_batch(replicas, compiled, policy=FAST)
-        solo = _idle_replica(compiled.n)
-        execute(solo, compiled, policy=FAST)
-        for sim in replicas:
-            assert _replica_view(sim) == _replica_view(solo)
-        assert {r.steps_executed for r in results} == {length}
-
-    @pytest.mark.parametrize("params", REPLAY_COMBOS, ids=_combo_id)
-    def test_execute_batch_anti_omega_replicas(self, params):
-        length = 250
-        compiled = compile_timeline(run_timeline(build_generator(params), length))
-        replicas = [_anti_omega_replica(compiled.n) for _ in range(2)]
-        results = execute_batch(replicas, compiled, policy=FAST)
-        solo = _anti_omega_replica(compiled.n)
-        expected = _anti_omega_view(solo, execute(solo, compiled, policy=FAST))
-        for sim, result in zip(replicas, results):
-            assert _anti_omega_view(sim, result) == expected
+        buffers = [
+            build_generator(params).compile(length),
+            compile_timeline(run_timeline(build_generator(params), length)),
+        ]
+        views = []
+        for compiled in buffers:
+            idle = _idle_replica(compiled.n)
+            idle_result = execute(idle, compiled, policy=FAST)
+            detector = _anti_omega_replica(compiled.n)
+            detector_result = execute(detector, compiled, policy=FAST)
+            views.append(
+                (
+                    _replica_view(idle),
+                    idle_result.steps_executed,
+                    _anti_omega_view(detector, detector_result),
+                )
+            )
+        assert views[0] == views[1]
+        assert views[0][1] == length
 
 
 class TestReductionEdges:

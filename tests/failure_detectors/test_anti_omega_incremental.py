@@ -31,7 +31,6 @@ from repro.failure_detectors.base import FD_OUTPUT, ITERATION, LEADER, WINNER_SE
 from repro.memory.registers import RegisterFile
 from repro.runtime.automaton import CollectOp, ProcessAutomaton, WriteOp
 from repro.runtime.composition import ComposedAutomaton
-from repro.runtime.kernel import execute_batch
 from repro.runtime.observers import OutputTracker
 from repro.runtime.simulator import Simulator
 from repro.scenarios.spec import build_generator
@@ -165,10 +164,6 @@ def _run_segmented(simulator, steps, cut):
         simulator.run_fast(list(steps[start:start + cut]))
 
 
-def _run_batched(simulator, steps, cut):
-    execute_batch([simulator], CompiledSchedule(n=simulator.n, steps=steps))
-
-
 def _run_instrumented(simulator, steps, cut):
     simulator.run(Schedule(steps=tuple(steps), n=simulator.n))
 
@@ -183,7 +178,6 @@ PATHS = {
     "bare": (_run_bare, False),
     "fast-list": (_run_fast_list, False),
     "segmented": (_run_segmented, False),
-    "batched": (_run_batched, False),
     "instrumented": (_run_instrumented, True),
     "stepwise": (_run_stepwise, True),
 }

@@ -3,9 +3,9 @@ the bound-vs-unbound / arena-vs-dict equivalence contract.
 
 The headline tests are the seeded randomized sweeps: 50+ random
 (scenario family, crash pattern, n, t, k, seed) combinations running the real
-Figure 2 detector three ways — name-addressed dispatch under the instrumented
-policy (the dict-path reference), slot-bound dispatch through the bare loop,
-and slot-bound dispatch through the batched loop — with outputs, halted sets,
+Figure 2 detector two ways — name-addressed dispatch under the instrumented
+policy (the dict-path reference) and slot-bound dispatch through the bare
+loop over the whole compiled buffer — with outputs, halted sets,
 step counts, register operation counts and tracker change sequences asserted
 identical.  That contract is what lets the simulator prebind automata
 unconditionally.
@@ -38,13 +38,7 @@ from repro.runtime.automaton import (
     validate_operation,
 )
 from repro.runtime.composition import ComposedAutomaton
-from repro.runtime.kernel import (
-    FAST,
-    FAST_TRACED,
-    INSTRUMENTED,
-    align_replica_arenas,
-    execute_batch,
-)
+from repro.runtime.kernel import FAST, FAST_TRACED, INSTRUMENTED
 from repro.runtime.observers import OutputTracker
 from repro.runtime.simulator import Simulator, build_simulator, prebinding_disabled
 from repro.scenarios.spec import build_generator
@@ -285,69 +279,14 @@ class TestBoundSingleWriterViolation:
         assert simulator.registers.peek(("owned", 1)) == (1, 2)
         assert simulator.registers.resolve(("owned", 1)).write_count == 2
 
-    def test_violation_in_batched_loop(self):
+    def test_violation_in_whole_buffer_bare_loop(self):
         from repro.core.schedule import CompiledSchedule
 
         simulator = self._simulator()
         with pytest.raises(RegisterError, match="owned by process 1"):
-            execute_batch([simulator], CompiledSchedule(n=2, steps=[1, 1, 2, 1]))
+            simulator.run_fast(CompiledSchedule(n=2, steps=[1, 1, 2, 1]))
         assert simulator.step_index == 2
         assert simulator.registers.peek(("owned", 1)) == (1, 2)
-
-
-# ----------------------------------------------------------------------
-# Batched replicas: aligned arenas over one shared slot map
-# ----------------------------------------------------------------------
-
-class TestAlignedReplicaArenas:
-    def _replicas(self, count):
-        def factory(pid):
-            return KAntiOmegaAutomaton(pid=pid, n=3, t=1, k=1)
-
-        replicas = []
-        for _ in range(count):
-            registers = RegisterFile()
-            KAntiOmegaAutomaton.declare_registers(registers, n=3, k=1)
-            replicas.append(build_simulator(3, factory, registers=registers))
-        return replicas
-
-    def test_identical_replicas_share_one_slot_map(self):
-        replicas = self._replicas(3)
-        shared = align_replica_arenas(replicas)
-        assert shared is not None
-        for simulator in replicas:
-            assert simulator.registers.arena_view().slots == shared
-
-    def test_alignment_survives_batched_execution(self):
-        replicas = self._replicas(3)
-        generator = build_generator({"schedule": "round-robin", "n": 3})
-        execute_batch(replicas, generator.compile(120))
-        maps = [dict(sim.registers.arena_view().slots) for sim in replicas]
-        assert maps[0] == maps[1] == maps[2]
-        # Identical replicas over one schedule produce identical value columns.
-        columns = [list(sim.registers.arena_view().values) for sim in replicas]
-        assert columns[0] == columns[1] == columns[2]
-
-    def test_prefix_replicas_are_completed_to_the_canonical_map(self):
-        # One replica ran ahead and lazily interned extra registers; the
-        # others get the tail interned (with their own defaults) and align.
-        ahead, behind = self._replicas(2)
-        ahead.registers.resolve(("extra", 1))
-        ahead.registers.resolve(("extra", 2))
-        shared = align_replica_arenas([ahead, behind])
-        assert shared is not None
-        assert behind.registers.exists(("extra", 2))
-        assert behind.registers.arena_view().slots == shared
-
-    def test_divergent_interning_orders_fail_without_polluting_arenas(self):
-        left, right = self._replicas(2)
-        left.registers.resolve(("only", "left"))
-        right.registers.resolve(("only", "right"))
-        # Divergent orders cannot be renumbered into one map, and neither
-        # replica's namespace is touched in the attempt.
-        assert align_replica_arenas([left, right]) is None
-        assert not left.registers.exists(("only", "right"))
-        assert not right.registers.exists(("only", "left"))
 
 
 # ----------------------------------------------------------------------
@@ -424,30 +363,14 @@ class TestBoundVersusDictEquivalenceSweep:
             # Reference: name-addressed dict dispatch, instrumented policy.
             dict_sim, dict_fd, dict_winner = _detector_simulator(n, t, k, prebind=False)
             reference = dict_sim.run(compiled)
-            # Slot-bound dispatch through the bare loop.
+            # Slot-bound dispatch through the bare loop over the whole buffer.
             bound_sim, bound_fd, bound_winner = _detector_simulator(n, t, k, prebind=True)
             bound = bound_sim.run_fast(compiled)
-            # Slot-bound dispatch through the batched loop (two replicas).
-            batch_sims = []
-            batch_trackers = []
-            for _ in range(2):
-                simulator, fd_tracker, winner_tracker = _detector_simulator(
-                    n, t, k, prebind=True
-                )
-                batch_sims.append(simulator)
-                batch_trackers.append((fd_tracker, winner_tracker))
-            batch_results = execute_batch(batch_sims, compiled)
 
             expected = _observable_state(dict_sim, reference, n)
             assert _observable_state(bound_sim, bound, n) == expected, context
             assert bound_fd.changes == dict_fd.changes, context
             assert bound_winner.changes == dict_winner.changes, context
-            for simulator, result, (fd_tracker, winner_tracker) in zip(
-                batch_sims, batch_results, batch_trackers
-            ):
-                assert _observable_state(simulator, result, n) == expected, context
-                assert fd_tracker.changes == dict_fd.changes, context
-                assert winner_tracker.changes == dict_winner.changes, context
             combos += 1
 
     def test_agreement_stack_agrees_bound_and_unbound(self):

@@ -38,7 +38,6 @@ from repro.runtime.automaton import (
     validate_operation,
 )
 from repro.runtime.composition import ComposedAutomaton
-from repro.runtime.kernel import execute_batch
 from repro.runtime.observers import OutputTracker
 from repro.runtime.simulator import Simulator, build_simulator, prebinding_disabled
 from repro.scenarios.spec import build_generator
@@ -93,17 +92,12 @@ def _run_stepwise(simulator, steps):
         simulator.step(pid)
 
 
-def _run_batched(simulator, steps):
-    execute_batch([simulator], CompiledSchedule(n=N, steps=steps))
-
-
 #: Executors that carry the trackers, and the observer-free bare loop.
 TRACKED = {
     "bare-tracked": _run_bare,
     "fast-list": _run_fast_list,
     "instrumented": _run_instrumented,
     "stepwise": _run_stepwise,
-    "batched": _run_batched,
 }
 
 

@@ -1,18 +1,19 @@
-"""Batched replica execution: the equivalence contract with the per-run path.
+"""Compiled-buffer replay: the equivalence contract with the live-stream path.
 
 The headline test is the seeded randomized sweep: 50+ random
 (scenario family, algorithm, n, seed) combinations, each executed through
-today's per-run fast path (one live generator stream per replica) and through
-:func:`~repro.runtime.kernel.execute_batch` over one shared compiled buffer,
-with outputs, step counts (total and per process), halted sets and register
-operation counts asserted identical.  That contract is what lets the campaign
-layer batch replicas freely.  A second sweep drives the prebound paper
+the per-run fast path over one live generator stream per replica
+(:meth:`~repro.runtime.simulator.Simulator.run_fast`) and through
+:func:`~repro.runtime.kernel.execute` over one shared
+:class:`~repro.core.schedule.CompiledSchedule` buffer (the whole-buffer bare
+loop with the buffer's cached step counts), with outputs, step counts (total
+and per process), halted sets and register operation counts asserted
+identical.  That contract is what lets the campaign layer compile a scenario
+once and replay it per replica.  A second sweep drives the prebound paper
 automata (k-anti-Ω under every registry accusation statistic and timeout
-policy, trivial k-set agreement) through ``execute_batch`` and one
-``execute`` per replica, and the edge cases — an empty batch, a batch of
-one and of several sizes, a zero-length schedule, a ``max_steps`` cap, a
-mid-run single-writer violation and a strict-mode step after halting —
-behave exactly as the per-replica loop.
+policy, trivial k-set agreement) the same two ways, and the edge cases — a
+zero-length schedule, a ``max_steps`` cap, a mid-run single-writer violation
+and a strict-mode step after halting — behave exactly as the stream path.
 """
 
 import random
@@ -21,7 +22,7 @@ import pytest
 
 from repro.agreement.kset import DECISION
 from repro.agreement.trivial import TrivialKSetAgreementAutomaton
-from repro.core.schedule import CompiledSchedule, InfiniteSchedule, Schedule
+from repro.core.schedule import CompiledSchedule, InfiniteSchedule
 from repro.errors import RegisterError, SimulationError
 from repro.failure_detectors.anti_omega import (
     KAntiOmegaAutomaton,
@@ -37,7 +38,7 @@ from repro.failure_detectors.anti_omega import (
 from repro.failure_detectors.base import FD_OUTPUT
 from repro.memory.registers import RegisterFile
 from repro.runtime.automaton import FunctionAutomaton, IdleAutomaton, ReadOp, WriteOp
-from repro.runtime.kernel import FAST, FAST_TRACED, INSTRUMENTED, execute, execute_batch
+from repro.runtime.kernel import FAST, FAST_TRACED, INSTRUMENTED, execute
 from repro.runtime.observers import OutputTracker
 from repro.runtime.simulator import Simulator, build_simulator
 from repro.scenarios.spec import build_generator
@@ -230,36 +231,36 @@ def _observable_state(simulator, result, n):
     )
 
 
-class TestRandomizedBatchEquivalence:
-    def test_fifty_random_combinations_agree_with_per_run_path(self):
+
+
+class TestRandomizedReplayEquivalence:
+    def test_fifty_random_combinations_agree_with_live_stream(self):
         rng = random.Random(20260730)
         combos = 0
         while combos < 54:
             params, horizon = _random_combination(rng)
             algorithm = rng.choice(sorted(ALGORITHMS))
             program = ALGORITHMS[algorithm]
-            generator = build_generator(params)
-            n = generator.n
+            n = build_generator(params).n
             compiled = build_generator(params).compile(horizon)
             replicas = 3
-            per_run = []
+            streamed = []
+            replayed = []
             for _ in range(replicas):
                 simulator, _ = _fresh(n, program)
                 result = simulator.run_fast(
                     build_generator(params).stream(), max_steps=horizon
                 )
-                per_run.append(_observable_state(simulator, result, n))
-            batch_sims = [_fresh(n, program)[0] for _ in range(replicas)]
-            batch_results = execute_batch(batch_sims, compiled)
-            batched = [
-                _observable_state(simulator, result, n)
-                for simulator, result in zip(batch_sims, batch_results)
-            ]
+                streamed.append(_observable_state(simulator, result, n))
+                # Every replica replays the same shared buffer.
+                simulator, _ = _fresh(n, program)
+                result = execute(simulator, compiled, policy=FAST)
+                replayed.append(_observable_state(simulator, result, n))
             context = f"combo {combos}: {algorithm} on {params!r} horizon={horizon}"
-            assert batched == per_run, context
+            assert replayed == streamed, context
             combos += 1
 
-    def test_batch_with_trackers_matches_per_run_tracker_changes(self):
+    def test_replay_with_trackers_matches_live_stream_tracker_changes(self):
         rng = random.Random(13579)
         for _ in range(10):
             params, horizon = _random_combination(rng)
@@ -269,19 +270,19 @@ class TestRandomizedBatchEquivalence:
             compiled = build_generator(params).compile(horizon)
             solo_sim, solo_tracker = _fresh(n, program, tracked=True)
             solo = solo_sim.run_fast(build_generator(params).stream(), max_steps=horizon)
-            batch_sim, batch_tracker = _fresh(n, program, tracked=True)
-            [batched] = execute_batch([batch_sim], compiled)
-            assert batched.outputs == solo.outputs
-            assert batch_tracker.changes == solo_tracker.changes
-            assert _observable_state(batch_sim, batched, n) == _observable_state(
+            replay_sim, replay_tracker = _fresh(n, program, tracked=True)
+            replayed = execute(replay_sim, compiled, policy=FAST)
+            assert replayed.outputs == solo.outputs
+            assert replay_tracker.changes == solo_tracker.changes
+            assert _observable_state(replay_sim, replayed, n) == _observable_state(
                 solo_sim, solo, n
             )
 
 
-class TestPaperAutomataBatchEquivalence:
+class TestPaperAutomataReplayEquivalence:
     @pytest.mark.parametrize("combo", range(24))
-    def test_batch_matches_per_replica_execute(self, combo):
-        """The prebound paper automata: one batch equals one execute() each.
+    def test_replay_matches_live_stream(self, combo):
+        """The prebound paper automata: a compiled replay equals a live stream.
 
         Alternates k-anti-Ω (cycling every registry statistic and policy) and
         trivial k-set agreement over the seeded scenario mix, with trackers,
@@ -299,24 +300,21 @@ class TestPaperAutomataBatchEquivalence:
         policy = FAST_TRACED if combo % 6 == 4 else FAST
         max_steps = horizon // 2 if combo % 4 == 1 else None
         compiled = build_generator(params).compile(horizon)
-        solo = [_paper_replica(kind, n, combo, tracked) for _ in range(3)]
-        solo_results = [
-            execute(sim, compiled, max_steps=max_steps, policy=policy)
-            for sim, _ in solo
-        ]
-        batch = [_paper_replica(kind, n, combo, tracked) for _ in range(3)]
-        batch_results = execute_batch(
-            [sim for sim, _ in batch], compiled, max_steps=max_steps, policy=policy
-        )
         context = f"combo {combo}: {kind} on {params!r} horizon={horizon}"
-        for (ss, st), (bs, bt), sr, br in zip(
-            solo, batch, solo_results, batch_results
-        ):
-            assert _full_state(bs, br) == _full_state(ss, sr), context
+        for _ in range(3):
+            ss, st = _paper_replica(kind, n, combo, tracked)
+            sr = ss.run_fast(
+                build_generator(params).stream(),
+                max_steps=horizon if max_steps is None else max_steps,
+                collect_trace=policy.collect_trace,
+            )
+            rs, rt = _paper_replica(kind, n, combo, tracked)
+            rr = execute(rs, compiled, max_steps=max_steps, policy=policy)
+            assert _full_state(rs, rr) == _full_state(ss, sr), context
             if tracked:
-                assert bt.changes == st.changes, context
+                assert rt.changes == st.changes, context
             if policy.collect_trace:
-                assert bs.trace().steps == ss.trace().steps, context
+                assert rs.trace().steps == ss.trace().steps, context
 
 
 EDGE_ALGORITHMS = ["token", "anti-omega", "trivial"]
@@ -344,93 +342,53 @@ def _edge_case(algorithm):
     )
 
 
-def _assert_batch_matches_execute(build, compiled, replicas, max_steps=None):
-    """Batch ``replicas`` fresh replicas; each must equal a solo execute()."""
-    sims = [build() for _ in range(replicas)]
-    results = execute_batch(sims, compiled, max_steps=max_steps)
-    solo = build()
-    expected = _full_state(
-        solo, execute(solo, compiled, max_steps=max_steps, policy=FAST)
-    )
-    assert [_full_state(s, r) for s, r in zip(sims, results)] == [expected] * replicas
-    return results
+def _assert_replay_matches_stream(build, compiled, max_steps=None):
+    """A replay of ``compiled`` must equal a run over its steps as a live stream."""
+    replay = build()
+    result = execute(replay, compiled, max_steps=max_steps, policy=FAST)
+    stream = build()
+    expected = stream.run_fast(iter(list(compiled.steps)), max_steps=max_steps)
+    assert _full_state(replay, result) == _full_state(stream, expected)
+    return result
 
 
-class TestExecuteBatchSources:
-    def _sims(self, count, n=2, program=_token_program):
-        return [_fresh(n, program)[0] for _ in range(count)]
-
-    @pytest.mark.parametrize("source", ["compiled", "schedule", "one-shot"])
-    def test_empty_batch_is_a_noop(self, source):
-        steps = iter([1, 2])
-        schedule = {
-            "compiled": CompiledSchedule(n=2, steps=[1, 2]),
-            "schedule": Schedule(steps=(1, 2), n=2),
-            "one-shot": steps,
-        }[source]
-        assert execute_batch([], schedule) == []
-        # Nothing is materialized for an empty batch: a one-shot source is
-        # left unconsumed.
-        assert next(steps) == 1
-
-    def test_mismatched_universes_rejected(self):
-        sims = [self._sims(1, n=2)[0], self._sims(1, n=3)[0]]
-        with pytest.raises(SimulationError, match="one Πn"):
-            execute_batch(sims, CompiledSchedule(n=2, steps=[1, 2]))
+class TestCompiledReplaySources:
+    def _sim(self, n=2, program=_token_program):
+        return _fresh(n, program)[0]
 
     def test_compiled_schedule_over_wrong_universe_rejected(self):
-        # Same contract as execute(): a buffer compiled for Π3 cannot drive
-        # Π2 replicas, even if its steps happen to stay within range.
+        # A buffer compiled for Π3 cannot drive a Π2 replica, even if its
+        # steps happen to stay within range.
         with pytest.raises(SimulationError, match="Π3"):
-            execute_batch(self._sims(2, n=2), CompiledSchedule(n=3, steps=[1, 2]))
-
-    def test_finite_schedule_source_is_shared_across_replicas(self):
-        schedule = Schedule(steps=(1, 2, 1, 2, 1), n=2)
-        sims = self._sims(3)
-        results = execute_batch(sims, schedule)
-        assert [r.steps_executed for r in results] == [5, 5, 5]
-        assert all(r.outputs == results[0].outputs for r in results)
-
-    def test_one_shot_iterable_is_materialized_once_for_all_replicas(self):
-        sims = self._sims(3)
-        results = execute_batch(sims, iter([1, 2, 1, 1, 2, 2]))
-        assert [r.steps_executed for r in results] == [6, 6, 6]
-        assert [sim.steps_taken(1) for sim in sims] == [3, 3, 3]
+            execute(self._sim(n=2), CompiledSchedule(n=3, steps=[1, 2]), policy=FAST)
 
     def test_infinite_schedule_requires_max_steps(self):
         infinite = InfiniteSchedule(n=2, step_fn=lambda index: 1 + index % 2)
         with pytest.raises(SimulationError, match="max_steps"):
-            execute_batch(self._sims(2), infinite)
-        results = execute_batch(self._sims(2), infinite, max_steps=10)
-        assert [r.steps_executed for r in results] == [10, 10]
+            execute(self._sim(), infinite, policy=FAST)
+        result = execute(self._sim(), infinite, max_steps=10, policy=FAST)
+        assert result.steps_executed == 10
 
     @pytest.mark.parametrize("algorithm", EDGE_ALGORITHMS)
     def test_max_steps_caps_compiled_buffer(self, algorithm):
         compiled, build = _edge_case(algorithm)
-        results = _assert_batch_matches_execute(build, compiled, 2, max_steps=7)
-        assert [r.steps_executed for r in results] == [7, 7]
+        result = _assert_replay_matches_stream(build, compiled, max_steps=7)
+        assert result.steps_executed == 7
 
     @pytest.mark.parametrize("algorithm", EDGE_ALGORITHMS)
     def test_zero_length_schedule_runs_no_steps(self, algorithm):
         compiled, build = _edge_case(algorithm)
         empty = CompiledSchedule(n=compiled.n, steps=[])
-        results = _assert_batch_matches_execute(build, empty, 2)
-        assert [r.steps_executed for r in results] == [0, 0]
+        result = _assert_replay_matches_stream(build, empty)
+        assert result.steps_executed == 0
 
     @pytest.mark.parametrize("algorithm", EDGE_ALGORITHMS)
-    def test_batch_of_one(self, algorithm):
+    def test_whole_buffer_replay(self, algorithm):
         compiled, build = _edge_case(algorithm)
-        [result] = _assert_batch_matches_execute(build, compiled, 1)
+        result = _assert_replay_matches_stream(build, compiled)
         assert result.steps_executed == len(compiled.steps)
 
-    @pytest.mark.parametrize("replicas", [2, 3, 7, 16])
-    def test_batch_size_leaves_every_replica_identical(self, replicas):
-        compiled = CompiledSchedule(n=4, steps=[2, 1, 4, 3] * 40)
-        _assert_batch_matches_execute(
-            lambda: _anti_omega_replica(4, 2, 2)[0], compiled, replicas
-        )
-
-    def test_single_writer_violation_raises_like_execute(self):
+    def test_single_writer_violation_raises_like_live_stream(self):
         def build():
             registers = RegisterFile()
             # Pid 2's scratch register is owned by pid 1: the third write by
@@ -440,21 +398,21 @@ class TestExecuteBatchSources:
             return Simulator(n=3, automata=automata, registers=registers)
 
         compiled = CompiledSchedule(n=3, steps=[1, 3, 1, 2, 1])
-        solo, batched = build(), build()
-        with pytest.raises(RegisterError) as solo_error:
-            execute(solo, compiled, policy=FAST)
-        with pytest.raises(RegisterError) as batch_error:
-            execute_batch([batched], compiled)
-        assert str(batch_error.value) == str(solo_error.value)
-        assert "owned by process 1" in str(batch_error.value)
-        assert batched.registers.total_writes() == solo.registers.total_writes()
+        stream, replay = build(), build()
+        with pytest.raises(RegisterError) as stream_error:
+            stream.run_fast(iter([1, 3, 1, 2, 1]))
+        with pytest.raises(RegisterError) as replay_error:
+            execute(replay, compiled, policy=FAST)
+        assert str(replay_error.value) == str(stream_error.value)
+        assert "owned by process 1" in str(replay_error.value)
+        assert replay.registers.total_writes() == stream.registers.total_writes()
 
-    def test_strict_step_after_halt_raises_like_execute(self):
+    def test_strict_step_after_halt_raises_like_live_stream(self):
         compiled = CompiledSchedule(n=3, steps=[1, 2, 3] * 100)
         messages = []
         for run in (
+            lambda sim: sim.run_fast(iter([1, 2, 3] * 100)),
             lambda sim: execute(sim, compiled, policy=FAST),
-            lambda sim: execute_batch([sim], compiled),
         ):
             with pytest.raises(SimulationError) as excinfo:
                 run(_trivial_replica(3, 1, 2, base=0, strict=True)[0])
@@ -462,21 +420,16 @@ class TestExecuteBatchSources:
         assert messages[0] == messages[1]
         assert "was scheduled after its program returned" in messages[0]
 
-    def test_non_positive_max_steps_rejected(self):
-        with pytest.raises(SimulationError, match="positive step budget"):
-            execute_batch(self._sims(1), CompiledSchedule(n=2, steps=[1, 2]), max_steps=0)
-
-    def test_instrumented_policy_collects_traces_per_replica(self):
+    def test_instrumented_policy_collects_the_trace(self):
         compiled = CompiledSchedule(n=2, steps=[1, 2, 1])
-        sims = self._sims(2)
-        results = execute_batch(sims, compiled, policy=INSTRUMENTED)
-        for sim, result in zip(sims, results):
-            assert result.executed_schedule.steps == (1, 2, 1)
-            assert sim.trace().steps == (1, 2, 1)
+        sim = self._sim()
+        result = execute(sim, compiled, policy=INSTRUMENTED)
+        assert result.executed_schedule.steps == (1, 2, 1)
+        assert sim.trace().steps == (1, 2, 1)
 
     def test_traced_policy_with_tracker_rides_the_general_loop(self):
         compiled = CompiledSchedule(n=2, steps=[1, 2] * 20)
         simulator, tracker = _fresh(2, _token_program, tracked=True)
-        [result] = execute_batch([simulator], compiled, policy=FAST_TRACED)
+        result = execute(simulator, compiled, policy=FAST_TRACED)
         assert result.executed_schedule.steps == (1, 2) * 20
         assert tracker.changes  # publications were sampled

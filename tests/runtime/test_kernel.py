@@ -22,7 +22,6 @@ from repro.runtime.kernel import (
     INSTRUMENTED,
     ON_PUBLISH,
     ExecutionPolicy,
-    execute_batch,
     trace_sampling,
 )
 from repro.runtime.observers import OutputTracker
@@ -227,13 +226,13 @@ class TestSingleWriterViolationInHotLoop:
         assert simulator.registers.peek(("owned", 1)) == (1, 2)
         assert simulator.registers.resolve(("owned", 1)).write_count == 2
 
-    def test_violation_in_batched_full_buffer_loop(self):
+    def test_violation_in_whole_buffer_bare_loop(self):
         from repro.core.schedule import CompiledSchedule
 
         compiled = CompiledSchedule(n=2, steps=[1, 1, 2, 1])
         healthy = self._violating_simulator(tracked=False)
         with pytest.raises(RegisterError, match="owned by process 1"):
-            execute_batch([healthy], compiled)
+            healthy.run_fast(compiled)
         assert healthy.step_index == 2
         assert healthy.steps_taken(1) == 2 and healthy.steps_taken(2) == 0
         assert healthy.registers.peek(("owned", 1)) == (1, 2)

@@ -17,7 +17,7 @@ from repro.failure_detectors.anti_omega import KAntiOmegaAutomaton
 from repro.failure_detectors.base import FD_OUTPUT, WINNER_SET
 from repro.runtime.automaton import FunctionAutomaton, ReadOp, WriteOp
 from repro.runtime.composition import ComposedAutomaton
-from repro.runtime.kernel import ON_PUBLISH, execute_batch, trace_sampling
+from repro.runtime.kernel import ON_PUBLISH, trace_sampling
 from repro.runtime.observers import OutputTracker
 from repro.runtime.simulator import Simulator
 from repro.scenarios.spec import build_generator
@@ -40,10 +40,6 @@ def _segmented(simulator, steps):
         simulator.run_fast(list(steps[start:start + 37]))
 
 
-def _batched(simulator, steps):
-    execute_batch([simulator], CompiledSchedule(n=simulator.n, steps=steps))
-
-
 def _general_on_publish(simulator, steps):
     # A traced publication-gated policy runs the general loop.
     simulator.run_with_policy(list(steps), trace_sampling(3))
@@ -54,7 +50,6 @@ GATED = {
     "bare": _bare,
     "fast-list": _fast_list,
     "segmented": _segmented,
-    "batched": _batched,
     "general": _general_on_publish,
 }
 

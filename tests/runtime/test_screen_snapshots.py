@@ -18,12 +18,12 @@ from array import array
 
 import pytest
 
-import test_batch
+import test_compiled_replay
 from repro.core.schedule import CompiledSchedule
 from repro.errors import ConfigurationError
 from repro.failure_detectors.base import FD_OUTPUT, WINNER_SET
 from repro.runtime import vector_backend
-from repro.runtime.kernel import execute_batch
+from repro.runtime.kernel import FAST, execute
 from repro.runtime.observers import OutputTracker
 from repro.runtime.vector_backend import (
     UnsupportedLowering,
@@ -31,10 +31,10 @@ from repro.runtime.vector_backend import (
 )
 from repro.search.properties import tracker_snapshots
 
-STATISTICS = test_batch.STATISTICS
-POLICIES = test_batch.POLICIES
-PAPER_STATISTIC = test_batch.paper_accusation_statistic
-PAPER_POLICY = test_batch.paper_timeout_policy
+STATISTICS = test_compiled_replay.STATISTICS
+POLICIES = test_compiled_replay.POLICIES
+PAPER_STATISTIC = test_compiled_replay.paper_accusation_statistic
+PAPER_POLICY = test_compiled_replay.paper_timeout_policy
 KEYS = (FD_OUTPUT, WINNER_SET)
 
 
@@ -75,7 +75,7 @@ def _generation(seed, n, lengths=LENGTHS):
 
 
 def _replica(n, t, k, statistic=PAPER_STATISTIC, policy=PAPER_POLICY):
-    return test_batch._anti_omega_replica(n, t, k, statistic, policy)[0]
+    return test_compiled_replay._anti_omega_replica(n, t, k, statistic, policy)[0]
 
 
 def _tracked_snapshots(replica, compiled, checkpoints, keys):
@@ -157,7 +157,7 @@ class TestKernelMatchesReferenceSnapshots:
         for index in range(1, checkpoints + 1):
             bound = (length * index) // checkpoints
             solo = _replica(n, t, k)
-            execute_batch([solo], CompiledSchedule(n=n, steps=compiled.steps[:bound]))
+            execute(solo, CompiledSchedule(n=n, steps=compiled.steps[:bound]), policy=FAST)
             expected = {
                 pid: {FD_OUTPUT: solo.output_of(pid, FD_OUTPUT)}
                 for pid in range(1, n + 1)

@@ -169,19 +169,6 @@ class TestRealizeMemo:
             realize(make_recipe(BASE, 400, mutations))
         assert len(calls) == 1
 
-    def test_disabled_memo_realizes_identical_buffers(self):
-        recipes = [make_recipe(BASE, 400)] + [
-            make_recipe(BASE, 400, mutations) for mutations in MEMO_DIRECTIVES
-        ]
-        shared = [realize(recipe) for recipe in recipes]
-        with runner.compiled_schedules_disabled():
-            direct = [realize(recipe) for recipe in recipes]
-        assert len(runner._COMPILED_MEMO) == 1
-        for memoized, compiled in zip(shared, direct):
-            assert memoized.steps.tobytes() == compiled.steps.tobytes()
-            assert memoized.crash_steps == compiled.crash_steps
-            assert memoized.description == compiled.description
-
 
 class TestSampling:
     def test_sample_mutation_deterministic_for_fixed_seed(self):
