@@ -160,45 +160,46 @@ def _anti_omega_view(sim, result):
 REPLAY_COMBOS = COMBOS[:: max(1, len(COMBOS) // 6)]
 
 
+def _both_buffers(params, length):
+    """The generator-compiled and the timeline-reduced buffer for ``params``."""
+    return [
+        build_generator(params).compile(length),
+        compile_timeline(run_timeline(build_generator(params), length)),
+    ]
+
+
 class TestReplay:
     """Both compiled buffers drive the execution kernel identically."""
 
     @pytest.mark.parametrize("params", REPLAY_COMBOS, ids=_combo_id)
     def test_execute_matches_across_compilation_paths(self, params):
         length = 250
-        buffers = [
-            build_generator(params).compile(length),
-            compile_timeline(run_timeline(build_generator(params), length)),
-        ]
         views = []
-        for compiled in buffers:
+        for compiled in _both_buffers(params, length):
             sim = _idle_replica(compiled.n)
             result = execute(sim, compiled)
             views.append((_replica_view(sim), result.steps_executed))
         assert views[0] == views[1]
 
     @pytest.mark.parametrize("params", REPLAY_COMBOS, ids=_combo_id)
-    def test_bare_loop_matches_across_compilation_paths(self, params):
+    def test_bare_loop_idle_replicas_match_across_compilation_paths(self, params):
         length = 250
-        buffers = [
-            build_generator(params).compile(length),
-            compile_timeline(run_timeline(build_generator(params), length)),
-        ]
         views = []
-        for compiled in buffers:
-            idle = _idle_replica(compiled.n)
-            idle_result = execute(idle, compiled, policy=FAST)
-            detector = _anti_omega_replica(compiled.n)
-            detector_result = execute(detector, compiled, policy=FAST)
-            views.append(
-                (
-                    _replica_view(idle),
-                    idle_result.steps_executed,
-                    _anti_omega_view(detector, detector_result),
-                )
-            )
+        for compiled in _both_buffers(params, length):
+            sim = _idle_replica(compiled.n)
+            result = execute(sim, compiled, policy=FAST)
+            views.append((_replica_view(sim), result.steps_executed))
         assert views[0] == views[1]
         assert views[0][1] == length
+
+    @pytest.mark.parametrize("params", REPLAY_COMBOS, ids=_combo_id)
+    def test_bare_loop_anti_omega_replicas_match_across_compilation_paths(self, params):
+        length = 250
+        views = []
+        for compiled in _both_buffers(params, length):
+            sim = _anti_omega_replica(compiled.n)
+            views.append(_anti_omega_view(sim, execute(sim, compiled, policy=FAST)))
+        assert views[0] == views[1]
 
 
 class TestReductionEdges:

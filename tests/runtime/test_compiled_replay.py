@@ -12,8 +12,9 @@ identical.  That contract is what lets the campaign layer compile a scenario
 once and replay it per replica.  A second sweep drives the prebound paper
 automata (k-anti-Ω under every registry accusation statistic and timeout
 policy, trivial k-set agreement) the same two ways, and the edge cases — a
-zero-length schedule, a ``max_steps`` cap, a mid-run single-writer violation
-and a strict-mode step after halting — behave exactly as the stream path.
+zero-length schedule, a ``max_steps`` cap, a one-shot iterable source, a
+mid-run single-writer violation and a strict-mode step after halting —
+behave exactly as the stream path.
 """
 
 import random
@@ -387,6 +388,33 @@ class TestCompiledReplaySources:
         compiled, build = _edge_case(algorithm)
         result = _assert_replay_matches_stream(build, compiled)
         assert result.steps_executed == len(compiled.steps)
+
+    @pytest.mark.parametrize("algorithm", EDGE_ALGORITHMS)
+    def test_one_shot_iterable_matches_compiled_replay(self, algorithm):
+        # A bare iterable without max_steps is materialized and run to its
+        # end; with max_steps it is consumed lazily, exactly that many steps.
+        compiled, build = _edge_case(algorithm)
+        pulled = []
+
+        def one_shot():
+            for pid in compiled.steps:
+                pulled.append(pid)
+                yield pid
+
+        replay = build()
+        expected = execute(replay, compiled, policy=FAST)
+        sim = build()
+        result = execute(sim, one_shot(), policy=FAST)
+        assert _full_state(sim, result) == _full_state(replay, expected)
+        assert len(pulled) == len(compiled.steps)
+
+        pulled.clear()
+        replay = build()
+        expected = execute(replay, compiled, max_steps=7, policy=FAST)
+        sim = build()
+        result = execute(sim, one_shot(), max_steps=7, policy=FAST)
+        assert _full_state(sim, result) == _full_state(replay, expected)
+        assert len(pulled) == 7
 
     def test_single_writer_violation_raises_like_live_stream(self):
         def build():
