@@ -94,11 +94,6 @@ class KSetFromAntiOmegaAutomaton(ProcessAutomaton):
             LeaderGatedConsensus(name=(instance_namespace, slot), n=n)
             for slot in range(k)
         ]
-        self.rewind()
-
-    def rewind(self) -> None:
-        """Clear the outputs, then publish the undecided ``decision``."""
-        super().rewind()
         self.publish(DECISION, None)
 
     def prebind(self, registers: Any) -> None:

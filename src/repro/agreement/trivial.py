@@ -56,11 +56,6 @@ class TrivialKSetAgreementAutomaton(ProcessAutomaton):
         self._collect_reads: List[Operation] = []
         self._publish_write: Operation = WriteOp(("trivial-input", pid), input_value)
         self.unbind()
-        self.rewind()
-
-    def rewind(self) -> None:
-        """Clear the outputs, then publish the undecided ``decision``."""
-        super().rewind()
         self.publish(DECISION, None)
 
     def prebind(self, registers: Any) -> None:

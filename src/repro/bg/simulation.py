@@ -108,11 +108,6 @@ class BGSimulatorAutomaton(ProcessAutomaton):
         self.protocol = protocol
         self.input_value = input_value
         self.namespace = namespace
-        self.rewind()
-
-    def rewind(self) -> None:
-        """Clear the outputs, then publish the empty simulation progress."""
-        super().rewind()
         self.publish(SIMULATED_DECISIONS, {})
         self.publish(RESOLVED_STEPS, 0)
 

@@ -223,7 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--population", type=int, default=None, help="candidates per generation")
     search.add_argument("--horizon", type=int, default=None, help="steps per candidate schedule")
     search.add_argument(
-        "--checkpoints", type=int, default=None, help="bare-kernel snapshots per candidate"
+        "--checkpoints",
+        type=int,
+        default=None,
+        help="output samples per candidate that the screen verdict judges",
     )
     search.add_argument("--seed", type=int, default=0, help="root seed of the per-generation RNG streams")
     search.add_argument("--n", type=int, default=None, help="system size Πn (default 4)")
@@ -469,7 +472,7 @@ _LIST_VALUED_KEYS = frozenset(
 def _parse_assignment(assignment: str) -> "tuple[str, Any]":
     key, separator, raw = assignment.partition("=")
     if not separator or not key or not raw:
-        raise SystemExit(f"--set expects KEY=VALUE, got {assignment!r}")
+        raise ConfigurationError(f"--set expects KEY=VALUE, got {assignment!r}")
     if "," in raw:
         value: Any = [_parse_scalar(part) for part in raw.split(",") if part]
     else:
@@ -482,7 +485,7 @@ def _parse_assignment(assignment: str) -> "tuple[str, Any]":
 def _parse_perturbation(directive: str) -> Dict[str, Any]:
     parts = directive.split(":")
     if not 1 <= len(parts) <= 3 or not parts[0]:
-        raise SystemExit(f"--perturb expects KIND:RATE[:SEED], got {directive!r}")
+        raise ConfigurationError(f"--perturb expects KIND:RATE[:SEED], got {directive!r}")
     perturbation: Dict[str, Any] = {"kind": parts[0]}
     try:
         if len(parts) > 1:
@@ -490,7 +493,7 @@ def _parse_perturbation(directive: str) -> Dict[str, Any]:
         if len(parts) > 2:
             perturbation["seed"] = int(parts[2])
     except ValueError:
-        raise SystemExit(
+        raise ConfigurationError(
             f"--perturb expects a numeric RATE and integer SEED, got {directive!r}"
         ) from None
     return perturbation
@@ -588,7 +591,7 @@ def _run_distsim(args: argparse.Namespace) -> List[str]:
             if value is not None
         ]
         if ignored:
-            raise SystemExit(
+            raise ConfigurationError(
                 f"--table runs the fixed E12 sweep and does not accept {', '.join(ignored)}; "
                 "drop --table to run a single workload (--horizon, --threshold and "
                 "--seed work with both)"
@@ -694,7 +697,7 @@ def _run_search(args: argparse.Namespace) -> List[str]:
             if value is not None
         ] + (["--smoke"] if args.smoke else [])
         if ignored:
-            raise SystemExit(
+            raise ConfigurationError(
                 f"--table runs the fixed E11 sweep and does not accept {', '.join(ignored)}; "
                 "drop --table to configure a single search (--generations, --seed, "
                 "--workers and --cache-dir work with both)"

@@ -29,8 +29,9 @@ memory.
 
 from __future__ import annotations
 
+import inspect
 from itertools import combinations
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..runtime.automaton import (
@@ -117,6 +118,34 @@ def constant_timeout_policy(timeout: int) -> int:
     return timeout
 
 
+#: The four yields of :meth:`KAntiOmegaAutomaton.program`, in iteration order:
+#: the counter collect (lines 2-5), the heartbeat write (lines 6-7), the
+#: heartbeat collect (lines 8-13) and a counter write (lines 14-19).
+AT_COUNTER_COLLECT, AT_HEARTBEAT_WRITE, AT_HEARTBEAT_COLLECT, AT_COUNTER_WRITE = range(4)
+
+
+class Figure2State(NamedTuple):
+    """Figure 2's run state at a yield: its local variables and that yield.
+
+    ``at`` is one of the ``AT_*`` yields and ``index`` the k-set position of
+    the counter write when ``at`` is :data:`AT_COUNTER_WRITE`.  The paper's
+    mutable vectors are stored as tuples, so one state can seed any number
+    of resumed programs.  ``last_collect`` and ``cnt`` are never mutated by
+    the program (each collect is a fresh list, each ``cnt`` a fresh matrix),
+    so they are shared as they are.
+    """
+
+    my_hb: int
+    prev_heartbeat: Tuple[int, ...]
+    timeout: Tuple[int, ...]
+    timer: Tuple[int, ...]
+    iteration: int
+    last_collect: Optional[List[Any]]
+    cnt: Optional[List[List[int]]]
+    at: int
+    index: int
+
+
 class KAntiOmegaAutomaton(FailureDetectorAutomaton):
     """One process's copy of the Figure 2 algorithm.
 
@@ -156,6 +185,8 @@ class KAntiOmegaAutomaton(FailureDetectorAutomaton):
         everyone = frozenset(processes)
         # Line 5's fdOutput for each possible winner set, built once.
         self._fd_outputs = [everyone - frozenset(a_set) for a_set in self.ksets]
+        # Where each k-set's row Counter[A, *] sits in the counter collect.
+        self._rows = [slice(index * n, (index + 1) * n) for index in range(len(self.ksets))]
         # Line 12's ``q in A``: the k-set positions containing q, indexed q - 1.
         self._ksets_containing = [
             [index for index, a_set in enumerate(self.ksets) if q in a_set]
@@ -217,7 +248,7 @@ class KAntiOmegaAutomaton(FailureDetectorAutomaton):
                 register_file.declare(("Counter", a_set, q), initial=0, writer=q)
 
     # ------------------------------------------------------------------
-    def program(self, ctx: ProcessContext) -> Program:
+    def program(self, ctx: ProcessContext, resume: Optional[Figure2State] = None) -> Program:
         """Figure 2 for this process: the main loop, forever.
 
         Each iteration yields the counter collect (lines 2-5), the heartbeat
@@ -234,12 +265,18 @@ class KAntiOmegaAutomaton(FailureDetectorAutomaton):
         ``accusations``/``leader``, which already hold those values.  Every
         output is the same at every step; only ``outputs_version`` moves less
         often.  ``iteration`` is published every iteration.
+
+        ``at`` names the yield the loop is at, the one piece of run state that
+        is not a variable of the paper; with ``index`` and the locals it is
+        what :meth:`program_state` reads.  A program started from ``resume``
+        (see :meth:`resume_program`) takes its locals from that state and
+        enters its loop at the yield ``resume.at`` names.
         """
         n, t = self.n, self.t
         ksets = self.ksets
-        positions = range(len(ksets))
-        # Where each k-set's row Counter[A, *] sits in the counter collect.
-        rows = [slice(index * n, (index + 1) * n) for index in positions]
+        count = len(ksets)
+        positions = range(count)
+        rows = self._rows
         accusation_statistic = self.accusation_statistic
         timeout_policy = self.timeout_policy
         publish = self.publish
@@ -254,74 +291,141 @@ class KAntiOmegaAutomaton(FailureDetectorAutomaton):
         counter_writes = self._counter_writes
         if counter_writes is None:
             counter_writes = [WriteOp(name, 0) for name in self._counter_registers]
+        my_index = self.pid - 1
+        # The yields as locals (cheaper to load than the module constants):
+        # the loop tests ``at`` against them.
+        counter_collect_at, heartbeat_write_at = AT_COUNTER_COLLECT, AT_HEARTBEAT_WRITE
+        heartbeat_collect_at, counter_write_at = AT_HEARTBEAT_COLLECT, AT_COUNTER_WRITE
 
         # Local variables (Figure 2, "Local variables" block).  The paper's
         # ``cnt[A, q]`` matrix is kept as one list per k-set, indexed ``q - 1``.
-        my_hb = 0
-        my_index = self.pid - 1
-        prev_heartbeat = [0] * n
-        timeout = [1] * len(ksets)
-        timer = list(timeout)
-        iteration = 0
-
-        # The last counter collect lines 3-5 were derived from.  Executors
-        # hand the program a fresh list per collect, so keeping the reference
-        # is safe.
-        last_collect = None
+        # ``last_collect`` is the counter collect lines 3-5 were last derived
+        # from; executors hand the program a fresh list per collect, so
+        # keeping the reference is safe.
+        if resume is None:
+            my_hb = 0
+            prev_heartbeat = [0] * n
+            timeout = [1] * count
+            timer = list(timeout)
+            iteration = 0
+            last_collect = None
+            cnt = None
+            at, index = AT_COUNTER_COLLECT, 0
+        else:
+            my_hb = resume.my_hb
+            prev_heartbeat = list(resume.prev_heartbeat)
+            timeout = list(resume.timeout)
+            timer = list(resume.timer)
+            iteration = resume.iteration
+            last_collect = resume.last_collect
+            cnt = resume.cnt
+            at, index = resume.at, resume.index
 
         while True:
-            # Lines 2-5: read Counter[A, q] for every A and q, choose FD output.
-            collected = yield counter_collect
-            if collected != last_collect:
-                last_collect = collected
+            if at == counter_collect_at:
+                # Lines 2-5: read Counter[A, q] for every A and q, choose FD output.
+                collected = yield counter_collect
+                if collected != last_collect:
+                    last_collect = collected
+                    try:
+                        counters = list(map(int, collected))
+                    except TypeError:  # an undeclared register reads as None: count it 0
+                        counters = [
+                            int(value) if value is not None else 0 for value in collected
+                        ]
+                    cnt = [counters[row] for row in rows]
+                    accusation = [accusation_statistic(vector, t) for vector in cnt]
+                    # Line 4's tie-break: ksets is in lexicographic order, so
+                    # the first position holding the minimum is the winner.
+                    winner = accusation.index(min(accusation))
+                    # Line 5's assignment is observable immediately (fdOutput
+                    # is a local variable the environment may read at any time).
+                    publish(FD_OUTPUT, fd_outputs[winner])
+                    publish(WINNER_SET, ksets[winner])
+                    publish("accusations", dict(zip(ksets, accusation)))
+                    if publish_leader:
+                        publish(LEADER, ksets[winner][0])
+                # Otherwise the collect equals the one lines 3-5 last saw: the
+                # statistic is a pure function of (vector, t), so cnt, the
+                # accusations and the winner are unchanged, and the four
+                # outputs already hold exactly the values re-publishing would
+                # write.
+
+                # Lines 6-7: bump the heartbeat.
+                my_hb += 1
+                at = heartbeat_write_at
+            if at == heartbeat_write_at:
+                yield heartbeat_write.with_value(my_hb)
+                at = heartbeat_collect_at
+            if at == heartbeat_collect_at:
+                # Lines 8-13: check other processes' heartbeats, reset timers.
+                heartbeats = yield heartbeat_collect
                 try:
-                    counters = list(map(int, collected))
-                except TypeError:  # an undeclared register reads as None: count it 0
-                    counters = [int(value) if value is not None else 0 for value in collected]
-                cnt = [counters[row] for row in rows]
-                accusation = [accusation_statistic(vector, t) for vector in cnt]
-                # Line 4's tie-break: ksets is in lexicographic order, so the
-                # first position holding the minimum is the winner.
-                winner = accusation.index(min(accusation))
-                # Line 5's assignment is observable immediately (fdOutput is a
-                # local variable the environment may read at any time).
-                publish(FD_OUTPUT, fd_outputs[winner])
-                publish(WINNER_SET, ksets[winner])
-                publish("accusations", dict(zip(ksets, accusation)))
-                if publish_leader:
-                    publish(LEADER, ksets[winner][0])
-            # Otherwise the collect equals the one lines 3-5 last saw: the
-            # statistic is a pure function of (vector, t), so cnt, the
-            # accusations and the winner are unchanged, and the four outputs
-            # already hold exactly the values re-publishing would write.
-
-            # Lines 6-7: bump the heartbeat.
-            my_hb += 1
-            yield heartbeat_write.with_value(my_hb)
-
-            # Lines 8-13: check other processes' heartbeats, reset timers.
-            heartbeats = yield heartbeat_collect
-            try:
-                heartbeats = list(map(int, heartbeats))
-            except TypeError:
-                heartbeats = [int(value) if value is not None else 0 for value in heartbeats]
-            for q_index, hbq in enumerate(heartbeats):
-                if hbq > prev_heartbeat[q_index]:
-                    for index in ksets_containing[q_index]:
-                        timer[index] = timeout[index]
-                    prev_heartbeat[q_index] = hbq
+                    heartbeats = list(map(int, heartbeats))
+                except TypeError:
+                    heartbeats = [
+                        int(value) if value is not None else 0 for value in heartbeats
+                    ]
+                for q_index, hbq in enumerate(heartbeats):
+                    if hbq > prev_heartbeat[q_index]:
+                        for position in ksets_containing[q_index]:
+                            timer[position] = timeout[position]
+                        prev_heartbeat[q_index] = hbq
+                index = 0
+            else:
+                # Resumed at the counter write of position ``index``: its
+                # timer already expired and was reset before that yield.
+                yield counter_writes[index]
+                index += 1
 
             # Lines 14-19: expire timers, accuse.
-            for index in positions:
+            at = counter_write_at
+            for index in range(index, count) if index else positions:
                 timer[index] -= 1
                 if timer[index] == 0:
                     timeout[index] = timeout_policy(timeout[index])
                     timer[index] = timeout[index]
                     yield counter_writes[index].with_value(cnt[index][my_index] + 1)
+            at = counter_collect_at
 
             # End-of-iteration bookkeeping (free: local variables only).
             iteration += 1
             publish(ITERATION, iteration)
+
+    def program_state(self, program: Program) -> Optional[Figure2State]:
+        """Figure 2's run state at the yield ``program`` is suspended at.
+
+        Reads the generator's live locals (:func:`inspect.getgeneratorlocals`)
+        and copies the paper's mutable vectors.  ``None`` for a generator that
+        is not this class's :meth:`program` (a subclass that overrides it has
+        no hook).
+        """
+        if getattr(program, "gi_code", None) is not KAntiOmegaAutomaton.program.__code__:
+            return None
+        local = inspect.getgeneratorlocals(program)
+        return Figure2State(
+            my_hb=local["my_hb"],
+            prev_heartbeat=tuple(local["prev_heartbeat"]),
+            timeout=tuple(local["timeout"]),
+            timer=tuple(local["timer"]),
+            iteration=local["iteration"],
+            last_collect=local["last_collect"],
+            cnt=local["cnt"],
+            at=local["at"],
+            index=local["index"],
+        )
+
+    def resume_program(self, state: Figure2State) -> Program:
+        """A Figure 2 program continuing from ``state``, suspended at its yield.
+
+        The program is advanced to that yield once; the operation it yields
+        there is discarded (the original program's step executed it).
+        Advancing publishes nothing: every yield is reached before any
+        publication of its iteration section.
+        """
+        program = self.program(self.context(), state)
+        next(program)
+        return program
 
 
 def make_anti_omega_algorithm(

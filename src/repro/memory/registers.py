@@ -324,6 +324,39 @@ class RegisterFile:
         for slot, name in enumerate(arena.names):
             arena.reset(slot, value=defaults.get(name), writer=owners.get(name))
 
+    def snapshot(self) -> Tuple[int, List[Any], List[int], List[int], List[Optional[ProcessId]]]:
+        """Every interned register's value, counters and owner, as :meth:`restore` takes them."""
+        arena = self._arena
+        return (
+            len(arena.names),
+            list(arena.values),
+            list(arena.read_counts),
+            list(arena.write_counts),
+            list(arena.writers),
+        )
+
+    def restore(
+        self, saved: Tuple[int, List[Any], List[int], List[int], List[Optional[ProcessId]]]
+    ) -> None:
+        """Put every register back to the state :meth:`snapshot` saw, in place.
+
+        Slots interned after the snapshot stay interned (operations bound to
+        them stay valid) and go back to their initial state, as
+        :meth:`rewind` leaves them: what a fresh access would create.
+        """
+        known, values, read_counts, write_counts, writers = saved
+        arena = self._arena
+        arena.values[:known] = values
+        arena.read_counts[:known] = read_counts
+        arena.write_counts[:known] = write_counts
+        arena.writers[:known] = writers
+        defaults = self._defaults
+        owners = self._owners
+        names = arena.names
+        for slot in range(known, len(names)):
+            name = names[slot]
+            arena.reset(slot, value=defaults.get(name), writer=owners.get(name))
+
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------

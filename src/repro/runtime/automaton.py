@@ -364,19 +364,56 @@ class ProcessAutomaton:
         default is a no-op, matching the default :meth:`prebind`.
         """
 
-    def rewind(self) -> None:
-        """Return to the state construction left, for another run.
+    def snapshot_outputs(self) -> Any:
+        """The published outputs with their versions, as a value :meth:`restore_outputs` takes.
 
-        :meth:`~repro.runtime.simulator.Simulator.rewind` calls this for every
-        automaton.  The default clears the published outputs and their
-        versions; run state kept in the program generator's locals needs
-        nothing, since the next run starts a fresh generator.  Subclasses
-        that publish at construction, or keep run state on the instance,
-        override it (calling ``super().rewind()`` first).
+        :meth:`~repro.runtime.simulator.Simulator.snapshot` calls this for
+        every automaton.  Automata that keep other run state on the instance
+        (a composition's components and sync bookkeeping) override both
+        methods to include it.
         """
+        return dict(self.outputs), self.outputs_version, dict(self.output_versions)
+
+    def restore_outputs(self, saved: Any) -> None:
+        """Put back what :meth:`snapshot_outputs` returned (``outputs`` keeps its identity)."""
+        outputs, version, versions = saved
         self.outputs.clear()
-        self.outputs_version = 0
+        self.outputs.update(outputs)
+        self.outputs_version = version
         self.output_versions.clear()
+        self.output_versions.update(versions)
+
+    def program_state(self, program: Program) -> Optional[Any]:
+        """The run state of ``program``, this automaton's suspended generator, or ``None``.
+
+        The explicit-state half of the snapshot/resume hook.  An automaton
+        that implements it returns a value holding everything the generator
+        keeps in its locals and the yield it is suspended at, such that
+        :meth:`resume_program` can rebuild an equivalent generator; the value
+        must not share mutable objects with the live generator.  The default
+        returns ``None``: the automaton has no hook, and a simulator whose
+        running programs lack one cannot be snapshotted mid-run (only before
+        any program started).
+        """
+        return None
+
+    def resume_program(self, state: Any) -> Program:
+        """A program generator that continues from ``state``, a :meth:`program_state` value.
+
+        The generator is returned suspended at the yield ``state`` names: it
+        has already been advanced to that yield once, and the operation it
+        yielded there is discarded, since the original program's step
+        executed it before the state was taken.  The executor's next
+        ``send`` delivers that operation's result, exactly as it would have to
+        the original generator.  Only automata that implement
+        :meth:`program_state` implement this.
+        """
+        raise SimulationError(f"{self.describe()} has no program snapshot/resume hook")
+
+    @property
+    def resumable(self) -> bool:
+        """Whether this automaton implements the :meth:`program_state` hook."""
+        return type(self).program_state is not ProcessAutomaton.program_state
 
     def program(self, ctx: ProcessContext) -> Program:
         """The process's program.  Subclasses must override.

@@ -98,13 +98,23 @@ class ComposedAutomaton(ProcessAutomaton):
         for _, component in self._components:
             component.unbind()
 
-    def rewind(self) -> None:
-        """Rewind every component and forget what was synced from them."""
-        super().rewind()
-        for _, component in self._components:
-            component.rewind()
-        self._synced_component_versions = -1
-        self._synced_versions = [-1] * len(self._components)
+    def snapshot_outputs(self) -> Any:
+        """The composition's outputs, every component's, and what was synced from them."""
+        return (
+            super().snapshot_outputs(),
+            [component.snapshot_outputs() for _, component in self._components],
+            self._synced_component_versions,
+            list(self._synced_versions),
+        )
+
+    def restore_outputs(self, saved: Any) -> None:
+        """Put back what :meth:`snapshot_outputs` returned, components included."""
+        own, components, synced_total, synced = saved
+        super().restore_outputs(own)
+        for (_, component), component_saved in zip(self._components, components):
+            component.restore_outputs(component_saved)
+        self._synced_component_versions = synced_total
+        self._synced_versions = list(synced)
 
     # ------------------------------------------------------------------
     def component(self, name: str) -> ProcessAutomaton:

@@ -23,7 +23,9 @@ observable effects (outputs, halting, register operation counts,
 per-process step counts, tracker change lists); it only skips work whose
 results nobody asked for.  Over a whole
 :class:`~repro.core.schedule.CompiledSchedule` it iterates the flat
-``array('i')`` buffer at C speed with the buffer's cached step counts.
+``array('i')`` buffer at C speed with the buffer's cached step counts; a raw
+``array('i')`` that is the whole budget (a segment of such a buffer) goes in
+as it is too, tallied once.
 
 The kernel enforces observer *capabilities*: an observer that needs to see
 every step (capability ``"every_step"``) may only run under an every-step
@@ -207,8 +209,10 @@ def normalize_source(
     :class:`~repro.core.schedule.CompiledSchedule` the budget is its length,
     capped by ``max_steps`` when given; an :class:`InfiniteSchedule` (or any
     bare iterable when ``max_steps`` is given) is budgeted at exactly
-    ``max_steps``; a bare iterable without ``max_steps`` is materialized and
-    budgeted at its full length.  An explicit ``max_steps`` must be positive —
+    ``max_steps``; an ``array('i')`` step buffer is budgeted like a finite
+    schedule (unvalidated: the loop checks its pids); any other bare
+    iterable without ``max_steps`` is materialized and budgeted at its full
+    length.  An explicit ``max_steps`` must be positive —
     a budget of zero or fewer steps would silently execute nothing, which has
     never been what the caller meant, so it is rejected with
     :class:`SimulationError`.
@@ -237,6 +241,9 @@ def normalize_source(
         if max_steps is None:
             raise SimulationError("an unbounded schedule needs an explicit max_steps")
         return schedule.iter_steps(), max_steps
+    if _is_step_array(schedule):
+        budget = len(schedule) if max_steps is None else min(max_steps, len(schedule))
+        return iter(schedule), budget
     if max_steps is None:
         materialized = list(schedule)
         return iter(materialized), len(materialized)
@@ -368,8 +375,17 @@ def execute(
             return _execute_bare(
                 simulator, schedule.steps, schedule.step_counts(), entries
             )
+        if _is_step_array(schedule) and budget == len(schedule):
+            # A raw step array (a segment of a buffer) that is the budget
+            # goes into the loop as it is, tallied there, not copied.
+            return _execute_bare(simulator, schedule, None, entries)
         return _execute_bare(simulator, islice(step_iter, budget), None, entries)
     return _execute_general(simulator, step_iter, budget, stop_condition, policy, entries)
+
+
+def _is_step_array(schedule: Any) -> bool:
+    """Whether ``schedule`` is an ``array('i')``, the step-buffer format."""
+    return isinstance(schedule, array) and schedule.typecode == "i"
 
 
 def _runs_bare(policy: ExecutionPolicy, entries) -> bool:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
+from ..errors import SimulationError
 from ..types import ProcessId
 from .kernel import ON_PUBLISH
 
@@ -73,6 +74,30 @@ class OutputTracker:
             return
         self._last_seen[pid] = value
         self.changes.append(OutputChange(step=step, pid=pid, value=value))
+
+    def snapshot(self) -> Tuple[int, Optional[OutputChange], Dict[ProcessId, Any]]:
+        """The change-list length and last-seen values, as :meth:`restore` takes them."""
+        changes = self.changes
+        return len(changes), changes[-1] if changes else None, dict(self._last_seen)
+
+    def restore(self, saved: Tuple[int, Optional[OutputChange], Dict[ProcessId, Any]]) -> None:
+        """Cut the change list back to :meth:`snapshot`'s length and restore last-seen values.
+
+        Changes are only ever appended, so the list restores by length; that
+        is sound only when the snapshot lies on the path of the current list
+        (the recorded change at its length is still the one it saw), which
+        :class:`~repro.errors.SimulationError` enforces.
+        """
+        length, last, last_seen = saved
+        changes = self.changes
+        if len(changes) < length or (length and changes[length - 1] is not last):
+            raise SimulationError(
+                f"tracker of {self.key!r} cannot restore a snapshot its change list "
+                "has since diverged from (restore only snapshots of the run being "
+                "continued or of a run whose prefix it resumed)"
+            )
+        del changes[length:]
+        self._last_seen = dict(last_seen)
 
     # ------------------------------------------------------------------
     def history_of(self, pid: ProcessId) -> List[OutputChange]:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from ..core.schedule import CompiledSchedule, InfiniteSchedule, Schedule
 from ..errors import SimulationError
@@ -98,6 +98,44 @@ class ProcessState:
     #: The slots the process's in-flight collect has yet to read (the values
     #: read so far are ``pending_result``); ``None`` between operations.
     collect_reads: Optional[Iterator[int]] = None
+
+
+class ProcessSnapshot(NamedTuple):
+    """One process's part of a :class:`SimulatorSnapshot`.
+
+    ``program`` is the automaton's :meth:`~repro.runtime.automaton.ProcessAutomaton.program_state`
+    value for a running program (``None`` when the program has not started
+    or has returned), ``collect_rest`` the slots an in-flight collect has yet
+    to read, and ``outputs`` the automaton's
+    :meth:`~repro.runtime.automaton.ProcessAutomaton.snapshot_outputs` value.
+    """
+
+    started: bool
+    halted: bool
+    halt_value: Any
+    steps_taken: int
+    pending_result: Any
+    collect_rest: Optional[Tuple[int, ...]]
+    program: Any
+    outputs: Any
+
+
+@dataclass(frozen=True)
+class SimulatorSnapshot:
+    """Everything a run can change, as :meth:`Simulator.snapshot` saw it.
+
+    Registers (values, read/write counts, owners), every process's state and
+    published outputs with their versions, the attached observers with each
+    one's own snapshot (a tracker's change-list length and last-seen
+    values), the recorded trace and the step index.
+    """
+
+    step_index: int
+    trace: Tuple[ProcessId, ...]
+    registers: Any
+    processes: Dict[ProcessId, ProcessSnapshot]
+    observers: Tuple["ObserverEntry", ...]
+    observer_states: Tuple[Any, ...]
 
 
 @dataclass(frozen=True)
@@ -209,6 +247,8 @@ class Simulator:
             for state in self._states.values():
                 state.automaton.unbind()
                 state.automaton._prebound_registers = None
+        #: The state construction left, which :meth:`rewind` restores.
+        self._construction = self.snapshot()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -288,26 +328,119 @@ class Simulator:
         """The attached observers with their capabilities (kernel-facing)."""
         return tuple(self._observers)
 
+    @property
+    def resumable(self) -> bool:
+        """Whether :meth:`snapshot` works mid-run: every automaton has the resume hook."""
+        return all(state.automaton.resumable for state in self._states.values())
+
+    def snapshot(self) -> SimulatorSnapshot:
+        """The simulator's whole run state, for :meth:`restore`.
+
+        Captures register values with their read/write counts and owners,
+        every process's :class:`ProcessState` (pending result, the slots an
+        in-flight collect has yet to read, steps taken, halting) together
+        with its program's explicit run state
+        (:meth:`~repro.runtime.automaton.ProcessAutomaton.program_state`),
+        every automaton's outputs with their versions, the attached observers
+        with their own snapshots, the trace and the step index.  Running the
+        rest of a schedule after :meth:`restore` then equals running it on
+        without the round trip.  Raises :class:`SimulationError` when a
+        running program's automaton has no resume hook (see
+        :attr:`resumable`) or an attached observer has no ``snapshot``.
+        """
+        processes: Dict[ProcessId, ProcessSnapshot] = {}
+        for pid, state in self._states.items():
+            automaton = state.automaton
+            program = None
+            if state.generator is not None:
+                program = automaton.program_state(state.generator)
+                if program is None:
+                    raise SimulationError(
+                        f"{automaton.describe()} cannot snapshot its running program: "
+                        "its automaton has no program_state/resume_program hook"
+                    )
+            rest = None
+            if state.collect_reads is not None:
+                rest = tuple(state.collect_reads)
+                state.collect_reads = iter(rest)
+            pending = state.pending_result
+            processes[pid] = ProcessSnapshot(
+                started=state.started,
+                halted=state.halted,
+                halt_value=state.halt_value,
+                steps_taken=state.steps_taken,
+                pending_result=list(pending) if type(pending) is list else pending,
+                collect_rest=rest,
+                program=program,
+                outputs=automaton.snapshot_outputs(),
+            )
+        observers = tuple(self._observers)
+        states = []
+        for entry in observers:
+            take = getattr(entry.observer, "snapshot", None)
+            if take is None:
+                raise SimulationError(
+                    f"observer {entry.observer!r} has no snapshot()/restore(), so a "
+                    "simulator carrying it cannot be snapshotted"
+                )
+            states.append(take())
+        return SimulatorSnapshot(
+            step_index=self._step_index,
+            trace=tuple(self._trace),
+            registers=self.registers.snapshot(),
+            processes=processes,
+            observers=observers,
+            observer_states=tuple(states),
+        )
+
+    def restore(self, snapshot: SimulatorSnapshot) -> None:
+        """Return to the state ``snapshot`` captured (see :meth:`snapshot`).
+
+        Each running program is rebuilt from its explicit run state
+        (:meth:`~repro.runtime.automaton.ProcessAutomaton.resume_program`),
+        suspended at the yield it was at; registers go back in place, so
+        operations bound to their slots stay valid.  The observers attached
+        at the snapshot are attached again, each restored from its own
+        snapshot.  A snapshot can be restored any number of times.
+        """
+        for pid, saved in snapshot.processes.items():
+            automaton = self._states[pid].automaton
+            automaton.restore_outputs(saved.outputs)
+            pending = saved.pending_result
+            state = ProcessState(
+                automaton=automaton,
+                started=saved.started,
+                halted=saved.halted,
+                halt_value=saved.halt_value,
+                steps_taken=saved.steps_taken,
+                pending_result=list(pending) if type(pending) is list else pending,
+                collect_reads=None if saved.collect_rest is None else iter(saved.collect_rest),
+            )
+            if saved.program is not None:
+                self._check_binding(automaton)
+                state.generator = automaton.resume_program(saved.program)
+            self._states[pid] = state
+        self.registers.restore(snapshot.registers)
+        self._observers[:] = snapshot.observers
+        for entry, saved_state in zip(snapshot.observers, snapshot.observer_states):
+            entry.observer.restore(saved_state)
+        self._trace[:] = snapshot.trace
+        self._step_index = snapshot.step_index
+
     def rewind(self) -> None:
         """Return to the state construction left, keeping what it built.
 
-        A rewound simulator runs exactly like a freshly built one over the
-        same automata: every process is unstarted with no steps taken, every
-        automaton is rewound (:meth:`~repro.runtime.automaton.ProcessAutomaton.rewind`
-        clears its outputs), every register holds its initial value and owner
-        with zeroed counters (:meth:`~repro.memory.registers.RegisterFile.rewind`),
-        the trace and step index are empty, and no observer is attached.
-        What construction paid for stays: the register file with its slots,
-        the automata and their pre-bound operation tables.  Replaying many
-        schedules on one replica this way skips that cost per run.
+        A restore of the snapshot construction took (:meth:`restore`): every
+        process is unstarted with no steps taken, every automaton holds the
+        outputs construction published, every register holds its
+        construction-time value, owner and counters (slots interned since go
+        back to their initial state), the trace and step index are empty,
+        and no observer is attached.  What construction paid for stays: the
+        register file with its slots, the automata and their pre-bound
+        operation tables.  Replaying many schedules on one replica this way
+        skips that cost per run.
         """
-        for pid, state in self._states.items():
-            state.automaton.rewind()
-            self._states[pid] = ProcessState(automaton=state.automaton)
-        self.registers.rewind()
-        self._observers.clear()
-        self._trace.clear()
-        self._step_index = 0
+        self.restore(self._construction)
 
     # ------------------------------------------------------------------
     # Execution
@@ -443,6 +576,13 @@ class Simulator:
         or ``prebind=False`` both resolve it.
         """
         automaton = state.automaton
+        self._check_binding(automaton)
+        generator = automaton.program(automaton.context())
+        state.generator = generator
+        state.started = True
+        return generator
+
+    def _check_binding(self, automaton: ProcessAutomaton) -> None:
         bound = automaton._prebound_registers
         if bound is not None and bound is not self.registers:
             raise SimulationError(
@@ -451,10 +591,6 @@ class Simulator:
                 "with automaton.prebind(this simulator's registers), construct "
                 "this simulator after the other one, or pass prebind=False"
             )
-        generator = automaton.program(automaton.context())
-        state.generator = generator
-        state.started = True
-        return generator
 
     def _halt(self, state: ProcessState, stop: StopIteration) -> None:
         state.halted = True

@@ -134,6 +134,14 @@ class SearchConfig:
             raise ConfigurationError("elites must lie in [1, population]")
         if not 0.0 < self.near_miss_threshold <= 1.0:
             raise ConfigurationError("near_miss_threshold must lie in (0, 1]")
+        if self.top < 0:
+            raise ConfigurationError(f"top must be >= 0 findings to shrink, got {self.top}")
+        if self.eval_chunk < 1:
+            raise ConfigurationError(f"eval_chunk must be >= 1 candidates, got {self.eval_chunk}")
+        if self.shrink_max_evaluations < 1:
+            raise ConfigurationError(
+                f"shrink_max_evaluations must be >= 1, got {self.shrink_max_evaluations}"
+            )
 
     @staticmethod
     def smoke_config(property_name: str, **overrides: Any) -> "SearchConfig":
@@ -847,9 +855,13 @@ def _shrink_findings(
                 held = memo[key] = still_finding(trial) and same_side(trial, target_side)
             return held
 
-        result = shrink_schedule(
-            compiled, predicate, max_evaluations=config.shrink_max_evaluations
-        )
+        with prop.prefix_spine() as spine:
+            result = shrink_schedule(
+                compiled,
+                predicate,
+                max_evaluations=config.shrink_max_evaluations,
+                follow=spine.follow,
+            )
         shrunk = result.schedule
         certificate = certify_schedule(
             shrunk,

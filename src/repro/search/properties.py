@@ -10,7 +10,9 @@ Each property builds one replica of the system under test on first use
 (:meth:`ScheduleProperty.replica`) and rewinds it between candidates
 (:meth:`~repro.runtime.simulator.Simulator.rewind`), so a candidate costs one
 :meth:`~repro.runtime.simulator.Simulator.run_fast` instead of a simulator
-build plus a run.  The run carries one
+build plus a run; a candidate that shares a long first stretch of steps
+with one already run resumes from a snapshot there instead
+(:mod:`repro.search.prefix`).  The run carries one
 :class:`~repro.runtime.observers.OutputTracker` per published key the
 property reads; the trackers live only while their candidate is judged.
 Two judges read them:
@@ -72,6 +74,7 @@ from ..memory.registers import RegisterFile
 from ..runtime.observers import OutputTracker
 from ..runtime.simulator import Simulator
 from ..types import AgreementInstance, ProcessId, ProcessSet, universe
+from .prefix import PrefixPlan, PrefixRunner, PrefixSpine, plan_prefix_runs
 
 #: One ``pid -> {key: value}`` published-output sample (a checkpoint snapshot).
 Snapshot = Dict[ProcessId, Dict[str, Any]]
@@ -117,6 +120,7 @@ class ScheduleProperty(ABC):
         self.t = t
         self.k = k
         self._replica: Optional[Simulator] = None
+        self._spine: Optional[PrefixSpine] = None
 
     # ------------------------------------------------------------------
     def describe(self) -> str:
@@ -158,7 +162,15 @@ class ScheduleProperty(ABC):
         Not reentrant: the body must not run another candidate of this
         property (judge the trackers, then run the next).
         """
+        spine = self._spine
+        if spine is not None:
+            trackers = spine.run(compiled, keys)
+            if trackers is not None:
+                yield trackers
+                return
         simulator = self.replica()
+        if spine is not None:
+            simulator.rewind()  # the spine leaves the replica mid-run
         trackers = {key: OutputTracker(key=key) for key in keys}
         try:
             for tracker in trackers.values():
@@ -167,6 +179,23 @@ class ScheduleProperty(ABC):
             yield trackers
         finally:
             simulator.rewind()
+
+    @contextmanager
+    def prefix_spine(self) -> Iterator[PrefixSpine]:
+        """Route this property's runs through a :class:`~repro.search.prefix.PrefixSpine`.
+
+        Inside the block, :meth:`screen`, :meth:`confirm` and
+        :meth:`evaluate` resume each candidate from the spine's snapshots
+        along the buffer last passed to its ``follow`` (a shrinker's current
+        buffer); the verdicts are those of whole runs.  On exit the replica
+        is rewound.
+        """
+        spine = self._spine = PrefixSpine(self.replica())
+        try:
+            yield spine
+        finally:
+            self._spine = None
+            self.replica().rewind()
 
     def evaluate(
         self,
@@ -180,16 +209,29 @@ class ScheduleProperty(ABC):
         :meth:`judge_confirm` reads the same trackers and its verdict is
         attached as the screen verdict's ``exact``.
         """
-        keys = self.screen_keys
-        if flagged is not None:
-            keys = tuple(dict.fromkeys(keys + self.confirm_keys))
-        with self.tracked_run(compiled, keys) as trackers:
-            snapshots = tracker_snapshots(
-                trackers, self.screen_keys, compiled.n, len(compiled), checkpoints
-            )
-            screen = self.judge_screen(snapshots, compiled)
-            if flagged is not None and flagged(screen):
-                screen = replace(screen, exact=self.judge_confirm(trackers, compiled))
+        with self.tracked_run(compiled, self.evaluation_keys(flagged is not None)) as trackers:
+            return self.judge(trackers, compiled, checkpoints, flagged)
+
+    def evaluation_keys(self, flagging: bool) -> Tuple[str, ...]:
+        """The keys :meth:`evaluate` tracks: the screen's, plus the exact judge's when flagging."""
+        if not flagging:
+            return self.screen_keys
+        return tuple(dict.fromkeys(self.screen_keys + self.confirm_keys))
+
+    def judge(
+        self,
+        trackers: Trackers,
+        compiled: CompiledSchedule,
+        checkpoints: int,
+        flagged: Optional[Callable[[PropertyVerdict], bool]] = None,
+    ) -> PropertyVerdict:
+        """:meth:`evaluate`'s verdict from the trackers of ``compiled``'s run."""
+        snapshots = tracker_snapshots(
+            trackers, self.screen_keys, compiled.n, len(compiled), checkpoints
+        )
+        screen = self.judge_screen(snapshots, compiled)
+        if flagged is not None and flagged(screen):
+            screen = replace(screen, exact=self.judge_confirm(trackers, compiled))
         return screen
 
     def screen(self, compiled: CompiledSchedule, checkpoints: int) -> PropertyVerdict:
@@ -634,22 +676,46 @@ def screen_generation(
 ) -> List[PropertyVerdict]:
     """Screen a whole generation: one tracked run per candidate.
 
-    Every candidate runs once on the property's rewound replica
-    (:meth:`ScheduleProperty.evaluate`), so the verdicts equal the
-    one-at-a-time :meth:`ScheduleProperty.screen` ones.  With ``flagged``,
-    the candidate at position ``i`` whose screen verdict ``v`` makes
-    ``flagged(i, v)`` true also gets its exact verdict from that same run,
-    as ``v.exact`` — flagged candidates pay no second run.
+    Every candidate runs once on the property's replica, and the verdicts
+    equal the one-at-a-time :meth:`ScheduleProperty.evaluate` ones.  The
+    runs follow the sorted-prefix plan (:func:`~repro.search.prefix.plan_prefix_runs`):
+    candidates run in sorted step-buffer order, each resuming from a
+    snapshot at its shared prefix with the previous one, so a shared prefix
+    is stepped once; the trackers, attached once, are restored with every
+    snapshot.  A property whose replica lacks the resume hook
+    (:attr:`~repro.runtime.simulator.Simulator.resumable`) runs every
+    candidate whole, in batch order.  With ``flagged``, the candidate at
+    position ``i`` whose screen verdict ``v`` makes ``flagged(i, v)`` true
+    also gets its exact verdict from that same run, as ``v.exact`` —
+    flagged candidates pay no second run.
     """
     compiled_list = list(compileds)
     _LAST_SCREEN_PLAN.clear()
     _LAST_SCREEN_PLAN.update({"lane": "reference", "batch": len(compiled_list)})
-    return [
-        prop.evaluate(
-            compiled, checkpoints, None if flagged is None else partial(flagged, index)
-        )
-        for index, compiled in enumerate(compiled_list)
-    ]
+    simulator = prop.replica()
+    if simulator.resumable:
+        plan = plan_prefix_runs([compiled.steps for compiled in compiled_list])
+    else:
+        plan = PrefixPlan.whole(len(compiled_list))
+    keys = prop.evaluation_keys(flagged is not None)
+    trackers = {key: OutputTracker(key=key) for key in keys}
+    verdicts: List[Optional[PropertyVerdict]] = [None] * len(compiled_list)
+    try:
+        for tracker in trackers.values():
+            simulator.add_observer(tracker)
+        runner = PrefixRunner(simulator)
+        for index, resume, pauses in zip(plan.order, plan.resume, plan.pauses):
+            compiled = compiled_list[index]
+            runner.run(compiled, resume, pauses)
+            verdicts[index] = prop.judge(
+                trackers,
+                compiled,
+                checkpoints,
+                None if flagged is None else partial(flagged, index),
+            )
+    finally:
+        simulator.rewind()
+    return verdicts
 
 
 # ----------------------------------------------------------------------

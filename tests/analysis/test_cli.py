@@ -7,6 +7,7 @@ import pytest
 from repro import __version__
 from repro.analysis.experiment import EXPERIMENT_REGISTRY
 from repro.cli import EXPERIMENTS, STANDALONE, build_parser, run
+from repro.errors import ConfigurationError
 from repro.scenarios import available_families
 
 
@@ -147,7 +148,7 @@ class TestScenariosCommand:
         assert "| 6       |" in output  # census covers the overridden Πn
 
     def test_empty_set_value_rejected_cleanly(self):
-        with pytest.raises(SystemExit, match="KEY=VALUE"):
+        with pytest.raises(ConfigurationError, match="KEY=VALUE"):
             run(["scenarios", "crash-churn", "--set", "period="])
 
     def test_single_valued_set_parameter_coerced_to_list(self):
@@ -165,13 +166,13 @@ class TestScenariosCommand:
         assert any("carriers=[1]" in line for line in lines)
 
     def test_bad_assignment_and_bad_perturbation_rejected(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(ConfigurationError):
             run(["scenarios", "crash-churn", "--set", "period"])
-        with pytest.raises(SystemExit):
+        with pytest.raises(ConfigurationError):
             run(["scenarios", "crash-churn", "--perturb", ""])
-        with pytest.raises(SystemExit, match="numeric RATE"):
+        with pytest.raises(ConfigurationError, match="numeric RATE"):
             run(["scenarios", "crash-churn", "--perturb", "noise:"])
-        with pytest.raises(SystemExit, match="numeric RATE"):
+        with pytest.raises(ConfigurationError, match="numeric RATE"):
             run(["scenarios", "crash-churn", "--perturb", "noise:0.1:x"])
 
 
@@ -346,12 +347,14 @@ class TestSearchCommand:
         assert "agreement-safety" in output
 
     def test_table_rejects_single_search_flags(self):
-        with pytest.raises(SystemExit) as excinfo:
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError) as excinfo:
             run(["search", "--table", "--jsonl", "out.jsonl"])
         assert "--jsonl" in str(excinfo.value)
-        with pytest.raises(SystemExit):
+        with pytest.raises(ConfigurationError):
             run(["search", "--table", "--property", "agreement-safety"])
-        with pytest.raises(SystemExit):
+        with pytest.raises(ConfigurationError):
             run(["search", "--table", "--smoke"])
 
     def test_degenerate_horizon_rejected_cleanly(self):
@@ -487,9 +490,18 @@ BAD_ARGUMENTS = {
     "map": (["map", "--t", "5", "--k", "2", "--n", "4"], "config"),
     "separations": (["separations", "--bogus"], "usage"),
     "scenarios": (["scenarios", "no-such-family"], "config"),
+    "scenarios (assignment without a value)": (["scenarios", "crash-churn", "--set", "period"], "config"),
+    "scenarios (perturbation without a kind)": (["scenarios", "crash-churn", "--perturb", ""], "config"),
+    "scenarios (non-numeric perturbation rate)": (
+        ["scenarios", "crash-churn", "--perturb", "noise:x"],
+        "config",
+    ),
     "solve": (["solve", "--t", "2", "--k", "2", "--n", "4", "--max-steps", "0"], "config"),
     "search": (["search", "--property", "nope"], "config"),
+    "search (table with a single-search flag)": (["search", "--table", "--smoke"], "config"),
+    "search (negative top)": (["search", "--top", "-1"], "config"),
     "distsim": (["distsim", "no-such-family"], "config"),
+    "distsim (table with a single-workload flag)": (["distsim", "--table", "--n", "3"], "config"),
     "campaign": (["campaign", "e2", "--horizon", "0"], "config"),
     "queue enqueue": (["queue", "enqueue", "e2", "--db", "{db}", "--horizon", "0"], "config"),
     "queue work": (["queue", "work", "--db", "{db}"], "config"),

@@ -79,6 +79,39 @@ def candidates(draw, n: int, t: int) -> CompiledSchedule:
     return rebuild_candidate(n, steps, sorted(faulty), "generated")
 
 
+def observable_state(simulator, trackers, names) -> Dict[str, Any]:
+    """Everything a run can observably change, registers read by ``names``."""
+    arena = simulator.registers.arena_view()
+    registers = {}
+    for name in names:
+        slot = simulator.registers.resolve_slot(name)
+        registers[name] = (
+            arena.values[slot],
+            arena.read_counts[slot],
+            arena.write_counts[slot],
+            arena.writers[slot],
+        )
+    pids = range(1, simulator.n + 1)
+    return {
+        "outputs": {pid: dict(simulator.automaton(pid).outputs) for pid in pids},
+        "versions": {
+            pid: (
+                simulator.automaton(pid).outputs_version,
+                dict(simulator.automaton(pid).output_versions),
+            )
+            for pid in pids
+        },
+        "changes": [
+            [(change.step, change.pid, change.value) for change in tracker.changes]
+            for tracker in trackers
+        ],
+        "registers": registers,
+        "steps_taken": [simulator.steps_taken(pid) for pid in pids],
+        "halted": simulator.halted_processes(),
+        "step_index": simulator.step_index,
+    }
+
+
 #: Longest prefix a family conformance example compiles.
 FAMILY_HORIZON = 600
 

@@ -17,7 +17,7 @@ from dataclasses import replace
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conformance_support import CONFORMANCE, candidates, property_setups
+from conformance_support import CONFORMANCE, candidates, observable_state, property_setups
 from repro.runtime.observers import OutputTracker
 from repro.search.properties import make_property, screen_generation
 from repro.search.shrink import rebuild_candidate
@@ -33,39 +33,6 @@ def _run(simulator, compiled, keys):
         simulator.add_observer(tracker)
     simulator.run_fast(compiled)
     return trackers
-
-
-def _state(simulator, trackers, names):
-    """Everything a run can observably change, registers read by ``names``."""
-    arena = simulator.registers.arena_view()
-    registers = {}
-    for name in names:
-        slot = simulator.registers.resolve_slot(name)
-        registers[name] = (
-            arena.values[slot],
-            arena.read_counts[slot],
-            arena.write_counts[slot],
-            arena.writers[slot],
-        )
-    pids = range(1, simulator.n + 1)
-    return {
-        "outputs": {pid: dict(simulator.automaton(pid).outputs) for pid in pids},
-        "versions": {
-            pid: (
-                simulator.automaton(pid).outputs_version,
-                dict(simulator.automaton(pid).output_versions),
-            )
-            for pid in pids
-        },
-        "changes": [
-            [(change.step, change.pid, change.value) for change in tracker.changes]
-            for tracker in trackers
-        ],
-        "registers": registers,
-        "steps_taken": [simulator.steps_taken(pid) for pid in pids],
-        "halted": simulator.halted_processes(),
-        "step_index": simulator.step_index,
-    }
 
 
 @st.composite
@@ -102,7 +69,7 @@ def test_rewound_replica_equals_a_fresh_one(run):
         # one keeps names earlier candidates created, at their initial state.
         names = set(fresh.registers.arena_view().names)
         names |= set(replica.registers.arena_view().names)
-        assert _state(replica, rewound_trackers, names) == _state(
+        assert observable_state(replica, rewound_trackers, names) == observable_state(
             fresh, fresh_trackers, names
         )
         replica.rewind()

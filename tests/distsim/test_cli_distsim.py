@@ -153,7 +153,9 @@ class TestCli:
         assert "Traceback" not in result.stderr
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1, result.stderr
-        assert lines[0].startswith(f"--table runs the fixed E12 sweep and does not accept {named};")
+        assert lines[0].startswith(
+            f"repro: --table runs the fixed E12 sweep and does not accept {named};"
+        )
         assert result.stdout == ""
         assert result.returncode == 1
 

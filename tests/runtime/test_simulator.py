@@ -143,6 +143,39 @@ class TestSimulatorExecution:
         again = simulator.run(Schedule(steps=(1, 2, 1, 2, 1, 2), n=2))
         assert again == first and seen == [1, 2, 3, 4, 5, 6]
 
+    def test_step_array_runs_like_the_same_steps_in_a_list(self):
+        from array import array
+
+        steps = [1, 2, 2, 1, 2]
+        by_list = build_simulator(2, lambda pid: IdleAutomaton(pid, 2))
+        by_array = build_simulator(2, lambda pid: IdleAutomaton(pid, 2))
+        assert by_array.run_fast(array("i", steps)) == by_list.run_fast(steps)
+        assert by_array.run_fast(array("i", steps), max_steps=2).steps_executed == 2
+        assert [by_array.steps_taken(pid) for pid in (1, 2)] == [3, 4]
+        with pytest.raises(SimulationError, match="unknown process id 3"):
+            by_array.run_fast(array("i", [1, 3]))
+
+    def test_snapshot_needs_observers_that_snapshot(self):
+        simulator = build_simulator(2, lambda pid: IdleAutomaton(pid, 2))
+        simulator.add_observer(lambda step, pid, sim: None)
+        with pytest.raises(SimulationError, match="no snapshot"):
+            simulator.snapshot()
+
+    def test_tracker_refuses_a_snapshot_off_its_path(self):
+        from repro.runtime.observers import OutputTracker
+
+        simulator = Simulator(n=2, automata={1: PingPong(1, 2), 2: PingPong(2, 2)})
+        tracker = OutputTracker(key="seen")
+        tracker(1, 1, simulator)
+        saved = tracker.snapshot()
+        tracker(2, 2, simulator)
+        tracker.restore(saved)
+        assert [(change.step, change.pid) for change in tracker.changes] == [(1, 1)]
+        del tracker.changes[:]
+        tracker(3, 2, simulator)
+        with pytest.raises(SimulationError, match="diverged"):
+            tracker.restore(saved)
+
     def test_rewind_keeps_prebound_tables_valid(self):
         simulator = build_simulator(2, lambda pid: IdleAutomaton(pid, 2))
         simulator.run_fast(Schedule(steps=(1, 2, 2), n=2))

@@ -80,6 +80,17 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             SearchConfig(fitness="vibes")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("top", -1), ("eval_chunk", 0), ("shrink_max_evaluations", 0)],
+    )
+    def test_out_of_range_counts_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            SearchConfig(**{field: value})
+
+    def test_zero_top_is_accepted(self):
+        assert SearchConfig(top=0).top == 0
+
     def test_certify_bound_defaults_to_four_times_the_seed_bound(self):
         assert SearchConfig(bound=3).resolved_certify_bound() == 12
         assert SearchConfig(bound=3, certify_bound=7).resolved_certify_bound() == 7
