@@ -427,6 +427,15 @@ class KAntiOmegaAutomaton(FailureDetectorAutomaton):
         next(program)
         return program
 
+    @property
+    def resumable(self) -> bool:
+        """Whether this automaton runs this class's :meth:`program`, the one with the hook.
+
+        A subclass that overrides :meth:`program` inherits
+        :meth:`program_state`, which returns ``None`` for its generators.
+        """
+        return type(self).program is KAntiOmegaAutomaton.program
+
 
 def make_anti_omega_algorithm(
     n: int,

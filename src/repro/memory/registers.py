@@ -309,21 +309,6 @@ class RegisterFile:
                 writer = None
             self.declare((prefix, index), initial=initial, writer=writer)
 
-    def rewind(self) -> None:
-        """Put every register back to its initial state, in place.
-
-        Each interned slot gets its declared initial value (``None`` when
-        undeclared) and owner back, with both counters zeroed — the state a
-        fresh file would give the name on first access.  Slots stay where
-        they are, so operations bound to them stay valid; a name interned by
-        an earlier run stays interned, which nothing can observe.
-        """
-        arena = self._arena
-        defaults = self._defaults
-        owners = self._owners
-        for slot, name in enumerate(arena.names):
-            arena.reset(slot, value=defaults.get(name), writer=owners.get(name))
-
     def snapshot(self) -> Tuple[int, List[Any], List[int], List[int], List[Optional[ProcessId]]]:
         """Every interned register's value, counters and owner, as :meth:`restore` takes them."""
         arena = self._arena
@@ -340,9 +325,11 @@ class RegisterFile:
     ) -> None:
         """Put every register back to the state :meth:`snapshot` saw, in place.
 
-        Slots interned after the snapshot stay interned (operations bound to
-        them stay valid) and go back to their initial state, as
-        :meth:`rewind` leaves them: what a fresh access would create.
+        Slots stay where they are, so operations bound to them stay valid.
+        A slot interned after the snapshot stays interned and gets its
+        declared initial value (``None`` when undeclared) and owner back,
+        with both counters zeroed: the state a fresh access would create,
+        which nothing can tell from the name never having been interned.
         """
         known, values, read_counts, write_counts, writers = saved
         arena = self._arena

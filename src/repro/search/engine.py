@@ -855,13 +855,9 @@ def _shrink_findings(
                 held = memo[key] = still_finding(trial) and same_side(trial, target_side)
             return held
 
-        with prop.prefix_spine() as spine:
-            result = shrink_schedule(
-                compiled,
-                predicate,
-                max_evaluations=config.shrink_max_evaluations,
-                follow=spine.follow,
-            )
+        result = shrink_schedule(
+            compiled, predicate, max_evaluations=config.shrink_max_evaluations
+        )
         shrunk = result.schedule
         certificate = certify_schedule(
             shrunk,

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..core.schedule import CompiledSchedule
 from ..errors import SimulationError
-from ..runtime.observers import OutputTracker
 from ..runtime.simulator import Simulator, SimulatorSnapshot
 
 #: Shortest shared prefix a run resumes from or pauses at.  A snapshot and a
@@ -76,9 +75,7 @@ class PrefixPlan:
         return PrefixPlan(list(range(count)), [0] * count, [[] for _ in range(count)])
 
 
-def plan_prefix_runs(
-    buffers: Sequence[array], min_depth: int = MIN_SHARED_DEPTH
-) -> PrefixPlan:
+def plan_prefix_runs(buffers: Sequence[array]) -> PrefixPlan:
     """Plan a batch of step buffers so that each shared prefix is stepped once.
 
     The buffers are sorted (lexicographically, on the arrays themselves), so
@@ -87,14 +84,14 @@ def plan_prefix_runs(
     the previous run, and pauses at each distinct running minimum of the
     following neighbours' shared prefixes that lies above its own resume
     depth: exactly the depths later runs resume from.  Shared prefixes below
-    ``min_depth`` count as none.
+    :data:`MIN_SHARED_DEPTH` count as none.
     """
     order = sorted(range(len(buffers)), key=buffers.__getitem__)
     shared = [0] + [
         shared_prefix(buffers[before], buffers[after])
         for before, after in zip(order, order[1:])
     ]
-    resume = [depth if depth >= min_depth else 0 for depth in shared]
+    resume = [depth if depth >= MIN_SHARED_DEPTH else 0 for depth in shared]
     pauses: List[List[int]] = []
     for position, own in enumerate(resume):
         depths: List[int] = []
@@ -102,7 +99,7 @@ def plan_prefix_runs(
         for later in range(position + 1, len(order)):
             depth = shared[later]
             running = depth if running is None else min(running, depth)
-            if running <= own or running < min_depth:
+            if running <= own or running < MIN_SHARED_DEPTH:
                 break
             if not depths or running < depths[-1]:
                 depths.append(running)
@@ -126,27 +123,6 @@ class PrefixRunner:
         self._start = simulator.snapshot()
         self._stack: List[Tuple[int, SimulatorSnapshot]] = []
 
-    def keep(self, depth: int) -> None:
-        """Drop the snapshots deeper than ``depth`` (off the path runs go on)."""
-        stack = self._stack
-        while stack and stack[-1][0] > depth:
-            stack.pop()
-
-    def restore_deepest(self, depth: int) -> int:
-        """Restore the deepest snapshot at most ``depth`` deep; its depth (0: the start)."""
-        self.keep(depth)
-        if self._stack:
-            at, snapshot = self._stack[-1]
-        else:
-            at, snapshot = 0, self._start
-        self.simulator.restore(snapshot)
-        return at
-
-    def pause(self) -> None:
-        """Snapshot the simulator where it stands, for later runs to resume from."""
-        simulator = self.simulator
-        self._stack.append((simulator.step_index, simulator.snapshot()))
-
     def run(self, compiled: CompiledSchedule, resume: int = 0, pauses: Sequence[int] = ()) -> None:
         """Run ``compiled`` from the snapshot at depth ``resume``, pausing at ``pauses``.
 
@@ -156,86 +132,24 @@ class PrefixRunner:
         ``run_fast`` of a slice of the step array.
         """
         simulator = self.simulator
-        at = self.restore_deepest(resume)
+        stack = self._stack
+        while stack and stack[-1][0] > resume:
+            stack.pop()
+        at, snapshot = stack[-1] if stack else (0, self._start)
         if at != resume:
             raise SimulationError(
                 f"no snapshot at depth {resume}: an earlier run of the plan "
                 "should have paused there"
             )
+        simulator.restore(snapshot)
         if not at and not pauses:
             simulator.run_fast(compiled)
             return
         steps = compiled.steps
         for pause in pauses:
             simulator.run_fast(steps[at:pause])
-            self.pause()
+            stack.append((pause, simulator.snapshot()))
             at = pause
         if at < len(steps):
             simulator.run_fast(steps[at:])
 
-
-class PrefixSpine:
-    """Resumes a sequence of runs from snapshots along a followed buffer.
-
-    The sequential counterpart of a :class:`PrefixPlan`, for runs that
-    arrive one at a time: a shrinker's trials.  Before each trial the
-    shrinker says which buffer it is minimizing and how long a prefix of it
-    the trial keeps (:meth:`follow`); :meth:`run` then resumes the trial
-    from a snapshot at that depth of the followed buffer, first stepping the
-    followed buffer up to it from the deepest snapshot kept when that gap is
-    at least :data:`MIN_SHARED_DEPTH` steps.  The snapshots live in a
-    :class:`PrefixRunner` along the followed buffer; :meth:`follow` drops
-    those the new buffer no longer shares.  One set of trackers, created by
-    the first :meth:`run`, records every run; a run asking for other keys
-    returns ``None`` and the caller runs it alone.
-    """
-
-    def __init__(self, simulator: Simulator) -> None:
-        self.simulator = simulator
-        self.keys: Optional[Tuple[str, ...]] = None
-        self.trackers: Dict[str, OutputTracker] = {}
-        self._resumable = simulator.resumable
-        self._runner: Optional[PrefixRunner] = None
-        self._buffer: Optional[array] = None
-        self._shared = 0
-
-    def follow(self, buffer: array, shared: int) -> None:
-        """The next run keeps ``buffer[:shared]``, ``buffer`` being the buffer minimized."""
-        if not self._resumable:
-            return
-        followed = self._buffer
-        if self._runner is not None and followed is not None and buffer is not followed:
-            self._runner.keep(shared_prefix(followed, buffer))
-        self._buffer, self._shared = buffer, shared
-
-    def run(self, compiled: CompiledSchedule, keys: Sequence[str]) -> Optional[Dict[str, OutputTracker]]:
-        """Run ``compiled`` (resumed when it keeps the followed prefix); its trackers.
-
-        Returns ``None``, running nothing, when ``keys`` differ from the keys
-        of the spine's first run.
-        """
-        simulator = self.simulator
-        if self._runner is None:
-            self.keys = tuple(keys)
-            simulator.rewind()
-            self.trackers = {key: OutputTracker(key=key) for key in self.keys}
-            for tracker in self.trackers.values():
-                simulator.add_observer(tracker)
-            self._runner = PrefixRunner(simulator)
-        elif tuple(keys) != self.keys:
-            return None
-        steps = compiled.steps
-        followed = self._buffer
-        shared = self._shared if followed is not None else 0
-        if shared and steps[:shared] != followed[:shared]:
-            shared = 0
-        at = self._runner.restore_deepest(shared)
-        if shared - at >= MIN_SHARED_DEPTH:
-            simulator.run_fast(followed[at:shared])
-            self._runner.pause()
-            at = shared
-        if not at:
-            simulator.run_fast(compiled)
-        elif at < len(steps):
-            simulator.run_fast(steps[at:])
-        return self.trackers

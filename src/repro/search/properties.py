@@ -74,7 +74,7 @@ from ..memory.registers import RegisterFile
 from ..runtime.observers import OutputTracker
 from ..runtime.simulator import Simulator
 from ..types import AgreementInstance, ProcessId, ProcessSet, universe
-from .prefix import PrefixPlan, PrefixRunner, PrefixSpine, plan_prefix_runs
+from .prefix import PrefixPlan, PrefixRunner, plan_prefix_runs
 
 #: One ``pid -> {key: value}`` published-output sample (a checkpoint snapshot).
 Snapshot = Dict[ProcessId, Dict[str, Any]]
@@ -120,7 +120,6 @@ class ScheduleProperty(ABC):
         self.t = t
         self.k = k
         self._replica: Optional[Simulator] = None
-        self._spine: Optional[PrefixSpine] = None
 
     # ------------------------------------------------------------------
     def describe(self) -> str:
@@ -162,15 +161,7 @@ class ScheduleProperty(ABC):
         Not reentrant: the body must not run another candidate of this
         property (judge the trackers, then run the next).
         """
-        spine = self._spine
-        if spine is not None:
-            trackers = spine.run(compiled, keys)
-            if trackers is not None:
-                yield trackers
-                return
         simulator = self.replica()
-        if spine is not None:
-            simulator.rewind()  # the spine leaves the replica mid-run
         trackers = {key: OutputTracker(key=key) for key in keys}
         try:
             for tracker in trackers.values():
@@ -179,23 +170,6 @@ class ScheduleProperty(ABC):
             yield trackers
         finally:
             simulator.rewind()
-
-    @contextmanager
-    def prefix_spine(self) -> Iterator[PrefixSpine]:
-        """Route this property's runs through a :class:`~repro.search.prefix.PrefixSpine`.
-
-        Inside the block, :meth:`screen`, :meth:`confirm` and
-        :meth:`evaluate` resume each candidate from the spine's snapshots
-        along the buffer last passed to its ``follow`` (a shrinker's current
-        buffer); the verdicts are those of whole runs.  On exit the replica
-        is rewound.
-        """
-        spine = self._spine = PrefixSpine(self.replica())
-        try:
-            yield spine
-        finally:
-            self._spine = None
-            self.replica().rewind()
 
     def evaluate(
         self,

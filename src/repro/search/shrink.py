@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Sequence
 
 from ..core.schedule import CompiledSchedule
 from ..errors import ConfigurationError
@@ -88,7 +88,6 @@ def shrink_schedule(
     predicate: ShrinkPredicate,
     max_evaluations: int = 160,
     min_length: int = 1,
-    follow: Optional[Callable[[array, int], None]] = None,
 ) -> ShrinkResult:
     """ddmin over step blocks, then drop crash entries, while ``predicate`` holds.
 
@@ -98,12 +97,6 @@ def shrink_schedule(
     doubles whenever no block of the current size can be removed, down to
     single steps; every accepted removal restarts at the current granularity
     on the shorter buffer.
-
-    ``follow(buffer, shared)``, when given, is told before each trial which
-    buffer is being minimized and how long a prefix of it the trial keeps
-    (the steps before the removed block; all of it for a crash-entry trial),
-    so the predicate's runs can resume from that prefix
-    (:class:`~repro.search.prefix.PrefixSpine`).
     """
     if max_evaluations < 1:
         raise ConfigurationError(f"max_evaluations must be >= 1, got {max_evaluations}")
@@ -138,8 +131,6 @@ def shrink_schedule(
                 start += block
                 continue
             trial = rebuild_candidate(n, trial_steps, faulty, description)
-            if follow is not None:
-                follow(steps, start)
             if holds(trial):
                 steps = trial_steps
                 removed_some = True
@@ -159,8 +150,6 @@ def shrink_schedule(
             break
         reduced = [p for p in surviving_faulty if p != pid]
         trial = rebuild_candidate(n, steps, reduced, description)
-        if follow is not None:
-            follow(steps, len(steps))
         if holds(trial):
             surviving_faulty = reduced
             removed_crashes += 1

@@ -11,9 +11,7 @@ per-process step counts, halting and the step index.  The pinned examples
 stop a process at each of Figure 2's yields.  Planned
 :func:`~repro.search.properties.screen_generation` batches (sorted, resumed
 at shared prefixes) must give the verdicts of one-at-a-time
-:meth:`~repro.search.properties.ScheduleProperty.evaluate`, and shrinking
-through a :class:`~repro.search.prefix.PrefixSpine` must shrink exactly as
-whole runs do.
+:meth:`~repro.search.properties.ScheduleProperty.evaluate`.
 """
 
 from functools import partial
@@ -27,7 +25,7 @@ from repro.errors import SimulationError
 from repro.runtime.observers import OutputTracker
 from repro.search.prefix import MIN_SHARED_DEPTH
 from repro.search.properties import make_property, screen_generation
-from repro.search.shrink import rebuild_candidate, shrink_schedule
+from repro.search.shrink import rebuild_candidate
 
 #: The properties whose replicas run Figure 2 (the automaton with the hook).
 FIGURE2_PROPERTIES = ("k-anti-omega-convergence", "leader-set-convergence")
@@ -155,39 +153,3 @@ def test_planned_screen_equals_one_at_a_time(run, data):
         for index, compiled in enumerate(batch)
     ]
 
-
-@CONFORMANCE
-@given(setup=st.sampled_from(FIGURE2_PROPERTIES), data=st.data())
-def test_spine_shrinks_like_whole_runs(setup, data):
-    """A shrink whose trials resume from the spine equals one of whole runs."""
-    n, t, k = 4, 2, 2
-    params = {"n": n, "t": t, "k": k}
-    head = [1, 2, 3, 4] * data.draw(st.sampled_from([0, 100]))
-    tail = data.draw(candidates(n, t))
-    compiled = rebuild_candidate(n, head + list(tail.steps), sorted(tail.faulty), "shrunk")
-    threshold = data.draw(st.sampled_from([0.0, 0.3, 0.6]))
-    # Keeping most steps rejects the large blocks, so trials start deep.
-    keep = len(compiled) - data.draw(st.integers(0, 60))
-
-    def predicate_of(prop, verdicts):
-        def predicate(trial):
-            verdict = prop.confirm(trial)
-            verdicts.append(verdict)
-            return verdict.fitness >= threshold and len(trial) >= keep
-
-        return predicate
-
-    expected_verdicts, verdicts = [], []
-    plain = make_property(setup, params)
-    if not predicate_of(plain, [])(compiled):
-        return
-    expected = shrink_schedule(
-        compiled, predicate_of(plain, expected_verdicts), max_evaluations=40
-    )
-    spined = make_property(setup, params)
-    with spined.prefix_spine() as spine:
-        result = shrink_schedule(
-            compiled, predicate_of(spined, verdicts), max_evaluations=40, follow=spine.follow
-        )
-    assert verdicts == expected_verdicts
-    assert result == expected

@@ -37,17 +37,18 @@ class TestRegisterFile:
         registers.write("unknown", 7)
         assert registers.read("unknown") == 7
 
-    def test_rewind_restores_initial_state_in_place(self):
+    def test_restore_of_a_fresh_snapshot_restores_initial_state_in_place(self):
         registers = RegisterFile()
         registers.declare(("Heartbeat", 1), initial=0, writer=1)
+        fresh = registers.snapshot()
         registers.write(("Heartbeat", 1), 9, writer=1)
         registers.write("lazy", "x")
         registers.read("lazy")
         slots = dict(registers.arena_view().slots)
-        registers.rewind()
+        registers.restore(fresh)
         arena = registers.arena_view()
         # Same slots (bound operations stay valid), initial values and owners
-        # back, counters zeroed.
+        # back, counters zeroed, also for the slot interned after the snapshot.
         assert arena.slots == slots
         assert registers.peek(("Heartbeat", 1)) == 0 and registers.peek("lazy") is None
         assert arena.writers == [1, None]

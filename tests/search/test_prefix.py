@@ -5,7 +5,10 @@ from array import array
 import pytest
 
 from repro.errors import SimulationError
+from repro.failure_detectors.anti_omega import KAntiOmegaAutomaton, make_anti_omega_algorithm
+from repro.memory.registers import RegisterFile
 from repro.runtime import kernel
+from repro.runtime.simulator import Simulator
 from repro.search.prefix import (
     MIN_SHARED_DEPTH,
     PrefixPlan,
@@ -40,29 +43,38 @@ class TestSharedPrefix:
 
 class TestPlan:
     def test_runs_resume_where_they_branch_and_pause_for_later_runs(self):
-        head = [1, 2] * 200
+        head = [1, 2] * MIN_SHARED_DEPTH
+        low, high = len(head), len(head) + MIN_SHARED_DEPTH
         buffers = [
-            _buffer(head + [1] * 300 + [2]),  # shares 700 with the next
+            _buffer(head + [1] * MIN_SHARED_DEPTH + [2]),  # shares `high` with the next
             _buffer([3] * 10),  # shares nothing
-            _buffer(head + [1] * 300 + [1]),
-            _buffer(head + [2] * 10),  # shares 400 with the two above
+            _buffer(head + [1] * MIN_SHARED_DEPTH + [1]),
+            _buffer(head + [2] * 10),  # shares `low` with the two above
         ]
-        plan = plan_prefix_runs(buffers, min_depth=256)
+        plan = plan_prefix_runs(buffers)
         assert plan.order == [2, 0, 3, 1]
-        assert plan.resume == [0, 700, 400, 0]
-        # The first run pauses at 400 (for buffer 3) and 700 (for buffer 0);
-        # buffer 0 resumes at 700, deeper than anything later needs.
-        assert plan.pauses == [[400, 700], [], [], []]
+        assert plan.resume == [0, high, low, 0]
+        # The first run pauses at `low` (for buffer 3) and `high` (for
+        # buffer 0); buffer 0 resumes at `high`, deeper than anything later
+        # needs.
+        assert plan.pauses == [[low, high], [], [], []]
 
-    def test_prefixes_below_the_minimum_depth_run_whole(self):
-        buffers = [_buffer([1] * 50 + [2]), _buffer([1] * 50 + [3])]
-        plan = plan_prefix_runs(buffers, min_depth=64)
-        assert plan.resume == [0, 0] and plan.pauses == [[], []]
+    @pytest.mark.parametrize("depth, resumes", [(MIN_SHARED_DEPTH - 10, False),
+                                                (MIN_SHARED_DEPTH - 1, False),
+                                                (MIN_SHARED_DEPTH, True)])
+    def test_prefixes_below_the_minimum_depth_run_whole(self, depth, resumes):
+        buffers = [_buffer([1] * depth + [2]), _buffer([1] * depth + [3])]
+        plan = plan_prefix_runs(buffers)
+        if resumes:
+            assert plan.resume == [0, depth] and plan.pauses == [[depth], []]
+        else:
+            assert plan.resume == [0, 0] and plan.pauses == [[], []]
 
     def test_duplicates_resume_at_their_whole_length(self):
-        buffers = [_buffer([1, 2] * 200), _buffer([1, 2] * 200)]
-        plan = plan_prefix_runs(buffers, min_depth=256)
-        assert plan.resume == [0, 400] and plan.pauses == [[400], []]
+        buffers = [_buffer([1, 2] * MIN_SHARED_DEPTH)] * 2
+        length = 2 * MIN_SHARED_DEPTH
+        plan = plan_prefix_runs(buffers)
+        assert plan.resume == [0, length] and plan.pauses == [[length], []]
 
     def test_whole_plan_keeps_batch_order(self):
         assert PrefixPlan.whole(3) == PrefixPlan([0, 1, 2], [0, 0, 0], [[], [], []])
@@ -113,3 +125,44 @@ class TestRunner:
         # the second resumes there and steps one.
         assert [type(buffer) for buffer in buffers] == [array] * 3
         assert [len(buffer) for buffer in buffers] == [len(head), 30, 30]
+
+
+class OverridingAntiOmega(KAntiOmegaAutomaton):
+    """Figure 2 run through a program of its own, which has no resume hook."""
+
+    def program(self, ctx, resume=None):
+        yield from super().program(ctx, resume)
+
+
+def _overriding_replica(n, t, k):
+    registers = RegisterFile()
+    KAntiOmegaAutomaton.declare_registers(registers, n=n, k=k)
+    automata = {
+        pid: OverridingAntiOmega(pid=pid, n=n, t=t, k=k)
+        for pid in make_anti_omega_algorithm(n=n, t=t, k=k)
+    }
+    return Simulator(n=n, automata=automata, registers=registers)
+
+
+class TestHooklessSubclass:
+    def test_overriding_the_program_drops_the_hook(self):
+        assert _figure2().replica().resumable
+        assert not _overriding_replica(4, 2, 2).resumable
+
+    def test_screen_generation_runs_it_whole(self, monkeypatch):
+        head = [1, 2, 3, 4] * (MIN_SHARED_DEPTH // 4 + 10)
+        batch = [
+            rebuild_candidate(4, head + [1] * 30, [], "a"),
+            rebuild_candidate(4, head + [2] * 30, [], "b"),
+        ]
+        prop = _figure2()
+        prop._replica = _overriding_replica(4, 2, 2)
+        sources = []
+        original = prop._replica.run_fast
+        monkeypatch.setattr(
+            prop._replica, "run_fast",
+            lambda source, *a, **k: sources.append(source) or original(source, *a, **k),
+        )
+        verdicts = screen_generation(prop, batch, 6)
+        assert sources == batch
+        assert verdicts == [_figure2().evaluate(compiled, 6) for compiled in batch]
