@@ -3,10 +3,12 @@
 Two measurements of the E11 subsystem:
 
 * **generation throughput** — evaluating one population of candidate recipes
-  through the ``search-eval`` campaign kind (one tracked run per candidate on
-  a rewound replica; the exact verdict and certification only for flagged
-  ones).  Prints candidates/second, the number the falsification loop's
-  scale is budgeted in.
+  through the ``search-eval`` campaign kind, one run for the whole
+  generation as an inline ``repro search`` does it (one tracked run per
+  candidate on a rewound replica, each shared step prefix stepped once; the
+  exact verdict and certification only for flagged ones).  Prints
+  candidates/second, the number the falsification loop's scale is budgeted
+  in.
 * **cached replay** — the same generation executed twice through a
   :class:`~repro.campaign.engine.CampaignEngine` with a content-addressed
   :class:`~repro.campaign.cache.ResultCache`: the second pass must be served
@@ -26,6 +28,7 @@ from pathlib import Path
 
 from repro.campaign import CampaignEngine, ResultCache
 from repro.search import SearchConfig, generation_recipes, generation_spec
+from repro.search.engine import reset_screen_cache
 
 from _bench_utils import once
 
@@ -44,6 +47,8 @@ def measure_generation(repeats: int = 3) -> dict:
     timings = []
     with CampaignEngine() as engine:
         for _ in range(repeats):
+            # A warm screen-verdict cache would time lookups, not screening.
+            reset_screen_cache()
             started = time.perf_counter()
             engine.run(spec)
             timings.append(time.perf_counter() - started)
@@ -65,6 +70,7 @@ def measure_cached_replay() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         cache = ResultCache(Path(tmp) / "cache")
         with CampaignEngine(cache=cache) as engine:
+            reset_screen_cache()
             started = time.perf_counter()
             cold = engine.run(spec)
             cold_elapsed = time.perf_counter() - started

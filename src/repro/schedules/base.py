@@ -135,9 +135,10 @@ class ScheduleGenerator(ABC):
         """The first ``length`` steps as ``array('i')``: :meth:`compile`'s buffer.
 
         A generator that can fill the buffer without a per-step iterator
-        overrides this.
+        overrides this.  The steps go through a list first: ``array`` packs a
+        list in one pass, but appends from an iterator one item at a time.
         """
-        return array("i", islice(self._emit(), length))
+        return array("i", list(islice(self._emit(), length)))
 
     def infinite(self) -> InfiniteSchedule:
         """Wrap the generator as an :class:`InfiniteSchedule` (memoized steps)."""

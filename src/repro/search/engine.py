@@ -7,16 +7,19 @@ property (:mod:`repro.search.properties`):
 1. **Falsify.**  Each generation is a population of recipes — elites carried
    from the previous generation, mutations of elites, and fresh random
    candidates — evaluated through the campaign layer: the generation is
-   expanded into chunked ``search-eval`` runs of a
-   :class:`~repro.campaign.spec.CampaignSpec`, so populations dispatch across
-   worker processes, identical candidates deduplicate by content address, and
-   a :class:`~repro.campaign.cache.ResultCache` makes re-running a search
-   resume from cached generations.  Inside a run the whole chunk screens in
-   one call (:func:`~repro.search.properties.screen_generation`: one tracked
-   run per candidate on the property's rewound replica), with elite
-   re-screens served from a screen-verdict cache; a flagged candidate's
-   exact verdict reads the trackers of that same run, and only flagged
-   candidates pay for certification.
+   expanded into ``search-eval`` runs of a
+   :class:`~repro.campaign.spec.CampaignSpec`, one contiguous run per engine
+   worker unless ``eval_chunk`` fixes the run size, so populations dispatch
+   across worker processes, identical candidates deduplicate by content
+   address, and a :class:`~repro.campaign.cache.ResultCache` makes re-running
+   a search resume from cached generations.  Inside a run the whole batch
+   screens in one call (:func:`~repro.search.properties.screen_generation`:
+   one tracked run per candidate on the property's rewound replica, each
+   shared step prefix stepped once), so an inline search screens each
+   generation under one prefix-shared plan.  Elite re-screens are served
+   from a screen-verdict cache; a flagged candidate's exact verdict reads the
+   trackers of that same run, and only flagged candidates pay for
+   certification.
 2. **Shrink.**  Surviving findings (confirmed violations, else the best
    near-misses) are minimized by the deterministic delta-debugging loop in
    :mod:`repro.search.shrink`, with the property's exact verdict as the
@@ -109,7 +112,9 @@ class SearchConfig:
     certify_prefix: Optional[int] = None
     top: int = 3
     shrink_max_evaluations: int = 120
-    eval_chunk: int = 4
+    #: Candidates per ``search-eval`` run (None = one run per engine worker,
+    #: so an inline search screens each generation in one prefix-shared plan).
+    eval_chunk: Optional[int] = None
     smoke: bool = False
 
     def __post_init__(self) -> None:
@@ -136,8 +141,15 @@ class SearchConfig:
             raise ConfigurationError("near_miss_threshold must lie in (0, 1]")
         if self.top < 0:
             raise ConfigurationError(f"top must be >= 0 findings to shrink, got {self.top}")
-        if self.eval_chunk < 1:
+        if self.eval_chunk is not None and self.eval_chunk < 1:
             raise ConfigurationError(f"eval_chunk must be >= 1 candidates, got {self.eval_chunk}")
+        if self.certify_bound is not None and self.certify_bound < 1:
+            raise ConfigurationError(f"certify_bound must be >= 1, got {self.certify_bound}")
+        if self.certify_prefix is not None and self.certify_prefix < 1:
+            raise ConfigurationError(
+                f"certify_prefix must be >= 1 steps, got {self.certify_prefix}; "
+                "an empty schedule prefix cannot be certified"
+            )
         if self.shrink_max_evaluations < 1:
             raise ConfigurationError(
                 f"shrink_max_evaluations must be >= 1, got {self.shrink_max_evaluations}"
@@ -155,7 +167,6 @@ class SearchConfig:
             checkpoints=8,
             top=2,
             shrink_max_evaluations=60,
-            eval_chunk=5,
             smoke=True,
         )
         defaults.update(overrides)
@@ -677,18 +688,22 @@ def _eval_params(config: SearchConfig, recipes: List[Dict[str, Any]]) -> Dict[st
 
 
 def generation_spec(
-    config: SearchConfig, generation: int, recipes: List[Dict[str, Any]]
+    config: SearchConfig, generation: int, recipes: List[Dict[str, Any]], workers: int = 1
 ) -> CampaignSpec:
-    """One generation as a campaign spec: ``eval_chunk``-sized ``search-eval`` runs.
+    """One generation as a campaign spec: contiguous ``search-eval`` runs in recipe order.
 
-    The single assembly point for how a population becomes campaign runs —
-    the engine executes these specs, and ``benchmarks/bench_search.py``
-    measures exactly the same shape.
+    With ``eval_chunk`` unset the recipes split into ``workers`` runs of
+    ``ceil(len(recipes) / workers)``: every worker gets one run, and an
+    inline engine screens the whole generation in one
+    :func:`~repro.search.properties.screen_generation` call, whose
+    sorted-prefix plan then shares step prefixes across all of it.  An
+    explicit ``eval_chunk`` fixes the run size instead.  The single assembly
+    point for how a population becomes campaign runs — the engine executes
+    these specs, and ``benchmarks/bench_search.py`` measures exactly the
+    same shape.
     """
-    chunks = [
-        recipes[start : start + config.eval_chunk]
-        for start in range(0, len(recipes), config.eval_chunk)
-    ]
+    size = config.eval_chunk or max(1, -(-len(recipes) // workers))
+    chunks = [recipes[start : start + size] for start in range(0, len(recipes), size)]
     return CampaignSpec(
         name=f"search-{config.property}-g{generation}",
         kind="search-eval",
@@ -703,7 +718,7 @@ def _evaluate_generation(
     engine: CampaignEngine,
 ) -> Tuple[List[EvaluatedCandidate], int]:
     """One generation through the campaign layer; returns (candidates, cached runs)."""
-    result = engine.run(generation_spec(config, generation, recipes))
+    result = engine.run(generation_spec(config, generation, recipes, engine.workers))
     candidates: List[EvaluatedCandidate] = []
     cached = 0
     for record in result.records:

@@ -500,6 +500,7 @@ BAD_ARGUMENTS = {
     "search": (["search", "--property", "nope"], "config"),
     "search (table with a single-search flag)": (["search", "--table", "--smoke"], "config"),
     "search (negative top)": (["search", "--top", "-1"], "config"),
+    "search (zero certify bound)": (["search", "--certify-bound", "0"], "config"),
     "distsim": (["distsim", "no-such-family"], "config"),
     "distsim (table with a single-workload flag)": (["distsim", "--table", "--n", "3"], "config"),
     "campaign": (["campaign", "e2", "--horizon", "0"], "config"),

@@ -1,5 +1,6 @@
 """Tests for the falsify → shrink → certify search engine."""
 
+import dataclasses
 import json
 
 import pytest
@@ -17,6 +18,7 @@ from repro.search import (
     SearchConfig,
     certify_schedule,
     generation_recipes,
+    generation_spec,
     make_property,
     make_recipe,
     realize,
@@ -31,6 +33,7 @@ from repro.search.engine import (
     _shrink_findings,
     reset_screen_cache,
 )
+from repro.search.prefix import plan_prefix_runs
 from repro.search.properties import (
     PROPERTY_CLASSES,
     KAntiOmegaConvergenceProperty,
@@ -82,11 +85,25 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("top", -1), ("eval_chunk", 0), ("shrink_max_evaluations", 0)],
+        [
+            ("top", -1),
+            ("eval_chunk", 0),
+            ("shrink_max_evaluations", 0),
+            ("certify_bound", 0),
+            ("certify_bound", -3),
+            ("certify_prefix", 0),
+            ("certify_prefix", -1),
+        ],
     )
     def test_out_of_range_counts_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             SearchConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value", [("certify_bound", 1), ("certify_prefix", 1), ("eval_chunk", None)]
+    )
+    def test_smallest_allowed_values_are_accepted(self, field, value):
+        assert getattr(SearchConfig(**{field: value}), field) == value
 
     def test_zero_top_is_accepted(self):
         assert SearchConfig(top=0).top == 0
@@ -326,6 +343,68 @@ class TestViolationPath:
         for shrunk in both:
             assert shrunk.schedule.steps == alone[0].schedule.steps
             assert shrunk.schedule.crash_steps == alone[0].schedule.crash_steps
+
+
+class TestGenerationRuns:
+    """How a generation becomes ``search-eval`` runs (one per engine worker)."""
+
+    @pytest.mark.parametrize(
+        "population, workers, sizes",
+        [(16, 1, [16]), (16, 2, [8, 8]), (16, 3, [6, 6, 4]), (10, 2, [5, 5])],
+    )
+    def test_default_runs_are_contiguous_and_one_per_worker(self, population, workers, sizes):
+        config = SearchConfig(population=population)
+        recipes = generation_recipes(config, 0, [])
+        runs = generation_spec(config, 0, recipes, workers).runs
+        assert [len(run["recipes"]) for run in runs] == sizes
+        assert [recipe for run in runs for recipe in run["recipes"]] == recipes
+
+    def test_explicit_eval_chunk_fixes_the_run_size(self):
+        config = SearchConfig(population=10, eval_chunk=4)
+        recipes = generation_recipes(config, 0, [])
+        for workers in (1, 2):
+            runs = generation_spec(config, 0, recipes, workers).runs
+            assert [len(run["recipes"]) for run in runs] == [4, 4, 2]
+
+    def test_search_gives_each_engine_worker_one_run(self, monkeypatch):
+        config = SearchConfig.smoke_config(
+            "k-anti-omega-convergence", generations=1, horizon=300, top=0
+        )
+        sizes = []
+        with CampaignEngine(workers=2) as engine:
+            run = engine.run
+
+            def recording(spec):
+                sizes.append([len(params["recipes"]) for params in spec.runs])
+                return run(spec)
+
+            monkeypatch.setattr(engine, "run", recording)
+            run_search(config, engine=engine)
+        assert sizes == [[5, 5]]
+
+    def test_default_generation_zero_screens_with_resumed_runs(self):
+        # The `repro search` defaults at seed 0: no two candidates of any
+        # four in recipe order share a snapshot-worthy prefix, but the whole
+        # generation does, so one run per worker is what lets it resume.
+        config = SearchConfig(generations=1, top=0, seed=0)
+        (run,) = generation_spec(config, 0, generation_recipes(config, 0, [])).runs
+        plan = plan_prefix_runs([realize(recipe).steps for recipe in run["recipes"]])
+        assert len(plan.order) == config.population
+        assert any(plan.resume)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_eval_chunk_leaves_the_report_unchanged(self, workers):
+        config = SearchConfig.smoke_config(
+            "k-anti-omega-convergence", generations=2, horizon=900, top=1, seed=2
+        )
+        prints = set()
+        with CampaignEngine(workers=workers) as engine:
+            for chunk in (None, 1, 4):
+                reset_screen_cache()
+                chunked = dataclasses.replace(config, eval_chunk=chunk)
+                prints.add(fingerprint(run_search(chunked, engine=engine)))
+        reset_screen_cache()
+        assert len(prints) == 1
 
 
 class TestScreenedVerdicts:
