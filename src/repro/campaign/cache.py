@@ -23,14 +23,26 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
+from ..errors import ConfigurationError
+
 
 class ResultCache:
-    """Content-addressed payload store with hit/miss accounting."""
+    """Content-addressed payload store with hit/miss accounting.
+
+    A ``directory`` that cannot be created (an existing regular file, say)
+    raises :class:`~repro.errors.ConfigurationError` at construction.
+    """
 
     def __init__(self, directory: Optional[Union[str, Path]] = None) -> None:
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
+            try:
+                self.directory.mkdir(parents=True, exist_ok=True)
+            except OSError as error:
+                raise ConfigurationError(
+                    f"cannot use {str(self.directory)!r} as a cache directory: "
+                    f"{error.strerror or error}"
+                ) from error
         self._memory: Dict[str, Dict[str, Any]] = {}
         self.hits = 0
         self.misses = 0

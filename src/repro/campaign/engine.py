@@ -102,6 +102,7 @@ class CampaignResult:
         return headers, rows
 
     def summary(self) -> str:
+        """One-line outcome: runs, deduplicated runs, cache hits, workers, time."""
         return (
             f"campaign {self.spec.name}: {len(self.records)} run(s), "
             f"{self.deduplicated} deduplicated, {self.cache_hits} cache hit(s), "

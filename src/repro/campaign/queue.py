@@ -801,6 +801,9 @@ def drain_queue(
     context = _fork_context()
     path = str(path)
     cache_dir = str(cache_dir) if cache_dir is not None else None
+    if cache_dir is not None:
+        # An unusable directory fails here once, not in every forked worker.
+        ResultCache(cache_dir)
     queue = JobQueue(path)
     try:
         deaths = 0

@@ -49,6 +49,7 @@ class RunRecord:
     elapsed: float = 0.0
 
     def to_json_line(self) -> str:
+        """This record as one compact JSON line with sorted keys (no newline)."""
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     def canonical(self) -> "RunRecord":
@@ -65,6 +66,7 @@ class RunRecord:
 
     @staticmethod
     def from_json_line(line: str) -> "RunRecord":
+        """Parse one :meth:`to_json_line` line; ``cached`` and ``elapsed`` may be absent."""
         raw = json.loads(line)
         return RunRecord(
             index=int(raw["index"]),

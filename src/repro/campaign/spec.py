@@ -85,6 +85,7 @@ class RunSpec:
 
     @staticmethod
     def create(kind: str, params: Mapping[str, Any]) -> "RunSpec":
+        """A run of ``kind`` with ``params`` JSON-normalized and sorted by name."""
         normalized = tuple(sorted((str(k), _jsonable(v)) for k, v in params.items()))
         return RunSpec(kind=kind, params=normalized)
 
@@ -151,6 +152,7 @@ class CampaignSpec:
         return specs
 
     def describe(self) -> str:
+        """A one-line summary: name, kind, run count and axis sizes."""
         run_count = len(self.runs) if self.runs is not None else 1
         axis_part = (
             " × ".join(f"{name}[{len(values)}]" for name, values in (self.axes or {}).items())

@@ -621,6 +621,13 @@ def _run_distsim(args: argparse.Namespace) -> List[str]:
     if args.horizon < 1:
         raise ConfigurationError(f"horizon must be >= 1, got {args.horizon}")
     generator = build_scenario_generator(params)
+    p_set = args.p_set if args.p_set else list(range(1, generator.n))
+    q_set = args.q_set if args.q_set else [generator.n]
+    if not p_set:
+        raise ConfigurationError(
+            f"the default P = 1..n-1 is empty for n = {generator.n}; "
+            "use --n >= 2 or name P with --p-set"
+        )
     timeline = run_timeline(generator, args.horizon)
 
     lines = [f"workload:  {generator.description}"]
@@ -649,8 +656,6 @@ def _run_distsim(args: argparse.Namespace) -> List[str]:
         )
     )
 
-    p_set = args.p_set if args.p_set else list(range(1, timeline.n))
-    q_set = args.q_set if args.q_set else [timeline.n]
     report = timeliness_report(timeline, p_set, q_set, threshold=args.threshold)
     lines.extend(report.describe_lines())
     return lines

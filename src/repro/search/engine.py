@@ -16,10 +16,10 @@ property (:mod:`repro.search.properties`):
    screens in one call (:func:`~repro.search.properties.screen_generation`:
    one tracked run per candidate on the property's rewound replica, each
    shared step prefix stepped once), so an inline search screens each
-   generation under one prefix-shared plan.  Elite re-screens are served
-   from a screen-verdict cache; a flagged candidate's exact verdict reads the
-   trackers of that same run, and only flagged candidates pay for
-   certification.
+   generation under one prefix-shared plan.  Elites carry their evaluations
+   into the next generation, so only the fresh candidates run; a flagged
+   candidate's exact verdict reads the trackers of its own run, and only
+   flagged candidates pay for certification.
 2. **Shrink.**  Surviving findings (confirmed violations, else the best
    near-misses) are minimized by the deterministic delta-debugging loop in
    :mod:`repro.search.shrink`, with the property's exact verdict as the
@@ -42,10 +42,9 @@ import hashlib
 import json
 import random
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..campaign.engine import CampaignEngine
 from ..campaign.spec import CampaignSpec
@@ -302,9 +301,10 @@ def generation_recipes(
 ) -> List[Dict[str, Any]]:
     """The population of one generation, deterministically derived.
 
-    Generation 0 is the seed bases plus mutated bases; later generations keep
-    the elites verbatim (their cached evaluations are free), breed mutations
-    of elites, and mix in fresh random candidates for diversity.
+    Generation 0 is the seed bases plus mutated bases; later generations put
+    the elites first, verbatim (:func:`run_search` carries their evaluations
+    forward instead of running them again), breed mutations of elites, and
+    mix in fresh random candidates for diversity.
     """
     rng = generation_rng(config, generation)
     focus = config.focus_pids()
@@ -335,91 +335,17 @@ def generation_recipes(
 
 
 # ----------------------------------------------------------------------
-# The screen-verdict cache
+# Candidate accounting
 # ----------------------------------------------------------------------
 
-#: LRU of screen verdicts keyed by (property identity, schedule content,
-#: checkpoint count) — elites re-screened across generations hit for free.
-_SCREEN_CACHE: "OrderedDict[Tuple[Any, ...], PropertyVerdict]" = OrderedDict()
-_SCREEN_CACHE_LIMIT = 4096
-_SCREEN_CACHE_STATS = {"hits": 0, "misses": 0}
+#: Candidates carried into a later generation without a run (``hits``) and
+#: candidates screened by a ``search-eval`` run (``misses``) in this process.
+_SCREEN_COUNTS = {"hits": 0, "misses": 0}
 
 
 def screen_cache_stats() -> Dict[str, int]:
-    """Cumulative hit/miss counters of the screen-verdict cache."""
-    return dict(_SCREEN_CACHE_STATS)
-
-
-def reset_screen_cache() -> None:
-    """Empty the screen-verdict cache and zero its counters.
-
-    Benchmarks and differential tests call this so measured lanes and
-    compared payloads reflect real screening work, never a warm cache.
-    """
-    _SCREEN_CACHE.clear()
-    _SCREEN_CACHE_STATS["hits"] = 0
-    _SCREEN_CACHE_STATS["misses"] = 0
-
-
-def _content_digest(compiled: CompiledSchedule) -> str:
-    """Digest of a candidate's content: its step buffer and crash metadata."""
-    digest = hashlib.sha1(compiled.steps.tobytes())
-    digest.update(repr(sorted(compiled.crash_steps.items())).encode())
-    return digest.hexdigest()
-
-
-def _screen_cache_key(
-    prop: ScheduleProperty, compiled: CompiledSchedule, checkpoints: int
-) -> Tuple[Any, ...]:
-    """Content key: the verdict depends only on these inputs."""
-    return (
-        prop.name, prop.n, prop.t, prop.k, compiled.n, checkpoints, _content_digest(compiled)
-    )
-
-
-def _screened_verdicts(
-    prop: ScheduleProperty,
-    compileds: List[CompiledSchedule],
-    checkpoints: int,
-    flagged: Callable[[int, PropertyVerdict], bool],
-) -> List[PropertyVerdict]:
-    """Screen verdicts for a chunk: cache hits are free, misses batch.
-
-    ``flagged(i, screen)`` marks the candidates at position ``i`` of
-    ``compileds`` whose exact verdict the misses' runs attach.  Equal
-    content keys in one chunk run once: the run attaches the exact verdict
-    when any of the key's positions is flagged, and every position gets it.
-    """
-    keys = [_screen_cache_key(prop, compiled, checkpoints) for compiled in compileds]
-    verdicts: List[Optional[PropertyVerdict]] = [None] * len(compileds)
-    missing: Dict[Tuple[Any, ...], List[int]] = {}
-    for index, key in enumerate(keys):
-        cached = _SCREEN_CACHE.get(key)
-        if cached is not None:
-            _SCREEN_CACHE.move_to_end(key)
-            _SCREEN_CACHE_STATS["hits"] += 1
-            verdicts[index] = cached
-        else:
-            _SCREEN_CACHE_STATS["misses"] += 1
-            missing.setdefault(key, []).append(index)
-    if missing:
-        positions = list(missing.values())
-        fresh = screen_generation(
-            prop,
-            [compileds[indices[0]] for indices in positions],
-            checkpoints,
-            flagged=lambda position, screen: any(
-                flagged(index, screen) for index in positions[position]
-            ),
-        )
-        for key, indices, verdict in zip(missing, positions, fresh):
-            for index in indices:
-                verdicts[index] = verdict
-            _SCREEN_CACHE[key] = verdict
-            _SCREEN_CACHE.move_to_end(key)
-        while len(_SCREEN_CACHE) > _SCREEN_CACHE_LIMIT:
-            _SCREEN_CACHE.popitem(last=False)
-    return verdicts
+    """Cumulative counts of carried (``hits``) and screened (``misses``) candidates."""
+    return dict(_SCREEN_COUNTS)
 
 
 # ----------------------------------------------------------------------
@@ -440,9 +366,9 @@ def _finish_evaluation(
     confirmed: Optional[Dict[str, Any]] = None
     certificate: Optional[Dict[str, Any]] = None
     if _flagged(params, screen, fitness):
-        # The screen run attached the exact verdict; a cache hit screened
-        # under other flagging parameters may lack it.
-        confirm = screen.exact if screen.exact is not None else prop.confirm(compiled)
+        # The screen run flagged this candidate by the same rule, so it
+        # attached the exact verdict.
+        confirm = screen.exact
         confirmed = {
             "violated": confirm.violated,
             "fitness": confirm.fitness,
@@ -492,10 +418,9 @@ def run_search_eval_kind(params: Dict[str, Any]) -> Dict[str, Any]:
     """Campaign kind ``search-eval``: evaluate one chunk of candidate recipes.
 
     The whole chunk screens in one :func:`~repro.search.properties.screen_generation`
-    call, with elite re-screens served from the screen-verdict cache; a
-    flagged candidate's exact verdict comes from its screen run.
-    Deterministic in its parameters — the cache only ever returns what
-    screening would recompute — which is what makes search generations
+    call, so identical candidates share their steps through its sorted-prefix
+    plan; a flagged candidate's exact verdict comes from its screen run.
+    Deterministic in its parameters, which is what makes search generations
     content-addressable campaign runs: re-running a search with a result
     cache replays cached generations instead of re-simulating them.
     """
@@ -508,12 +433,13 @@ def run_search_eval_kind(params: Dict[str, Any]) -> Dict[str, Any]:
         witnesses = [
             best_witness(compiled, i, j, _certify_prefix(params)) for compiled in compileds
         ]
-    screens = _screened_verdicts(
+    screens = screen_generation(
         prop,
         compileds,
         int(params["checkpoints"]),
         lambda index, screen: _flagged(params, screen, _fitness(screen, witnesses[index])),
     )
+    _SCREEN_COUNTS["misses"] += len(compileds)
     return {
         "results": [
             _finish_evaluation(recipe, params, prop, compiled, screen, witness)
@@ -597,6 +523,18 @@ class ShrunkFinding:
     fitness: float
 
 
+def _distinct(pool: List[EvaluatedCandidate]) -> List[EvaluatedCandidate]:
+    """First occurrence per content signature — elites recur every generation
+    they survive, and one schedule is one finding."""
+    seen: set = set()
+    unique: List[EvaluatedCandidate] = []
+    for candidate in pool:
+        if candidate.signature not in seen:
+            seen.add(candidate.signature)
+            unique.append(candidate)
+    return unique
+
+
 @dataclass
 class SearchReport:
     """Everything one :func:`run_search` invocation established."""
@@ -612,26 +550,16 @@ class SearchReport:
         """Total candidate evaluations across all generations.
 
         Counts evaluations, not distinct schedules: an elite carried into a
-        later generation is evaluated (from cache) again.  The finding
-        accessors below dedup by content signature instead.
+        later generation counts again there (its evaluation is carried, not
+        re-run).  The finding accessors below dedup by content signature
+        instead.
         """
         return len(self.candidates)
-
-    def _distinct(self, pool: List[EvaluatedCandidate]) -> List[EvaluatedCandidate]:
-        """First occurrence per content signature — elites recur every
-        generation they survive, and one schedule is one finding."""
-        seen: set = set()
-        unique: List[EvaluatedCandidate] = []
-        for candidate in pool:
-            if candidate.signature not in seen:
-                seen.add(candidate.signature)
-                unique.append(candidate)
-        return unique
 
     def violations(self, in_model: bool) -> List[EvaluatedCandidate]:
         """Distinct confirmed violations, split by certification verdict."""
         wanted = IN_MODEL_VIOLATION if in_model else OUT_OF_MODEL_VIOLATION
-        return self._distinct(
+        return _distinct(
             [
                 candidate
                 for candidate in self.candidates
@@ -645,7 +573,7 @@ class SearchReport:
 
     def near_misses(self) -> List[EvaluatedCandidate]:
         """Distinct non-violating candidates at or above the near-miss threshold."""
-        return self._distinct(
+        return _distinct(
             [
                 candidate
                 for candidate in self.candidates
@@ -718,6 +646,8 @@ def _evaluate_generation(
     engine: CampaignEngine,
 ) -> Tuple[List[EvaluatedCandidate], int]:
     """One generation through the campaign layer; returns (candidates, cached runs)."""
+    if not recipes:
+        return [], 0
     result = engine.run(generation_spec(config, generation, recipes, engine.workers))
     candidates: List[EvaluatedCandidate] = []
     cached = 0
@@ -751,19 +681,17 @@ def _evaluate_generation(
 
 def _select_elites(
     config: SearchConfig, candidates: List[EvaluatedCandidate]
-) -> List[Dict[str, Any]]:
-    """The recipes carried into the next generation (fitness-sorted, stable ties)."""
+) -> List[EvaluatedCandidate]:
+    """The candidates carried into the next generation (fitness-sorted, stable ties)."""
     ranked = sorted(candidates, key=lambda c: (-c.fitness, c.signature))
-    elites: List[Dict[str, Any]] = []
-    seen: set = set()
-    for candidate in ranked:
-        if candidate.signature in seen:
-            continue
-        seen.add(candidate.signature)
-        elites.append(candidate.recipe)
-        if len(elites) >= config.elites:
-            break
-    return elites
+    return _distinct(ranked)[: config.elites]
+
+
+def _content_digest(compiled: CompiledSchedule) -> str:
+    """Digest of a candidate's content: its step buffer and crash metadata."""
+    digest = hashlib.sha1(compiled.steps.tobytes())
+    digest.update(repr(sorted(compiled.crash_steps.items())).encode())
+    return digest.hexdigest()
 
 
 def _shrink_findings(
@@ -777,39 +705,34 @@ def _shrink_findings(
     on the same side of the model boundary as the original finding.  Without
     the second clause, delta debugging happily collapses an out-of-model
     near-miss into a trivially in-model startup fragment — technically above
-    threshold, scientifically worthless.
+    threshold, scientifically worthless.  A ranked candidate whose unshrunk
+    schedule fails its own predicate (a near-miss above threshold with a
+    correct process that never produced output) is no finding to shrink: the
+    next ranked candidate takes its place.
     """
     from .shrink import shrink_schedule
 
     prop = make_property(config.property, config.property_params())
     i, j = prop.certification_sizes()
 
-    def dedup(pool: List[EvaluatedCandidate]) -> List[EvaluatedCandidate]:
-        seen: set = set()
-        unique: List[EvaluatedCandidate] = []
-        for candidate in pool:
-            if candidate.signature not in seen:
-                seen.add(candidate.signature)
-                unique.append(candidate)
-        return unique
-
-    violations = dedup(
+    violations = _distinct(
         sorted(
             [c for c in candidates if c.confirmed_violated],
             key=lambda c: (-c.fitness, c.signature),
         )
     )
-    selected: List[Tuple[str, EvaluatedCandidate]] = [
+    ranked: List[Tuple[str, EvaluatedCandidate]] = [
         (
             IN_MODEL_VIOLATION if candidate.in_model else OUT_OF_MODEL_VIOLATION,
             candidate,
         )
-        for candidate in violations[: max(config.top, 1)]
+        for candidate in violations
     ]
-    if not selected:
+    wanted = max(config.top, 1)
+    if not ranked:
         # Out-of-model near-misses first — they are the atlas's raison d'être —
         # then by fitness; ties break on the content signature for determinism.
-        near = dedup(
+        near = _distinct(
             sorted(
                 [
                     c
@@ -821,7 +744,8 @@ def _shrink_findings(
                 key=lambda c: (c.in_model is not False, -c.fitness, c.signature),
             )
         )
-        selected = [(NEAR_MISS, candidate) for candidate in near[: config.top]]
+        ranked = [(NEAR_MISS, candidate) for candidate in near]
+        wanted = config.top
 
     def same_side(trial: CompiledSchedule, target_in_model: Optional[bool]) -> bool:
         if target_in_model is None:
@@ -838,7 +762,9 @@ def _shrink_findings(
 
     findings: List[ShrunkFinding] = []
     memos: Dict[Tuple[str, Optional[bool]], Dict[str, bool]] = {}
-    for kind, candidate in selected:
+    for kind, candidate in ranked:
+        if len(findings) >= wanted:
+            break
         compiled = realize(candidate.recipe)
         target_side = candidate.in_model
 
@@ -870,6 +796,9 @@ def _shrink_findings(
                 held = memo[key] = still_finding(trial) and same_side(trial, target_side)
             return held
 
+        # shrink_schedule's own first check of this input is then a memo hit.
+        if not predicate(compiled):
+            continue
         result = shrink_schedule(
             compiled, predicate, max_evaluations=config.shrink_max_evaluations
         )
@@ -911,19 +840,27 @@ def run_search(
 
     ``engine`` defaults to an inline single-worker
     :class:`~repro.campaign.engine.CampaignEngine`; pass a pooled/cached one
-    to parallelize generations and resume searches.  ``jsonl_path`` streams
-    one JSON record per evaluated candidate plus one per shrunk finding.
+    to parallelize generations and resume searches.  The previous
+    generation's elites are carried forward, stamped with the new generation,
+    so each generation dispatches only its fresh recipes.  ``jsonl_path``
+    streams one JSON record per evaluated candidate plus one per shrunk
+    finding.
     """
     started = time.perf_counter()
     own_engine = engine is None
     active = engine if engine is not None else CampaignEngine()
     report = SearchReport(config=config)
     try:
-        elites: List[Dict[str, Any]] = []
+        elites: List[EvaluatedCandidate] = []
         for generation in range(config.generations):
             generation_started = time.perf_counter()
-            recipes = generation_recipes(config, generation, elites)
-            candidates, cached = _evaluate_generation(config, generation, recipes, active)
+            recipes = generation_recipes(config, generation, [e.recipe for e in elites])
+            carried = [replace(e, generation=generation) for e in elites]
+            _SCREEN_COUNTS["hits"] += len(carried)
+            fresh, cached = _evaluate_generation(
+                config, generation, recipes[len(carried) :], active
+            )
+            candidates = carried + fresh
             report.candidates.extend(candidates)
             fitnesses = [candidate.fitness for candidate in candidates]
             confirmed = [c for c in candidates if c.confirmed_violated]

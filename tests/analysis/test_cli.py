@@ -6,6 +6,7 @@ import pytest
 
 from repro import __version__
 from repro.analysis.experiment import EXPERIMENT_REGISTRY
+from repro.campaign import JobQueue
 from repro.cli import EXPERIMENTS, STANDALONE, build_parser, run
 from repro.errors import ConfigurationError
 from repro.scenarios import available_families
@@ -501,13 +502,23 @@ BAD_ARGUMENTS = {
     "search (table with a single-search flag)": (["search", "--table", "--smoke"], "config"),
     "search (negative top)": (["search", "--top", "-1"], "config"),
     "search (zero certify bound)": (["search", "--certify-bound", "0"], "config"),
+    "search (cache dir is a file)": (["search", "--smoke", "--cache-dir", "{not_json}"], "config"),
     "distsim": (["distsim", "no-such-family"], "config"),
     "distsim (table with a single-workload flag)": (["distsim", "--table", "--n", "3"], "config"),
+    "distsim (one process leaves the default P empty)": (
+        ["distsim", "dist-heavy-tail", "--n", "1"],
+        "config",
+    ),
     "campaign": (["campaign", "e2", "--horizon", "0"], "config"),
+    "campaign (cache dir is a file)": (["campaign", "e1", "--cache-dir", "{not_json}"], "config"),
     "queue enqueue": (["queue", "enqueue", "e2", "--db", "{db}", "--horizon", "0"], "config"),
     "queue work": (["queue", "work", "--db", "{db}"], "config"),
     "queue status": (["queue", "status", "--db", "{db}"], "config"),
     "queue drain": (["queue", "drain", "--db", "{db}"], "config"),
+    "queue drain (cache dir is a file)": (
+        ["queue", "drain", "--db", "{queue_db}", "--cache-dir", "{not_json}"],
+        "config",
+    ),
     "report": (["report", "--jsonl", "{not_json}"], "config"),
     "report (record without index)": (["report", "--jsonl", "{no_index}"], "config"),
 }
@@ -542,7 +553,14 @@ class TestBadArguments:
         not_json.write_text("not-a-record\n")
         no_index = tmp_path / "no-index.jsonl"
         no_index.write_text('{"a":1}\n')
-        paths = {"db": tmp_path / "absent.db", "not_json": not_json, "no_index": no_index}
+        queue_db = tmp_path / "queue.db"
+        JobQueue(queue_db).close()
+        paths = {
+            "db": tmp_path / "absent.db",
+            "queue_db": queue_db,
+            "not_json": not_json,
+            "no_index": no_index,
+        }
 
         def expand(case):
             argv, how = BAD_ARGUMENTS[case]

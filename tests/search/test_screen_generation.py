@@ -6,8 +6,7 @@ to the per-candidate :meth:`ScheduleProperty.screen` path, for every
 registered property, across seeded generations that mix schedule lengths,
 crash a process at step 0, and shrink to a generation of one.  A flagged
 candidate's exact verdict comes from the same run and must equal
-:meth:`ScheduleProperty.confirm`.  The search engine's screen-verdict cache
-rides the same lane; its hit accounting is pinned here too.
+:meth:`ScheduleProperty.confirm`, identical candidates included.
 """
 
 import random
@@ -16,11 +15,6 @@ from array import array
 import pytest
 
 from repro.core.schedule import CompiledSchedule
-from repro.search.engine import (
-    _screened_verdicts,
-    reset_screen_cache,
-    screen_cache_stats,
-)
 from repro.search.properties import (
     available_properties,
     last_screen_plan,
@@ -91,23 +85,16 @@ class TestGenerationMatchesPerCandidate:
         assert screen_generation(prop, [], 8) == []
 
 
-class TestEngineScreenCache:
-    def test_hits_counted_on_rescreened_candidates(self):
-        """Re-screening a generation is all cache hits, no runs."""
-        reset_screen_cache()
+class TestIdenticalCandidates:
+    def test_identical_candidates_in_one_batch_get_equal_verdicts(self):
         prop = make_property("k-anti-omega-convergence", PARAMS)
-        compileds = _generation(23, lengths=(40, 41, 42, 40))
-        first = _screened_verdicts(prop, compileds, 8, _every_other)
-        stats = screen_cache_stats()
-        assert stats["misses"] == 4 and stats["hits"] == 0
-        second = _screened_verdicts(prop, compileds, 8, _every_other)
-        stats = screen_cache_stats()
-        assert stats["hits"] == 4 and stats["misses"] == 4
-        assert second == first
-        # The cached verdicts keep the exact verdicts their runs attached.
-        assert [verdict.exact is not None for verdict in second] == [True, False] * 2
-        # A changed checkpoint count is a different cache identity.
-        _screened_verdicts(prop, compileds, 4, _every_other)
-        assert screen_cache_stats()["misses"] == 8
-        reset_screen_cache()
-        assert screen_cache_stats() == {"hits": 0, "misses": 0}
+        (compiled,) = _generation(23, lengths=(300,), crash_first=False)
+        # Equal content, distinct objects, around a different candidate.
+        twin = CompiledSchedule(n=4, steps=array("i", compiled.steps), crash_steps={})
+        other = _generation(24, lengths=(300,), crash_first=False)[0]
+        verdicts = screen_generation(
+            prop, [compiled, other, twin], 8, flagged=lambda index, screen: index != 1
+        )
+        assert verdicts[0] == verdicts[2]
+        assert verdicts[0].exact == verdicts[2].exact == prop.confirm(compiled)
+        assert verdicts[1].exact is None

@@ -29,9 +29,8 @@ from repro.search import (
 )
 from repro.search.engine import (
     EvaluatedCandidate,
-    _screened_verdicts,
     _shrink_findings,
-    reset_screen_cache,
+    screen_cache_stats,
 )
 from repro.search.prefix import plan_prefix_runs
 from repro.search.properties import (
@@ -345,6 +344,23 @@ class TestViolationPath:
             assert shrunk.schedule.crash_steps == alone[0].schedule.crash_steps
 
 
+class TestShrinkSelection:
+    def test_a_near_miss_its_predicate_rejects_yields_to_the_next(self):
+        # The top-ranked near-miss here, set-timely ∘ silence, reaches fitness
+        # 1.0 with a correct process that never produced output, so the
+        # near-miss shrink predicate rejects it unshrunk.
+        config = SearchConfig(generations=1, population=8, horizon=200, seed=1)
+        report = run_search(config)
+        silent = {
+            c.signature
+            for c in report.near_misses()
+            if not c.screen_details["all_correct_produced"]
+        }
+        assert silent
+        assert [f.kind for f in report.findings] == [NEAR_MISS]
+        assert recipe_signature(report.findings[0].recipe) not in silent
+
+
 class TestGenerationRuns:
     """How a generation becomes ``search-eval`` runs (one per engine worker)."""
 
@@ -400,35 +416,70 @@ class TestGenerationRuns:
         prints = set()
         with CampaignEngine(workers=workers) as engine:
             for chunk in (None, 1, 4):
-                reset_screen_cache()
                 chunked = dataclasses.replace(config, eval_chunk=chunk)
                 prints.add(fingerprint(run_search(chunked, engine=engine)))
-        reset_screen_cache()
         assert len(prints) == 1
 
 
-class TestScreenedVerdicts:
-    def test_equal_candidates_in_one_chunk_run_once(self, tracked_runs):
-        reset_screen_cache()
-        prop = make_property("k-anti-omega-convergence", {"n": 4, "t": 2, "k": 2})
-        recipe = make_recipe({"schedule": "round-robin", "n": 4}, 200)
-        # Equal content, distinct objects: a no-op rotation realizes a copy.
-        first = realize(recipe)
-        second = realize(make_recipe(recipe["base"], 200, [{"op": "rotate", "offset": 0}]))
-        assert first is not second and first.steps == second.steps
-        flagged = []
+def _dispatched_recipes(engine, monkeypatch):
+    """Records each ``engine.run``'s recipes by generation (from the spec name)."""
+    dispatched = {}
+    run = engine.run
 
-        def flag_second(index, screen):
-            flagged.append(index)
-            return index == 1
+    def recording(spec):
+        generation = int(spec.name.rsplit("-g", 1)[1])
+        dispatched[generation] = [
+            recipe for params in spec.runs for recipe in params["recipes"]
+        ]
+        return run(spec)
 
-        verdicts = _screened_verdicts(prop, [first, second], 4, flag_second)
-        reset_screen_cache()
-        assert len(tracked_runs) == 1
-        assert verdicts[0] == verdicts[1]
-        # The second position is flagged, so the one run attached the exact verdict.
-        assert sorted(flagged) == [0, 1]
-        assert verdicts[0].exact is not None
+    monkeypatch.setattr(engine, "run", recording)
+    return dispatched
+
+
+class TestCarriedElites:
+    """Elites carry their evaluations forward; only fresh recipes run."""
+
+    def test_stats_count_carried_and_screened_candidates(self, monkeypatch):
+        config = SearchConfig.smoke_config(
+            "k-anti-omega-convergence", generations=3, horizon=600, top=0, seed=1
+        )
+        before = screen_cache_stats()
+        with CampaignEngine() as engine:
+            dispatched = _dispatched_recipes(engine, monkeypatch)
+            report = run_search(config, engine=engine)
+        after = screen_cache_stats()
+        assert after["hits"] - before["hits"] == 2 * config.elites
+        assert after["misses"] - before["misses"] == 3 * config.population - 2 * config.elites
+        for generation in (1, 2):
+            previous = [c for c in report.candidates if c.generation == generation - 1]
+            ranked = sorted(previous, key=lambda c: (-c.fitness, c.signature))
+            elites = list(dict.fromkeys(c.signature for c in ranked))[: config.elites]
+            current = [c for c in report.candidates if c.generation == generation]
+            assert [c.signature for c in current[: config.elites]] == elites
+            sent = [recipe_signature(recipe) for recipe in dispatched[generation]]
+            assert len(sent) == config.population - config.elites
+            assert not set(sent) & set(elites)
+
+    def test_generation_of_only_elites_dispatches_no_run(self, monkeypatch):
+        config = SearchConfig.smoke_config(
+            "k-anti-omega-convergence",
+            generations=2,
+            population=4,
+            elites=4,
+            horizon=600,
+            top=0,
+            seed=0,
+        )
+        with CampaignEngine() as engine:
+            dispatched = _dispatched_recipes(engine, monkeypatch)
+            report = run_search(config, engine=engine)
+        assert sorted(dispatched) == [0]
+        first, second = report.candidates[:4], report.candidates[4:]
+        ranked = sorted(first, key=lambda c: (-c.fitness, c.signature))
+        assert second == [dataclasses.replace(c, generation=1) for c in ranked]
+        assert report.generations[1].candidates == 4
+        assert report.generations[1].cached_runs == 0
 
 
 class TestReportTallies:
