@@ -532,10 +532,12 @@ def falsification_experiment(
     Each row runs one smoke-scale falsify → shrink → certify search
     (:func:`repro.search.run_search`) against one registered property.  The
     expected shape — the paper standing — is **0 in-model violations** on
-    every row, together with a reproducible out-of-model/near-miss frontier
-    (mutated schedules that destroy the certified timely set and drag the
-    detector's stabilization delay toward the horizon), whose shrunk minimal
-    reproducers are catalogued in ``docs/COUNTEREXAMPLES.md``.
+    every row (the tests pin 0 on the smoke configurations only; longer
+    finite prefixes can report in-model verdicts of eventual properties, see
+    ROADMAP item 1), together with a reproducible out-of-model/near-miss
+    frontier (mutated schedules that destroy the certified timely set and
+    drag the detector's stabilization delay toward the horizon), whose shrunk
+    minimal reproducers are catalogued in ``docs/COUNTEREXAMPLES.md``.
 
     Search generations execute as content-addressed campaign runs, so passing
     a cached ``engine`` makes re-tabulations replay cached generations.

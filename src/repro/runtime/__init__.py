@@ -28,7 +28,6 @@ from .simulator import (
     RunResult,
     Simulator,
     build_simulator,
-    prebinding_disabled,
 )
 
 __all__ = [
@@ -56,5 +55,4 @@ __all__ = [
     "RunResult",
     "Simulator",
     "build_simulator",
-    "prebinding_disabled",
 ]

@@ -357,10 +357,9 @@ class ProcessAutomaton:
         The inverse of :meth:`prebind`: implementations restore their unbound
         templates so subsequently created program generators yield plain
         :class:`ReadOp`/:class:`WriteOp` values again.  The simulator calls
-        this when prebinding is disabled (``Simulator(prebind=False)`` or
-        :func:`~repro.runtime.simulator.prebinding_disabled`), so an automaton
-        bound to an earlier simulator's register file cannot leak stale slots
-        into a run the caller asked to keep on the name-addressed path.  The
+        this when constructed with ``prebind=False``, so an automaton bound
+        to an earlier simulator's register file cannot leak stale slots into
+        a run the caller asked to keep on the name-addressed path.  The
         default is a no-op, matching the default :meth:`prebind`.
         """
 

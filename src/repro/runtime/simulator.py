@@ -24,7 +24,6 @@ run a policy that would under-sample an attached observer.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
@@ -59,30 +58,6 @@ Observer = Callable[[int, ProcessId, "Simulator"], None]
 
 #: Stop predicate signature: (step_index, simulator) -> bool, checked after each step.
 StopCondition = Callable[[int, "Simulator"], bool]
-
-#: Module-level prebinding switch (see :func:`prebinding_disabled`).
-_PREBIND_ENABLED = True
-
-
-@contextmanager
-def prebinding_disabled() -> Iterator[None]:
-    """Construct simulators without pre-binding automata operation tables.
-
-    Inside this context every new :class:`Simulator` skips the
-    :meth:`~repro.runtime.automaton.ProcessAutomaton.prebind` calls it would
-    normally make, so automata yield name-addressed ops and the kernel takes
-    the interning-dict path on every register access.  Used by the
-    equivalence tests to pin that slot-bound and name-addressed dispatch are
-    byte-identical.
-    """
-    global _PREBIND_ENABLED
-    previous = _PREBIND_ENABLED
-    _PREBIND_ENABLED = False
-    try:
-        yield
-    finally:
-        _PREBIND_ENABLED = previous
-
 
 @dataclass(slots=True)
 class ProcessState:
@@ -201,9 +176,8 @@ class Simulator:
         :meth:`~repro.runtime.automaton.ProcessAutomaton.prebind` hook is
         invoked with this simulator's register file before any program runs,
         so automata with preallocated op tables yield slot-bound operations.
-        Pass false — or wrap construction in :func:`prebinding_disabled` — to
-        force the name-addressed dispatch path (the two are observably
-        identical; the switch exists for equivalence tests and A/B timing).
+        Pass false to force the name-addressed dispatch path (the two are
+        observably identical; the conformance lane table pins that).
     """
 
     def __init__(
@@ -231,7 +205,7 @@ class Simulator:
         self._observers: List[ObserverEntry] = []
         self._trace: List[ProcessId] = []
         self._step_index = 0
-        if prebind and _PREBIND_ENABLED:
+        if prebind:
             for state in self._states.values():
                 automaton = state.automaton
                 automaton.prebind(self.registers)

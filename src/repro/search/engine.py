@@ -339,7 +339,9 @@ def generation_recipes(
 # ----------------------------------------------------------------------
 
 #: Candidates carried into a later generation without a run (``hits``) and
-#: candidates screened by a ``search-eval`` run (``misses``) in this process.
+#: candidates a ``search-eval`` run screened (``misses``), counted by the
+#: process running the search from the records it got back, whichever
+#: process ran them.
 _SCREEN_COUNTS = {"hits": 0, "misses": 0}
 
 
@@ -439,7 +441,6 @@ def run_search_eval_kind(params: Dict[str, Any]) -> Dict[str, Any]:
         int(params["checkpoints"]),
         lambda index, screen: _flagged(params, screen, _fitness(screen, witnesses[index])),
     )
-    _SCREEN_COUNTS["misses"] += len(compileds)
     return {
         "results": [
             _finish_evaluation(recipe, params, prop, compiled, screen, witness)
@@ -654,6 +655,8 @@ def _evaluate_generation(
     for record in result.records:
         if record.cached:
             cached += 1
+        else:
+            _SCREEN_COUNTS["misses"] += len(record.payload["results"])
         for payload in record.payload["results"]:
             confirmed = payload.get("confirmed")
             candidates.append(

@@ -7,7 +7,8 @@ counters and crash indices as one call to the same total.  Inputs range
 over every ``dist-*`` family, every latency model and the fault kinds
 (loss, partitions, recurring outages and permanent crashes, among them a
 crash at an instant the process ticks).  On the same inputs the generator's
-compiled buffer must equal the recorded timeline's lowering, the
+compiled buffer must equal the recorded timeline's lowering (prefixes and
+faulty hint included), the
 report's C-speed time-gap selection must equal a walk over the records, and
 its bounds, scanned on the pid array packed once, must equal the scans of
 the lowered :class:`~repro.core.schedule.Schedule`.
@@ -136,6 +137,12 @@ def test_generator_compile_equals_the_timeline_lowering(params, length):
         lowered.n, dict(lowered.crash_steps), lowered.description
     )
     assert tuple(islice(generator.stream(), length)) == timeline.step_pids()
+    # Prefixes and the faulty hint follow every other generator's conventions.
+    for prefix_length in sorted({0, length // 2, length}):
+        expected = build_generator(params).generate(prefix_length)
+        actual = lowered.prefix(prefix_length)
+        assert (actual.steps, actual.faulty_hint) == (expected.steps, expected.faulty_hint)
+    assert lowered.faulty == generator.faulty
 
 
 def _reference_time_gaps(timeline, p_set, q_set):

@@ -1,9 +1,9 @@
 """Engine-level invariants of the message-passing discrete-event tier.
 
 These tests pin the determinism contract of :mod:`repro.distsim.engine` at
-the level of the engine's activation arrays — the differential suite
-(``test_reduction.py``) then pins the *reduction* of those activations to
-compiled schedules.
+the level of the engine's activation arrays — the conformance suite
+(``tests/conformance/test_timeline_conformance.py``) then pins the
+*reduction* of those activations to compiled schedules.
 """
 
 import pytest

@@ -1,7 +1,8 @@
 """A sha256 pin of everything the distsim engine observably produces.
 
-The differential suite (``test_reduction.py``) compares the generator path
-with the reduction path, but both drive the same engine, so an engine change
+The conformance suite (``tests/conformance/test_timeline_conformance.py``)
+compares the generator path with the reduction path, but both drive the
+same engine, so an engine change
 that drifts both in lockstep would pass it.  This module pins the engine
 against a fixed digest instead: for every distsim family × fault kind ×
 ``n ∈ {3, 5}``, plus the six E12 arms, it hashes the full

@@ -1,8 +1,8 @@
 """A sha256 pin of everything a Figure 2 run observably produces.
 
-The equivalence sweeps compare execution paths with each other, so a change
-to the k-anti-Ω automaton itself (or to a kernel path every sweep shares)
-that drifts all of them in lockstep would pass them.  This module pins the
+The conformance lane table compares execution paths with a reference loop,
+so a change to the k-anti-Ω automaton itself (or to a kernel path every lane
+shares) that drifts all of them in lockstep would pass it.  This module pins the
 detector against fixed digests instead.  For every run of the E2 grid (the
 ``e2-seeds`` campaign) and of the A1/A2 ablations (every accusation
 statistic and timeout policy) at a short horizon it hashes:
@@ -49,7 +49,7 @@ from repro.failure_detectors.anti_omega import (
 from repro.failure_detectors.base import make_detector_trackers
 from repro.memory.registers import RegisterFile
 from repro.runtime.observers import OutputTracker
-from repro.runtime.simulator import Simulator, prebinding_disabled
+from repro.runtime.simulator import Simulator
 from repro.schedules.set_timely import SetTimelyGenerator
 
 HORIZON = 5_000
@@ -104,11 +104,9 @@ def _detector_digest(params, path):
         timeout_policy=TIMEOUT_POLICIES[params.get("policy", "paper")],
     )
     compiled = compiled_schedule_for(params, HORIZON)
-    if path == "fast-bound":
-        simulator = Simulator(n=n, automata=automata, registers=registers)
-    else:
-        with prebinding_disabled():
-            simulator = Simulator(n=n, automata=automata, registers=registers)
+    simulator = Simulator(
+        n=n, automata=automata, registers=registers, prebind=path == "fast-bound"
+    )
     trackers = make_detector_trackers()
     for tracker in trackers:
         simulator.add_observer(tracker)

@@ -1,29 +1,19 @@
-"""The slot-addressed operation pipeline: bind mechanics, prebind wiring, and
-the bound-vs-unbound / arena-vs-dict equivalence contract.
+"""The slot-addressed operation pipeline: bind mechanics and prebind wiring.
 
-The headline tests are the seeded randomized sweeps: 50+ random
-(scenario family, crash pattern, n, t, k, seed) combinations running the real
-Figure 2 detector two ways — name-addressed dispatch under the instrumented
-policy (the dict-path reference) and slot-bound dispatch through the bare
-loop over the whole compiled buffer — with outputs, halted sets,
-step counts, register operation counts and tracker change sequences asserted
-identical.  That contract is what lets the simulator prebind automata
-unconditionally.
+That slot-bound dispatch through every loop executes exactly what the
+name-addressed reference does, for the function automata, Figure 2 and the
+agreement stack, is the conformance lane table's job
+(``tests/conformance/test_lane_table.py``).
 """
-
-import random
 
 import pytest
 
-from repro.agreement.problem import distinct_inputs
-from repro.agreement.runner import solve_agreement
 from repro.core.schedule import Schedule
 from repro.errors import RegisterError, SimulationError
 from repro.failure_detectors.anti_omega import (
     KAntiOmegaAutomaton,
     make_anti_omega_algorithm,
 )
-from repro.failure_detectors.base import make_detector_trackers
 from repro.memory.registers import RegisterFile
 from repro.runtime.automaton import (
     BoundCollectOp,
@@ -39,11 +29,7 @@ from repro.runtime.automaton import (
 )
 from repro.runtime.composition import ComposedAutomaton
 from repro.runtime.kernel import FAST, FAST_TRACED, INSTRUMENTED
-from repro.runtime.observers import OutputTracker
-from repro.runtime.simulator import Simulator, build_simulator, prebinding_disabled
-from repro.scenarios.spec import build_generator
-from repro.schedules.set_timely import SetTimelyGenerator
-from repro.types import AgreementInstance
+from repro.runtime.simulator import Simulator, build_simulator
 
 
 # ----------------------------------------------------------------------
@@ -109,15 +95,9 @@ class TestPrebindWiring:
         for pid in (1, 2):
             assert simulator.automaton(pid)._bound_scratch is not None
 
-    def test_prebind_flag_and_context_manager_disable_binding(self):
+    def test_prebind_flag_disables_binding(self):
         bare = build_simulator(2, lambda pid: IdleAutomaton(pid, 2), prebind=False)
         assert bare.automaton(1)._bound_scratch is None
-        with prebinding_disabled():
-            context = build_simulator(2, lambda pid: IdleAutomaton(pid, 2))
-        assert context.automaton(1)._bound_scratch is None
-        # The switch is scoped: construction outside the context binds again.
-        rebound = build_simulator(2, lambda pid: IdleAutomaton(pid, 2))
-        assert rebound.automaton(1)._bound_scratch is not None
 
     def test_reused_automaton_is_unbound_when_prebinding_is_disabled(self):
         # An automaton bound to simulator A's register file must not leak
@@ -287,123 +267,3 @@ class TestBoundSingleWriterViolation:
             simulator.run_fast(CompiledSchedule(n=2, steps=[1, 1, 2, 1]))
         assert simulator.step_index == 2
         assert simulator.registers.peek(("owned", 1)) == (1, 2)
-
-
-# ----------------------------------------------------------------------
-# Randomized equivalence sweeps (the bound/arena vs. dict contract)
-# ----------------------------------------------------------------------
-
-def _random_combination(rng):
-    """One random (family params, t, k, horizon) combination for the sweep."""
-    n = rng.randint(2, 5)
-    family = rng.choice(
-        ["round-robin", "random", "set-timely", "eventually-synchronous",
-         "carrier-rotation", "crash-churn", "alternating-epochs", "spliced-adversary"]
-    )
-    seed = rng.randint(0, 10_000)
-    params = {"schedule": family, "n": n, "seed": seed}
-    crashed = rng.sample(range(1, n + 1), rng.randint(0, max(n - 2, 0)))
-    if family == "set-timely":
-        correct = sorted(set(range(1, n + 1)) - set(crashed))
-        p_size = rng.randint(1, max(len(correct) - 1, 1))
-        params["p_set"] = correct[:p_size]
-        params["q_set"] = list(range(1, n + 1))
-        params["bound"] = rng.randint(2, 4)
-    elif family in ("carrier-rotation", "spliced-adversary"):
-        correct = sorted(set(range(1, n + 1)) - set(crashed))
-        params["carriers"] = correct[: rng.randint(1, len(correct))]
-    elif family == "crash-churn":
-        params["period"] = rng.randint(8, 64)
-        params["outage"] = rng.randint(0, params["period"])
-        params["churn"] = rng.randint(0, 2)
-    elif family == "alternating-epochs":
-        params["sync_epoch"] = rng.randint(4, 32)
-        params["async_epoch"] = rng.randint(4, 32)
-        params["epoch_growth"] = rng.choice([0, 0, 3])
-    params["crashes"] = crashed
-    t = rng.randint(1, n - 1)
-    k = rng.randint(1, n - 1)
-    horizon = rng.randint(60, 260)
-    return params, t, k, horizon
-
-
-def _detector_simulator(n, t, k, prebind):
-    registers = RegisterFile()
-    KAntiOmegaAutomaton.declare_registers(registers, n=n, k=k)
-    automata = make_anti_omega_algorithm(n=n, t=t, k=k)
-    simulator = Simulator(n=n, automata=automata, registers=registers, prebind=prebind)
-    fd_tracker, winner_tracker = make_detector_trackers()
-    simulator.add_observer(fd_tracker)
-    simulator.add_observer(winner_tracker)
-    return simulator, fd_tracker, winner_tracker
-
-
-def _observable_state(simulator, result, n):
-    return (
-        result.outputs,
-        result.steps_executed,
-        result.halted_processes,
-        simulator.registers.total_reads(),
-        simulator.registers.total_writes(),
-        [simulator.steps_taken(pid) for pid in range(1, n + 1)],
-    )
-
-
-class TestBoundVersusDictEquivalenceSweep:
-    def test_fifty_random_detector_scenarios_agree_across_dispatch_paths(self):
-        rng = random.Random(4202607)
-        combos = 0
-        while combos < 52:
-            params, t, k, horizon = _random_combination(rng)
-            generator = build_generator(params)
-            n = generator.n
-            compiled = build_generator(params).compile(horizon)
-            context = f"combo {combos}: {params!r} t={t} k={k} horizon={horizon}"
-
-            # Reference: name-addressed dict dispatch, instrumented policy.
-            dict_sim, dict_fd, dict_winner = _detector_simulator(n, t, k, prebind=False)
-            reference = dict_sim.run(compiled)
-            # Slot-bound dispatch through the bare loop over the whole buffer.
-            bound_sim, bound_fd, bound_winner = _detector_simulator(n, t, k, prebind=True)
-            bound = bound_sim.run_fast(compiled)
-
-            expected = _observable_state(dict_sim, reference, n)
-            assert _observable_state(bound_sim, bound, n) == expected, context
-            assert bound_fd.changes == dict_fd.changes, context
-            assert bound_winner.changes == dict_winner.changes, context
-            combos += 1
-
-    def test_agreement_stack_agrees_bound_and_unbound(self):
-        # The composed detector + agreement stack (prebind forwarded through
-        # the composition) against the dict path, over certified scenarios.
-        rng = random.Random(97531)
-        for _ in range(6):
-            n = rng.randint(3, 5)
-            t = rng.randint(2, n - 1)
-            k = rng.randint(1, t)
-            seed = rng.randint(0, 10_000)
-            max_steps = rng.randint(800, 1_600)
-            problem = AgreementInstance(t=t, k=k, n=n)
-
-            def report():
-                generator = SetTimelyGenerator(
-                    n=n,
-                    p_set=set(range(1, k + 1)),
-                    q_set=set(range(1, t + 2)),
-                    bound=3,
-                    seed=seed,
-                )
-                outcome = solve_agreement(
-                    problem, distinct_inputs(n), generator, max_steps=max_steps
-                )
-                return (
-                    outcome.decisions,
-                    outcome.steps_executed,
-                    outcome.verdict.satisfied,
-                    outcome.verdict.valid,
-                )
-
-            bound = report()
-            with prebinding_disabled():
-                unbound = report()
-            assert bound == unbound, f"n={n} t={t} k={k} seed={seed}"

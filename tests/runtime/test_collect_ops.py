@@ -2,16 +2,11 @@
 
 A :class:`~repro.runtime.automaton.CollectOp` spreads its reads over the
 yielding process's scheduled steps, and the process's in-flight collect lives
-in its :class:`~repro.runtime.simulator.ProcessState`.  Every way of cutting
-a run into pieces must therefore reproduce one whole run exactly — outputs,
-tracker change lists, register values and read/write counts, and
-``steps_taken``:
-
-* segment boundaries at every point of a short buffer, on every pair of
-  executors (the bare loop with and without observers, the general loop,
-  single steps through :meth:`Simulator.step`);
-* a stop condition firing at every step;
-* prebinding disabled against bound runs.
+in its :class:`~repro.runtime.simulator.ProcessState`.  That every way of
+cutting a run into pieces (segments on alternating loops, a stop condition,
+single steps, snapshots) and unbound collects reproduce one whole run exactly
+is the conformance lane table's job (``tests/conformance/test_lane_table.py``,
+its ``collecting`` setup and Figure 2).
 
 Under the instrumented policy an ``every_step`` observer sees each collect
 read as its own step, each one shared-memory operation.
@@ -19,14 +14,10 @@ read as its own step, each one shared-memory operation.
 
 import pytest
 
-from repro.core.schedule import CompiledSchedule, Schedule
 from repro.errors import SimulationError
-from repro.failure_detectors.anti_omega import (
-    KAntiOmegaAutomaton,
-    make_anti_omega_algorithm,
-)
-from repro.failure_detectors.base import make_detector_trackers
+from repro.failure_detectors.anti_omega import make_anti_omega_algorithm
 from repro.memory.registers import RegisterFile
+from repro.core.schedule import Schedule
 from repro.runtime.automaton import (
     BoundCollectOp,
     BoundReadOp,
@@ -38,78 +29,9 @@ from repro.runtime.automaton import (
     validate_operation,
 )
 from repro.runtime.composition import ComposedAutomaton
-from repro.runtime.observers import OutputTracker
-from repro.runtime.simulator import Simulator, build_simulator, prebinding_disabled
-from repro.scenarios.spec import build_generator
+from repro.runtime.simulator import build_simulator
 
 N, T, K = 3, 2, 1
-
-
-def _buffer(length=90):
-    params = {"schedule": "set-timely", "n": N, "p_set": [1], "q_set": [1, 2, 3],
-              "bound": 3, "seed": 4}
-    return list(build_generator(params).compile(length).steps)
-
-
-def _detector(prebind=True):
-    registers = RegisterFile()
-    KAntiOmegaAutomaton.declare_registers(registers, n=N, k=K)
-    automata = make_anti_omega_algorithm(n=N, t=T, k=K)
-    simulator = Simulator(n=N, automata=automata, registers=registers, prebind=prebind)
-    trackers = make_detector_trackers()
-    return simulator, trackers
-
-
-def _observe(simulator, trackers):
-    registers = simulator.registers
-    return (
-        {pid: dict(simulator.automaton(pid).outputs) for pid in range(1, N + 1)},
-        [simulator.steps_taken(pid) for pid in range(1, N + 1)],
-        simulator.step_index,
-        sorted(
-            (repr(name), registers.resolve(name).value,
-             registers.resolve(name).read_count, registers.resolve(name).write_count)
-            for name in registers.names()
-        ),
-        [[(c.step, c.pid, c.value) for c in tracker.changes] for tracker in trackers],
-    )
-
-
-def _run_bare(simulator, steps):
-    simulator.run_fast(CompiledSchedule(n=N, steps=steps))
-
-
-def _run_fast_list(simulator, steps):
-    simulator.run_fast(list(steps))
-
-
-def _run_instrumented(simulator, steps):
-    simulator.run(Schedule(steps=tuple(steps), n=N))
-
-
-def _run_stepwise(simulator, steps):
-    for pid in steps:
-        simulator.step(pid)
-
-
-#: Executors that carry the trackers, and the observer-free bare loop.
-TRACKED = {
-    "bare-tracked": _run_bare,
-    "fast-list": _run_fast_list,
-    "instrumented": _run_instrumented,
-    "stepwise": _run_stepwise,
-}
-
-
-def _whole(tracked=True):
-    simulator, trackers = _detector()
-    if tracked:
-        for tracker in trackers:
-            simulator.add_observer(tracker)
-    else:
-        trackers = ()
-    _run_instrumented(simulator, _buffer())
-    return _observe(simulator, trackers)
 
 
 class TestCollectOpValues:
@@ -202,122 +124,6 @@ class TestOneReadPerStep:
                            ("values", (2, None, None, None))]
         assert simulator.registers.total_reads() == 8
         assert simulator.registers.total_writes() == 2
-
-    def test_unbound_and_bound_collects_agree(self):
-        def run(prebind):
-            simulator, trackers = _detector(prebind=prebind)
-            for tracker in trackers:
-                simulator.add_observer(tracker)
-            _run_bare(simulator, _buffer())
-            return _observe(simulator, trackers)
-
-        bound = run(prebind=True)
-        with prebinding_disabled():
-            unbound = run(prebind=True)
-        assert unbound == bound == _whole()
-        assert run(prebind=False) == bound
-
-    def test_collects_of_one_and_many_registers_in_every_executor(self):
-        steps = [1, 2, 3, 1, 1, 2, 3, 3, 3, 2, 1, 2, 2, 1, 3, 1, 2, 3, 3, 1, 1, 1]
-
-        def run(executor):
-            simulator = build_simulator(
-                3, lambda pid: FunctionAutomaton(pid, 3, _collecting_program)
-            )
-            tracker = OutputTracker(key="seen")
-            simulator.add_observer(tracker)
-            executor(simulator, steps[:9])
-            executor(simulator, steps[9:])
-            registers = simulator.registers
-            return (
-                tracker.changes,
-                [simulator.steps_taken(pid) for pid in (1, 2, 3)],
-                sorted((name, registers.resolve(name).value, registers.resolve(name).read_count,
-                        registers.resolve(name).write_count) for name in registers.names()),
-            )
-
-        def instrumented(simulator, part):
-            simulator.run(Schedule(steps=tuple(part), n=3))
-
-        def stepwise(simulator, part):
-            for pid in part:
-                simulator.step(pid)
-
-        def fast(simulator, part):
-            simulator.run_fast(list(part))
-
-        reference = run(instrumented)
-        assert run(stepwise) == reference
-        assert run(fast) == reference
-
-
-class TestSegmentedRuns:
-    @pytest.mark.parametrize("second", sorted(TRACKED))
-    @pytest.mark.parametrize("first", sorted(TRACKED))
-    def test_every_split_matches_the_whole_run(self, first, second):
-        whole = _whole()
-        buffer = _buffer()
-        for cut in range(1, len(buffer)):
-            simulator, trackers = _detector()
-            for tracker in trackers:
-                simulator.add_observer(tracker)
-            TRACKED[first](simulator, buffer[:cut])
-            TRACKED[second](simulator, buffer[cut:])
-            assert _observe(simulator, trackers) == whole, f"cut at {cut}"
-
-    def test_tracker_attached_between_segments(self):
-        # The second segment's first step of each process is sampled even
-        # mid-collect, so a tracker attached between segments records every
-        # process's current output there, on every executor.
-        buffer = _buffer()
-        for cut in range(1, len(buffer)):
-            recorded = {}
-            for name in ("bare-tracked", "instrumented", "stepwise"):
-                simulator, _ = _detector()
-                _run_bare(simulator, buffer[:cut])
-                trackers = make_detector_trackers()
-                for tracker in trackers:
-                    simulator.add_observer(tracker)
-                TRACKED[name](simulator, buffer[cut:])
-                recorded[name] = _observe(simulator, trackers)
-            assert recorded["bare-tracked"] == recorded["instrumented"], f"cut at {cut}"
-            assert recorded["stepwise"] == recorded["instrumented"], f"cut at {cut}"
-
-    def test_every_split_on_the_observer_free_bare_loop(self):
-        whole = _whole(tracked=False)
-        buffer = _buffer()
-        for cut in range(1, len(buffer)):
-            simulator, _ = _detector()
-            _run_bare(simulator, buffer[:cut])
-            _run_bare(simulator, buffer[cut:])
-            assert _observe(simulator, ()) == whole, f"cut at {cut}"
-
-    def test_three_segments_alternating_loops(self):
-        whole = _whole()
-        buffer = _buffer()
-        for cut in range(1, len(buffer) - 7, 3):
-            simulator, trackers = _detector()
-            for tracker in trackers:
-                simulator.add_observer(tracker)
-            _run_bare(simulator, buffer[:cut])
-            _run_stepwise(simulator, buffer[cut:cut + 7])
-            _run_bare(simulator, buffer[cut + 7:])
-            assert _observe(simulator, trackers) == whole, f"cuts at {cut}, {cut + 7}"
-
-    def test_stop_condition_at_every_step(self):
-        whole = _whole()
-        buffer = _buffer()
-        for stop_at in range(1, len(buffer)):
-            simulator, trackers = _detector()
-            for tracker in trackers:
-                simulator.add_observer(tracker)
-            result = simulator.run_fast(
-                CompiledSchedule(n=N, steps=buffer),
-                stop_condition=lambda step, sim: step == stop_at,
-            )
-            assert result.stopped_early and result.steps_executed == stop_at
-            _run_bare(simulator, buffer[stop_at:])
-            assert _observe(simulator, trackers) == whole, f"stop at {stop_at}"
 
 
 class TestComposition:

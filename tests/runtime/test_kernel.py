@@ -1,20 +1,15 @@
-"""The execution kernel: policies, observer capabilities, run/run_fast equivalence.
+"""The execution kernel: policies, observer capabilities, hot-loop register paths.
 
-The headline test is the seeded randomized sweep: ~50 random
-(scenario family, crash pattern, n, seed) combinations, each executed under
-the instrumented policy and under the fast policy on fresh simulators, with
-outputs, halted sets, step counts, register operation counts and tracker
-change sequences asserted identical.  That is the contract that lets every
-harness switch policies freely.
+That every policy and loop executes exactly what the instrumented reference
+executes is the conformance lane table's job
+(``tests/conformance/test_lane_table.py``); this module checks the
+mechanisms one at a time.
 """
-
-import random
 
 import pytest
 
 from repro.errors import RegisterError, SimulationError
-from repro.memory.registers import RegisterFile
-from repro.runtime.automaton import FunctionAutomaton, ReadOp, WriteOp
+from repro.runtime.automaton import FunctionAutomaton, IdleAutomaton, ReadOp, WriteOp
 from repro.runtime.kernel import (
     EVERY_STEP,
     FAST,
@@ -25,36 +20,12 @@ from repro.runtime.kernel import (
     trace_sampling,
 )
 from repro.runtime.observers import OutputTracker
-from repro.runtime.simulator import Simulator, build_simulator
+from repro.runtime.simulator import build_simulator
 from repro.core.schedule import Schedule
-from repro.scenarios.spec import build_generator
 
 
-def _token_program(automaton, ctx):
-    """A cheap program that reads, writes and publishes — all paths exercised."""
-    total = 0
-    while True:
-        value = yield ReadOp(("token",))
-        current = value or 0
-        yield WriteOp(("token",), current + 1)
-        total += current
-        if total % 3 == 0:
-            automaton.publish("total", total)
-
-
-def _halting_program(automaton, ctx):
-    for round_index in range(5):
-        value = yield ReadOp(("token",))
-        automaton.publish("last", value)
-        yield WriteOp(("scratch", automaton.pid), round_index)
-    return "done"
-
-
-def _fresh(n, program=_token_program):
-    simulator = build_simulator(n, lambda pid: FunctionAutomaton(pid, n, program))
-    tracker = OutputTracker(key="total" if program is _token_program else "last")
-    simulator.add_observer(tracker)
-    return simulator, tracker
+def _fresh(n):
+    return build_simulator(n, lambda pid: IdleAutomaton(pid, n))
 
 
 class TestPolicies:
@@ -72,30 +43,17 @@ class TestPolicies:
 
     def test_trace_sampling_records_every_stride_th_step(self):
         schedule = Schedule(steps=(1, 2) * 30, n=2)
-        simulator, _ = _fresh(2)
+        simulator = _fresh(2)
         result = simulator.run_with_policy(schedule, trace_sampling(10))
         assert result.steps_executed == 60
         # Steps 1, 11, 21, ... of the run are recorded: six samples.
         assert len(result.executed_schedule.steps) == 6
         assert simulator.trace().steps == result.executed_schedule.steps
 
-    def test_policies_execute_identical_steps(self):
-        schedule = Schedule(steps=(1, 2, 1, 1, 2) * 8, n=2)
-        results = {}
-        for name, policy in {
-            "instrumented": INSTRUMENTED,
-            "fast": FAST,
-            "sampled": trace_sampling(7),
-        }.items():
-            simulator, tracker = _fresh(2)
-            result = simulator.run_with_policy(schedule, policy)
-            results[name] = (result.outputs, result.steps_executed, tracker.changes)
-        assert results["instrumented"] == results["fast"] == results["sampled"]
-
 
 class TestObserverCapabilities:
     def test_every_step_observer_rejected_by_fast_policy(self):
-        simulator, _ = _fresh(2)
+        simulator = _fresh(2)
         seen = []
         simulator.add_observer(lambda step, pid, sim: seen.append(step))
         with pytest.raises(SimulationError, match="every_step"):
@@ -104,14 +62,14 @@ class TestObserverCapabilities:
         assert simulator.step_index == 0 and not seen
 
     def test_every_step_observer_fine_under_instrumented_policy(self):
-        simulator, _ = _fresh(2)
+        simulator = _fresh(2)
         seen = []
         simulator.add_observer(lambda step, pid, sim: seen.append(step))
         simulator.run(Schedule(steps=(1, 2, 1), n=2))
         assert seen == [1, 2, 3]
 
     def test_explicit_capability_overrides_default(self):
-        simulator, _ = _fresh(2)
+        simulator = _fresh(2)
         sampled = []
         simulator.add_observer(
             lambda step, pid, sim: sampled.append((step, pid)), capability="on_publish"
@@ -124,7 +82,7 @@ class TestObserverCapabilities:
         assert OutputTracker.observer_capability == "on_publish"
 
     def test_unknown_capability_rejected_at_registration(self):
-        simulator, _ = _fresh(1)
+        simulator = _fresh(1)
         with pytest.raises(SimulationError, match="unknown observer capability"):
             simulator.add_observer(lambda step, pid, sim: None, capability="weekly")
 
@@ -236,94 +194,3 @@ class TestSingleWriterViolationInHotLoop:
         assert healthy.step_index == 2
         assert healthy.steps_taken(1) == 2 and healthy.steps_taken(2) == 0
         assert healthy.registers.peek(("owned", 1)) == (1, 2)
-
-
-# ----------------------------------------------------------------------
-# Randomized equivalence sweep (the run/run_fast contract)
-# ----------------------------------------------------------------------
-
-def _random_combination(rng):
-    """One random (family params, n, horizon) combination for the sweep."""
-    n = rng.randint(2, 6)
-    family = rng.choice(
-        ["round-robin", "random", "set-timely", "eventually-synchronous",
-         "carrier-rotation", "crash-churn", "alternating-epochs", "spliced-adversary"]
-    )
-    seed = rng.randint(0, 10_000)
-    params = {"schedule": family, "n": n, "seed": seed}
-    # A random initial-crash pattern, kept small enough for every family's
-    # liveness constraints (at least two processes stay correct).
-    crashed = rng.sample(range(1, n + 1), rng.randint(0, max(n - 2, 0)))
-    if family == "set-timely":
-        correct = sorted(set(range(1, n + 1)) - set(crashed))
-        p_size = rng.randint(1, max(len(correct) - 1, 1))
-        params["p_set"] = correct[:p_size]
-        params["q_set"] = list(range(1, n + 1))
-        params["bound"] = rng.randint(2, 4)
-        params["crashes"] = crashed
-    elif family in ("carrier-rotation", "spliced-adversary"):
-        correct = sorted(set(range(1, n + 1)) - set(crashed))
-        params["carriers"] = correct[: rng.randint(1, len(correct))]
-        params["crashes"] = crashed
-    elif family == "crash-churn":
-        params["period"] = rng.randint(8, 64)
-        params["outage"] = rng.randint(0, params["period"])
-        params["churn"] = rng.randint(0, 2)
-        params["crashes"] = crashed
-    elif family == "alternating-epochs":
-        params["sync_epoch"] = rng.randint(4, 32)
-        params["async_epoch"] = rng.randint(4, 32)
-        params["epoch_growth"] = rng.choice([0, 0, 3])
-        params["crashes"] = crashed
-    elif family != "round-robin":
-        params["crashes"] = crashed
-    else:
-        # Round-robin dies if the whole rotation crashes; initial crashes are
-        # fine as long as one process survives, which n - 2 guarantees.
-        params["crashes"] = crashed
-    horizon = rng.randint(50, 400)
-    return params, horizon
-
-
-class TestRandomizedEquivalenceSweep:
-    def test_fifty_random_scenarios_agree_between_policies(self):
-        rng = random.Random(987654)
-        combos = 0
-        while combos < 50:
-            params, horizon = _random_combination(rng)
-            generator = build_generator(params)
-            slow_sim, slow_tracker = _fresh(generator.n)
-            fast_sim, fast_tracker = _fresh(generator.n)
-            slow = slow_sim.run(generator.stream(), max_steps=horizon)
-            fast = fast_sim.run_fast(generator.stream(), max_steps=horizon)
-            context = f"combo {combos}: {params!r} horizon={horizon}"
-            assert fast.steps_executed == slow.steps_executed == horizon, context
-            assert fast.outputs == slow.outputs, context
-            assert fast.halted_processes == slow.halted_processes, context
-            assert fast.stopped_early == slow.stopped_early, context
-            assert fast_tracker.changes == slow_tracker.changes, context
-            assert (
-                fast_sim.registers.total_reads() == slow_sim.registers.total_reads()
-            ), context
-            assert (
-                fast_sim.registers.total_writes() == slow_sim.registers.total_writes()
-            ), context
-            assert [fast_sim.steps_taken(p) for p in range(1, generator.n + 1)] == [
-                slow_sim.steps_taken(p) for p in range(1, generator.n + 1)
-            ], context
-            combos += 1
-
-    def test_halting_programs_agree_between_policies(self):
-        rng = random.Random(24680)
-        for _ in range(10):
-            n = rng.randint(1, 4)
-            steps = tuple(rng.randint(1, n) for _ in range(rng.randint(10, 60)))
-            schedule = Schedule(steps=steps, n=n)
-            slow_sim, slow_tracker = _fresh(n, _halting_program)
-            fast_sim, fast_tracker = _fresh(n, _halting_program)
-            slow = slow_sim.run(schedule)
-            fast = fast_sim.run_fast(schedule)
-            assert fast.steps_executed == slow.steps_executed
-            assert fast.outputs == slow.outputs
-            assert fast.halted_processes == slow.halted_processes
-            assert fast_tracker.changes == slow_tracker.changes

@@ -1,57 +1,22 @@
-"""Key-scoped observer sampling records what every-step sampling records.
+"""Key-scoped observer sampling costs no tracker call for untracked keys.
 
 Publication-gated policies sample a process only on steps that published a
 key some observer reads: an :class:`OutputTracker` names its one key, and an
-observer that names none reads every key.  Each test runs one schedule under
-the instrumented policy (every observer after every step) and under each
-publication-gated executor, and requires identical tracker change lists —
-on Figure 2, whose per-iteration ``iteration`` publish no tracker reads, and
-on automata that publish an untracked key on every step.
+observer that names none reads every key.  That every gated loop records the
+change lists every-step sampling records, on Figure 2 and on automata that
+publish an untracked key on every step, is the conformance lane table's job
+(``tests/conformance/test_lane_table.py``); this module counts the calls the
+gating saves.
 """
 
-from hypothesis import given
-from hypothesis import strategies as st
-
-from repro.core.schedule import CompiledSchedule, Schedule
+from repro.core.schedule import CompiledSchedule
 from repro.failure_detectors.anti_omega import KAntiOmegaAutomaton
-from repro.failure_detectors.base import FD_OUTPUT, WINNER_SET
+from repro.failure_detectors.base import FD_OUTPUT
 from repro.runtime.automaton import FunctionAutomaton, ReadOp, WriteOp
-from repro.runtime.composition import ComposedAutomaton
-from repro.runtime.kernel import ON_PUBLISH, trace_sampling
+from repro.runtime.kernel import ON_PUBLISH
 from repro.runtime.observers import OutputTracker
 from repro.runtime.simulator import Simulator
 from repro.scenarios.spec import build_generator
-
-
-def _instrumented(simulator, steps):
-    simulator.run(Schedule(steps=tuple(steps), n=simulator.n))
-
-
-def _bare(simulator, steps):
-    simulator.run_fast(CompiledSchedule(n=simulator.n, steps=steps))
-
-
-def _fast_list(simulator, steps):
-    simulator.run_fast(list(steps))
-
-
-def _segmented(simulator, steps):
-    for start in range(0, len(steps), 37):
-        simulator.run_fast(list(steps[start:start + 37]))
-
-
-def _general_on_publish(simulator, steps):
-    # A traced publication-gated policy runs the general loop.
-    simulator.run_with_policy(list(steps), trace_sampling(3))
-
-
-#: Publication-gated executors, each compared with the instrumented run.
-GATED = {
-    "bare": _bare,
-    "fast-list": _fast_list,
-    "segmented": _segmented,
-    "general": _general_on_publish,
-}
 
 
 def counting(tracker):
@@ -67,60 +32,7 @@ def counting(tracker):
     return observe, calls
 
 
-def _changes(build, steps, run, keys):
-    """Tracker change lists for ``keys``, and the tracker call logs."""
-    simulator = build()
-    trackers = [OutputTracker(key=key) for key in keys]
-    logs = []
-    for tracker in trackers:
-        observer, calls = counting(tracker)
-        simulator.add_observer(observer)
-        logs.append(calls)
-    run(simulator, steps)
-    return [[(c.step, c.pid, c.value) for c in tracker.changes] for tracker in trackers], logs
-
-
-def _assert_gated_runs_match(build, steps, keys):
-    """Every gated executor matches the instrumented run, for ``keys`` together
-    and for each key alone (one tracker's key must not mask another's)."""
-    for tracked in [keys] + [(key,) for key in keys]:
-        expected, every_step_calls = _changes(build, steps, _instrumented, tracked)
-        for name, run in GATED.items():
-            changes, calls = _changes(build, steps, run, tracked)
-            assert changes == expected, (name, tracked)
-            # Gating only ever removes samples.
-            assert all(len(c) <= len(e) for c, e in zip(calls, every_step_calls)), name
-
-
 class TestFigure2:
-    @given(
-        st.integers(3, 5).flatmap(
-            lambda n: st.tuples(
-                st.just(n),
-                st.integers(1, n - 1).flatmap(lambda t: st.tuples(st.just(t), st.integers(1, t))),
-                st.integers(0, 10_000),
-                st.lists(st.integers(1, n), unique=True, max_size=n - 2),
-            )
-        ),
-        st.integers(200, 2_500),
-    )
-    def test_trackers_match_every_step_sampling(self, shape, horizon):
-        n, (t, k), seed, crashed = shape
-        correct = sorted(set(range(1, n + 1)) - set(crashed))
-        params = {
-            "schedule": "set-timely", "n": n, "seed": seed, "crashes": crashed,
-            "p_set": correct[:1], "q_set": list(range(1, n + 1)), "bound": 3,
-        }
-        steps = list(build_generator(params).compile(horizon).steps)
-
-        def build():
-            automata = {
-                pid: KAntiOmegaAutomaton(pid=pid, n=n, t=t, k=k) for pid in range(1, n + 1)
-            }
-            return Simulator(n=n, automata=automata)
-
-        _assert_gated_runs_match(build, steps, (FD_OUTPUT, WINNER_SET))
-
     def test_iteration_publishes_cost_no_tracker_call(self):
         n, t, k = 4, 2, 2
         params = {"schedule": "set-timely", "n": n, "seed": 7, "p_set": [1, 2],
@@ -171,49 +83,13 @@ def _noisy(every):
 
 
 class TestUntrackedKeyEveryStep:
-    @given(
-        st.integers(1, 5),
-        st.integers(1, 7),
-        st.lists(st.integers(1, 5), max_size=400),
-    )
-    def test_trackers_match_every_step_sampling(self, n, every, raw_steps):
-        steps = [(step - 1) % n + 1 for step in raw_steps]
-
-        def build():
-            automata = {pid: FunctionAutomaton(pid, n, _noisy(every)) for pid in range(1, n + 1)}
-            return Simulator(n=n, automata=automata)
-
-        # "absent" is never published: its first sample still records None.
-        _assert_gated_runs_match(build, steps, ("value", "absent"))
-
-    @given(st.integers(1, 4), st.lists(st.integers(1, 4), max_size=400))
-    def test_composed_components_match_every_step_sampling(self, n, raw_steps):
-        steps = [(step - 1) % n + 1 for step in raw_steps]
-
-        def build():
-            automata = {
-                pid: ComposedAutomaton(
-                    pid=pid, n=n,
-                    components=[
-                        ("fast", FunctionAutomaton(pid, n, _noisy(1))),
-                        ("slow", FunctionAutomaton(pid, n, _noisy(5))),
-                    ],
-                )
-                for pid in range(1, n + 1)
-            }
-            return Simulator(n=n, automata=automata)
-
-        _assert_gated_runs_match(build, steps, ("slow.value", "value", "fast.noise"))
-
     def test_untracked_publications_skip_the_tracker(self):
         n = 3
-        steps = [1, 2, 3] * 200
-
-        def build():
-            automata = {pid: FunctionAutomaton(pid, n, _noisy(50)) for pid in range(1, n + 1)}
-            return Simulator(n=n, automata=automata)
-
-        _, (calls,) = _changes(build, steps, _bare, ("value",))
+        automata = {pid: FunctionAutomaton(pid, n, _noisy(50)) for pid in range(1, n + 1)}
+        simulator = Simulator(n=n, automata=automata)
+        observer, calls = counting(OutputTracker(key="value"))
+        simulator.add_observer(observer)
+        simulator.run_fast(CompiledSchedule(n=n, steps=[1, 2, 3] * 200))
         # Each process takes 200 steps, two per loop turn, so its 100 turns
         # publish ``value`` twice: one first sample plus two per process.
         assert len(calls) == n * (1 + 2)

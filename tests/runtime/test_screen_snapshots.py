@@ -18,23 +18,40 @@ from array import array
 
 import pytest
 
-import test_compiled_replay
 from repro.core.schedule import CompiledSchedule
 from repro.errors import ConfigurationError
+from repro.failure_detectors.anti_omega import (
+    KAntiOmegaAutomaton,
+    constant_timeout_policy,
+    doubling_timeout_policy,
+    make_anti_omega_algorithm,
+    max_accusation_statistic,
+    median_accusation_statistic,
+    min_accusation_statistic,
+    paper_accusation_statistic,
+    paper_timeout_policy,
+)
 from repro.failure_detectors.base import FD_OUTPUT, WINNER_SET
+from repro.memory.registers import RegisterFile
 from repro.runtime import vector_backend
 from repro.runtime.kernel import FAST, execute
 from repro.runtime.observers import OutputTracker
+from repro.runtime.simulator import Simulator
 from repro.runtime.vector_backend import (
     UnsupportedLowering,
     anti_omega_screen_snapshots,
 )
 from repro.search.properties import tracker_snapshots
 
-STATISTICS = test_compiled_replay.STATISTICS
-POLICIES = test_compiled_replay.POLICIES
-PAPER_STATISTIC = test_compiled_replay.paper_accusation_statistic
-PAPER_POLICY = test_compiled_replay.paper_timeout_policy
+STATISTICS = [
+    paper_accusation_statistic,
+    min_accusation_statistic,
+    max_accusation_statistic,
+    median_accusation_statistic,
+]
+POLICIES = [paper_timeout_policy, doubling_timeout_policy, constant_timeout_policy]
+PAPER_STATISTIC = paper_accusation_statistic
+PAPER_POLICY = paper_timeout_policy
 KEYS = (FD_OUTPUT, WINNER_SET)
 
 
@@ -75,7 +92,13 @@ def _generation(seed, n, lengths=LENGTHS):
 
 
 def _replica(n, t, k, statistic=PAPER_STATISTIC, policy=PAPER_POLICY):
-    return test_compiled_replay._anti_omega_replica(n, t, k, statistic, policy)[0]
+    """One Figure 2 replica with prebound ops and declared registers."""
+    registers = RegisterFile()
+    KAntiOmegaAutomaton.declare_registers(registers, n=n, k=k)
+    automata = make_anti_omega_algorithm(
+        n=n, t=t, k=k, accusation_statistic=statistic, timeout_policy=policy
+    )
+    return Simulator(n=n, automata=automata, registers=registers)
 
 
 def _tracked_snapshots(replica, compiled, checkpoints, keys):

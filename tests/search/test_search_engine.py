@@ -461,6 +461,23 @@ class TestCarriedElites:
             assert len(sent) == config.population - config.elites
             assert not set(sent) & set(elites)
 
+    def test_pooled_search_counts_like_an_inline_one(self):
+        """Screened candidates count in the searching process, not in a worker."""
+        config = SearchConfig.smoke_config(
+            "k-anti-omega-convergence", generations=3, horizon=600, top=0, seed=1
+        )
+        counts = []
+        for workers in (1, 2):
+            before = screen_cache_stats()
+            with CampaignEngine(workers=workers) as engine:
+                run_search(config, engine=engine)
+            after = screen_cache_stats()
+            counts.append({key: after[key] - before[key] for key in after})
+        assert counts[0] == counts[1] == {
+            "hits": 2 * config.elites,
+            "misses": 3 * config.population - 2 * config.elites,
+        }
+
     def test_generation_of_only_elites_dispatches_no_run(self, monkeypatch):
         config = SearchConfig.smoke_config(
             "k-anti-omega-convergence",
