@@ -653,14 +653,14 @@ class LaneCase(NamedTuple):
 
 
 def pinned_case(n: int, steps, keys, cuts, detour=()) -> LaneCase:
-    """A hand-written case over ``Πn`` (no stray pid) for an ``@example``."""
+    """A hand-written case over ``Πn`` (no stray pid) for a pinned run."""
     steps = array("i", steps)
     return LaneCase(steps, CompiledSchedule(n=n, steps=steps), None, tuple(keys), tuple(cuts),
                     CompiledSchedule(n=n, steps=array("i", detour)))
 
 
 def pinned_family_case(params: Dict[str, Any], length: int, keys, cuts) -> LaneCase:
-    """The ``length``-step prefix of a scenario family, for an ``@example``."""
+    """The ``length``-step prefix of a scenario family, for a pinned run."""
     compiled = build_generator(params).compile(length)
     return LaneCase(compiled.steps, compiled, params, tuple(keys), tuple(cuts),
                     CompiledSchedule(n=compiled.n, steps=[]))

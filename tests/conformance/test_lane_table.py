@@ -14,16 +14,21 @@ lane's stride.  A run that raises (a single-writer violation, a pid outside
 ``Πn``, a strict step after halting) must raise the same type and text, at
 the same step, leaving the same state.
 
-A lane that cannot take a case returns ``None``: compiled buffers hold no
-stray pid, only ``dist-*`` families have a timeline to replay, and only
-setups running Figure 2 have the recomputing reference.  Only Figure 2 can
+A lane runs only the cases it ``takes``: compiled buffers hold no stray
+pid, only ``dist-*`` families have a timeline to replay, and only setups
+running Figure 2 have the recomputing reference.  Only Figure 2 can
 resume mid-run, so other setups snapshot before their first step.
+
+Drawn runs check every lane in one test per setup kind; each lane on each
+hand-pinned run (``PINNED``) is a test of its own.
 """
 
 from contextlib import suppress
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
-from hypothesis import example, given
+import pytest
+from hypothesis import given
 
 from conformance_support import (
     CONFORMANCE,
@@ -101,8 +106,6 @@ def _whole(policy=FAST, prebind=True, source="compiled", tracked=True):
     """A lane running the whole schedule in one call."""
 
     def run(setup, case):
-        if source == "compiled" and case.compiled is None:
-            return None
         if tracked:
             simulator, trackers = _tracked(setup, case, prebind)
         else:
@@ -197,40 +200,47 @@ def _restored(setup, case):
 
 def _timeline(setup, case):
     """A ``dist-*`` case replayed from its message-level timeline's reduction."""
-    params = case.params
-    if params is None or not params["schedule"].startswith("dist-"):
-        return None
-    compiled = compile_timeline(run_timeline(build_generator(params), len(case.steps)))
+    compiled = compile_timeline(run_timeline(build_generator(case.params), len(case.steps)))
     simulator, trackers = _tracked(setup, case)
     return _observe(simulator, trackers, lambda: simulator.run_fast(compiled))
 
 
 def _recomputed(setup, case):
     """Figure 2 recomputing lines 3-5 every iteration, on the reference loop."""
-    return reference(setup, case, recompute=True) if setup.recomputable else None
+    return reference(setup, case, recompute=True)
+
+
+def _compiled(setup, case):
+    return case.compiled is not None
+
+
+def _replayable(setup, case):
+    return case.params is not None and case.params["schedule"].startswith("dist-")
 
 
 class Lane(NamedTuple):
-    """A lane: how it runs, when its trackers attach, what it records.
+    """A lane: how it runs, which cases it takes, when its trackers attach,
+    what it records.
 
     ``attach`` is ``"start"``, ``"first cut"`` or ``"never"``; ``stride`` is
     the trace stride it records (``None``: its trace is not compared);
     ``versions`` is false where output versions may differ.
     """
 
-    run: Callable[..., Optional[dict]]
+    run: Callable[..., dict]
+    takes: Callable[..., bool] = lambda setup, case: True
     attach: str = "start"
     stride: Optional[int] = None
     versions: bool = True
 
 
 LANES = {
-    "fast": Lane(_whole()),
+    "fast": Lane(_whole(), _compiled),
     "fast-traced": Lane(_whole(FAST_TRACED, source="list"), stride=1),
     "trace-sampled": Lane(_whole(trace_sampling(STRIDE), source="array"), stride=STRIDE),
-    "instrumented-bound": Lane(_whole(INSTRUMENTED), stride=1),
-    "unbound-fast": Lane(_whole(prebind=False)),
-    "bare": Lane(_whole(tracked=False), attach="never"),
+    "instrumented-bound": Lane(_whole(INSTRUMENTED), _compiled, stride=1),
+    "unbound-fast": Lane(_whole(prebind=False), _compiled),
+    "bare": Lane(_whole(tracked=False), _compiled, attach="never"),
     "raw-array": Lane(_whole(source="array")),
     "list": Lane(_whole(source="list")),
     "one-shot": Lane(_whole(source="one-shot")),
@@ -238,124 +248,120 @@ LANES = {
     "stopped": Lane(_stopped),
     "rewound": Lane(_rewound),
     "restored": Lane(_restored),
-    "timeline": Lane(_timeline),
-    "recomputed": Lane(_recomputed, versions=False),
+    "timeline": Lane(_timeline, _replayable),
+    "recomputed": Lane(_recomputed, lambda setup, case: setup.recomputable, versions=False),
 }
+
+
+def assert_lane_matches(name, setup, case, whole):
+    """Lane ``name`` leaves on ``case`` what the reference run ``whole`` left."""
+    lane = LANES[name]
+    observed = lane.run(setup, case)
+    expected = dict(whole)
+    if lane.attach == "first cut":
+        expected = reference(setup, case, attach_at=case.cuts[0])
+    elif lane.attach == "never":
+        expected["changes"] = []
+    if lane.stride is None:
+        del observed["trace"], expected["trace"]
+    else:
+        expected["trace"] = expected["trace"][:: lane.stride]
+    if not lane.versions:
+        del observed["versions"], expected["versions"]
+    assert observed == expected, f"lane {name!r} on {setup!r}"
 
 
 def assert_lanes_match(setup, case):
     """Every lane that takes ``case`` leaves what the reference leaves."""
     whole = reference(setup, case)
-    late = None
     for name, lane in LANES.items():
-        observed = lane.run(setup, case)
-        if observed is None:
-            continue
-        expected = dict(whole)
-        if lane.attach == "first cut":
-            late = late or reference(setup, case, attach_at=case.cuts[0])
-            expected = dict(late)
-        elif lane.attach == "never":
-            expected["changes"] = []
-        if lane.stride is None:
-            del observed["trace"], expected["trace"]
-        else:
-            expected["trace"] = expected["trace"][:: lane.stride]
-        if not lane.versions:
-            del observed["versions"], expected["versions"]
-        assert observed == expected, f"lane {name!r} on {setup!r}"
+        if lane.takes(setup, case):
+            assert_lane_matches(name, setup, case, whole)
 
 
-#: Process 3 writes process 1's register in its third round: a raise at step 36.
-_TRESPASS = (
-    function_setup("trespassing", 3),
-    pinned_case(3, [1, 2, 3] * 20, ["seen"], (5, 20, 40)),
-)
-#: Both processes halt after ten steps; the strict replica raises at step 21.
-_STRICT_HALT = (
-    function_setup("halting", 2, strict=True),
-    pinned_case(2, [1, 2] * 15, ["last"], (3, 9, 21)),
-)
-#: Cuts inside collects of one and of three registers.
-_COLLECTS = (
-    function_setup("collecting", 3),
-    pinned_case(3, [1] * 5 + [2, 3] * 9 + [1] * 7, ["seen"], (2, 6, 13), [3] * 4),
-)
 #: Process 1 alone over Π4 with k = 2: steps 1-24 are its counter collect,
 #: step 25 the heartbeat write, steps 26-29 the heartbeat collect and steps
-#: 30-35 one counter write per expired timer.  Cuts and snapshots land mid
-#: counter collect, at the heartbeat write, mid heartbeat collect and at a
-#: counter write.
+#: 30-35 one counter write per expired timer.
 _SOLO = [1] * 81 + [2] * 27 + [1, 3] * 60 + [1] * 81
-_SOLO_CUTS = (
-    figure2_setup(4, 2, 2),
-    pinned_case(4, _SOLO, [FD_OUTPUT, WINNER_SET], (10, 25, 33), [2, 3, 4] * 40),
-)
-_SOLO_COLLECTS = (
-    figure2_setup(4, 2, 2),
-    pinned_case(4, _SOLO, [FD_OUTPUT, "accusations"], (24, 27, 33), [1] * 30),
-)
-#: E2-shaped runs long enough for the counters to settle, so most counter
-#: collects repeat the last one and Figure 2 skips lines 3-5.
-_SETTLING = (
-    figure2_setup(4, 2, 2),
-    pinned_family_case(
+_F2 = figure2_setup(4, 2, 2)
+
+#: Hand-pinned runs, name -> (setup, case); each lane on each is a test.
+PINNED = {
+    # Process 3 writes process 1's register in its third round: a raise at step 36.
+    "trespass": (function_setup("trespassing", 3),
+                 pinned_case(3, [1, 2, 3] * 20, ["seen"], (5, 20, 40))),
+    # Both processes halt after ten steps; the strict replica raises at step 21.
+    "strict-halt": (function_setup("halting", 2, strict=True),
+                    pinned_case(2, [1, 2] * 15, ["last"], (3, 9, 21))),
+    # Cuts inside collects of one and of three registers.
+    "collects": (function_setup("collecting", 3),
+                 pinned_case(3, [1] * 5 + [2, 3] * 9 + [1] * 7, ["seen"], (2, 6, 13), [3] * 4)),
+    # Process 1 alone: cuts and snapshots land mid counter collect, at the
+    # heartbeat write, mid heartbeat collect and at a counter write.
+    "solo-cuts": (_F2, pinned_case(4, _SOLO, [FD_OUTPUT, WINNER_SET], (10, 25, 33),
+                                   [2, 3, 4] * 40)),
+    "solo-collects": (_F2, pinned_case(4, _SOLO, [FD_OUTPUT, "accusations"], (24, 27, 33),
+                                       [1] * 30)),
+    # E2-shaped runs long enough for the counters to settle, so most counter
+    # collects repeat the last one and Figure 2 skips lines 3-5.
+    "settling": (_F2, pinned_family_case(
         {"schedule": "set-timely", "n": 4, "p_set": [1, 2], "q_set": [1, 2, 3, 4],
          "bound": 3, "seed": 11},
-        3_000, [FD_OUTPUT, WINNER_SET, "accusations"], (777, 1_500, 2_222),
-    ),
+        3_000, [FD_OUTPUT, WINNER_SET, "accusations"], (777, 1_500, 2_222))),
+    "churn": (figure2_setup(3, 2, 1, "median", "doubling", declared=False), pinned_family_case(
+        {"schedule": "crash-churn", "n": 3, "period": 40, "outage": 20, "churn": 1, "seed": 5},
+        2_400, [LEADER, "accusations"], (100, 1_000, 1_900))),
+    # Process 3's last two counter collects differ only in their first
+    # register (process 1's counter of {1}): the skip must see that change too.
+    "first-counter": (figure2_setup(3, 1, 1, "min", "doubling", declared=False),
+                      pinned_family_case({"schedule": "random", "n": 3, "seed": 234}, 112,
+                                         [WINNER_SET], (20, 50, 90))),
+    # A lossy heavy-tail message run with an outage and a crash, for the timeline lane.
+    "dist-lossy": (figure2_setup(4, 2, 1, "median", "doubling"), pinned_family_case(
+        {"schedule": "dist-heavy-tail", "n": 4, "seed": 3, "latency": "uniform",
+         "latency_scale": 2, "loss_rate": 0.3, "crash_times": {"4": 600},
+         "outages": [{"pid": 2, "start": 100, "duration": 100, "period": 400}]},
+        2_000, [LEADER, "accusations"], (150, 700, 1_400))),
+    # The composed stack decides at steps 373-376 of round robin over Π4.
+    "deciding": (agreement_setup(4, 2, 2), pinned_case(4, [1, 2, 3, 4] * 120, [DECISION],
+                                                       (40, 201, 380), [1, 3, 4] * 50)),
+    # The trivial algorithm decides and halts; the strict replica raises at step 15.
+    "strict-decided": (agreement_setup(4, 1, 3, strict=True), pinned_case(
+        4, [1, 2, 3, 4] * 20 + [1, 3, 4] * 80, [DECISION], (7, 80, 300))),
+}
+
+
+@lru_cache(maxsize=None)
+def _pinned_reference(pinned):
+    return reference(*PINNED[pinned])
+
+
+@pytest.mark.parametrize(
+    "pinned, lane",
+    [
+        pytest.param(pinned, name, id=f"{pinned}-{name}")
+        for pinned, run in PINNED.items()
+        for name, lane in LANES.items()
+        if lane.takes(*run)
+    ],
 )
-_CHURN = (
-    figure2_setup(3, 2, 1, "median", "doubling", declared=False),
-    pinned_family_case(
-        {"schedule": "crash-churn", "n": 3, "period": 40, "outage": 20, "churn": 1,
-         "seed": 5},
-        2_400, [LEADER, "accusations"], (100, 1_000, 1_900),
-    ),
-)
-#: Process 3's last two counter collects differ only in their first
-#: register (process 1's counter of {1}): the skip must see that change too.
-_FIRST_COUNTER = (
-    figure2_setup(3, 1, 1, "min", "doubling", declared=False),
-    pinned_family_case(
-        {"schedule": "random", "n": 3, "seed": 234}, 112, [WINNER_SET], (20, 50, 90)
-    ),
-)
-#: The composed stack decides at steps 373-376 of round robin over Π4.
-_DECIDING = (
-    agreement_setup(4, 2, 2),
-    pinned_case(4, [1, 2, 3, 4] * 120, [DECISION], (40, 201, 380), [1, 3, 4] * 50),
-)
-#: The trivial algorithm decides and halts; the strict replica raises at step 15.
-_STRICT_DECIDED = (
-    agreement_setup(4, 1, 3, strict=True),
-    pinned_case(4, [1, 2, 3, 4] * 20 + [1, 3, 4] * 80, [DECISION], (7, 80, 300)),
-)
+def test_pinned(pinned, lane):
+    assert_lane_matches(lane, *PINNED[pinned], _pinned_reference(pinned))
 
 
 @CONFORMANCE
 @given(run=lane_runs("function"))
-@example(run=_TRESPASS)
-@example(run=_STRICT_HALT)
-@example(run=_COLLECTS)
 def test_function_automata(run):
     assert_lanes_match(*run)
 
 
 @CONFORMANCE
 @given(run=lane_runs("figure2"))
-@example(run=_SOLO_CUTS)
-@example(run=_SOLO_COLLECTS)
-@example(run=_SETTLING)
-@example(run=_CHURN)
-@example(run=_FIRST_COUNTER)
 def test_figure2(run):
     assert_lanes_match(*run)
 
 
 @CONFORMANCE
 @given(run=lane_runs("agreement"))
-@example(run=_DECIDING)
-@example(run=_STRICT_DECIDED)
 def test_agreement_stack(run):
     assert_lanes_match(*run)
