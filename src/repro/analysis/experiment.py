@@ -940,7 +940,7 @@ EXPERIMENT_REGISTRY: Dict[str, Experiment] = {
         Experiment(
             name="a1",
             title="A1 — accusation-statistic ablation",
-            section="A1 — ablation: the accusation statistic",
+            section="A1 — ablation: the accusation statistic (Figure 2, line 3)",
             build=accusation_ablation_campaign_spec,
             columns=(
                 ("scenario", "params.scenario"),
@@ -956,7 +956,7 @@ EXPERIMENT_REGISTRY: Dict[str, Experiment] = {
         Experiment(
             name="a2",
             title="A2 — timeout growth policy ablation",
-            section="A2 — ablation: the timeout growth policy",
+            section="A2 — ablation: the timeout growth policy (Figure 2, line 17)",
             build=timeout_ablation_campaign_spec,
             columns=(
                 ("policy", lambda record: POLICY_LABELS[record.params["policy"]]),

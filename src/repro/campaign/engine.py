@@ -302,13 +302,9 @@ class CampaignEngine:
         elapsed_by_key: Dict[str, float],
     ) -> None:
         ordered = self._batched_by_schedule(pending)
-        for (key, _), (payload, elapsed) in zip(
-            ordered, _execute_chunk([spec for _, spec in ordered])
-        ):
-            payloads[key] = payload
-            elapsed_by_key[key] = elapsed
-            if self.cache is not None:
-                self.cache.put(key, payload)
+        self._persist_completed(
+            ordered, _execute_chunk([spec for _, spec in ordered]), payloads, elapsed_by_key
+        )
 
     def _execute_pool(
         self,

@@ -628,8 +628,7 @@ def generation_spec(
     sorted-prefix plan then shares step prefixes across all of it.  An
     explicit ``eval_chunk`` fixes the run size instead.  The single assembly
     point for how a population becomes campaign runs — the engine executes
-    these specs, and ``benchmarks/bench_search.py`` measures exactly the
-    same shape.
+    these specs, and perfbench's search workloads time exactly this shape.
     """
     size = config.eval_chunk or max(1, -(-len(recipes) // workers))
     chunks = [recipes[start : start + size] for start in range(0, len(recipes), size)]

@@ -87,7 +87,7 @@ class TestMetrics:
 
 class TestExperimentHarnesses:
     """Smoke tests with tiny parameters: the harnesses must run and produce
-    well-formed rows; the full-size numbers live in benchmarks/EXPERIMENTS.md."""
+    well-formed rows; the full-size numbers live in EXPERIMENTS.md."""
 
     def test_figure1(self):
         headers, rows = run_experiment("e1", blocks=(2, 4))

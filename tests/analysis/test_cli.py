@@ -1,5 +1,6 @@
 """Tests for the command-line interface (`python -m repro`)."""
 
+import argparse
 from pathlib import Path
 
 import pytest
@@ -7,16 +8,26 @@ import pytest
 from repro import __version__
 from repro.analysis.experiment import EXPERIMENT_REGISTRY
 from repro.campaign import JobQueue
-from repro.cli import EXPERIMENTS, STANDALONE, build_parser, run
+from repro.cli import COMMANDS, build_parser, run
 from repro.errors import ConfigurationError
 from repro.scenarios import available_families
+
+
+def _every_subparser(parser):
+    """(name, subparser) of every subcommand, nested ones as ``queue enqueue``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, subparser in action.choices.items():
+                yield name, subparser
+                for sub, nested in _every_subparser(subparser):
+                    yield f"{name} {sub}", nested
 
 
 class TestParser:
     def test_every_experiment_has_a_subcommand(self):
         parser = build_parser()
         help_text = parser.format_help()
-        for name in [*STANDALONE, *EXPERIMENTS]:
+        for name in COMMANDS:
             assert name in help_text
 
     def test_unknown_command_rejected(self):
@@ -32,7 +43,8 @@ class TestCommands:
 
     def test_list(self):
         lines = run(["list"])
-        assert len(lines) == len(STANDALONE) + len(EXPERIMENTS) + len(EXPERIMENT_REGISTRY) + 2
+        # Every subcommand but ``list`` itself, every campaign, two headings.
+        assert len(lines) == len(COMMANDS) - 1 + len(EXPERIMENT_REGISTRY) + 2
         assert any("campaign" in line for line in lines)
 
     def test_figure1(self):
@@ -186,25 +198,38 @@ class TestScenariosCampaign:
         assert "spliced adversarial suffix" in output
 
 
-class TestEpilogs:
-    def test_every_subcommand_epilog_names_its_experiments_md_section(self):
-        # The satellite audit: every subcommand's --help must point at the
-        # EXPERIMENTS.md section it regenerates.
-        import argparse
+#: What every ``--help`` epilog says before the section it names.
+EPILOG_PREFIX = "Documented in EXPERIMENTS.md, section: "
 
-        parser = build_parser()
-        subparsers = next(
-            action
-            for action in parser._actions
-            if isinstance(action, argparse._SubParsersAction)
-        )
-        assert set(subparsers.choices), "no subcommands registered"
-        for name, subparser in subparsers.choices.items():
+
+def _experiments_md_headings():
+    """Every ``## `` heading of EXPERIMENTS.md, backticks removed."""
+    text = (Path(__file__).resolve().parents[2] / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    return [
+        line[3:].replace("`", "").strip() for line in text.splitlines() if line.startswith("## ")
+    ]
+
+
+class TestEpilogs:
+    def test_every_subcommand_epilog_names_a_real_experiments_md_heading(self):
+        # Every subcommand's --help points at the EXPERIMENTS.md section it
+        # regenerates: the section named in the epilog contains one of the
+        # document's ``## `` headings verbatim.  ``list`` names the whole index.
+        headings = _experiments_md_headings()
+        subcommands = dict(_every_subparser(build_parser()))
+        assert "queue enqueue" in subcommands, "queue subcommands missing"
+        for name, subparser in subcommands.items():
             assert subparser.epilog, f"subcommand {name!r} has no --help epilog"
-            assert "EXPERIMENTS.md" in subparser.epilog, (
-                f"subcommand {name!r} epilog does not name its EXPERIMENTS.md section"
+            assert subparser.epilog.startswith(EPILOG_PREFIX), subparser.epilog
+            assert subparser.epilog in subparser.format_help().replace("\n", " ")
+            section = subparser.epilog[len(EPILOG_PREFIX):]
+            if name == "list":
+                assert section == "the artifact index (all sections)"
+                continue
+            assert any(heading in section for heading in headings), (
+                f"subcommand {name!r} names {section!r}, which holds no "
+                "EXPERIMENTS.md heading"
             )
-            assert "EXPERIMENTS.md" in subparser.format_help()
 
 
 class TestQueueCommands:
@@ -357,6 +382,17 @@ class TestSearchCommand:
             run(["search", "--table", "--property", "agreement-safety"])
         with pytest.raises(ConfigurationError):
             run(["search", "--table", "--smoke"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--smoke", "--generations", "1", "--workers", "0"],
+            ["campaign", "e1", "--workers", "0"],
+        ],
+    )
+    def test_footer_prints_the_engines_worker_count(self, argv):
+        # The engine clamps --workers 0 to one inline worker; the footer says so.
+        assert run(argv)[-1] == "workers=1"
 
     def test_degenerate_horizon_rejected_cleanly(self):
         from repro.errors import ConfigurationError
@@ -525,23 +561,8 @@ BAD_ARGUMENTS = {
 
 
 def _subcommand_names():
-    """Every subcommand of ``build_parser()``, ``queue`` subcommands included."""
-    import argparse
-
-    def choices(parser):
-        return next(
-            action.choices
-            for action in parser._actions
-            if isinstance(action, argparse._SubParsersAction)
-        )
-
-    names = set()
-    for name, subparser in choices(build_parser()).items():
-        if name == "queue":
-            names.update(f"queue {sub}" for sub in choices(subparser))
-        else:
-            names.add(name)
-    return names
+    """Every leaf subcommand of ``build_parser()``, ``queue`` subcommands included."""
+    return {name for name, _ in _every_subparser(build_parser()) if name != "queue"}
 
 
 class TestBadArguments:

@@ -15,7 +15,7 @@ from repro.analysis.experiment import (
     experiment,
     run_experiment,
 )
-from repro.cli import EXPERIMENTS, EXPERIMENTS_MD_SECTIONS, run
+from repro.cli import COMMANDS, run
 from repro.distsim import run_dist_timeliness_kind, run_timeline, timeliness_report
 from repro.errors import ConfigurationError
 from repro.scenarios.spec import build_generator
@@ -171,10 +171,9 @@ class TestCli:
         assert "dist-sticky-failover" in text
 
     def test_registry_entries_exist(self):
-        # The epilog audit in tests/analysis/test_cli.py keys off these.
-        assert "distsim" in EXPERIMENTS
+        # The epilog audit in tests/analysis/test_cli.py keys off this section.
         assert (
-            EXPERIMENTS_MD_SECTIONS["distsim"]
+            COMMANDS["distsim"].section
             == "E12 — set-timeliness emergence from message timeliness (distsim)"
         )
         assert "e12" in EXPERIMENT_REGISTRY
