@@ -109,7 +109,20 @@ def _resolve_version() -> str:
     return "unknown"
 
 
-__version__ = _resolve_version()
+def __getattr__(name: str) -> str:
+    """Resolve ``__version__`` on first access (PEP 562) and cache it.
+
+    Reading the distribution metadata imports :mod:`importlib.metadata` and
+    with it ``email``, ``zipfile``, ``csv`` and ``socket``; only ``--version``
+    and callers that ask for the version pay for that, not every
+    ``import repro``.
+    """
+    if name == "__version__":
+        value = _resolve_version()
+        globals()["__version__"] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AgreementRunReport",

@@ -35,18 +35,35 @@ build their own tables directly from the records.
 from __future__ import annotations
 
 import gc
-import multiprocessing
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import CampaignError, ConfigurationError
 from .cache import ResultCache
 from .records import RunRecord, record_columns, write_jsonl
 from .runner import execute_spec, schedule_signature
 from .spec import CampaignSpec, RunSpec
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing.context import BaseContext
+
+
+def fork_context() -> BaseContext:
+    """The ``fork`` multiprocessing context, else the platform default.
+
+    Both the pooled dispatch here and the queue's forked drain start their
+    workers from it.  :mod:`multiprocessing` is imported on this first call,
+    not with the module, so a single-process run never loads it.
+    """
+    import multiprocessing
+
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - platforms without fork
+        return multiprocessing.get_context()
 
 
 def _execute_chunk(chunk: List[RunSpec]) -> List[Tuple[Dict[str, Any], float]]:
@@ -169,11 +186,9 @@ class CampaignEngine:
         drops the per-campaign fork cost.
         """
         if self._pool is None:
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - platforms without fork
-                context = multiprocessing.get_context()
-            self._pool = ProcessPoolExecutor(max_workers=self.workers, mp_context=context)
+            from concurrent.futures import ProcessPoolExecutor
+
+            self._pool = ProcessPoolExecutor(max_workers=self.workers, mp_context=fork_context())
         return self._pool
 
     def close(self) -> None:
@@ -322,6 +337,8 @@ class CampaignEngine:
         down, and the lost chunks are re-dispatched on a fresh pool, up to
         ``dispatch_retries`` pool rebuilds per run.
         """
+        from concurrent.futures import BrokenExecutor, as_completed
+
         ordered = self._batched_by_schedule(pending)
         chunk_size = self.chunk_size
         if chunk_size is None:

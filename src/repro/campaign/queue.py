@@ -53,22 +53,24 @@ acceptance test in ``tests/campaign/test_faults.py`` pins exactly that.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import sqlite3
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from ..errors import CampaignError, ConfigurationError, PoisonedRunsError
 from .cache import ResultCache
-from .engine import CampaignEngine, CampaignResult
+from .engine import CampaignEngine, CampaignResult, fork_context
 from .faults import FaultInjector, FaultPlan
 from .records import RunRecord, write_jsonl
 from .runner import execute_spec
 from .spec import CampaignSpec, RunSpec, canonical_json
+
+if TYPE_CHECKING:
+    from multiprocessing.process import BaseProcess
 
 __all__ = [
     "JobQueue",
@@ -710,8 +712,10 @@ class QueueWorker:
             for job in jobs:
                 executed += 1
                 self._execute_one(job, report)
-                # Keep the rest of the batch alive while we work through it.
-                self.queue.heartbeat(self.worker_id)
+                if job is not jobs[-1]:
+                    # Keep the rest of the batch alive while we work through
+                    # it; after the batch's last job no lease is left.
+                    self.queue.heartbeat(self.worker_id)
         return report
 
     def _execute_one(self, job: LeasedJob, report: WorkerReport) -> None:
@@ -757,13 +761,6 @@ def _worker_entry(
     worker.run()
 
 
-def _fork_context() -> multiprocessing.context.BaseContext:
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - platforms without fork
-        return multiprocessing.get_context()
-
-
 @dataclass
 class DrainReport:
     """What a parent-side drain observed."""
@@ -798,7 +795,7 @@ def drain_queue(
     resume tests use to interrupt a drain deliberately).
     """
     started = time.perf_counter()
-    context = _fork_context()
+    context = fork_context()
     path = str(path)
     cache_dir = str(cache_dir) if cache_dir is not None else None
     if cache_dir is not None:
@@ -810,7 +807,7 @@ def drain_queue(
         respawns = 0
         serial = 0
 
-        def spawn() -> multiprocessing.Process:
+        def spawn() -> BaseProcess:
             nonlocal serial
             serial += 1
             process = context.Process(
@@ -834,7 +831,7 @@ def drain_queue(
             while True:
                 if queue.unfinished() == 0:
                     break
-                still_alive: List[multiprocessing.Process] = []
+                still_alive: List[BaseProcess] = []
                 for process in alive:
                     if process.is_alive():
                         still_alive.append(process)

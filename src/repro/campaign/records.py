@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Union
 
@@ -49,8 +49,13 @@ class RunRecord:
     elapsed: float = 0.0
 
     def to_json_line(self) -> str:
-        """This record as one compact JSON line with sorted keys (no newline)."""
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        """This record as one compact JSON line with sorted keys (no newline).
+
+        The fields are serialized as they are: ``params`` and ``payload`` are
+        already plain JSON, so the deep copy :func:`dataclasses.asdict` makes
+        of them would only cost time.
+        """
+        return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
 
     def canonical(self) -> "RunRecord":
         """This record with the volatile execution fields normalized away.

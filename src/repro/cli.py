@@ -27,11 +27,11 @@ regenerates.  Each subcommand is one :data:`COMMANDS` entry.
 from __future__ import annotations
 
 import argparse
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from . import __version__
 from .agreement.problem import distinct_inputs
 from .agreement.runner import solve_agreement
 from .analysis.experiment import (
@@ -83,15 +83,36 @@ def _add_commands(subparsers: "argparse._SubParsersAction", commands: Dict[str, 
         command.add_arguments(subparsers.add_parser(name, help=command.help, epilog=epilog))
 
 
+class _VersionAction(argparse.Action):
+    """``--version``: print ``repro <version>`` and exit.
+
+    The version is read from :data:`repro.__version__` only when the flag is
+    given, so building the parser does not load the package metadata.
+    """
+
+    def __init__(self, option_strings: Sequence[str], dest: str) -> None:
+        super().__init__(
+            option_strings=option_strings,
+            dest=dest,
+            default=argparse.SUPPRESS,
+            nargs=0,
+            help="show program's version number and exit",
+        )
+
+    def __call__(self, parser: argparse.ArgumentParser, *_: Any) -> None:
+        from . import __version__
+
+        sys.stdout.write(f"{parser.prog} {__version__}\n")
+        parser.exit()
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed separately for testing)."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Partial Synchrony Based on Set Timeliness' (PODC 2009)",
     )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
+    parser.add_argument("--version", action=_VersionAction)
     _add_commands(parser.add_subparsers(dest="command"), COMMANDS)
     return parser
 
@@ -494,15 +515,22 @@ def _run_search(args: argparse.Namespace) -> List[str]:
             lines.append(f"  {name:<28} {description}")
         return lines
 
-    cache = _cache(args)
     if args.table:
         # The table is the fixed E11 sweep (every property at smoke scale):
-        # single-search flags would be silently meaningless, so reject them.
-        _reject_table_conflicts(
-            args, _search_arguments, "E11", "configure a single search",
-            ("--generations", "--seed", "--workers", "--cache-dir"),
-        )
-        with CampaignEngine(workers=args.workers, cache=cache) as engine:
+        # single-search flags would be silently meaningless, so reject them
+        # before the cache directory is created.  An existing --cache-dir
+        # that is not a directory is still the error reported; opening an
+        # existing path creates nothing.
+        try:
+            _reject_table_conflicts(
+                args, _search_arguments, "E11", "configure a single search",
+                ("--generations", "--seed", "--workers", "--cache-dir"),
+            )
+        except ConfigurationError:
+            if args.cache_dir and Path(args.cache_dir).exists():
+                _cache(args)
+            raise
+        with CampaignEngine(workers=args.workers, cache=_cache(args)) as engine:
             headers, rows = falsification_experiment(
                 generations=args.generations if args.generations is not None else 5,
                 seed=args.seed,
@@ -510,6 +538,7 @@ def _run_search(args: argparse.Namespace) -> List[str]:
             )
         return [ascii_table(headers, rows, title=COMMANDS["search"].help)]
 
+    cache = _cache(args)
     chosen_property = args.property or "k-anti-omega-convergence"
     if chosen_property not in available_properties():
         raise ConfigurationError(

@@ -105,6 +105,19 @@ class TestVersion:
         assert match is not None
         assert __version__ == match.group(1)
 
+    def test_version_resolves_on_first_access_and_is_cached(self):
+        import repro
+
+        assert repro.__version__ == __version__
+        assert vars(repro)["__version__"] == __version__
+        with pytest.raises(AttributeError):
+            repro.no_such_attribute
+
+    def test_version_flag_in_a_fresh_interpreter(self, repro_cli):
+        done = repro_cli("--version")
+        assert done.returncode == 0
+        assert done.stdout == f"repro {__version__}\n"
+
 
 class TestScenariosCommand:
     def test_listing_names_every_family(self):
@@ -382,6 +395,22 @@ class TestSearchCommand:
             run(["search", "--table", "--property", "agreement-safety"])
         with pytest.raises(ConfigurationError):
             run(["search", "--table", "--smoke"])
+
+    def test_table_rejection_creates_no_cache_dir(self, tmp_path):
+        cache_dir = tmp_path / "newcache"
+        with pytest.raises(ConfigurationError, match="does not accept --smoke"):
+            run(["search", "--table", "--smoke", "--cache-dir", str(cache_dir)])
+        assert not cache_dir.exists()
+
+    @pytest.mark.parametrize("cache_first", [True, False])
+    def test_cache_dir_that_is_a_file_wins_over_table_conflicts(self, tmp_path, cache_first):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        cache_flags = ["--cache-dir", str(not_a_dir)]
+        conflict = ["--smoke"]
+        flags = cache_flags + conflict if cache_first else conflict + cache_flags
+        with pytest.raises(ConfigurationError, match="as a cache directory"):
+            run(["search", "--table", *flags])
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,6 +1,11 @@
 """Tests for the campaign engine: dedup, caching, dispatch, record streaming."""
 
+import json
+import subprocess
+import sys
 import time
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +132,24 @@ class TestRecordStreaming:
         assert len(read_jsonl(path)) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["runs.jsonl"]
 
+    @pytest.mark.parametrize("source", ["e2-seeds", "e12", "search-eval"])
+    def test_json_line_bytes_match_the_asdict_form(self, source):
+        # to_json_line serializes the fields as they are, without the deep
+        # copy of dataclasses.asdict; the bytes must not change.
+        if source == "search-eval":
+            from repro.search.engine import SearchConfig, generation_recipes, generation_spec
+
+            config = SearchConfig.smoke_config("k-anti-omega-convergence", horizon=300)
+            spec = generation_spec(config, 0, generation_recipes(config, 0, []), workers=2)
+        else:
+            spec = EXPERIMENT_REGISTRY[source].build(horizon=600)
+        records = CampaignEngine(workers=1).run(spec).records
+        assert {record.kind for record in records} == {spec.kind}
+        for record in records:
+            for form in (record, record.canonical()):
+                expected = json.dumps(asdict(form), sort_keys=True, separators=(",", ":"))
+                assert form.to_json_line() == expected
+
     def test_canonical_jsonl_normalizes_volatile_fields(self, tmp_path):
         from repro.campaign.records import write_jsonl
 
@@ -198,6 +221,39 @@ class TestPersistentPool:
         assert engine._pool is None
         engine.close()
         engine.close()
+
+
+class TestColdStart:
+    """Pool and package-metadata machinery load only when a run uses them.
+
+    The pooled path that imports them on first use is pinned against the
+    serial one by :meth:`TestEngineBasics.test_worker_count_invariance` and
+    :meth:`TestEngineBasics.test_chunk_size_invariance`.
+    """
+
+    DEFERRED = ("importlib.metadata", "multiprocessing", "concurrent.futures")
+
+    def test_imports_and_inline_runs_load_no_deferred_machinery(self):
+        src = Path(__file__).resolve().parents[2] / "src"
+        loaded = f"print(sorted(set({self.DEFERRED!r}) & set(sys.modules)))\n"
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "import repro, repro.cli, repro.campaign, repro.search.engine\n"
+            "import repro.distsim.reduction, repro.analysis.experiment\n"
+            + loaded
+            + "repro.cli.build_parser().parse_args(['list'])\n"
+            "spec = repro.campaign.CampaignSpec(name='cold', kind='figure1', runs=[{'blocks': 3}])\n"
+            "repro.campaign.CampaignEngine(workers=1).run(spec)\n"
+            + loaded
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        after_imports, after_inline_run = done.stdout.splitlines()
+        assert after_imports == "[]"
+        assert after_inline_run == "[]"
 
 
 class TestHonestTiming:

@@ -266,6 +266,25 @@ class TestQueueWorker:
             assert report.leased == 2
             assert queue.unfinished() == 2
 
+    @pytest.mark.parametrize("batch, renewed", [(1, []), (3, [2, 1])])
+    def test_heartbeats_only_while_later_jobs_are_held(self, tmp_path, batch, renewed):
+        # Four jobs.  At batch=1 no other lease is held after any job; at
+        # batch=3 the first lease renews its two, then one, remaining jobs,
+        # and the second lease holds a single job.
+        with JobQueue(tmp_path / "q.db") as queue:
+            queue.enqueue(_spec())
+            heartbeat = queue.heartbeat
+            counts = []
+
+            def counting(worker_id):
+                counts.append(heartbeat(worker_id))
+                return counts[-1]
+
+            queue.heartbeat = counting
+            report = QueueWorker(queue, "w1", batch=batch).run()
+            assert report.completed == 4
+            assert counts == renewed
+
     def test_worker_failures_travel_the_backoff_path(self, tmp_path):
         # A kind that always raises exercises fail -> backoff -> poison
         # without any fault injector.

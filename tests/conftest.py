@@ -16,13 +16,24 @@ from repro.core.schedule import Schedule
 
 # One moderate profile for all property-based tests: enough examples to be
 # meaningful, no per-example deadline (simulator-driven examples vary a lot).
+# Tier-1 runs it derandomized, so every run draws the same examples and a
+# failure reproduces as it is.  REPRO_HYPOTHESIS_PROFILE=repro-explore draws
+# fresh random examples instead (a CI leg runs it over the whole tree); the
+# .hypothesis database then keeps any failure for a rerun.
 settings.register_profile(
     "repro",
     max_examples=40,
+    derandomize=True,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.load_profile("repro")
+settings.register_profile(
+    "repro-explore",
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+settings.load_profile(os.environ.get("REPRO_HYPOTHESIS_PROFILE", "repro"))
 
 
 @pytest.fixture
