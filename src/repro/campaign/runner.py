@@ -35,7 +35,6 @@ and agreement steps dispatch slot-bound ops against the register arena).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Mapping, Tuple
 
 from ..core.schedule import CompiledSchedule
@@ -49,6 +48,7 @@ from ..failure_detectors.anti_omega import (
     paper_accusation_statistic,
     paper_timeout_policy,
 )
+from ..memo import LRUMemo
 from ..scenarios.spec import build_generator
 from .spec import RunSpec, canonical_json
 
@@ -163,8 +163,7 @@ _EXPERIMENT_KEYS = frozenset(
 #: runs share it across replicas, and :func:`repro.search.mutations.realize`
 #: shares it across every recipe of one base, so a search compiles each base
 #: once per process.  Entries are read-only: mutated recipes copy the steps.
-_COMPILED_MEMO: "OrderedDict[Tuple[str, int], CompiledSchedule]" = OrderedDict()
-_COMPILED_MEMO_LIMIT = 16
+_COMPILED_MEMO: "LRUMemo[Tuple[str, int], CompiledSchedule]" = LRUMemo(16)
 
 
 def schedule_signature(params: Mapping[str, Any]) -> str:
@@ -183,13 +182,9 @@ def compiled_schedule_for(params: Mapping[str, Any], horizon: int) -> CompiledSc
     """The memoized compiled buffer for ``params``' scenario at ``horizon`` steps."""
     key = (schedule_signature(params), int(horizon))
     compiled = _COMPILED_MEMO.get(key)
-    if compiled is not None:
-        _COMPILED_MEMO.move_to_end(key)
-        return compiled
-    compiled = build_generator(params).compile(int(horizon))
-    _COMPILED_MEMO[key] = compiled
-    while len(_COMPILED_MEMO) > _COMPILED_MEMO_LIMIT:
-        _COMPILED_MEMO.popitem(last=False)
+    if compiled is None:
+        compiled = build_generator(params).compile(int(horizon))
+        _COMPILED_MEMO.put(key, compiled)
     return compiled
 
 

@@ -30,7 +30,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
 
 from .agreement.problem import distinct_inputs
 from .agreement.runner import solve_agreement
@@ -64,6 +64,8 @@ from .scenarios import build_generator as build_scenario_generator
 from .scenarios import family_descriptions
 from .schedules.set_timely import SetTimelyGenerator
 from .types import AgreementInstance
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -120,6 +122,21 @@ def build_parser() -> argparse.ArgumentParser:
 def _cache(args: argparse.Namespace) -> Optional[ResultCache]:
     """The ``--cache-dir`` result cache, or ``None`` when the flag is absent."""
     return ResultCache(args.cache_dir) if args.cache_dir else None
+
+
+def _check_before_cache(args: argparse.Namespace, check: Callable[[], _T]) -> _T:
+    """``check()``, run before ``--cache-dir`` is created.
+
+    A command ``check`` rejects leaves no cache directory behind.  An
+    existing ``--cache-dir`` that is not a directory is still the error
+    reported; opening an existing path creates nothing.
+    """
+    try:
+        return check()
+    except ConfigurationError:
+        if args.cache_dir and Path(args.cache_dir).exists():
+            _cache(args)
+        raise
 
 
 def _reject_table_conflicts(
@@ -503,7 +520,6 @@ def _search_arguments(parser: argparse.ArgumentParser) -> None:
 def _run_search(args: argparse.Namespace) -> List[str]:
     from .search import (
         SearchConfig,
-        available_properties,
         property_descriptions,
         run_search,
         search_report_lines,
@@ -517,19 +533,14 @@ def _run_search(args: argparse.Namespace) -> List[str]:
 
     if args.table:
         # The table is the fixed E11 sweep (every property at smoke scale):
-        # single-search flags would be silently meaningless, so reject them
-        # before the cache directory is created.  An existing --cache-dir
-        # that is not a directory is still the error reported; opening an
-        # existing path creates nothing.
-        try:
-            _reject_table_conflicts(
+        # single-search flags would be silently meaningless, so reject them.
+        _check_before_cache(
+            args,
+            lambda: _reject_table_conflicts(
                 args, _search_arguments, "E11", "configure a single search",
                 ("--generations", "--seed", "--workers", "--cache-dir"),
-            )
-        except ConfigurationError:
-            if args.cache_dir and Path(args.cache_dir).exists():
-                _cache(args)
-            raise
+            ),
+        )
         with CampaignEngine(workers=args.workers, cache=_cache(args)) as engine:
             headers, rows = falsification_experiment(
                 generations=args.generations if args.generations is not None else 5,
@@ -538,13 +549,7 @@ def _run_search(args: argparse.Namespace) -> List[str]:
             )
         return [ascii_table(headers, rows, title=COMMANDS["search"].help)]
 
-    cache = _cache(args)
     chosen_property = args.property or "k-anti-omega-convergence"
-    if chosen_property not in available_properties():
-        raise ConfigurationError(
-            f"unknown property {chosen_property!r}; registered: {available_properties()}"
-        )
-
     # An unset flag keeps SearchConfig's (or smoke_config's) default.
     overrides: Dict[str, Any] = {"seed": args.seed}
     for key in (
@@ -554,12 +559,16 @@ def _run_search(args: argparse.Namespace) -> List[str]:
         value = getattr(args, key)
         if value is not None:
             overrides[key] = value
-    if args.smoke:
-        config = SearchConfig.smoke_config(chosen_property, **overrides)
-    else:
-        config = SearchConfig(property=chosen_property, **overrides)
 
-    with CampaignEngine(workers=args.workers, cache=cache) as engine:
+    def configure() -> SearchConfig:
+        # SearchConfig rejects an unknown property and out-of-range values.
+        if args.smoke:
+            return SearchConfig.smoke_config(chosen_property, **overrides)
+        return SearchConfig(property=chosen_property, **overrides)
+
+    config = _check_before_cache(args, configure)
+
+    with CampaignEngine(workers=args.workers, cache=_cache(args)) as engine:
         report = run_search(config, engine=engine, jsonl_path=args.jsonl)
     return [*search_report_lines(report), _engine_footer(args, engine)]
 

@@ -332,6 +332,23 @@ class DistConfig:
             if not 1 <= outage.pid <= self.n:
                 raise ConfigurationError(f"outage mentions unknown process {outage.pid}")
 
+    def seed_free(self) -> bool:
+        """Whether the timeline is the same for every ``seed``.
+
+        True when :class:`TimelineEngine` draws from no RNG stream: every
+        tick gap is fixed (:meth:`TickSpec.fixed_gap`), messages take the
+        default unit delay or a fixed one (:meth:`LatencyModel.fixed_delay`),
+        and no loss window has a positive rate.  The engine binds exactly
+        these constants, so ``seed`` then reaches only :meth:`describe`.
+        The rule is conservative: a diurnal tick without jitter draws
+        nothing yet counts as sampled.
+        """
+        return (
+            all(spec.fixed_gap() for spec in self.ticks.values())
+            and (self.latency is None or self.latency.fixed_delay() > 0)
+            and not any(window.rate > 0 for window in self.loss)
+        )
+
     def describe(self) -> str:
         """Readable one-line provenance for compiled schedules and reports."""
         parts = [f"n={self.n}", f"seed={self.seed}", self.policy.describe()]

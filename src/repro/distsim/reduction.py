@@ -29,6 +29,7 @@ and by experiment E12 through :func:`run_dist_timeliness_kind`.
 
 from __future__ import annotations
 
+import json
 from array import array
 from dataclasses import dataclass
 from itertools import compress
@@ -38,6 +39,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from ..core.schedule import CompiledSchedule, pack_steps
 from ..core.timeliness import TimelinessWitness, best_timeliness_steps
 from ..errors import ConfigurationError
+from ..memo import LRUMemo
 from ..types import ProcessId, ProcessSet, process_set
 from .engine import StepRecord, TimelineEngine
 from .workloads import DistSimGenerator
@@ -397,6 +399,15 @@ def timeliness_report(
     )
 
 
+#: Worker-local memo of seed-free ``dist-timeliness`` payloads (LRU): the
+#: canonical JSON of a run's parameters minus ``seed`` maps to the canonical
+#: JSON of its payload minus ``description``.  Sound because a seed reaches
+#: the timeline only through ``config.seed``, which a seed-free config
+#: (:meth:`~repro.distsim.engine.DistConfig.seed_free`) never draws from,
+#: and the payload only through the generator's ``description``.
+_PAYLOAD_MEMO: "LRUMemo[str, str]" = LRUMemo(16)
+
+
 def run_dist_timeliness_kind(params: Mapping[str, Any]) -> Dict[str, Any]:
     """Campaign kind ``dist-timeliness``: record, reduce, and report.
 
@@ -405,7 +416,13 @@ def run_dist_timeliness_kind(params: Mapping[str, Any]) -> Dict[str, Any]:
     ``p_set``, ``q_set`` and an optional ``threshold``.  Returns the
     report's payload — one campaign record per parameter combination, which
     is how E12 sweeps latency-distribution parameters.
+
+    A seed-free run records its timeline once per process: runs that differ
+    only in ``seed`` share one memoized payload (:data:`_PAYLOAD_MEMO`),
+    parsed afresh for every caller and completed with the run's own
+    ``description``, so each payload equals a fresh run's byte for byte.
     """
+    from ..campaign.spec import canonical_json
     from ..scenarios.spec import build_generator
 
     generator = build_generator(dict(params))
@@ -423,6 +440,16 @@ def run_dist_timeliness_kind(params: Mapping[str, Any]) -> Dict[str, Any]:
         raise ConfigurationError(
             "dist-timeliness runs need non-empty p_set and q_set parameters"
         )
+    key = None
+    if generator.config.seed_free():
+        key = canonical_json(
+            {name: value for name, value in params.items() if name != "seed"}
+        )
+        memoized = _PAYLOAD_MEMO.get(key)
+        if memoized is not None:
+            payload = json.loads(memoized)
+            payload["description"] = generator.description
+            return payload
     timeline = run_timeline(generator, horizon)
     report = timeliness_report(
         timeline,
@@ -432,5 +459,7 @@ def run_dist_timeliness_kind(params: Mapping[str, Any]) -> Dict[str, Any]:
     )
     payload = report.to_payload()
     payload["schedule"] = params.get("schedule")
+    if key is not None:
+        _PAYLOAD_MEMO.put(key, canonical_json(payload))
     payload["description"] = timeline.description
     return payload

@@ -402,6 +402,27 @@ class TestSearchCommand:
             run(["search", "--table", "--smoke", "--cache-dir", str(cache_dir)])
         assert not cache_dir.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--property", "nope"], "unknown property 'nope'"),
+            (["--top", "-1"], "top must be >= 0"),
+            (["--smoke", "--population", "0"], "population must be >= 1"),
+        ],
+    )
+    def test_rejected_search_creates_no_cache_dir(self, tmp_path, flags, message):
+        cache_dir = tmp_path / "newcache"
+        with pytest.raises(ConfigurationError, match=message):
+            run(["search", *flags, "--cache-dir", str(cache_dir)])
+        assert not cache_dir.exists()
+
+    @pytest.mark.parametrize("flags", [["--property", "nope"], ["--top", "-1"]])
+    def test_cache_dir_that_is_a_file_wins_over_bad_search_values(self, tmp_path, flags):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        with pytest.raises(ConfigurationError, match="as a cache directory"):
+            run(["search", *flags, "--cache-dir", str(not_a_dir)])
+
     @pytest.mark.parametrize("cache_first", [True, False])
     def test_cache_dir_that_is_a_file_wins_over_table_conflicts(self, tmp_path, cache_first):
         not_a_dir = tmp_path / "file"

@@ -1,4 +1,4 @@
-"""Tests for campaign specs (grid expansion) and the content-addressed cache."""
+"""Tests for campaign specs (grid expansion), the content-addressed cache and worker memos."""
 
 from types import MappingProxyType
 
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.campaign.cache import ResultCache
 from repro.campaign.spec import CampaignSpec, RunSpec, canonical_json, content_key
 from repro.errors import ConfigurationError
+from repro.memo import LRUMemo
 
 
 class TestCanonicalJson:
@@ -187,3 +188,22 @@ class TestResultCache:
         assert fresh.contains(key)
         assert fresh.quarantined == 0
         assert fresh.get(key) == {"x": 1}
+
+
+class TestLRUMemo:
+    def test_evicts_the_least_recently_used_entry(self):
+        memo = LRUMemo(2)
+        memo.put("a", 1)
+        memo.put("b", 2)
+        assert memo.get("a") == 1  # "b" is now the oldest
+        memo.put("c", 3)
+        assert (memo.get("a"), memo.get("b"), memo.get("c")) == (1, None, 3)
+        assert len(memo) == 2
+
+    def test_storing_again_refreshes_the_entry(self):
+        memo = LRUMemo(2)
+        memo.put("a", 1)
+        memo.put("b", 2)
+        memo.put("a", 10)
+        memo.put("c", 3)
+        assert (memo.get("a"), memo.get("b")) == (10, None)

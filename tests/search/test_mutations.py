@@ -2,7 +2,6 @@
 
 import random
 from array import array
-from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.campaign import runner
 from repro.errors import ConfigurationError
+from repro.memo import LRUMemo
 from repro.scenarios.spec import build_generator
 from repro.search import (
     MUTATION_OPS,
@@ -144,7 +144,7 @@ class TestRealizeMemo:
 
     @pytest.fixture(autouse=True)
     def fresh_memo(self, monkeypatch):
-        monkeypatch.setattr(runner, "_COMPILED_MEMO", OrderedDict())
+        monkeypatch.setattr(runner, "_COMPILED_MEMO", LRUMemo(runner._COMPILED_MEMO.limit))
 
     def test_mutated_recipes_leave_the_memoized_base_intact(self):
         shared = realize(make_recipe(BASE, 400))

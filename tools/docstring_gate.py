@@ -57,6 +57,7 @@ GATED = [
     "src/repro/core/systems.py",
     "src/repro/analysis/experiment.py",
     "src/repro/cli.py",
+    "src/repro/memo.py",
 ]
 
 
