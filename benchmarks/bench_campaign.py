@@ -11,14 +11,10 @@ twice and compares wall-clock time:
   ``CampaignEngine(workers=4)``: fast-path simulator runs, content-addressed
   deduplication, chunked dispatch across worker processes.
 
-The aggregated ASCII tables must be **byte-identical** — the fast policy
+The aggregated ASCII tables must be **byte-identical** — ``run_fast``
 preserves tracker change sequences exactly — and the campaign path must be at
-least 1.3× faster.  (The margin used to be 2×; the unified execution kernel
-then accelerated the *instrumented* reference path too — it no longer
-validates every exact-typed operation or routes register accesses through
-per-name lookups — which shrank the ratio while making both paths faster.)
-On a single-core container the remaining speedup comes entirely from the fast
-policy; with real cores the workers multiply it further.
+least 1.3× faster.  On a single-core container the speedup comes entirely
+from ``run_fast``; with real cores the workers multiply it further.
 
 Run standalone (``PYTHONPATH=src python benchmarks/bench_campaign.py``) or via
 ``PYTHONPATH=src:benchmarks python -m pytest benchmarks/bench_campaign.py --benchmark-only -s``.

@@ -78,7 +78,7 @@ def run_detector_experiment(
 ) -> DetectorConvergenceReport:
     """Run the Figure 2 algorithm alone on a generated schedule and measure it.
 
-    With ``fast=True`` the run executes under the kernel's fast policy
+    With ``fast=True`` the run executes in the kernel's bare loop
     (:meth:`Simulator.run_fast`) fed by the generator's raw step stream
     (skipping the memoized :class:`InfiniteSchedule` wrapper).  The report is
     value-identical either way — the attached trackers declare the

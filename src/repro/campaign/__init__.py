@@ -15,7 +15,7 @@ Layering::
                                   │                     ▲
                                   └── ResultCache ──────┘   (content-addressed)
 
-Every run kind executes through the execution kernel's fast policy
+Every run kind executes through the execution kernel's bare loop
 (:meth:`Simulator.run_fast`); schedule sources — the classic generator
 families and the composable scenario families alike — are selected by the
 ``schedule`` parameter and built by :func:`repro.scenarios.spec.build_generator`,

@@ -136,6 +136,19 @@ CREATE TABLE IF NOT EXISTS meta (
 _POLICY_KEYS = ("lease_seconds", "max_attempts", "backoff_base", "backoff_cap")
 
 
+def _check_policy(lease_seconds: Optional[float], max_attempts: Optional[int]) -> None:
+    """Reject a lease of no time or a retry budget below one run (``None``: not given)."""
+    if lease_seconds is not None and lease_seconds <= 0:
+        raise ConfigurationError(f"lease_seconds must be > 0, got {lease_seconds}")
+    if max_attempts is not None and int(max_attempts) < 1:
+        raise ConfigurationError(f"max_attempts must be >= 1, got {max_attempts}")
+
+
+def _check_max_respawns(max_respawns: int) -> None:
+    if max_respawns < 0:
+        raise ConfigurationError(f"max_respawns must be >= 0, got {max_respawns}")
+
+
 @dataclass(frozen=True)
 class LeasedJob:
     """One claimed job: identity, parameters, and which attempt this is."""
@@ -216,7 +229,9 @@ class JobQueue:
     lease_seconds, max_attempts, backoff_base, backoff_cap:
         Queue policy.  Persisted into the database on first creation and
         read back on reopen, so every worker agrees; passing a non-``None``
-        value on an existing database overrides and re-persists it.
+        value on an existing database overrides and re-persists it.  A
+        rejected value raises :class:`ConfigurationError` before the file is
+        opened, so it neither creates nor changes a database.
     clock:
         Injectable time source (seconds, ``time.time``-like) for
         deterministic lease/backoff tests.
@@ -232,6 +247,7 @@ class JobQueue:
         backoff_cap: Optional[float] = None,
         clock: Callable[[], float] = time.time,
     ) -> None:
+        _check_policy(lease_seconds, max_attempts)
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._clock = clock
@@ -262,10 +278,12 @@ class JobQueue:
             else:
                 self._set_meta(name, repr(float(value)))
             setattr(self, name, float(value))
-        if self.lease_seconds <= 0:
-            raise ConfigurationError(f"lease_seconds must be > 0, got {self.lease_seconds}")
-        if int(self.max_attempts) < 1:
-            raise ConfigurationError(f"max_attempts must be >= 1, got {self.max_attempts}")
+        try:
+            # A database written before overrides were checked may hold bad values.
+            _check_policy(self.lease_seconds, self.max_attempts)
+        except ConfigurationError:
+            self.close()
+            raise
         self.max_attempts = int(self.max_attempts)
 
     # ------------------------------------------------------------------
@@ -794,6 +812,7 @@ def drain_queue(
     queue has no unfinished jobs (or after ``max_runs_per_worker``, which
     resume tests use to interrupt a drain deliberately).
     """
+    _check_max_respawns(max_respawns)
     started = time.perf_counter()
     context = fork_context()
     path = str(path)
@@ -912,6 +931,8 @@ class DurableCampaignEngine(CampaignEngine):
         backoff_cap: Optional[float] = None,
     ) -> None:
         super().__init__(workers=workers, cache=cache, jsonl_path=jsonl_path)
+        _check_policy(lease_seconds, max_attempts)
+        _check_max_respawns(max_respawns)
         self.db_path = Path(db_path)
         self.fault_plan = fault_plan
         self.max_respawns = max_respawns

@@ -797,34 +797,38 @@ def _campaign_arguments(parser: argparse.ArgumentParser) -> None:
 def _run_campaign(args: argparse.Namespace) -> List[str]:
     params, notes = _campaign_params(args)
     fault_plan = _chaos_plan_factory(args)
-    if args.resume is not None:
-        # Durable path: jobs live in the SQLite queue, workers are detachable
-        # processes, and a re-invocation with the same DB resumes the drain.
-        engine = DurableCampaignEngine(
-            args.resume,
-            workers=args.workers,
-            cache=_cache(args),
-            jsonl_path=args.jsonl,
-            fault_plan=fault_plan,
-            max_respawns=args.max_respawns,
-            lease_seconds=args.lease_seconds,
-            max_attempts=args.max_attempts,
-        )
-        lines = _run_campaign_with_engine(args, engine, params, notes)
-        lines.append(engine.enqueue_report.summary())
-        lines.append(_drain_line(args.resume, engine.drain_report))
-        return lines
-    if fault_plan is not None:
+    if args.resume is None and fault_plan is not None:
         raise ConfigurationError("--chaos-* flags require --resume <db> (the durable queue)")
+
+    def build() -> CampaignEngine:
+        # The engine checks its arguments here, before --cache-dir is created.
+        if args.resume is not None:
+            # Durable path: jobs live in the SQLite queue, workers are
+            # detachable processes, and a re-invocation with the same DB
+            # resumes the drain.
+            return DurableCampaignEngine(
+                args.resume,
+                workers=args.workers,
+                jsonl_path=args.jsonl,
+                fault_plan=fault_plan,
+                max_respawns=args.max_respawns,
+                lease_seconds=args.lease_seconds,
+                max_attempts=args.max_attempts,
+            )
+        return CampaignEngine(
+            workers=args.workers, chunk_size=args.chunk_size, jsonl_path=args.jsonl
+        )
+
+    engine = _check_before_cache(args, build)
+    engine.cache = _cache(args)
     # The engine's worker pool is persistent; a CLI invocation runs exactly
     # one campaign, so tear it down on the way out.
-    with CampaignEngine(
-        workers=args.workers,
-        cache=_cache(args),
-        chunk_size=args.chunk_size,
-        jsonl_path=args.jsonl,
-    ) as engine:
-        return _run_campaign_with_engine(args, engine, params, notes)
+    with engine:
+        lines = _run_campaign_with_engine(args, engine, params, notes)
+    if args.resume is not None:
+        lines.append(engine.enqueue_report.summary())
+        lines.append(_drain_line(args.resume, engine.drain_report))
+    return lines
 
 
 def _run_campaign_with_engine(

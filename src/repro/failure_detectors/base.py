@@ -41,8 +41,8 @@ def make_detector_trackers() -> "Tuple[OutputTracker, OutputTracker]":
     """The ``(fdOutput, winnerset)`` tracker pair detector experiments attach.
 
     Both trackers declare the ``on_publish`` observer capability, so a
-    simulator carrying them may run under any execution policy — including
-    the fast, publication-gated one — and still record byte-identical change
+    simulator carrying them may run on either loop — including the
+    publication-gated ``run_fast`` — and still record byte-identical change
     sequences.
     """
     return OutputTracker(key=FD_OUTPUT), OutputTracker(key=WINNER_SET)

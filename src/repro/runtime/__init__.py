@@ -14,15 +14,7 @@ from .automaton import (
 )
 from .composition import ComposedAutomaton, compose
 from .crash import CrashPattern
-from .kernel import (
-    EVERY_STEP,
-    FAST,
-    FAST_TRACED,
-    INSTRUMENTED,
-    ON_PUBLISH,
-    ExecutionPolicy,
-    trace_sampling,
-)
+from .kernel import EVERY_STEP, ON_PUBLISH
 from .simulator import (
     ObserverEntry,
     RunResult,
@@ -32,12 +24,7 @@ from .simulator import (
 
 __all__ = [
     "EVERY_STEP",
-    "FAST",
-    "FAST_TRACED",
-    "INSTRUMENTED",
     "ON_PUBLISH",
-    "ExecutionPolicy",
-    "trace_sampling",
     "ObserverEntry",
     "BoundReadOp",
     "BoundWriteOp",

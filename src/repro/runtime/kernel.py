@@ -1,45 +1,35 @@
-"""The execution kernel: one step loop, parameterized by an execution policy.
+"""The execution kernel: the bare loop behind :meth:`Simulator.run_fast`.
 
-Historically the simulator carried two hand-synchronized copies of its hot
-loop — an instrumented reference path (``Simulator.run``) and a slim fast path
-(``Simulator.run_fast``) that additionally reached into the register file's
-privates.  This module replaces both bodies with a single loop,
-:func:`execute`, whose *observable* behaviour is selected by an
-:class:`ExecutionPolicy`:
-
-* how observers are sampled (after every step, or only on steps where the
-  stepped process published an output some observer reads — detected via
-  :attr:`~repro.runtime.automaton.ProcessAutomaton.outputs_version` and the
-  per-key :attr:`~repro.runtime.automaton.ProcessAutomaton.output_versions`);
-* whether the executed trace is recorded, and at which stride.
-
-One specialization keeps campaign-scale runs fast without forking the
-semantics: when a run records no trace, has no stop condition and attaches
-no observers or only ``"on_publish"`` ones under a publication-gated policy
-(the campaign configurations), :func:`execute` selects a tighter loop,
-:func:`_execute_bare`, up front instead of paying dead per-step branches.
-The bare loop executes exactly the same steps with the same externally
-observable effects (outputs, halting, register operation counts,
-per-process step counts, tracker change lists); it only skips work whose
-results nobody asked for.  Over a whole
+The simulator runs a schedule in one of two loops, each with one job.
+:meth:`~repro.runtime.simulator.Simulator.run` is the reference: it calls
+:meth:`~repro.runtime.simulator.Simulator.step` once per scheduled pid,
+records the trace, samples every observer after every step and checks a
+stop condition.  :meth:`~repro.runtime.simulator.Simulator.run_fast` is this
+module's :func:`execute`, which runs :func:`_execute_bare`: the same steps
+with the same externally observable effects (outputs, halting, register
+operation counts, per-process step counts, tracker change lists), without
+the trace and without per-step observer calls.  Over a whole
 :class:`~repro.core.schedule.CompiledSchedule` it iterates the flat
 ``array('i')`` buffer at C speed with the buffer's cached step counts; a raw
 ``array('i')`` that is the whole budget (a segment of such a buffer) goes in
 as it is too, tallied once.
 
-The kernel enforces observer *capabilities*: an observer that needs to see
-every step (capability ``"every_step"``) may only run under an every-step
-sampling policy; asking for publication-gated sampling with such an observer
-attached raises :class:`~repro.errors.SimulationError` instead of silently
-under-sampling.  Change-recording observers such as
+The bare loop samples observers only on steps where the stepped process
+published an output some observer reads — detected via
+:attr:`~repro.runtime.automaton.ProcessAutomaton.outputs_version` and the
+per-key :attr:`~repro.runtime.automaton.ProcessAutomaton.output_versions` —
+so it enforces observer *capabilities*: an observer that needs to see every
+step (capability ``"every_step"``) makes :func:`execute` raise
+:class:`~repro.errors.SimulationError` instead of silently under-sampling.
+Change-recording observers such as
 :class:`~repro.runtime.observers.OutputTracker` declare ``"on_publish"``:
 version-gated sampling hands them byte-identical change sequences, because on
 every skipped step they would have observed an unchanged value.  Sampling is
 also key-scoped: a tracker names the one key it reads, so a step that
 published only other keys (Figure 2's per-iteration ``iteration``) skips it.
 
-Register dispatch is slot-addressed: the loops hold the register file's
-:class:`~repro.memory.registers.RegisterArena` parallel lists and execute a
+Register dispatch is slot-addressed: the loop holds the register file's
+:class:`~repro.memory.registers.RegisterArena` parallel lists and executes a
 pre-bound op (:class:`~repro.runtime.automaton.BoundReadOp` /
 :class:`~repro.runtime.automaton.BoundWriteOp`) as two list indexes —
 ``values[op.slot]`` — with no name hash at all.  Unbound ops resolve their
@@ -51,9 +41,8 @@ A collect (:class:`~repro.runtime.automaton.CollectOp` /
 :class:`~repro.runtime.automaton.BoundCollectOp`) executes one read per
 scheduled step of its process without resuming the generator; the process's
 in-flight collect is an iterator over the slots it has yet to read
-(``ProcessState.collect_reads``), and the step that finds it exhausted
-resumes the generator with the collected values (:func:`begin_collect`,
-:func:`collect_step`).
+(``ProcessState.collect_reads``, shared with :meth:`Simulator.step`), and the
+step that finds it exhausted resumes the generator with the collected values.
 
 ``kernel.py`` and ``simulator.py`` are two halves of one component — the
 :class:`~repro.runtime.simulator.Simulator` façade owns the run state, the
@@ -67,7 +56,6 @@ kernel never touches another module's privates.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from itertools import islice
 from typing import (
     TYPE_CHECKING,
@@ -103,15 +91,13 @@ from .automaton import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..memory.registers import RegisterArena, RegisterFile
+    from ..memory.registers import RegisterFile
     from .automaton import Operation
     from .simulator import (
         ObserverEntry,
-        ProcessState,
         RunResult,
         ScheduleSource,
         Simulator,
-        StopCondition,
     )
 
 #: Observer capability: must be sampled after every executed step.
@@ -121,74 +107,6 @@ ON_PUBLISH = "on_publish"
 
 #: The capabilities an observer may declare.
 OBSERVER_CAPABILITIES = (EVERY_STEP, ON_PUBLISH)
-
-
-@dataclass(frozen=True)
-class ExecutionPolicy:
-    """How the kernel loop samples observers and records the trace.
-
-    Attributes
-    ----------
-    name:
-        Identifier used in error messages and reports.
-    sampling:
-        ``"every_step"`` — observers run after every executed step (supports
-        both observer capabilities); ``"on_publish"`` — observers run only on
-        steps where the stepped process published a key some observer reads
-        (see :func:`published_since`), plus its first sampled step (supports
-        only ``"on_publish"`` observers).
-    collect_trace:
-        Whether executed steps are appended to the simulator's trace and
-        returned in ``RunResult.executed_schedule``.  ``steps_executed`` stays
-        exact either way.
-    trace_stride:
-        With ``collect_trace``, record every ``trace_stride``-th executed step
-        (1 = every step).  A stride above 1 yields a *sampled* trace — a cheap
-        schedule fingerprint for very long runs, not a replayable schedule.
-    """
-
-    name: str
-    sampling: str
-    collect_trace: bool
-    trace_stride: int = 1
-
-    def __post_init__(self) -> None:
-        if self.sampling not in (EVERY_STEP, ON_PUBLISH):
-            raise SimulationError(
-                f"unknown sampling mode {self.sampling!r}; "
-                f"expected one of {OBSERVER_CAPABILITIES}"
-            )
-        if self.trace_stride < 1:
-            raise SimulationError(f"trace_stride must be >= 1, got {self.trace_stride}")
-
-    def supports(self, capability: str) -> bool:
-        """Whether an observer with ``capability`` may run under this policy."""
-        return self.sampling == EVERY_STEP or capability == ON_PUBLISH
-
-
-#: The reference policy: full trace, observers after every step (``run``).
-INSTRUMENTED = ExecutionPolicy(name="instrumented", sampling=EVERY_STEP, collect_trace=True)
-
-#: The slim policy: no trace, publication-gated observers (``run_fast``).
-FAST = ExecutionPolicy(name="fast", sampling=ON_PUBLISH, collect_trace=False)
-
-#: The fast policy with the full trace retained (``run_fast(collect_trace=True)``).
-FAST_TRACED = ExecutionPolicy(name="fast+trace", sampling=ON_PUBLISH, collect_trace=True)
-
-
-def trace_sampling(stride: int) -> ExecutionPolicy:
-    """A fast policy that also records every ``stride``-th executed step.
-
-    Useful for long experiment runs that want a schedule fingerprint (which
-    processes dominated which stretches) without paying for — or storing —
-    the full trace.
-    """
-    return ExecutionPolicy(
-        name=f"trace-sampling/{stride}",
-        sampling=ON_PUBLISH,
-        collect_trace=True,
-        trace_stride=stride,
-    )
 
 
 def _check_max_steps(max_steps: Optional[int]) -> None:
@@ -250,16 +168,16 @@ def normalize_source(
     return iter(schedule), max_steps
 
 
-def check_observer_capabilities(policy: ExecutionPolicy, entries) -> None:
-    """Reject observer/policy combinations that would silently under-sample."""
-    blocking = [entry for entry in entries if not policy.supports(entry.capability)]
+def check_observer_capabilities(entries) -> None:
+    """Reject ``"every_step"`` observers, which the bare loop would under-sample."""
+    blocking = [entry for entry in entries if entry.capability != ON_PUBLISH]
     if blocking:
         names = ", ".join(
             getattr(entry.observer, "__name__", None) or repr(entry.observer)
             for entry in blocking
         )
         raise SimulationError(
-            f"execution policy {policy.name!r} samples observers only on output "
+            "execution policy 'fast' samples observers only on output "
             f"publication, but {len(blocking)} attached observer(s) declare the "
             f"'{EVERY_STEP}' capability: {names}. Run under the instrumented "
             "policy (Simulator.run) instead, or register the observer with "
@@ -283,7 +201,7 @@ def watched_keys(entries) -> Optional[Tuple[str, ...]]:
 
 
 def published_since(automaton, since: int, watched: Optional[Tuple[str, ...]]) -> bool:
-    """Whether a publication-gated policy samples ``automaton``'s process now.
+    """Whether the bare loop samples ``automaton``'s process now.
 
     The key-scoped sampling rule, called on steps where the process's
     ``outputs_version`` moved since ``since``, its value at the previous
@@ -315,226 +233,35 @@ def bind_collect(operation: "Operation", registers: "RegisterFile") -> BoundColl
     return operation.bind(registers)
 
 
-def begin_collect(
-    state: "ProcessState", operation: "Operation", registers: "RegisterFile"
-) -> None:
-    """Execute the first read of a collect the process just yielded.
-
-    The values read so far accumulate in ``state.pending_result`` and the
-    slots still to read in the iterator ``state.collect_reads``; the
-    process's next steps go to :func:`collect_step` before its generator.
-    """
-    reads = iter(bind_collect(operation, registers).slots)
-    state.pending_result = [registers.arena_view().read(next(reads))]
-    state.collect_reads = reads
-
-
-def collect_step(state: "ProcessState", arena: "RegisterArena") -> bool:
-    """Execute the next read of the process's in-flight collect, if one remains.
-
-    Returns ``False``, with the collect cleared, once every read has
-    executed: that step resumes the generator with the collected values
-    instead.
-    """
-    slot = next(state.collect_reads, None)
-    if slot is None:
-        state.collect_reads = None
-        return False
-    state.pending_result.append(arena.read(slot))
-    return True
-
-
 def execute(
     simulator: "Simulator",
     schedule: "ScheduleSource",
     max_steps: Optional[int] = None,
-    stop_condition: Optional["StopCondition"] = None,
-    policy: ExecutionPolicy = INSTRUMENTED,
 ) -> "RunResult":
-    """Drive ``simulator`` over ``schedule`` under ``policy``.
+    """Drive ``simulator`` over ``schedule`` in the bare loop (:meth:`Simulator.run_fast`).
 
-    This is the single step loop behind :meth:`Simulator.run`,
-    :meth:`Simulator.run_fast` and :meth:`Simulator.run_with_policy`.  For a
-    fixed ``(schedule, max_steps, stop_condition)`` every policy executes
-    exactly the same steps — the same register operations, halting behaviour,
-    final outputs and step counts; policies only choose what is *recorded*
-    along the way (see :class:`ExecutionPolicy`).
-
-    When no trace is collected, no stop condition is given and observers
-    (if any) are sampled only on publication, the per-step recording
-    branches are dead, and the kernel selects the specialized
-    :func:`_execute_bare` loop up front.
+    Executes exactly the steps :meth:`Simulator.run` executes for the same
+    ``(schedule, max_steps)``, with the same register operations, halting
+    behaviour, final outputs and step counts; it records no trace and samples
+    only ``"on_publish"`` observers (see :func:`check_observer_capabilities`).
     """
     step_iter, budget = normalize_source(simulator.n, schedule, max_steps)
     entries = simulator.observer_entries()
-    check_observer_capabilities(policy, entries)
-    if stop_condition is None and _runs_bare(policy, entries):
-        if isinstance(schedule, CompiledSchedule) and budget == len(schedule.steps):
-            # The whole buffer is the budget: iterate the array itself and
-            # credit per-process step counts in bulk from the shared tally.
-            return _execute_bare(
-                simulator, schedule.steps, schedule.step_counts(), entries
-            )
-        if _is_step_array(schedule) and budget == len(schedule):
-            # A raw step array (a segment of a buffer) that is the budget
-            # goes into the loop as it is, tallied there, not copied.
-            return _execute_bare(simulator, schedule, None, entries)
-        return _execute_bare(simulator, islice(step_iter, budget), None, entries)
-    return _execute_general(simulator, step_iter, budget, stop_condition, policy, entries)
+    check_observer_capabilities(entries)
+    if isinstance(schedule, CompiledSchedule) and budget == len(schedule.steps):
+        # The whole buffer is the budget: iterate the array itself and
+        # credit per-process step counts in bulk from the shared tally.
+        return _execute_bare(simulator, schedule.steps, schedule.step_counts(), entries)
+    if _is_step_array(schedule) and budget == len(schedule):
+        # A raw step array (a segment of a buffer) that is the budget
+        # goes into the loop as it is, tallied there, not copied.
+        return _execute_bare(simulator, schedule, None, entries)
+    return _execute_bare(simulator, islice(step_iter, budget), None, entries)
 
 
 def _is_step_array(schedule: Any) -> bool:
     """Whether ``schedule`` is an ``array('i')``, the step-buffer format."""
     return isinstance(schedule, array) and schedule.typecode == "i"
-
-
-def _runs_bare(policy: ExecutionPolicy, entries) -> bool:
-    """Whether a run without a stop condition can take :func:`_execute_bare`."""
-    return not policy.collect_trace and (not entries or policy.sampling == ON_PUBLISH)
-
-
-def _execute_general(
-    simulator: "Simulator",
-    step_iter: Iterator[ProcessId],
-    budget: int,
-    stop_condition: Optional["StopCondition"],
-    policy: ExecutionPolicy,
-    entries,
-) -> "RunResult":
-    """The fully featured step loop: observers, trace recording, stop conditions."""
-    from .simulator import RunResult  # local import: simulator imports this module
-
-    observers = [entry.observer for entry in entries]
-    sample_observers = bool(observers)
-    sample_every = policy.sampling == EVERY_STEP
-    watched = watched_keys(entries)
-    collect = policy.collect_trace
-    stride = policy.trace_stride
-    registers = simulator.registers
-    arena = registers.arena_view()
-    slot_get = arena.slots.get
-    values = arena.values
-    read_counts = arena.read_counts
-    write_counts = arena.write_counts
-    writers = arena.writers
-    resolve_slot = registers.resolve_slot
-    strict = simulator.strict
-    n = simulator.n
-    trace = simulator._trace
-    executed_steps: List[ProcessId] = []
-    # pid-indexed tables beat dict lookups in the hot loop; slot 0 unused.
-    state_table: List[Optional["ProcessState"]] = [None] * (n + 1)
-    for known_pid, known_state in simulator._states.items():
-        state_table[known_pid] = known_state
-    last_versions: List[int] = [-1] * (n + 1)
-    stopped_early = False
-    step_index = simulator._step_index
-    start_index = step_index
-    try:
-        for pid in islice(step_iter, budget):
-            state = state_table[pid] if 0 < pid <= n else None
-            if state is None:
-                raise SimulationError(f"unknown process id {pid}")
-            automaton = state.automaton
-            if state.halted:
-                if strict:
-                    raise SimulationError(
-                        f"process {pid} was scheduled after its program returned"
-                    )
-            elif state.collect_reads is None or not collect_step(state, arena):
-                # Not mid-collect (or its last read is done): resume.
-                if state.started:
-                    generator = state.generator
-                    send_value = state.pending_result
-                else:
-                    generator = simulator._start_program(state)
-                    send_value = None
-                try:
-                    op = generator.send(send_value)
-                except StopIteration as stop:
-                    simulator._halt(state, stop)
-                else:
-                    op_type = type(op)
-                    if op_type is BoundCollectOp:
-                        begin_collect(state, op, registers)
-                    elif op_type is ReadOp:
-                        slot = slot_get(op.register)
-                        if slot is None:
-                            slot = resolve_slot(op.register)
-                        read_counts[slot] += 1
-                        state.pending_result = values[slot]
-                    elif op_type is WriteOp:
-                        slot = slot_get(op.register)
-                        if slot is None:
-                            slot = resolve_slot(op.register)
-                        owner = writers[slot]
-                        if owner is not None and owner != pid:
-                            arena.write(slot, op.value, pid)  # raises the canonical error
-                        write_counts[slot] += 1
-                        values[slot] = op.value
-                        state.pending_result = None
-                    elif op_type is BoundReadOp:
-                        slot = op.slot
-                        read_counts[slot] += 1
-                        state.pending_result = values[slot]
-                    elif op_type is BoundWriteOp:
-                        slot = op.slot
-                        owner = writers[slot]
-                        if owner is not None and owner != pid:
-                            arena.write(slot, op.value, pid)  # raises the canonical error
-                        write_counts[slot] += 1
-                        values[slot] = op.value
-                        state.pending_result = None
-                    else:
-                        # Exact-type checks above keep the hot path cheap;
-                        # unbound collects, operation *subclasses* (legal
-                        # per validate_operation) take this slower branch,
-                        # and anything else fails validation loudly.
-                        operation = validate_operation(op)
-                        if is_collect_operation(operation):
-                            begin_collect(state, operation, registers)
-                        elif is_read_operation(operation):
-                            state.pending_result = registers.read(
-                                operation.register, reader=pid
-                            )
-                        else:
-                            registers.write(operation.register, operation.value, writer=pid)
-                            state.pending_result = None
-            state.steps_taken += 1
-            step_index += 1
-            if collect and (stride == 1 or (step_index - start_index - 1) % stride == 0):
-                trace.append(pid)
-                executed_steps.append(pid)
-            if sample_observers:
-                if sample_every:
-                    simulator._step_index = step_index
-                    for observer in observers:
-                        observer(step_index, pid, simulator)
-                else:
-                    version = automaton.outputs_version
-                    since = last_versions[pid]
-                    if since != version:
-                        last_versions[pid] = version
-                        if published_since(automaton, since, watched):
-                            simulator._step_index = step_index
-                            for observer in observers:
-                                observer(step_index, pid, simulator)
-            if stop_condition is not None:
-                simulator._step_index = step_index
-                if stop_condition(step_index, simulator):
-                    stopped_early = True
-                    break
-    finally:
-        simulator._step_index = step_index
-    return RunResult(
-        executed_schedule=Schedule(steps=tuple(executed_steps), n=n),
-        steps_executed=step_index - start_index,
-        stopped_early=stopped_early,
-        halted_processes=simulator.halted_processes(),
-        outputs={
-            pid: dict(state.automaton.outputs) for pid, state in simulator._states.items()
-        },
-    )
 
 
 def _execute_bare(
@@ -558,8 +285,8 @@ def _execute_bare(
     loop's pid-indexed tables must never be indexed with an out-of-range pid
     (a negative id would alias a real process); when the buffer mentions an
     unknown pid, the valid prefix executes normally and the run fails at the
-    offending step with the same error and exact accounting the general loop
-    produces.
+    offending step with the same error and exact accounting
+    :meth:`Simulator.run` produces.
 
     Every buffered pid lying in ``1..n`` is what lets the loop keep its
     per-process tables as flat pid-indexed lists instead of dicts.  Because a
@@ -580,8 +307,7 @@ def _execute_bare(
     tallied per op when it starts, and on exit the tally is credited and
     the unread rest of every in-flight collect is taken back out.
 
-    ``entries`` attach ``"on_publish"`` observers, sampled exactly as the
-    general loop samples them under publication-gated policies: on a
+    ``entries`` attach ``"on_publish"`` observers, sampled on a
     process's first step of the run, then whenever it published a key some
     observer reads (:func:`published_since`).  The per-step test is only
     whether ``outputs_version`` moved; the key test runs on those steps.
@@ -601,7 +327,7 @@ def _execute_bare(
             except OverflowError:
                 # A pid beyond the C int range cannot be buffered, but it is
                 # an unknown pid like any other: run the valid prefix and fail
-                # at the first bad step, as the general loop does.
+                # at the first bad step, as Simulator.run does.
                 bad_index, bad_pid = first_step_outside(steps, n)
                 _execute_bare(simulator, steps[:bad_index], None, entries)
                 raise SimulationError(f"unknown process id {bad_pid}") from None

@@ -7,10 +7,10 @@ happened without them — which matters when the experiment's point is to
 measure stabilization times of the unmodified paper algorithm.
 
 Each observer declares a *capability* (see :mod:`repro.runtime.kernel`):
-``"every_step"`` observers need every executed step and only run under the
-instrumented policy; ``"on_publish"`` observers — like the change-recording
-:class:`OutputTracker` below — only need the steps on which the stepped
-process published, so any execution policy may carry them.  An observer may
+``"every_step"`` observers need every executed step and only run under
+:meth:`~repro.runtime.simulator.Simulator.run`; ``"on_publish"`` observers —
+like the change-recording :class:`OutputTracker` below — only need the steps
+on which the stepped process published, so ``run_fast`` may carry them too.  An observer may
 also name the output keys it reads (``observed_keys``); the tracker names its
 one key, so publication-gated runs skip it on steps that published only other
 keys.
@@ -59,7 +59,7 @@ class OutputTracker:
 
     #: The tracker only records *changes*, so it needs exactly the steps on
     #: which the stepped process published — the ``on_publish`` capability.
-    #: This is what lets it ride the fast execution policy unchanged.
+    #: This is what lets it ride ``run_fast`` unchanged.
     observer_capability: ClassVar[str] = ON_PUBLISH
 
     @property

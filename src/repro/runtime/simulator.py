@@ -7,24 +7,26 @@ process (the configuration of the processes), and consumes a schedule —
 finite, or an unbounded iterator — advancing the scheduled process by exactly
 one shared-memory operation per step.
 
-Execution itself lives in :mod:`repro.runtime.kernel`: one step loop,
-parameterized by an :class:`~repro.runtime.kernel.ExecutionPolicy`.
-:meth:`Simulator.run` and :meth:`Simulator.run_fast` are thin wrappers binding
-the instrumented and the fast policy respectively; arbitrary policies go
-through :meth:`Simulator.run_with_policy`.
+That rule is :meth:`Simulator.step`, and :meth:`Simulator.run` is the
+reference run: one :meth:`~Simulator.step` per scheduled pid, the trace
+recorded, every observer sampled after every step and an optional stop
+condition checked after each.  :meth:`Simulator.run_fast` executes the same
+steps in the kernel's bare loop (:mod:`repro.runtime.kernel`), which records
+no trace and samples observers only when the stepped process published.
 
 Instrumentation: observers can be attached to sample process outputs after
 steps; the analysis layer uses this to measure stabilization times of
 failure-detector outputs and decision steps of agreement algorithms without
 perturbing the algorithms themselves.  Each observer declares a *capability*
 — ``"every_step"`` (must see every step) or ``"on_publish"`` (only needs the
-steps on which the process published an output) — and the kernel refuses to
-run a policy that would under-sample an attached observer.
+steps on which the process published an output) — and :meth:`Simulator.run_fast`
+refuses to run with an observer it would under-sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from ..core.schedule import CompiledSchedule, InfiniteSchedule, Schedule
@@ -40,14 +42,10 @@ from .automaton import (
 )
 from .kernel import (
     EVERY_STEP,
-    FAST,
-    FAST_TRACED,
-    INSTRUMENTED,
     OBSERVER_CAPABILITIES,
-    ExecutionPolicy,
-    begin_collect,
-    collect_step,
+    bind_collect,
     execute,
+    normalize_source,
 )
 
 #: Anything the simulator can consume as a step source.
@@ -132,10 +130,9 @@ class RunResult:
     Attributes
     ----------
     executed_schedule:
-        The schedule prefix that was actually recorded.  Under the
-        instrumented policy this is every executed step (useful when a stop
-        condition cut the run short); trace-shedding policies return an empty
-        or stride-sampled schedule here while ``steps_executed`` stays exact.
+        The steps this call executed, in order (useful when a stop condition
+        cut the run short).  :meth:`Simulator.run_fast` records no trace and
+        returns an empty schedule here while ``steps_executed`` stays exact.
     steps_executed:
         Number of steps executed.
     stopped_early:
@@ -261,10 +258,9 @@ class Simulator:
         return sorted(pid for pid, state in self._states.items() if state.halted)
 
     def trace(self) -> Schedule:
-        """The schedule recorded so far (all ``run`` calls concatenated).
+        """The schedule recorded so far (all ``run`` and ``step`` calls concatenated).
 
-        Trace-shedding policies contribute nothing (or a stride sample) here;
-        see :class:`~repro.runtime.kernel.ExecutionPolicy`.
+        :meth:`run_fast` contributes nothing here.
         """
         return Schedule(steps=tuple(self._trace), n=self.n)
 
@@ -276,15 +272,15 @@ class Simulator:
         the stepped process published an output — true of change-recording
         observers like :class:`~repro.runtime.observers.OutputTracker`).
         When omitted, the observer's ``observer_capability`` attribute is
-        consulted, defaulting to the conservative ``"every_step"``.  The
-        kernel enforces the declaration: running a publication-gated policy
-        (:meth:`run_fast`) with an ``"every_step"`` observer attached raises
-        :class:`SimulationError` instead of silently under-sampling.
+        consulted, defaulting to the conservative ``"every_step"``.
+        :meth:`run_fast` enforces the declaration: running it with an
+        ``"every_step"`` observer attached raises :class:`SimulationError`
+        instead of silently under-sampling.
 
         The observer's ``observed_keys`` attribute, when it has one, names
         the output keys it reads; one that names none (or no attribute) reads
-        every key.  Publication-gated policies sample a process only on steps
-        that published a key some observer reads.
+        every key.  :meth:`run_fast` samples a process only on steps that
+        published a key some observer reads.
         """
         if capability is None:
             capability = getattr(observer, "observer_capability", EVERY_STEP)
@@ -422,46 +418,58 @@ class Simulator:
     def step(self, pid: ProcessId) -> None:
         """Execute one step of process ``pid`` (one shared-memory operation).
 
-        A process in the middle of a collect executes the collect's next
-        read.  This is the single-step debugging API; whole runs go through
-        the kernel (:meth:`run` / :meth:`run_fast` / :meth:`run_with_policy`).
+        The model's one rule, and the body of the reference run
+        (:meth:`run`).  A process in the middle of a collect executes the
+        collect's next read; a halted process's step is a recorded no-op (or
+        a :class:`SimulationError` when ``strict``).  Every other operation is
+        validated and executed through the register file by name.  The step
+        is appended to the trace and every attached observer runs after it.
         """
-        state = self._state(pid)
+        state = self._states.get(pid)
+        if state is None:
+            raise SimulationError(f"unknown process id {pid}")
         if state.halted:
             if self.strict:
                 raise SimulationError(
                     f"process {pid} was scheduled after its program returned"
                 )
-            self._record_step(pid, state)
-            return
-        if state.collect_reads is not None and collect_step(state, self.registers.arena_view()):
-            self._record_step(pid, state)
-            return
-        if not state.started:
-            generator = self._start_program(state)
-            try:
-                op = generator.send(None)
-            except StopIteration as stop:
-                self._halt(state, stop)
-                self._record_step(pid, state)
-                return
         else:
-            assert state.generator is not None
-            try:
-                op = state.generator.send(state.pending_result)
-            except StopIteration as stop:
-                self._halt(state, stop)
-                self._record_step(pid, state)
-                return
-        operation = validate_operation(op)
-        if is_collect_operation(operation):
-            begin_collect(state, operation, self.registers)
-        elif is_read_operation(operation):
-            state.pending_result = self.registers.read(operation.register, reader=pid)
-        else:
-            self.registers.write(operation.register, operation.value, writer=pid)
-            state.pending_result = None
-        self._record_step(pid, state)
+            reads = state.collect_reads
+            slot = None if reads is None else next(reads, None)
+            if slot is not None:
+                # Mid-collect: its next read, without resuming the program.
+                state.pending_result.append(self.registers.arena_view().read(slot))
+            else:
+                # Resume the program (with the values a finished collect read).
+                state.collect_reads = None
+                if state.started:
+                    generator = state.generator
+                    send_value = state.pending_result
+                else:
+                    generator = self._start_program(state)
+                    send_value = None
+                try:
+                    op = generator.send(send_value)
+                except StopIteration as stop:
+                    self._halt(state, stop)
+                else:
+                    operation = validate_operation(op)
+                    registers = self.registers
+                    if is_collect_operation(operation):
+                        # The first read; the others are the process's next steps.
+                        reads = iter(bind_collect(operation, registers).slots)
+                        state.pending_result = [registers.arena_view().read(next(reads))]
+                        state.collect_reads = reads
+                    elif is_read_operation(operation):
+                        state.pending_result = registers.read(operation.register, reader=pid)
+                    else:
+                        registers.write(operation.register, operation.value, writer=pid)
+                        state.pending_result = None
+        state.steps_taken += 1
+        self._trace.append(pid)
+        step_index = self._step_index = self._step_index + 1
+        for entry in self._observers:
+            entry.observer(step_index, pid, self)
 
     def run(
         self,
@@ -469,7 +477,7 @@ class Simulator:
         max_steps: Optional[int] = None,
         stop_condition: Optional[StopCondition] = None,
     ) -> RunResult:
-        """Drive the simulator over a schedule under the instrumented policy.
+        """Drive the simulator over a schedule, one :meth:`step` per scheduled pid.
 
         Parameters
         ----------
@@ -482,26 +490,37 @@ class Simulator:
         stop_condition:
             Checked after every step; when it returns true the run stops early.
 
-        Returns a :class:`RunResult` describing what was executed.
+        Returns a :class:`RunResult` whose ``executed_schedule`` holds this
+        call's steps (:meth:`trace` holds every call's).
         """
-        return execute(self, schedule, max_steps, stop_condition, INSTRUMENTED)
+        step_iter, budget = normalize_source(self.n, schedule, max_steps)
+        trace = self._trace
+        start = len(trace)
+        step = self.step
+        stopped_early = False
+        for pid in islice(step_iter, budget):
+            step(pid)
+            if stop_condition is not None and stop_condition(self._step_index, self):
+                stopped_early = True
+                break
+        executed = tuple(trace[start:])
+        return RunResult(
+            executed_schedule=Schedule(steps=executed, n=self.n),
+            steps_executed=len(executed),
+            stopped_early=stopped_early,
+            halted_processes=self.halted_processes(),
+            outputs={pid: dict(state.automaton.outputs) for pid, state in self._states.items()},
+        )
 
-    def run_fast(
-        self,
-        schedule: ScheduleSource,
-        max_steps: Optional[int] = None,
-        stop_condition: Optional[StopCondition] = None,
-        collect_trace: bool = False,
-    ) -> RunResult:
-        """Drive the simulator over a schedule under the fast policy.
+    def run_fast(self, schedule: ScheduleSource, max_steps: Optional[int] = None) -> RunResult:
+        """Drive the simulator over a schedule in the kernel's bare loop.
 
         Executes exactly the same steps as :meth:`run` — same register
         operations, same halting behaviour, same final outputs — but sheds the
         per-step bookkeeping that dominates long experiment runs:
 
-        * the executed trace is recorded only when ``collect_trace`` is true
-          (otherwise ``executed_schedule`` comes back empty and :meth:`trace`
-          does not grow, while ``steps_executed`` stays exact);
+        * no trace is recorded: ``executed_schedule`` comes back empty and
+          :meth:`trace` does not grow, while ``steps_executed`` stays exact;
         * observers are sampled only on steps in which the stepped process
           *published* an output some observer reads (plus each process's
           first sampled step), detected via
@@ -511,23 +530,10 @@ class Simulator:
           Change-recording observers such as
           :class:`~repro.runtime.observers.OutputTracker` therefore record
           byte-identical change sequences.  Observers that declared the
-          ``"every_step"`` capability are incompatible with this policy and
-          make the kernel raise :class:`SimulationError` up front.
-
-        ``stop_condition``, when given, is still checked after every step.
+          ``"every_step"`` capability make it raise :class:`SimulationError`
+          up front.
         """
-        policy = FAST_TRACED if collect_trace else FAST
-        return execute(self, schedule, max_steps, stop_condition, policy)
-
-    def run_with_policy(
-        self,
-        schedule: ScheduleSource,
-        policy: ExecutionPolicy,
-        max_steps: Optional[int] = None,
-        stop_condition: Optional[StopCondition] = None,
-    ) -> RunResult:
-        """Drive the simulator under an arbitrary :class:`ExecutionPolicy`."""
-        return execute(self, schedule, max_steps, stop_condition, policy)
+        return execute(self, schedule, max_steps)
 
     # ------------------------------------------------------------------
     # Internals (shared with the kernel)
@@ -570,13 +576,6 @@ class Simulator:
         state.halted = True
         state.generator = None
         state.halt_value = stop.value
-
-    def _record_step(self, pid: ProcessId, state: ProcessState) -> None:
-        state.steps_taken += 1
-        self._trace.append(pid)
-        self._step_index += 1
-        for entry in self._observers:
-            entry.observer(self._step_index, pid, self)
 
 
 def build_simulator(

@@ -451,6 +451,53 @@ class TestSearchCommand:
             run(["search", "--horizon", "1", "--generations", "2"])
 
 
+class TestRejectedCampaign:
+    """A rejected ``repro campaign`` leaves no cache directory and no queue database."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--workers", "-3"], "workers must be >= 0, got -3"),
+            (["--resume", "{db}", "--workers", "-3"], "workers must be >= 0, got -3"),
+            (["--chunk-size", "0"], "chunk_size must be >= 1, got 0"),
+            (["--resume", "{db}", "--lease-seconds", "0"], "lease_seconds must be > 0"),
+            (["--resume", "{db}", "--max-attempts", "0"], "max_attempts must be >= 1, got 0$"),
+            (["--resume", "{db}", "--max-respawns", "-1"], "max_respawns must be >= 0, got -1"),
+        ],
+        ids=["workers", "resume-workers", "chunk-size", "lease", "attempts", "respawns"],
+    )
+    def test_creates_nothing(self, tmp_path, flags, message):
+        cache_dir, db = tmp_path / "newcache", tmp_path / "q.db"
+        argv = [flag.format(db=db) for flag in flags]
+        with pytest.raises(ConfigurationError, match=message):
+            run(["campaign", "e1", *argv, "--cache-dir", str(cache_dir)])
+        assert not cache_dir.exists() and not db.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--workers", "-3"], ["--resume", "{db}", "--lease-seconds", "0"]],
+        ids=["workers", "lease"],
+    )
+    def test_cache_dir_that_is_a_file_wins_over_bad_engine_values(self, tmp_path, flags):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        argv = [flag.format(db=tmp_path / "q.db") for flag in flags]
+        with pytest.raises(ConfigurationError, match="as a cache directory"):
+            run(["campaign", "e1", *argv, "--cache-dir", str(not_a_dir)])
+
+    @pytest.mark.parametrize("flag", ["--lease-seconds", "--max-attempts"])
+    def test_rejected_override_leaves_the_queue_usable(self, tmp_path, flag):
+        db = str(tmp_path / "q.db")
+        run(["queue", "enqueue", "e1", "--db", db, flag, "2"])
+        with pytest.raises(ConfigurationError, match=flag[2:].replace("-", "_")):
+            run(["campaign", "e1", "--resume", db, flag, "0"])
+        assert run(["queue", "status", "--db", db])[0].startswith("queue: ")
+        with JobQueue(db) as queue:
+            assert (queue.lease_seconds, queue.max_attempts) == (
+                (2.0, 3) if flag == "--lease-seconds" else (30.0, 2)
+            )
+
+
 class TestBadInstanceParameters:
     @pytest.mark.parametrize("command", ["map", "solve"])
     def test_bad_t_prints_one_line_like_search(self, repro_cli, command):
@@ -601,6 +648,9 @@ BAD_ARGUMENTS = {
     "queue work": (["queue", "work", "--db", "{db}"], "config"),
     "queue status": (["queue", "status", "--db", "{db}"], "config"),
     "queue drain": (["queue", "drain", "--db", "{db}"], "config"),
+    "queue drain (negative respawn budget)": (
+        ["queue", "drain", "--db", "{queue_db}", "--max-respawns", "-1"], "config"
+    ),
     "queue drain (cache dir is a file)": (
         ["queue", "drain", "--db", "{queue_db}", "--cache-dir", "{not_json}"],
         "config",

@@ -99,6 +99,33 @@ class TestEnqueue:
         with pytest.raises(ConfigurationError):
             JobQueue(tmp_path / "b.db", max_attempts=0)
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"lease_seconds": 0}, "lease_seconds must be > 0, got 0$"),
+            ({"lease_seconds": -1.5}, "lease_seconds must be > 0, got -1.5$"),
+            ({"max_attempts": 0}, "max_attempts must be >= 1, got 0$"),
+        ],
+        ids=["zero-lease", "negative-lease", "zero-attempts"],
+    )
+    def test_bad_policy_creates_no_database(self, tmp_path, override, message):
+        with pytest.raises(ConfigurationError, match=message):
+            JobQueue(tmp_path / "sub" / "q.db", **override)
+        assert not (tmp_path / "sub").exists()
+
+    @pytest.mark.parametrize(
+        "override", [{"lease_seconds": 0}, {"max_attempts": 0}], ids=["lease", "attempts"]
+    )
+    def test_bad_override_leaves_the_database_as_it_was(self, tmp_path, override):
+        path = tmp_path / "q.db"
+        with JobQueue(path, lease_seconds=1.5, max_attempts=5) as queue:
+            queue.enqueue(_spec())
+        with pytest.raises(ConfigurationError):
+            JobQueue(path, **override)
+        with JobQueue(path) as reopened:
+            assert (reopened.lease_seconds, reopened.max_attempts) == (1.5, 5)
+            assert reopened.status().counts.get("pending") == 4
+
 
 class TestLeaseCycle:
     def _queue(self, tmp_path, clock, **policy) -> JobQueue:
@@ -309,6 +336,16 @@ def _always_raises(params):
 
 
 class TestDrain:
+    def test_negative_respawn_budget_rejected_before_anything_runs(self, tmp_path):
+        path = tmp_path / "q.db"
+        with pytest.raises(ConfigurationError, match="max_respawns must be >= 0, got -1$"):
+            drain_queue(path, max_respawns=-1, cache_dir=tmp_path / "cache")
+        with pytest.raises(ConfigurationError, match="max_respawns must be >= 0, got -1$"):
+            DurableCampaignEngine(path, max_respawns=-1)
+        with pytest.raises(ConfigurationError, match="lease_seconds must be > 0, got 0$"):
+            DurableCampaignEngine(path, lease_seconds=0)
+        assert not path.exists() and not (tmp_path / "cache").exists()
+
     def test_multiprocess_drain_completes_queue(self, tmp_path):
         path = tmp_path / "q.db"
         with JobQueue(path) as queue:

@@ -3,16 +3,17 @@
 A run in the paper is ``(I, S, A)``: one shared-memory operation per step of
 the schedule.  The reference here is the plainest executor of that model: a
 fresh replica built with ``prebind=False`` (name-addressed operations)
-running :meth:`~repro.runtime.simulator.Simulator.run` (the instrumented
-policy, every observer after every step) over the schedule's per-step stream.
+running :meth:`~repro.runtime.simulator.Simulator.run` (one
+:meth:`~repro.runtime.simulator.Simulator.step` per pid, every observer after
+every step) over the schedule's per-step stream.
 Each lane is one row ``name -> run(setup, case) -> observable``, and for
 drawn setups and schedules (``conformance_support``) every lane must leave
 what the reference leaves: outputs and their versions, tracker change lists,
 register values, counts and owners, per-process step counts, halting and the
-step index, and, for lanes recording a trace, the reference trace at the
-lane's stride.  A run that raises (a single-writer violation, a pid outside
-``Πn``, a strict step after halting) must raise the same type and text, at
-the same step, leaving the same state.
+step index, and, for lanes recording a trace, the reference trace.  A run
+that raises (a single-writer violation, a pid outside ``Πn``, a strict step
+after halting) must raise the same type and text, at the same step, leaving
+the same state.
 
 A lane runs only the cases it ``takes``: compiled buffers hold no stray
 pid, only ``dist-*`` families have a timeline to replay, and only setups
@@ -25,7 +26,7 @@ hand-pinned run (``PINNED``) is a test of its own.
 
 from contextlib import suppress
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import pytest
 from hypothesis import given
@@ -45,12 +46,8 @@ from repro.agreement.kset import DECISION
 from repro.distsim import compile_timeline, run_timeline
 from repro.errors import ReproError
 from repro.failure_detectors.base import FD_OUTPUT, LEADER, WINNER_SET
-from repro.runtime.kernel import FAST, FAST_TRACED, INSTRUMENTED, trace_sampling
 from repro.runtime.observers import OutputTracker
 from repro.scenarios.spec import build_generator
-
-#: The stride of the trace-sampling lane.
-STRIDE = 7
 
 
 def _attach(simulator, trackers):
@@ -89,7 +86,7 @@ def _capped(run, source, steps):
 
 
 def reference(setup, case: LaneCase, attach_at=0, recompute=False):
-    """The instrumented unbound run; trackers attach after ``attach_at`` steps."""
+    """The unbound reference run; trackers attach after ``attach_at`` steps."""
     simulator = setup.build(False, recompute)
     trackers = [OutputTracker(key=key) for key in case.keys]
     stream = case.stream()
@@ -102,8 +99,8 @@ def reference(setup, case: LaneCase, attach_at=0, recompute=False):
     )
 
 
-def _whole(policy=FAST, prebind=True, source="compiled", tracked=True):
-    """A lane running the whole schedule in one call."""
+def _whole(runner="run_fast", prebind=True, source="compiled", tracked=True):
+    """A lane running the whole schedule in one ``run`` or ``run_fast`` call."""
 
     def run(setup, case):
         if tracked:
@@ -121,7 +118,7 @@ def _whole(policy=FAST, prebind=True, source="compiled", tracked=True):
         budget = len(steps) if source == "one-shot" and len(steps) else None
         return _observe(
             simulator, trackers,
-            lambda: simulator.run_with_policy(schedule, policy, max_steps=budget),
+            lambda: getattr(simulator, runner)(schedule, max_steps=budget),
         )
 
     return run
@@ -129,7 +126,7 @@ def _whole(policy=FAST, prebind=True, source="compiled", tracked=True):
 
 def _split(setup, case):
     """Trackers attach after an observer-free bare segment (the buffer capped
-    by ``max_steps``); then the general loop, the bare loop over a raw array
+    by ``max_steps``); then the reference run, the bare loop over a raw array
     and single steps, each from where the last stopped (mid-collect too)."""
     simulator = setup.build(True)
     trackers = [OutputTracker(key=key) for key in case.keys]
@@ -147,7 +144,7 @@ def _split(setup, case):
 
 
 def _stopped(setup, case):
-    """A stop condition ends a tracked run at a cut; two bare runs finish it."""
+    """A stop condition ends a tracked reference run at a cut; two bare runs finish it."""
     simulator, trackers = _tracked(setup, case)
     stop_at = max(case.cuts[1], 1)
     rest = max(case.cuts[2], stop_at)
@@ -155,10 +152,37 @@ def _stopped(setup, case):
     return _observe(
         simulator,
         trackers,
-        lambda: simulator.run_fast(steps, stop_condition=lambda step, sim: step == stop_at),
+        lambda: simulator.run(steps, stop_condition=lambda step, sim: step == stop_at),
         lambda: simulator.run_fast(steps[stop_at:rest]),
         lambda: simulator.run_fast(steps[rest:]),
     )
+
+
+def _segments(setup, case):
+    """One iterator over the schedule, consumed by one tracked ``run`` per
+    stretch between the cuts; each call's ``executed_schedule`` is its own
+    steps, so the calls' schedules concatenate to the trace."""
+    simulator, trackers = _tracked(setup, case)
+    stream = iter(case.steps)
+    bounds = (0, *case.cuts, len(case.steps))
+    executed = []
+
+    def segment(start, stop):
+        if stop > start:
+            result = simulator.run(stream, max_steps=stop - start)
+            executed.extend(result.executed_schedule.steps)
+
+    observed = _observe(
+        simulator,
+        trackers,
+        *(lambda start=start, stop=stop: segment(start, stop)
+          for start, stop in zip(bounds, bounds[1:])),
+    )
+    trace = list(observed["trace"])
+    # A call that raised returns no schedule: its steps are the trace's tail.
+    assert trace[: len(executed)] == executed
+    assert observed["raised"] is not None or len(trace) == len(executed)
+    return observed
 
 
 def _detour(simulator, case):
@@ -222,26 +246,26 @@ class Lane(NamedTuple):
     """A lane: how it runs, which cases it takes, when its trackers attach,
     what it records.
 
-    ``attach`` is ``"start"``, ``"first cut"`` or ``"never"``; ``stride`` is
-    the trace stride it records (``None``: its trace is not compared);
+    ``attach`` is ``"start"``, ``"first cut"`` or ``"never"``; ``traced``
+    is true when it records the whole trace, which is then compared;
     ``versions`` is false where output versions may differ.
     """
 
     run: Callable[..., dict]
     takes: Callable[..., bool] = lambda setup, case: True
     attach: str = "start"
-    stride: Optional[int] = None
+    traced: bool = False
     versions: bool = True
 
 
 LANES = {
     "fast": Lane(_whole(), _compiled),
-    "fast-traced": Lane(_whole(FAST_TRACED, source="list"), stride=1),
-    "trace-sampled": Lane(_whole(trace_sampling(STRIDE), source="array"), stride=STRIDE),
-    "instrumented-bound": Lane(_whole(INSTRUMENTED), _compiled, stride=1),
+    "instrumented-bound": Lane(_whole("run"), _compiled, traced=True),
     "unbound-fast": Lane(_whole(prebind=False), _compiled),
     "bare": Lane(_whole(tracked=False), _compiled, attach="never"),
     "raw-array": Lane(_whole(source="array")),
+    "run-array": Lane(_whole("run", source="array"), traced=True),
+    "run-segments": Lane(_segments, traced=True),
     "list": Lane(_whole(source="list")),
     "one-shot": Lane(_whole(source="one-shot")),
     "split": Lane(_split, attach="first cut"),
@@ -262,10 +286,8 @@ def assert_lane_matches(name, setup, case, whole):
         expected = reference(setup, case, attach_at=case.cuts[0])
     elif lane.attach == "never":
         expected["changes"] = []
-    if lane.stride is None:
+    if not lane.traced:
         del observed["trace"], expected["trace"]
-    else:
-        expected["trace"] = expected["trace"][:: lane.stride]
     if not lane.versions:
         del observed["versions"], expected["versions"]
     assert observed == expected, f"lane {name!r} on {setup!r}"

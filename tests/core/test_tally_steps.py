@@ -199,14 +199,14 @@ def _observed_run(n, steps, run):
 
 class TestBareLoopAccounting:
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), step_lists(n))))
-    def test_unknown_pid_matches_general_loop(self, shape):
+    def test_unknown_pid_matches_the_reference_run(self, shape):
         # The bare loop (run_fast over a raw list) must fail at the first
-        # unknown pid with the general loop's message and exact accounting.
+        # unknown pid with the reference run's message and exact accounting.
         n, steps = shape
         steps = steps[:300]
         bare = _observed_run(n, steps, lambda sim, s: sim.run_fast(s))
-        general = _observed_run(n, steps, lambda sim, s: sim.run(s))
-        assert bare == general
+        reference = _observed_run(n, steps, lambda sim, s: sim.run(s))
+        assert bare == reference
         bad = first_step_outside(steps, n)
         if bad is None:
             assert bare["error"] is None and bare["step_index"] == len(steps)

@@ -14,10 +14,10 @@ statistic and timeout policy) at a short horizon it hashes:
 * every process's ``steps_taken``.
 
 One composed anti-Ω + k-set agreement stack is pinned the same way, once
-under the instrumented policy with the decided-stop condition and once on the
-fast policy without one.  Each detector digest is checked on two paths — the
-fast policy with prebound ops and the instrumented policy on the
-name-addressed path — which must both reproduce the pin.
+on ``run`` with the decided-stop condition and once on ``run_fast`` without
+one.  Each detector digest is checked on two paths — ``run_fast`` with
+prebound ops and ``run`` on the name-addressed path — which must both
+reproduce the pin.
 
 A change of any digest means the runs changed — not just their speed.
 Regenerate the table only for a deliberate semantic change, and say so.

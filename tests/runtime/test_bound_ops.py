@@ -28,7 +28,6 @@ from repro.runtime.automaton import (
     validate_operation,
 )
 from repro.runtime.composition import ComposedAutomaton
-from repro.runtime.kernel import FAST, FAST_TRACED, INSTRUMENTED
 from repro.runtime.simulator import Simulator, build_simulator
 
 
@@ -248,12 +247,12 @@ class TestBoundSingleWriterViolation:
         simulator.registers.declare(("owned", 1), initial=0, writer=1)
         return simulator
 
-    @pytest.mark.parametrize("policy", [INSTRUMENTED, FAST, FAST_TRACED], ids=lambda p: p.name)
-    def test_violation_raises_canonical_error_with_exact_accounting(self, policy):
+    @pytest.mark.parametrize("runner", ["run", "run_fast"])
+    def test_violation_raises_canonical_error_with_exact_accounting(self, runner):
         simulator = self._simulator()
         schedule = Schedule(steps=(1, 1, 2, 1), n=2)
         with pytest.raises(RegisterError, match="owned by process 1"):
-            simulator.run_with_policy(schedule, policy)
+            getattr(simulator, runner)(schedule)
         assert simulator.step_index == 2
         assert simulator.steps_taken(1) == 2 and simulator.steps_taken(2) == 0
         assert simulator.registers.peek(("owned", 1)) == (1, 2)

@@ -8,8 +8,9 @@ single steps, snapshots) and unbound collects reproduce one whole run exactly
 is the conformance lane table's job (``tests/conformance/test_lane_table.py``,
 its ``collecting`` setup and Figure 2).
 
-Under the instrumented policy an ``every_step`` observer sees each collect
-read as its own step, each one shared-memory operation.
+Under :meth:`~repro.runtime.simulator.Simulator.run` an ``every_step``
+observer sees each collect read as its own step, each one shared-memory
+operation.
 """
 
 import pytest

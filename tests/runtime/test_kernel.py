@@ -1,7 +1,7 @@
-"""The execution kernel: policies, observer capabilities, hot-loop register paths.
+"""The execution kernel: observer capabilities, hot-loop register paths.
 
-That every policy and loop executes exactly what the instrumented reference
-executes is the conformance lane table's job
+That the bare loop executes exactly what the reference run executes is the
+conformance lane table's job
 (``tests/conformance/test_lane_table.py``); this module checks the
 mechanisms one at a time.
 """
@@ -10,15 +10,6 @@ import pytest
 
 from repro.errors import RegisterError, SimulationError
 from repro.runtime.automaton import FunctionAutomaton, IdleAutomaton, ReadOp, WriteOp
-from repro.runtime.kernel import (
-    EVERY_STEP,
-    FAST,
-    FAST_TRACED,
-    INSTRUMENTED,
-    ON_PUBLISH,
-    ExecutionPolicy,
-    trace_sampling,
-)
 from repro.runtime.observers import OutputTracker
 from repro.runtime.simulator import build_simulator
 from repro.core.schedule import Schedule
@@ -28,31 +19,8 @@ def _fresh(n):
     return build_simulator(n, lambda pid: IdleAutomaton(pid, n))
 
 
-class TestPolicies:
-    def test_builtin_policy_shapes(self):
-        assert INSTRUMENTED.sampling == EVERY_STEP and INSTRUMENTED.collect_trace
-        assert FAST.sampling == ON_PUBLISH and not FAST.collect_trace
-        assert FAST_TRACED.collect_trace and FAST_TRACED.trace_stride == 1
-
-    def test_trace_sampling_policy_validation(self):
-        assert trace_sampling(10).trace_stride == 10
-        with pytest.raises(SimulationError):
-            trace_sampling(0)
-        with pytest.raises(SimulationError):
-            ExecutionPolicy(name="bogus", sampling="sometimes", collect_trace=False)
-
-    def test_trace_sampling_records_every_stride_th_step(self):
-        schedule = Schedule(steps=(1, 2) * 30, n=2)
-        simulator = _fresh(2)
-        result = simulator.run_with_policy(schedule, trace_sampling(10))
-        assert result.steps_executed == 60
-        # Steps 1, 11, 21, ... of the run are recorded: six samples.
-        assert len(result.executed_schedule.steps) == 6
-        assert simulator.trace().steps == result.executed_schedule.steps
-
-
 class TestObserverCapabilities:
-    def test_every_step_observer_rejected_by_fast_policy(self):
+    def test_every_step_observer_rejected_by_run_fast(self):
         simulator = _fresh(2)
         seen = []
         simulator.add_observer(lambda step, pid, sim: seen.append(step))
@@ -61,7 +29,7 @@ class TestObserverCapabilities:
         # Nothing executed: the check happens before the first step.
         assert simulator.step_index == 0 and not seen
 
-    def test_every_step_observer_fine_under_instrumented_policy(self):
+    def test_every_step_observer_fine_under_run(self):
         simulator = _fresh(2)
         seen = []
         simulator.add_observer(lambda step, pid, sim: seen.append(step))
@@ -91,14 +59,9 @@ class TestObserverCapabilities:
 # Hot-loop register paths: lazy creation and single-writer enforcement
 # ----------------------------------------------------------------------
 
-#: Every execution-loop flavour the kernel can select.  ``fast`` without
-#: observers routes to the bare loop, so the same policy is exercised twice:
-#: with a tracker attached (general loop) and without (bare loop).
-ALL_POLICIES = {
-    "instrumented": INSTRUMENTED,
-    "fast": FAST,
-    "fast+trace": FAST_TRACED,
-}
+#: The two loops: the reference run (one ``step`` per pid) and the bare loop,
+#: each exercised with a tracker attached and without.
+RUNNERS = ("run", "run_fast")
 
 
 def _undeclared_toucher(automaton, ctx):
@@ -111,10 +74,9 @@ def _undeclared_toucher(automaton, ctx):
 
 
 class TestFastOpsMissPath:
-    @pytest.mark.parametrize("policy_name", sorted(ALL_POLICIES))
+    @pytest.mark.parametrize("runner", RUNNERS)
     @pytest.mark.parametrize("tracked", [True, False], ids=["tracked", "bare"])
-    def test_first_touch_of_undeclared_register_inside_execute(self, policy_name, tracked):
-        policy = ALL_POLICIES[policy_name]
+    def test_first_touch_of_undeclared_register_inside_execute(self, runner, tracked):
         simulator = build_simulator(
             2, lambda pid: FunctionAutomaton(pid, 2, _undeclared_toucher)
         )
@@ -122,7 +84,7 @@ class TestFastOpsMissPath:
             simulator.add_observer(OutputTracker(key="saw"))
         registers = simulator.registers
         assert not registers.exists(("ghost", 1))
-        simulator.run_with_policy(Schedule(steps=(1, 1, 2, 2, 1), n=2), policy)
+        getattr(simulator, runner)(Schedule(steps=(1, 1, 2, 2, 1), n=2))
         # The registers sprang into existence inside the loop, unowned and
         # with the undeclared default of None, and every access was counted.
         assert registers.exists(("ghost", 1)) and registers.exists(("phantom", 1))
@@ -133,9 +95,8 @@ class TestFastOpsMissPath:
         assert simulator.output_of(1, "saw") is None
         assert registers.resolve(("ghost", 2)).read_count == 1
 
-    @pytest.mark.parametrize("policy_name", sorted(ALL_POLICIES))
-    def test_declared_initial_value_served_through_hot_loop(self, policy_name):
-        policy = ALL_POLICIES[policy_name]
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_declared_initial_value_served_through_hot_loop(self, runner):
 
         def reader(automaton, ctx):
             value = yield ReadOp(("seeded",))
@@ -146,7 +107,7 @@ class TestFastOpsMissPath:
         simulator = build_simulator(1, lambda pid: FunctionAutomaton(pid, 1, reader))
         registers = simulator.registers
         registers.declare(("seeded",), initial=41)
-        simulator.run_with_policy(Schedule(steps=(1, 1), n=1), policy)
+        getattr(simulator, runner)(Schedule(steps=(1, 1), n=1))
         assert simulator.output_of(1, "got") == 41
         assert registers.resolve(("seeded",)).read_count == 2
 
@@ -169,14 +130,13 @@ class TestSingleWriterViolationInHotLoop:
             simulator.add_observer(OutputTracker(key="never"))
         return simulator
 
-    @pytest.mark.parametrize("policy_name", sorted(ALL_POLICIES))
+    @pytest.mark.parametrize("runner", RUNNERS)
     @pytest.mark.parametrize("tracked", [True, False], ids=["tracked", "bare"])
-    def test_violation_raises_canonical_error_mid_run(self, policy_name, tracked):
-        policy = ALL_POLICIES[policy_name]
+    def test_violation_raises_canonical_error_mid_run(self, runner, tracked):
         simulator = self._violating_simulator(tracked)
         schedule = Schedule(steps=(1, 1, 2, 1), n=2)
         with pytest.raises(RegisterError, match="owned by process 1"):
-            simulator.run_with_policy(schedule, policy)
+            getattr(simulator, runner)(schedule)
         # Exact partial accounting: the two completed steps count, the
         # violating third step does not, and its write never landed.
         assert simulator.step_index == 2

@@ -1,8 +1,8 @@
 """Key-scoped observer sampling costs no tracker call for untracked keys.
 
-Publication-gated policies sample a process only on steps that published a
-key some observer reads: an :class:`OutputTracker` names its one key, and an
-observer that names none reads every key.  That every gated loop records the
+``run_fast`` samples a process only on steps that published a key some
+observer reads: an :class:`OutputTracker` names its one key, and an observer
+that names none reads every key.  That the gated loop records the
 change lists every-step sampling records, on Figure 2 and on automata that
 publish an untracked key on every step, is the conformance lane table's job
 (``tests/conformance/test_lane_table.py``); this module counts the calls the

@@ -51,24 +51,7 @@ class TestRunFastEquivalence:
         assert fast_sim.registers.total_reads() == slow_sim.registers.total_reads()
         assert fast_sim.registers.total_writes() == slow_sim.registers.total_writes()
 
-    def test_collect_trace_matches_run(self):
-        schedule = Schedule(steps=(1, 2, 1, 2, 1), n=2)
-
-        def program(automaton, ctx):
-            count = 0
-            while True:
-                count += 1
-                automaton.publish("count", count)
-                yield WriteOp(("scratch", automaton.pid), count)
-
-        slow = build_simulator(2, lambda pid: FunctionAutomaton(pid, 2, program))
-        fast = build_simulator(2, lambda pid: FunctionAutomaton(pid, 2, program))
-        slow_result = slow.run(schedule)
-        fast_result = fast.run_fast(schedule, collect_trace=True)
-        assert fast_result.executed_schedule.steps == slow_result.executed_schedule.steps
-        assert fast.trace().steps == slow.trace().steps
-
-    def test_without_collect_trace_schedule_is_empty_but_counts_exact(self):
+    def test_records_no_trace_but_counts_exact(self):
         schedule = Schedule(steps=(1, 2, 1), n=2)
 
         def program(automaton, ctx):
@@ -78,7 +61,7 @@ class TestRunFastEquivalence:
         simulator = build_simulator(2, lambda pid: FunctionAutomaton(pid, 2, program))
         result = simulator.run_fast(schedule)
         assert result.steps_executed == 3
-        assert result.executed_schedule.steps == ()
+        assert result.executed_schedule.steps == () and simulator.trace().steps == ()
         assert simulator.steps_taken(1) == 2 and simulator.steps_taken(2) == 1
 
     def test_halting_program_equivalent(self):
@@ -105,22 +88,6 @@ class TestRunFastEquivalence:
         )
         with pytest.raises(SimulationError):
             simulator.run_fast(Schedule(steps=(1, 1), n=1))
-
-    def test_stop_condition_honored(self):
-        def program(automaton, ctx):
-            count = 0
-            while True:
-                count += 1
-                automaton.publish("count", count)
-                yield WriteOp(("scratch", automaton.pid), count)
-
-        simulator = build_simulator(1, lambda pid: FunctionAutomaton(pid, 1, program))
-        result = simulator.run_fast(
-            Schedule(steps=(1,) * 100, n=1),
-            stop_condition=lambda step, sim: sim.output_of(1, "count", 0) >= 5,
-        )
-        assert result.stopped_early
-        assert result.steps_executed == 5
 
     def test_operation_subclasses_execute_on_fast_path(self):
         # validate_operation accepts ReadOp/WriteOp subclasses, so the fast

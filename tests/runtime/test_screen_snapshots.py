@@ -34,7 +34,7 @@ from repro.failure_detectors.anti_omega import (
 from repro.failure_detectors.base import FD_OUTPUT, WINNER_SET
 from repro.memory.registers import RegisterFile
 from repro.runtime import vector_backend
-from repro.runtime.kernel import FAST, execute
+from repro.runtime.kernel import execute
 from repro.runtime.observers import OutputTracker
 from repro.runtime.simulator import Simulator
 from repro.runtime.vector_backend import (
@@ -180,7 +180,7 @@ class TestKernelMatchesReferenceSnapshots:
         for index in range(1, checkpoints + 1):
             bound = (length * index) // checkpoints
             solo = _replica(n, t, k)
-            execute(solo, CompiledSchedule(n=n, steps=compiled.steps[:bound]), policy=FAST)
+            execute(solo, CompiledSchedule(n=n, steps=compiled.steps[:bound]))
             expected = {
                 pid: {FD_OUTPUT: solo.output_of(pid, FD_OUTPUT)}
                 for pid in range(1, n + 1)

@@ -6,6 +6,7 @@ from repro.core.schedule import InfiniteSchedule, Schedule
 from repro.errors import SimulationError
 from repro.memory.registers import RegisterFile
 from repro.runtime.automaton import (
+    CollectOp,
     FunctionAutomaton,
     IdleAutomaton,
     ProcessAutomaton,
@@ -189,3 +190,66 @@ class TestSimulatorExecution:
         result = simulator.run(Schedule(steps=(1, 2, 1, 2, 1, 2), n=2))
         assert result.outputs[1]["seen"] == 2
         assert result.halted_processes == [1, 2]
+
+
+def _collector(automaton, ctx):
+    """Write a value, then collect three registers forever (one read a step)."""
+    yield WriteOp(("c", automaton.pid), automaton.pid)
+    while True:
+        values = yield CollectOp([("c", 1), ("c", 2), ("c", 3)])
+        automaton.publish("collected", values)
+
+
+class TestReferenceRunPerCall:
+    """What one ``run`` call returns, next to what the simulator accumulates."""
+
+    def test_second_run_returns_only_its_own_steps(self):
+        simulator = build_simulator(2, lambda pid: IdleAutomaton(pid, 2))
+        first = simulator.run(Schedule(steps=(1, 2, 1), n=2))
+        second = simulator.run(Schedule(steps=(2, 2), n=2))
+        assert first.executed_schedule.steps == (1, 2, 1)
+        assert second.executed_schedule.steps == (2, 2)
+        assert second.steps_executed == 2
+        assert simulator.trace().steps == (1, 2, 1, 2, 2)
+        assert simulator.step_index == 5
+
+    def test_run_after_run_fast_records_only_its_own_steps(self):
+        simulator = build_simulator(2, lambda pid: IdleAutomaton(pid, 2))
+        simulator.run_fast(Schedule(steps=(1, 1, 2), n=2))
+        result = simulator.run(Schedule(steps=(2, 1), n=2))
+        assert result.executed_schedule.steps == (2, 1)
+        assert result.steps_executed == 2
+        assert simulator.trace().steps == (2, 1)
+        assert simulator.step_index == 5
+        assert [simulator.steps_taken(pid) for pid in (1, 2)] == [3, 2]
+
+    def test_stop_condition_on_a_collect_step(self):
+        simulator = build_simulator(3, lambda pid: FunctionAutomaton(pid, 3, _collector))
+        # Process 1's step 1 writes; steps 2-4 are its collect's three reads.
+        stops = []
+
+        def stop(step, sim):
+            stops.append(step)
+            return step == 3
+
+        result = simulator.run(Schedule(steps=(1,) * 10, n=3), stop_condition=stop)
+        assert result.stopped_early
+        assert result.steps_executed == 3 and stops == [1, 2, 3]
+        assert result.executed_schedule.steps == (1, 1, 1)
+        assert simulator.step_index == 3 and simulator.steps_taken(1) == 3
+        # Mid-collect: two of the three reads done, the generator not resumed.
+        assert simulator.output_of(1, "collected") is None
+        assert simulator.registers.resolve(("c", 1)).read_count == 1
+        assert simulator.registers.resolve(("c", 2)).read_count == 1
+        assert simulator.registers.resolve(("c", 3)).read_count == 0
+        rest = simulator.run(Schedule(steps=(1, 1), n=3))
+        assert not rest.stopped_early and rest.executed_schedule.steps == (1, 1)
+        assert simulator.output_of(1, "collected") == [1, None, None]
+
+    def test_halted_process_steps_are_counted(self):
+        simulator = Simulator(n=1, automata={1: PingPong(1, 1)})
+        result = simulator.run(Schedule(steps=(1,) * 5, n=1))
+        # PingPong returns on its third step; the two after it are no-ops
+        # that still count as the process's steps.
+        assert simulator.halted(1) and simulator.steps_taken(1) == 5
+        assert result.executed_schedule.steps == (1,) * 5
